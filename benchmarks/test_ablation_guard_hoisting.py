@@ -23,16 +23,15 @@ def test_static_and_dynamic_guard_reduction(results_dir):
     )
     opt = compile_module(
         DRIVER_SOURCE,
-        CompileOptions(module_name="e1000e", protect=True,
-                       optimize_guards=True),
+        CompileOptions(module_name="e1000e", protect=True, opt_level=1),
     )
     assert opt.guard_count <= plain.guard_count
 
     dynamic = {}
     cost = {}
-    for label, optimize_guards in (("unoptimized", False), ("hoisted", True)):
+    for label, opt_level in (("unoptimized", 0), ("hoisted", 1)):
         cfg = WorkloadConfig(machine="r350", protect=True,
-                             optimize_guards=optimize_guards,
+                             opt_level=opt_level,
                              calibration_packets=80, warmup_packets=16)
         cal = calibrate(cfg)
         dynamic[label] = cal.guards_per_packet
@@ -68,16 +67,15 @@ def test_wire_behaviour_unchanged_by_optimizer():
     from repro.net import make_test_frame
 
     outs = {}
-    for optimize_guards in (False, True):
+    for opt_level in (0, 1):
         s = CaratKopSystem(
-            SystemConfig(machine=None, protect=True,
-                         optimize_guards=optimize_guards)
+            SystemConfig(machine=None, protect=True, opt_level=opt_level)
         )
         s.sink.keep_last = 32
         for seq in range(32):
             assert s.netdev.xmit(make_test_frame(120, seq)) == 0
-        outs[optimize_guards] = list(s.sink.recent)
-    assert outs[False] == outs[True]
+        outs[opt_level] = list(s.sink.recent)
+    assert outs[0] == outs[1]
 
 
 def test_optimizer_compile_time_benchmark(benchmark):
@@ -85,6 +83,5 @@ def test_optimizer_compile_time_benchmark(benchmark):
     benchmark(
         compile_module,
         DRIVER_SOURCE,
-        CompileOptions(module_name="e1000e", protect=True,
-                       optimize_guards=True),
+        CompileOptions(module_name="e1000e", protect=True, opt_level=1),
     )

@@ -57,7 +57,7 @@ def _cell(queues, opt_level: int, engine: str, cpus: int) -> dict:
     )
     policy = system.policy.stats
     return {
-        "queues_resolved": system.resolved_queues(),
+        "queues_resolved": system.blkdev.queues,
         # -- functional fingerprint (must match across the whole grid) --
         "fingerprint": {
             "ops_done": result.ops_done,

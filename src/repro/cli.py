@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import abi
 from .core.pipeline import CompileOptions, compile_module
 from .core.system import CaratKopSystem, SystemConfig
 from .ir import print_module
@@ -41,8 +40,10 @@ def caratcc_main(argv: list[str] | None = None) -> int:
         help="build the baseline (no guard injection)",
     )
     ap.add_argument(
-        "--optimize-guards", action="store_true",
-        help="run the CARAT CAKE-style guard optimizer (ablation)",
+        "--opt-level", type=int, default=0, choices=[0, 1, 2],
+        help="guard optimization level: 0 = faithful paper build "
+             "(default), 1 = eliminate+hoist (the CARAT CAKE-style "
+             "optimizer), 2 = adds range coalescing",
     )
     ap.add_argument(
         "--guard-intrinsics", action="store_true",
@@ -59,7 +60,7 @@ def caratcc_main(argv: list[str] | None = None) -> int:
         CompileOptions(
             module_name=name,
             protect=not args.no_protect,
-            optimize_guards=args.optimize_guards,
+            opt_level=args.opt_level,
             guard_intrinsics=args.guard_intrinsics,
             key=SigningKey.generate(),
         ),
@@ -118,15 +119,9 @@ def policy_manager_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def pktblast_main(argv: list[str] | None = None) -> int:
-    """The user-level raw-Ethernet test tool (paper §4.2)."""
-    ap = argparse.ArgumentParser(
-        prog="pktblast",
-        description="send raw Ethernet packets through the simulated e1000e",
-    )
+def _add_system_args(ap: argparse.ArgumentParser) -> None:
+    """The flags every blast tool shares (see :func:`_system_config`)."""
     ap.add_argument("--machine", default="r350", choices=["r350", "r415"])
-    ap.add_argument("--size", type=int, default=128, help="frame bytes")
-    ap.add_argument("--count", type=int, default=1000, help="packets to send")
     ap.add_argument("--baseline", action="store_true", help="unguarded driver")
     ap.add_argument("--regions", type=int, default=2)
     ap.add_argument(
@@ -139,7 +134,7 @@ def pktblast_main(argv: list[str] | None = None) -> int:
         help="per-function execution profile (instructions, guards, cycles)",
     )
     ap.add_argument(
-        "--enforce-mode", default=None,
+        "--enforce-mode", default="panic",
         choices=["audit", "panic", "eject", "isolate"],
         help="what a guard denial does (default: panic, the paper behaviour)",
     )
@@ -172,28 +167,75 @@ def pktblast_main(argv: list[str] | None = None) -> int:
         "--smp-seed", type=int, default=0,
         help="round-robin scheduler seed (0 = unsharded global order)",
     )
+
+
+def _system_config(args: argparse.Namespace, driver: str,
+                   **extra) -> SystemConfig:
+    return SystemConfig(
+        machine=args.machine, driver=driver, protect=not args.baseline,
+        regions=args.regions, engine=args.engine,
+        enforce_mode=args.enforce_mode,
+        cpus=args.cpus, smp_seed=args.smp_seed,
+        opt_level=args.opt_level, policy_index=args.policy_index,
+        verify_policy=args.verify_policy, **extra,
+    )
+
+
+def _blast(config: SystemConfig, args: argparse.Namespace,
+           **workload) -> int:
+    """Assemble a system, run one trial of its stack's load tool, and
+    report it the same way for every stack."""
+    system = CaratKopSystem(config)
+    profiler = None
+    if args.profile:
+        from .vm import Profiler
+
+        profiler = Profiler()
+        system.kernel.vm.profiler = profiler
+    stack = system.stack
+    result = stack.workload(capture_latency=args.latency, **workload)
+    first, *rest = stack.describe(result)
+    print(f"{system.technique}: {first}")
+    for line in rest:
+        print(line)
+    if args.latency and result.latencies:
+        lat = sorted(result.latencies)
+        mid = lat[len(lat) // 2]
+        print(f"{stack.latency_label} latency: median {mid:,.0f} cycles, "
+              f"min {lat[0]:,.0f}, max {lat[-1]:,.0f}")
+    stats = system.guard_stats()
+    print(f"guards: {stats['checks']:,} checks, {stats['denied']} denied, "
+          f"decision cache {stats['guard_cache_hits']:,} hits / "
+          f"{stats['guard_cache_misses']:,} misses")
+    if profiler is not None:
+        print()
+        print(profiler.report())
+    return 0
+
+
+def pktblast_main(argv: list[str] | None = None) -> int:
+    """The user-level raw-Ethernet test tool (paper §4.2)."""
+    ap = argparse.ArgumentParser(
+        prog="pktblast",
+        description="send raw Ethernet packets through the simulated e1000e",
+    )
+    _add_system_args(ap)
+    ap.add_argument("--size", type=int, default=128, help="frame bytes")
+    ap.add_argument("--count", type=int, default=1000, help="packets to send")
     ap.add_argument(
         "--workers", type=int, default=0,
         help="partition the blast across N OS processes (real parallelism)",
     )
     args = ap.parse_args(argv)
+    config = _system_config(args, "e1000e")
 
     if args.workers > 1:
+        from dataclasses import asdict
+
         from .net.pool import pool_blast
 
-        pool = pool_blast(
-            args.workers,
-            size=args.size,
-            count=args.count,
-            config_kwargs=dict(
-                machine=args.machine, protect=not args.baseline,
-                regions=args.regions, engine=args.engine,
-                enforce_mode=args.enforce_mode,
-                cpus=args.cpus, smp_seed=args.smp_seed,
-                opt_level=args.opt_level, policy_index=args.policy_index,
-                verify_policy=args.verify_policy,
-            ),
-        )
+        pool = pool_blast(args.workers, size=args.size, count=args.count,
+                          config_kwargs=asdict(config))
         technique = "baseline" if args.baseline else "carat"
         print(
             f"{technique}: {pool.packets_sent}/{pool.packets_requested} "
@@ -208,44 +250,7 @@ def pktblast_main(argv: list[str] | None = None) -> int:
             f"{stats['denied']} denied"
         )
         return 0
-
-    system = CaratKopSystem(
-        SystemConfig(
-            machine=args.machine, protect=not args.baseline,
-            regions=args.regions, engine=args.engine,
-            enforce_mode=args.enforce_mode,
-            cpus=args.cpus, smp_seed=args.smp_seed,
-            opt_level=args.opt_level, policy_index=args.policy_index,
-            verify_policy=args.verify_policy,
-        )
-    )
-    profiler = None
-    if args.profile:
-        from .vm import Profiler
-
-        profiler = Profiler()
-        system.kernel.vm.profiler = profiler
-    result = system.blast(
-        size=args.size, count=args.count, capture_latency=args.latency
-    )
-    print(
-        f"{system.technique}: {result.packets_sent}/{result.packets_requested} "
-        f"packets, {result.throughput_pps:,.0f} pps, "
-        f"{result.errors} errors, {result.stalls} stalls"
-    )
-    if args.latency and result.latencies:
-        lat = sorted(result.latencies)
-        mid = lat[len(lat) // 2]
-        print(f"sendmsg latency: median {mid:,.0f} cycles, "
-              f"min {lat[0]:,.0f}, max {lat[-1]:,.0f}")
-    stats = system.guard_stats()
-    print(f"guards: {stats['checks']:,} checks, {stats['denied']} denied, "
-          f"decision cache {stats['guard_cache_hits']:,} hits / "
-          f"{stats['guard_cache_misses']:,} misses")
-    if profiler is not None:
-        print()
-        print(profiler.report())
-    return 0
+    return _blast(config, args, count=args.count, size=args.size)
 
 
 def blkblast_main(argv: list[str] | None = None) -> int:
@@ -254,7 +259,7 @@ def blkblast_main(argv: list[str] | None = None) -> int:
         prog="caratkop-blkblast",
         description="drive mixed block I/O through the simulated vblk disk",
     )
-    ap.add_argument("--machine", default="r350", choices=["r350", "r415"])
+    _add_system_args(ap)
     ap.add_argument("--count", type=int, default=1000,
                     help="requests to issue")
     ap.add_argument("--nsect", type=int, default=2,
@@ -270,112 +275,19 @@ def blkblast_main(argv: list[str] | None = None) -> int:
                     help="percentage of non-flush requests that read")
     ap.add_argument("--flush-interval", type=int, default=16,
                     help="every Nth request is a flush barrier (0 = never)")
-    ap.add_argument("--baseline", action="store_true", help="unguarded driver")
-    ap.add_argument("--regions", type=int, default=2)
-    ap.add_argument(
-        "--engine", default="compiled", choices=["interp", "compiled"],
-        help="execution engine (compiled = translate-once closures)",
-    )
-    ap.add_argument("--latency", action="store_true", help="report latencies")
-    ap.add_argument(
-        "--profile", action="store_true",
-        help="per-function execution profile (instructions, guards, cycles)",
-    )
-    ap.add_argument(
-        "--enforce-mode", default=None,
-        choices=["audit", "panic", "eject", "isolate"],
-        help="what a guard denial does (default: panic, the paper behaviour)",
-    )
-    ap.add_argument(
-        "--opt-level", type=int, default=2, choices=[0, 1, 2, 3],
-        help="guard optimization level: 0 = faithful paper build (a guard "
-             "before every load/store), 1 = eliminate+hoist, 2 = adds "
-             "range coalescing, 3 = adds load-time static verification "
-             "(prove guards in-policy, elide them at insmod) "
-             "(default: 2, the production tier)",
-    )
-    ap.add_argument(
-        "--verify-policy", default="demote",
-        choices=["strict", "demote", "off"],
-        help="what insmod does with a stale or invalid -O3 verification "
-             "certificate: strict = reject the module, demote = load with "
-             "full dynamic guarding (default), off = ignore certificates",
-    )
-    ap.add_argument(
-        "--policy-index", default="interval",
-        choices=["linear", "interval"],
-        help="region-table structure: linear = the paper's O(n) scan, "
-             "interval = overlap-aware binary search (default: interval)",
-    )
-    ap.add_argument(
-        "--cpus", type=int, default=1,
-        help="simulated CPUs (cooperative model; 1 = historic behaviour)",
-    )
-    ap.add_argument(
-        "--smp-seed", type=int, default=0,
-        help="round-robin scheduler seed (0 = unsharded global order)",
-    )
     ap.add_argument(
         "--queues", default="auto", choices=["1", "2", "3", "4", "auto"],
         help="vblk I/O queue pairs (NVMe-style): auto = one per CPU "
              "(default), 1 = the historic single shared queue",
     )
     args = ap.parse_args(argv)
-
     queues = args.queues if args.queues == "auto" else int(args.queues)
-    system = CaratKopSystem(
-        SystemConfig(
-            machine=args.machine, driver="vblk", protect=not args.baseline,
-            regions=args.regions, engine=args.engine,
-            enforce_mode=args.enforce_mode,
-            cpus=args.cpus, smp_seed=args.smp_seed,
-            opt_level=args.opt_level, policy_index=args.policy_index,
-            verify_policy=args.verify_policy, queues=queues,
-        )
-    )
-    profiler = None
-    if args.profile:
-        from .vm import Profiler
-
-        profiler = Profiler()
-        system.kernel.vm.profiler = profiler
-    result = system.blkblast(
+    return _blast(
+        _system_config(args, "vblk", queues=queues), args,
         count=args.count, nsect=args.nsect, pattern=args.pattern,
         seed=args.seed, read_frac=args.read_frac,
-        flush_interval=args.flush_interval, capture_latency=args.latency,
+        flush_interval=args.flush_interval,
     )
-    print(
-        f"{system.technique}: {result.ops_done}/{result.ops_requested} ops "
-        f"({result.reads} reads, {result.writes} writes, "
-        f"{result.flushes} flushes), {result.throughput_iops:,.0f} iops, "
-        f"{result.errors} errors, {result.stalls} stalls"
-    )
-    print(
-        f"moved: {result.bytes_read:,} bytes read, "
-        f"{result.bytes_written:,} bytes written"
-    )
-    for row in system.device.queue_stats():
-        if not row["created"] or (row["queue"] != 0 and not row["doorbells"]):
-            continue
-        kind = "admin" if row["queue"] == 0 else "io"
-        print(
-            f"queue[{row['queue']}] ({kind}): {row['doorbells']} doorbells, "
-            f"{row['fetched']} fetched, {row['completed']} completed, "
-            f"{row['errors']} errors"
-        )
-    if args.latency and result.latencies:
-        lat = sorted(result.latencies)
-        mid = lat[len(lat) // 2]
-        print(f"request latency: median {mid:,.0f} cycles, "
-              f"min {lat[0]:,.0f}, max {lat[-1]:,.0f}")
-    stats = system.guard_stats()
-    print(f"guards: {stats['checks']:,} checks, {stats['denied']} denied, "
-          f"decision cache {stats['guard_cache_hits']:,} hits / "
-          f"{stats['guard_cache_misses']:,} misses")
-    if profiler is not None:
-        print()
-        print(profiler.report())
-    return 0
 
 
 def soak_main(argv: list[str] | None = None) -> int:
@@ -383,7 +295,7 @@ def soak_main(argv: list[str] | None = None) -> int:
     import json
 
     from .faults import FaultInjector, run_soak
-    from .faults.soak import SoakError
+    from .faults.soak import BLK_FAULTS, NET_FAULTS, SoakError
 
     ap = argparse.ArgumentParser(
         prog="caratkop-soak",
@@ -403,89 +315,51 @@ def soak_main(argv: list[str] | None = None) -> int:
     ap.add_argument("--size", type=int, default=128, help="frame bytes")
     ap.add_argument("--count", type=int, default=20,
                     help="packets per recovery blast")
-    ap.add_argument("--mmio-garble-period", type=int, default=7)
-    ap.add_argument("--dma-stall-period", type=int, default=13)
-    ap.add_argument("--irq-drop-period", type=int, default=5)
-    ap.add_argument("--xmit-fail-period", type=int, default=11)
     ap.add_argument("--no-vblk", action="store_true",
                     help="NIC-only soak (skip the vblk block stack half)")
     ap.add_argument("--blk-count", type=int, default=16,
                     help="block ops per vblk recovery blast")
-    ap.add_argument("--vblk-desc-garble-period", type=int, default=9)
-    ap.add_argument("--vblk-stall-period", type=int, default=17)
-    ap.add_argument("--vblk-writeback-drop-period", type=int, default=23)
-    ap.add_argument("--vblk-doorbell-drop-period", type=int, default=27,
-                    help="swallow every Nth queue doorbell kick (0 = off)")
-    ap.add_argument("--vblk-cq-stall-period", type=int, default=31,
-                    help="stall every Nth completion-queue drain (0 = off)")
     ap.add_argument("--blk-cpus", type=int, default=2,
                     help="CPUs (= I/O queues) for the vblk soak half")
+    # One flag per fault schedule, e.g. --vblk-cq-stall-period 31.
+    for name, period in {**NET_FAULTS, **BLK_FAULTS}.items():
+        ap.add_argument("--" + name.replace("_", "-"), type=int,
+                        default=period,
+                        help="fault every Nth eligible event (0 = off)")
     ap.add_argument("--report", metavar="FILE",
                     help="write the JSON violation/recovery report here")
     args = ap.parse_args(argv)
 
-    injector = FaultInjector(
-        mmio_garble_period=args.mmio_garble_period,
-        dma_stall_period=args.dma_stall_period,
-        irq_drop_period=args.irq_drop_period,
-        xmit_fail_period=args.xmit_fail_period,
-    )
-    vblk_injector = None
-    if not args.no_vblk:
-        vblk_injector = FaultInjector(
-            vblk_desc_garble_period=args.vblk_desc_garble_period,
-            vblk_stall_period=args.vblk_stall_period,
-            vblk_writeback_drop_period=args.vblk_writeback_drop_period,
-            vblk_doorbell_drop_period=args.vblk_doorbell_drop_period,
-            vblk_cq_stall_period=args.vblk_cq_stall_period,
-        )
+    def injector(schedule: dict) -> FaultInjector:
+        return FaultInjector(**{name: getattr(args, name) for name in schedule})
+
+    failed = None
     try:
         report = run_soak(
             cycles=args.cycles, machine=args.machine, engine=args.engine,
-            blast_size=args.size, blast_count=args.count, injector=injector,
-            vblk=not args.no_vblk, blk_count=args.blk_count,
-            vblk_injector=vblk_injector, blk_cpus=args.blk_cpus,
+            blast_size=args.size, blast_count=args.count,
+            injector=injector(NET_FAULTS), vblk=not args.no_vblk,
+            blk_count=args.blk_count, vblk_injector=injector(BLK_FAULTS),
+            blk_cpus=args.blk_cpus,
         )
-        failed = None
     except SoakError as e:
         report = e.report
-        failed = str(e)
-        report["failure"] = failed
-        report["injector"] = injector.report()
-        if vblk_injector is not None:
-            report["vblk_injector"] = vblk_injector.report()
+        failed = report["failure"] = str(e)
     if args.report:
         with open(args.report, "w") as f:
             json.dump(report, f, indent=2)
-    print(
-        f"soak: {report['cycles_completed']}/{report['cycles_requested']} "
-        f"cycles, {report['ejections']} ejections, "
-        f"{report['leaked_bytes_total']} bytes leaked, "
-        f"{report['delivered_frames']} frames delivered post-recovery"
-    )
-    if report.get("injector"):
-        inj = report["injector"]
-        print(
-            f"faults injected: {inj['garbled_reads']} garbled reads, "
-            f"{inj['stalled_frames']} DMA stalls, "
-            f"{inj['dropped_irqs']} dropped irqs, "
-            f"{inj['failed_xmits']} xmit transients"
-        )
-    if "vblk_ejections" in report:
-        print(
-            f"vblk: {report['vblk_ejections']} ejections, "
-            f"{report['blk_ops_done']} block ops post-recovery"
-        )
-    if report.get("vblk_injector"):
-        vinj = report["vblk_injector"]
-        print(
-            f"vblk faults injected: "
-            f"{vinj['garbled_descriptors']} torn descriptors, "
-            f"{vinj['stalled_completions']} media stalls, "
-            f"{vinj['dropped_writebacks']} dropped write-backs, "
-            f"{vinj.get('dropped_doorbells', 0)} dropped doorbells, "
-            f"{vinj.get('stalled_cqs', 0)} CQ stalls"
-        )
+    print(f"soak: {report['cycles_completed']}/{report['cycles_requested']} "
+          f"cycles")
+    for name, half in (("e1000e", report), ("vblk", report.get("vblk"))):
+        if half is None:
+            continue
+        unit = next(k for k in half if k.startswith("delivered_"))
+        faults = ", ".join(
+            f"{n} {kind}" for kind, n in half["injector"].items() if n)
+        print(f"{name}: {half['ejections']} ejections, "
+              f"{half['leaked_bytes_total']} bytes leaked, {half[unit]} "
+              f"{unit[len('delivered_'):]} delivered post-recovery; "
+              f"faults injected: {faults or 'none'}")
     if failed is not None:
         print(f"FAILED: {failed}", file=sys.stderr)
         return 1

@@ -5,7 +5,7 @@ Figure 2's flow — C source → clang front end → middle-end passes
 
     mini-C  →  minicc  →  [mem2reg, peephole, dce]      (normal -O pipeline)
                        →  [attestation, kop-guard]       (if protect=True)
-                       →  [kop-guard-opt]                (ablation only)
+                       →  [kop-guard-opt]                (opt_level >= 1)
                        →  sign                           (HMAC attestation)
 
 "Any module in the Linux kernel can be compiled as a protected module by
@@ -52,16 +52,12 @@ class CompileOptions:
     module_name: str = "module"
     #: Apply the CARAT KOP guard-injection transform.
     protect: bool = True
-    #: Run the CARAT CAKE-style guard optimizer (OFF in the paper; the
-    #: abl2 benchmark turns it on to measure what it would recover).
-    #: Equivalent to ``opt_level=1`` and kept for backward compatibility.
-    optimize_guards: bool = False
     #: Guard optimization level: 0 = faithful paper mode (guard every
-    #: access), 1 = dominated-guard elimination + loop-invariant hoisting,
-    #: 2 = adds range coalescing, 3 = adds load-time static verification
-    #: (prove guards in-policy and mint an elision certificate).  ``None``
-    #: derives the level from ``optimize_guards`` (True -> 1, False -> 0).
-    opt_level: Optional[int] = None
+    #: access), 1 = dominated-guard elimination + loop-invariant hoisting
+    #: (the CARAT CAKE-style optimizer, OFF in the paper), 2 = adds range
+    #: coalescing, 3 = adds load-time static verification (prove guards
+    #: in-policy and mint an elision certificate).
+    opt_level: int = 0
     #: Individual transform overrides; ``None`` follows ``opt_level``.
     eliminate_guards: Optional[bool] = None
     hoist_guards: Optional[bool] = None
@@ -88,25 +84,21 @@ class CompileOptions:
     key: Optional[SigningKey] = None
     verify_each_pass: bool = True
 
-    def resolved_opt_level(self) -> int:
-        """The effective ``-O`` level after legacy-flag fallback."""
-        if self.opt_level is not None:
-            if self.opt_level not in (0, 1, 2, 3):
-                raise ValueError(
-                    f"opt_level must be 0, 1, 2, or 3: {self.opt_level}"
-                )
-            return self.opt_level
-        return 1 if self.optimize_guards else 0
+    def __post_init__(self) -> None:
+        if self.opt_level not in (0, 1, 2, 3):
+            raise ValueError(
+                f"opt_level must be 0, 1, 2, or 3: {self.opt_level}"
+            )
 
     def verify_enabled(self) -> bool:
         """Static verification tier (``-O3``) after overrides."""
         if self.verify is not None:
             return self.verify
-        return self.resolved_opt_level() >= 3
+        return self.opt_level >= 3
 
     def guard_opt_toggles(self) -> tuple[bool, bool, bool]:
         """``(eliminate, hoist, coalesce)`` after per-transform overrides."""
-        level = self.resolved_opt_level()
+        level = self.opt_level
         eliminate = (
             self.eliminate_guards if self.eliminate_guards is not None
             else level >= 1
@@ -208,7 +200,7 @@ def compile_module(
                 stats.stores += 1
             elif isinstance(inst, Call) and inst.is_guard:
                 stats.guards += 1
-    stats.opt_level = opts.resolved_opt_level()
+    stats.opt_level = opts.opt_level
     if guard_opt is not None:
         stats.guards_removed = guard_opt.guards_removed
         stats.guards_hoisted = guard_opt.guards_hoisted

@@ -1,9 +1,12 @@
 """CaratKopSystem: one-call assembly of the whole testbed.
 
 Boots the kernel on a chosen machine model, installs the policy module,
-compiles the e1000e driver (baseline or protected), inserts it, brings
-the NIC up against a packet sink, and hands back a raw socket + blaster —
-the complete Figure 1 picture plus the §4 testbed, ready for experiments.
+compiles the chosen device stack's driver (baseline or protected),
+inserts it, and probes the stack's glue on top — for the e1000e stack a
+NIC against a packet sink plus a raw socket and blaster, for the vblk
+stack a block disk plus a request queue and blkblast — the complete
+Figure 1 picture plus the §4 testbed, ready for experiments.  What
+differs between the stacks lives in :mod:`repro.core.stacks`.
 """
 
 from __future__ import annotations
@@ -11,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..e1000e import DRIVER_NAME, DRIVER_SOURCE, E1000EDevice, E1000ENetDev
 from ..kernel import Kernel
 from ..kernel.module_loader import CompiledModule, LoadedModule
-from ..net import PacketBlaster, PacketSink, RawPacketSocket
 from ..policy import CaratPolicyModule, PolicyManager, RegionTable
 from ..signing import SigningKey
 from ..vm.machine import MachineModel, get_machine
 from .pipeline import CompileOptions, compile_module
+from .stacks import STACKS
 
 
 @dataclass
@@ -33,13 +35,10 @@ class SystemConfig:
     #: Build the driver with the CARAT KOP transform ("carat") or not
     #: ("baseline") — the two curves in every figure.
     protect: bool = True
-    #: CARAT CAKE-style guard optimization (legacy toggle == ``-O1``).
-    optimize_guards: bool = False
     #: Guard optimization level: 0 faithful, 1 eliminate+hoist, 2 adds
     #: range coalescing, 3 adds load-time static verification (prove
     #: guards in-policy at compile time, elide them at insmod).
-    #: ``None`` derives from ``optimize_guards``.
-    opt_level: Optional[int] = None
+    opt_level: int = 0
     #: What insmod does with a stale/invalid verification certificate:
     #: "strict" rejects the module, "demote" (default) loads it with
     #: full dynamic guarding, "off" ignores certificates entirely.
@@ -50,11 +49,9 @@ class SystemConfig:
     policy_index: Optional[object] = None
     #: Number of regions for the standard policy (Figure 5 varies this).
     regions: int = 2
-    #: Enforce (panic) vs audit-only.
-    enforce: bool = True
-    #: Enforcement mode: "audit", "panic", "eject", or "isolate".  None
-    #: derives it from ``enforce`` (panic/audit — the paper behaviour).
-    enforce_mode: Optional[str] = None
+    #: Enforcement mode: "audit", "panic" (the paper behaviour), "eject",
+    #: or "isolate".
+    enforce_mode: str = "panic"
     #: Require signatures + protection at insmod.
     strict_kernel: bool = False
     ram_size: int = 64 << 20
@@ -62,8 +59,8 @@ class SystemConfig:
     #: "interp" (the reference tree-walking interpreter).
     engine: str = "compiled"
     #: Simulated CPUs (cooperative round-robin model).  1 is bit-exact
-    #: with the historic single-CPU behaviour; N shards pktblast and the
-    #: per-CPU subsystems (stats, guard caches, trace rings) across N.
+    #: with the historic single-CPU behaviour; N shards the blast tools
+    #: and the per-CPU subsystems (stats, guard caches, trace rings).
     cpus: int = 1
     #: Rotates the round-robin scheduler's starting CPU (determinism
     #: experiments; 0 reproduces the unsharded global order exactly).
@@ -75,13 +72,21 @@ class SystemConfig:
 
 
 class CaratKopSystem:
-    """The assembled testbed."""
+    """The assembled testbed.
+
+    The stack's glue objects (``device``, and ``sink``/``netdev``/
+    ``socket``/``blaster`` or ``blkdev``/``blkqueue``/``blkblaster``)
+    are reachable directly on the system.
+    """
 
     def __init__(self, config: Optional[SystemConfig] = None, **kwargs):
         self.config = config or SystemConfig(**kwargs)
         if config is not None and kwargs:
             raise TypeError("pass either config or keyword overrides, not both")
         cfg = self.config
+        stack_cls = STACKS.get(cfg.driver)
+        if stack_cls is None:
+            raise ValueError(f"unknown driver {cfg.driver!r}")
         machine = cfg.machine
         if isinstance(machine, str):
             machine = get_machine(machine)
@@ -104,8 +109,7 @@ class CaratKopSystem:
 
             index = make_index(index)
         self.policy = CaratPolicyModule(
-            self.kernel, index=index, enforce=cfg.enforce,
-            mode=cfg.enforce_mode,
+            self.kernel, index=index, mode=cfg.enforce_mode,
         ).install()
         self.policy_manager = PolicyManager(self.kernel)
         if cfg.regions == 2:
@@ -113,40 +117,10 @@ class CaratKopSystem:
         else:
             self.policy_manager.install_n_region_policy(cfg.regions)
 
-        if cfg.driver == "e1000e":
-            driver_name, driver_source = DRIVER_NAME, DRIVER_SOURCE
-            from ..e1000e.contracts import DRIVER_CONTRACTS as driver_contracts
-            self.sink = PacketSink(keep_last=8)
-            self.device = E1000EDevice(
-                self.kernel,
-                self.sink,
-                clock=(lambda: self.kernel.vm.timing.cycles) if machine else None,
-                freq_hz=machine.freq_hz if machine else None,
-            )
-        elif cfg.driver == "vblk":
-            from ..vblk import (
-                DRIVER_NAME as VBLK_NAME,
-                DRIVER_SOURCE as VBLK_SOURCE,
-                VBLK_CONTRACTS,
-                VblkDevice,
-            )
-            driver_name, driver_source = VBLK_NAME, VBLK_SOURCE
-            driver_contracts = VBLK_CONTRACTS
-            self.sink = None
-            self.device = VblkDevice(
-                self.kernel,
-                clock=(lambda: self.kernel.vm.timing.cycles) if machine else None,
-                freq_hz=machine.freq_hz if machine else None,
-                merge_seed=cfg.smp_seed,
-            )
-        else:
-            raise ValueError(f"unknown driver {cfg.driver!r}")
-        self.driver_name = driver_name
-
+        self.stack = stack = stack_cls(self)
         compile_opts = CompileOptions(
-            module_name=driver_name,
+            module_name=stack.name,
             protect=cfg.protect,
-            optimize_guards=cfg.optimize_guards,
             opt_level=cfg.opt_level,
             key=self.signing_key,
         )
@@ -157,51 +131,24 @@ class CaratKopSystem:
             # trusted ABI contracts, registered per-driver so certifying
             # one stack never widens the other's TCB.
             self.kernel.register_verify_contracts(
-                driver_contracts, module=driver_name
+                stack.contracts, module=stack.name
             )
             compile_opts.verify_table = self.policy.index
-            compile_opts.contracts = driver_contracts
+            compile_opts.contracts = stack.contracts
         self.driver_compiled: CompiledModule = compile_module(
-            driver_source, compile_opts,
+            stack.source, compile_opts,
         )
-        self.driver: LoadedModule = self.kernel.insmod(self.driver_compiled)
-        if cfg.driver == "e1000e":
-            self.netdev = E1000ENetDev(self.kernel, self.driver, self.device)
-            self.netdev.probe()
-            self.socket = RawPacketSocket(self.kernel, self.netdev, machine)
-            self.blaster = PacketBlaster(self.socket)
-            self.blkdev = None
-            self.blkqueue = None
-            self.blkblaster = None
-        else:
-            from ..vblk import BlockBlaster, BlockRequestQueue, VblkBlockDev
-            self.netdev = None
-            self.socket = None
-            self.blaster = None
-            self.blkdev = VblkBlockDev(
-                self.kernel, self.driver, self.device,
-                queues=self.resolved_queues(),
-            )
-            self.blkdev.probe()
-            self.blkqueue = BlockRequestQueue(self.kernel, self.blkdev, machine)
-            self.blkblaster = BlockBlaster(self.blkqueue)
+        self.reload_driver()
+
+    def __getattr__(self, name: str):
+        # Only reached for attributes the system itself lacks: the
+        # stack's glue objects.
+        stack = self.__dict__.get("stack")
+        if stack is None:
+            raise AttributeError(name)
+        return getattr(stack, name)
 
     # -- convenience --------------------------------------------------------
-
-    def resolved_queues(self) -> int:
-        """The vblk I/O queue count: "auto" maps one queue per CPU,
-        capped at the device's fixed block count."""
-        from ..vblk import regs as vblk_regs
-        queues = self.config.queues
-        if queues == "auto":
-            return max(1, min(self.config.cpus, vblk_regs.MAX_IO_QUEUES))
-        queues = int(queues)
-        if not 1 <= queues <= vblk_regs.MAX_IO_QUEUES:
-            raise ValueError(
-                f"queues must be 1..{vblk_regs.MAX_IO_QUEUES} or 'auto', "
-                f"got {queues}"
-            )
-        return queues
 
     @property
     def technique(self) -> str:
@@ -209,15 +156,15 @@ class CaratKopSystem:
 
     def blast(self, size: int = 128, count: int = 1000,
               capture_latency: bool = False):
-        """Run one pktblast trial on the live system."""
-        return self.blaster.blast(size, count, capture_latency)
+        """Run one pktblast trial on the live e1000e system."""
+        return self.stack.blaster.blast(size, count, capture_latency)
 
     def blkblast(self, count: int = 100, nsect: int = 2,
                  pattern: str = "seq", seed: int = 1,
                  read_frac: int = 50, flush_interval: int = 16,
                  capture_latency: bool = False):
         """Run one blkblast trial on the live vblk system."""
-        return self.blkblaster.blast(
+        return self.stack.blkblaster.blast(
             count, nsect=nsect, pattern=pattern, seed=seed,
             read_frac=read_frac, flush_interval=flush_interval,
             capture_latency=capture_latency,
@@ -240,40 +187,17 @@ class CaratKopSystem:
         return stats
 
     def reload_driver(self) -> LoadedModule:
-        """Re-insert the driver after an eject and rebuild the glue
-        plumbing on top of it.  The recovery half of a
-        violation->eject->re-insmod cycle; the caller must lift the
-        quarantine first (``policy_manager.unquarantine``)."""
-        machine = self.machine
-        self.driver = self.kernel.insmod(self.driver_compiled)
-        if self.config.driver == "e1000e":
-            self.netdev = E1000ENetDev(self.kernel, self.driver, self.device)
-            self.netdev.probe()
-            self.socket = RawPacketSocket(
-                self.kernel, self.netdev, machine,
-                max_retries=self.socket.max_retries,
-            )
-            self.blaster = PacketBlaster(self.socket)
-        else:
-            from ..vblk import BlockBlaster, BlockRequestQueue, VblkBlockDev
-            self.blkdev = VblkBlockDev(
-                self.kernel, self.driver, self.device,
-                queues=self.resolved_queues(),
-            )
-            self.blkdev.probe()
-            self.blkqueue = BlockRequestQueue(
-                self.kernel, self.blkdev, machine,
-                max_retries=self.blkqueue.max_retries,
-            )
-            self.blkblaster = BlockBlaster(self.blkqueue)
+        """Insert the driver and probe the stack's glue on top of it.
+        Also the recovery half of a violation->eject->re-insmod cycle;
+        the caller must lift the quarantine first
+        (``policy_manager.unquarantine``)."""
+        self.driver: LoadedModule = self.kernel.insmod(self.driver_compiled)
+        self.stack.probe(self.driver)
         return self.driver
 
     def teardown(self) -> None:
-        if self.netdev is not None:
-            self.netdev.remove()
-        if self.blkdev is not None:
-            self.blkdev.remove()
-        self.kernel.rmmod(self.driver_name)
+        self.stack.teardown()
+        self.kernel.rmmod(self.stack.name)
         self.policy.uninstall()
 
 

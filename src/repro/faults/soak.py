@@ -1,29 +1,31 @@
 """The violation -> eject -> rollback -> re-insmod recovery soak.
 
 Drives a hostile module through repeated policy violations in ``eject``
-mode while fault injection degrades the NIC underneath, and audits the
-kernel after every ejection: zero leaked kmalloc bytes, zero orphaned
-IRQ lines or timers, an empty journal, and a driver that still moves
-packets.  This is the acceptance harness for the graceful-enforcement
+mode while fault injection degrades the device underneath, and audits
+the kernel after every ejection: zero leaked kmalloc bytes, zero
+orphaned IRQ lines or timers, an empty journal, and a driver that still
+moves data.  This is the acceptance harness for the graceful-enforcement
 subsystem (paper §5's "cleanly handle forbidden accesses", made
 repeatable).
 
-Each cycle also runs the same violation->eject->recovery arc on a
-second system assembled around the vblk block stack (its own kernel,
-its own fault schedule: torn descriptors, media stalls, dropped
-used-ring write-backs, dropped doorbells, stalled completion queues),
-so the soak certifies graceful enforcement on both guarded device
-stacks, not just the NIC.  The vblk half runs multi-queue by default
-(``blk_cpus`` CPUs, one I/O queue pair each) and audits after every
-blast that every queue pair quiesced — no bio stranded on any
-submission ring, none leaked in flight — despite the dropped doorbells
-and CQ stalls underneath.  Pass ``vblk=False`` for the historic
-NIC-only soak.
+Each cycle runs the same arc on every device stack
+(:mod:`repro.core.stacks`), each on its own system and kernel with its
+own fault schedule: the e1000e NIC (garbled telemetry reads, DMA
+stalls, dropped IRQs, transient xmit failures) and, unless
+``vblk=False``, the vblk block stack (torn descriptors, media stalls,
+dropped used-ring write-backs, dropped doorbells, stalled completion
+queues).  The vblk half runs multi-queue by default (``blk_cpus`` CPUs,
+one I/O queue pair each).  After every recovery blast the stack's
+device must drain completely: no request stranded on any submission
+ring and none leaked in flight.
+
+The report keeps the NIC half's results at the top level and nests the
+vblk half's, in the same shape, under ``report["vblk"]``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..core.pipeline import CompileOptions, compile_module
 from ..core.system import CaratKopSystem, SystemConfig
@@ -82,6 +84,13 @@ ATTACK_ADDR = 0x1000
 
 _EFAULT = 14
 
+#: Default fault schedules (every Nth eligible event faults).
+NET_FAULTS = dict(mmio_garble_period=7, dma_stall_period=13,
+                  irq_drop_period=5, xmit_fail_period=11)
+BLK_FAULTS = dict(vblk_desc_garble_period=9, vblk_stall_period=17,
+                  vblk_writeback_drop_period=23,
+                  vblk_doorbell_drop_period=27, vblk_cq_stall_period=31)
+
 
 class SoakError(AssertionError):
     """An invariant failed mid-soak; the report so far is attached."""
@@ -89,6 +98,42 @@ class SoakError(AssertionError):
     def __init__(self, message: str, report: dict):
         super().__init__(message)
         self.report = report
+
+
+class _Half:
+    """One device stack under soak: its system, fault injector, recovery
+    workload, and its part of the report."""
+
+    def __init__(self, config: SystemConfig, injector: FaultInjector,
+                 report: dict, count: int,
+                 workload: Callable[[int], dict]):
+        self.system = CaratKopSystem(config)
+        self.stack = self.system.stack
+        self.injector = injector.attach(self.system)
+        self.hostile = compile_module(
+            HOSTILE_MODULE,
+            CompileOptions(module_name=HOSTILE_NAME,
+                           key=self.system.signing_key),
+        )
+        self.count = count
+        #: cycle -> keyword arguments of that cycle's recovery workload.
+        self.workload = workload
+        self.delivered_key = f"delivered_{self.stack.unit}"
+        self.report = report
+        report.update({"ejections": 0, "leaked_bytes_total": 0,
+                       self.delivered_key: 0, "per_cycle": []})
+
+    def finish(self) -> None:
+        """Record the final counters and detach the injector."""
+        kernel = self.system.kernel
+        self.report.update({
+            "violation_faults": kernel.violation_faults,
+            "entry_refusals": kernel.entry_refusals,
+            "irqs_dropped_by_injector": kernel.irq.dropped,
+            "injector": self.injector.report(),
+            "guard_stats": self.system.guard_stats(),
+        })
+        self.injector.detach(self.system)
 
 
 def run_soak(
@@ -108,58 +153,24 @@ def run_soak(
 
     Raises :class:`SoakError` on the first violated invariant.
     """
-    system = CaratKopSystem(SystemConfig(
-        machine=machine, protect=True, enforce_mode="eject", engine=engine,
-    ))
-    kernel = system.kernel
-    if injector is None:
-        injector = FaultInjector(
-            mmio_garble_period=7,
-            dma_stall_period=13,
-            irq_drop_period=5,
-            xmit_fail_period=11,
-        )
-    injector.attach(system)
-    system.socket.max_retries = 3
-
-    hostile = compile_module(
-        HOSTILE_MODULE,
-        CompileOptions(module_name=HOSTILE_NAME, key=system.signing_key),
-    )
-
-    vsystem = vhostile = None
+    report: dict = {"cycles_requested": cycles, "cycles_completed": 0}
+    halves = [_Half(
+        SystemConfig(machine=machine, enforce_mode="eject", engine=engine),
+        injector or FaultInjector(**NET_FAULTS), report, blast_count,
+        lambda cycle: {"size": blast_size},
+    )]
+    # Ride out injected transient xmit failures instead of surfacing them.
+    halves[0].system.socket.max_retries = 3
     if vblk:
-        vsystem = CaratKopSystem(SystemConfig(
-            machine=machine, driver="vblk", protect=True,
-            enforce_mode="eject", engine=engine,
-            cpus=blk_cpus, queues=blk_queues,
+        report["vblk"] = {}
+        halves.append(_Half(
+            SystemConfig(machine=machine, driver="vblk",
+                         enforce_mode="eject", engine=engine,
+                         cpus=blk_cpus, queues=blk_queues),
+            vblk_injector or FaultInjector(**BLK_FAULTS), report["vblk"],
+            blk_count,
+            lambda cycle: {"nsect": 2, "pattern": "rand", "seed": cycle + 1},
         ))
-        if vblk_injector is None:
-            vblk_injector = FaultInjector(
-                vblk_desc_garble_period=9,
-                vblk_stall_period=17,
-                vblk_writeback_drop_period=23,
-                vblk_doorbell_drop_period=27,
-                vblk_cq_stall_period=31,
-            )
-        vblk_injector.attach(vsystem)
-        vhostile = compile_module(
-            HOSTILE_MODULE,
-            CompileOptions(module_name=HOSTILE_NAME,
-                           key=vsystem.signing_key),
-        )
-
-    report: dict = {
-        "cycles_requested": cycles,
-        "cycles_completed": 0,
-        "ejections": 0,
-        "leaked_bytes_total": 0,
-        "delivered_frames": 0,
-        "per_cycle": [],
-    }
-    if vblk:
-        report["vblk_ejections"] = 0
-        report["blk_ops_done"] = 0
 
     def check(condition: bool, message: str) -> None:
         if not condition:
@@ -171,9 +182,7 @@ def run_soak(
         the crash into a structured nonzero exit instead of a traceback."""
         drained_modules = 0
         drained_records = 0
-        kernels = [kernel]
-        if vsystem is not None:
-            kernels.append(vsystem.kernel)
+        kernels = [half.system.kernel for half in halves]
         for k in kernels:
             for module in k.journal.modules():
                 drained_records += k.journal.depth(module)
@@ -196,90 +205,88 @@ def run_soak(
             report,
         )
 
-    for cycle in range(cycles):
-        try:
-            _run_cycle(cycle, system, kernel, hostile, report, check,
-                       blast_size, blast_count)
-            if vsystem is not None:
-                _run_vblk_cycle(cycle, vsystem, vhostile, report, check,
-                                blk_count)
-        except SoakError:
-            raise
-        except Exception as e:
-            raise cycle_failed(cycle, e) from e
-
-    report["violation_faults"] = kernel.violation_faults
-    report["entry_refusals"] = kernel.entry_refusals
-    report["irqs_dropped_by_injector"] = kernel.irq.dropped
-    report["injector"] = injector.report()
-    report["guard_stats"] = system.guard_stats()
-    injector.detach(system)
-    if vsystem is not None:
-        report["vblk_violation_faults"] = vsystem.kernel.violation_faults
-        report["vblk_injector"] = vblk_injector.report()
-        report["vblk_guard_stats"] = vsystem.guard_stats()
-        vblk_injector.detach(vsystem)
+    try:
+        for cycle in range(cycles):
+            try:
+                for half in halves:
+                    _run_cycle(cycle, half, check)
+            except SoakError:
+                raise
+            except Exception as e:
+                raise cycle_failed(cycle, e) from e
+            report["cycles_completed"] = cycle + 1
+    finally:
+        # A failed soak's report carries the same counters and fault
+        # tallies as a clean one.
+        for half in halves:
+            half.finish()
     return report
 
 
-def _run_cycle(cycle, system, kernel, hostile, report, check,
-               blast_size, blast_count) -> None:
-    """One violation->eject->recovery cycle (invariants via ``check``)."""
+def _run_cycle(cycle: int, half: _Half, check) -> None:
+    """One violation->eject->recovery cycle on one stack (invariants via
+    ``check``)."""
+    kernel = half.system.kernel
+    where = f"cycle {cycle} [{half.stack.name}]"
     if cycle > 0:
         check(
-            system.policy_manager.unquarantine(HOSTILE_NAME),
-            f"cycle {cycle}: quarantine was not in place to lift",
+            half.system.policy_manager.unquarantine(HOSTILE_NAME),
+            f"{where}: quarantine was not in place to lift",
         )
     alloc_base = kernel.kmalloc_allocator.snapshot()
-    irq_base = len(kernel.irq._actions)
+    irq_base = len(kernel.irq.actions())
     timer_base = kernel.timers.pending()
 
-    loaded = kernel.insmod(hostile)
+    loaded = kernel.insmod(half.hostile)
     check(
         kernel.journal.depth(HOSTILE_NAME) >= 4,
-        f"cycle {cycle}: journal missed the module's side effects",
+        f"{where}: journal missed the module's side effects",
     )
 
     rc = kernel.run_function(loaded, "attack", [ATTACK_ADDR])
-    check(rc == -_EFAULT,
-          f"cycle {cycle}: attack returned {rc}, wanted -EFAULT")
+    check(rc == -_EFAULT, f"{where}: attack returned {rc}, wanted -EFAULT")
     check(HOSTILE_NAME not in kernel.lsmod(),
-          f"cycle {cycle}: module still resident after eject")
-    check(loaded.ejected, f"cycle {cycle}: eject flag not set")
+          f"{where}: module still resident after eject")
+    check(loaded.ejected, f"{where}: eject flag not set")
     check(kernel.panicked is None,
-          f"cycle {cycle}: kernel panicked ({kernel.panicked})")
+          f"{where}: kernel panicked ({kernel.panicked})")
 
     alloc_now = kernel.kmalloc_allocator.snapshot()
     leaked = alloc_now[1] - alloc_base[1]
-    check(leaked == 0, f"cycle {cycle}: leaked {leaked} kmalloc bytes")
+    check(leaked == 0, f"{where}: leaked {leaked} kmalloc bytes")
     check(alloc_now[0] == alloc_base[0],
-          f"cycle {cycle}: leaked allocations "
-          f"({alloc_now[0] - alloc_base[0]})")
-    check(len(kernel.irq._actions) == irq_base,
-          f"cycle {cycle}: orphaned IRQ lines")
-    check(kernel.timers.pending() == timer_base,
-          f"cycle {cycle}: orphaned timers")
+          f"{where}: leaked allocations ({alloc_now[0] - alloc_base[0]})")
+    check(len(kernel.irq.actions()) == irq_base,
+          f"{where}: orphaned IRQ lines")
+    check(kernel.timers.pending() == timer_base, f"{where}: orphaned timers")
     check(kernel.journal.depth(HOSTILE_NAME) == 0,
-          f"cycle {cycle}: journal not drained")
+          f"{where}: journal not drained")
 
     if cycle == 0:
         # The quarantine must hold until explicitly lifted.
         try:
-            kernel.insmod(hostile)
+            kernel.insmod(half.hostile)
         except LoadError:
             pass
         else:
-            check(False, "quarantined module was allowed back in")
+            check(False, f"{where}: quarantined module was allowed back in")
 
-    sunk_before = system.sink.packets
-    system.blast(size=blast_size, count=blast_count)
-    delivered = system.sink.packets - sunk_before
-    check(delivered == blast_count,
-          f"cycle {cycle}: driver moved {delivered}/{blast_count} frames")
-    report["delivered_frames"] += delivered
+    # The driver survived: a recovery blast moves every op end to end
+    # and the device drains completely afterwards.
+    stack = half.stack
+    before = stack.delivered()
+    result = stack.workload(half.count, **half.workload(cycle))
+    delivered = stack.delivered() - before
+    check(result.errors == 0 and delivered == half.count,
+          f"{where}: driver moved {delivered}/{half.count} "
+          f"{stack.unit} ({result.errors} errors)")
+    for problem in stack.stranded():
+        check(False, f"{where}: {problem}")
 
+    report = half.report
     report["ejections"] += 1
-    report["cycles_completed"] = cycle + 1
+    report["leaked_bytes_total"] += leaked
+    report[half.delivered_key] += delivered
     report["per_cycle"].append({
         "cycle": cycle,
         "rc": rc,
@@ -289,61 +296,5 @@ def _run_cycle(cycle, system, kernel, hostile, report, check,
     })
 
 
-def _run_vblk_cycle(cycle, system, hostile, report, check,
-                    blk_count) -> None:
-    """The vblk half of a soak cycle: the same violation->eject arc on
-    the block stack's own kernel, with a mixed blkblast as the
-    driver-still-alive probe."""
-    kernel = system.kernel
-    if cycle > 0:
-        check(
-            system.policy_manager.unquarantine(HOSTILE_NAME),
-            f"cycle {cycle}: vblk quarantine was not in place to lift",
-        )
-    alloc_base = kernel.kmalloc_allocator.snapshot()
-
-    loaded = kernel.insmod(hostile)
-    rc = kernel.run_function(loaded, "attack", [ATTACK_ADDR])
-    check(rc == -_EFAULT,
-          f"cycle {cycle}: vblk attack returned {rc}, wanted -EFAULT")
-    check(HOSTILE_NAME not in kernel.lsmod(),
-          f"cycle {cycle}: hostile still resident in the vblk kernel")
-    check(loaded.ejected, f"cycle {cycle}: vblk eject flag not set")
-    check(kernel.panicked is None,
-          f"cycle {cycle}: vblk kernel panicked ({kernel.panicked})")
-    alloc_now = kernel.kmalloc_allocator.snapshot()
-    check(alloc_now[1] == alloc_base[1],
-          f"cycle {cycle}: vblk kernel leaked "
-          f"{alloc_now[1] - alloc_base[1]} kmalloc bytes")
-    check(kernel.journal.depth(HOSTILE_NAME) == 0,
-          f"cycle {cycle}: vblk journal not drained")
-
-    res = system.blkblast(count=blk_count, nsect=2, pattern="rand",
-                          seed=cycle + 1)
-    check(res.ops_done == blk_count,
-          f"cycle {cycle}: block stack moved {res.ops_done}/{blk_count} ops")
-    # Multi-queue quiesce audit: after the blast (run under dropped
-    # doorbells and stalled completion queues), every queue pair must
-    # drain completely — no bio may be stranded on any submission ring
-    # (avail head caught up to the doorbelled tail) or left in flight in
-    # the device's completion engine.
-    system.device.sync()
-    for q in system.device.queues:
-        check(not q.in_flight,
-              f"cycle {cycle}: queue {q.qid} leaked "
-              f"{len(q.in_flight)} in-flight bio(s)")
-        if q.created:
-            check(q.avh == q.avt,
-                  f"cycle {cycle}: queue {q.qid} stranded "
-                  f"{(q.avt - q.avh) & 0xFFFFFFFF} submitted bio(s)")
-            check(q.fetched == q.completed,
-                  f"cycle {cycle}: queue {q.qid} fetched {q.fetched} "
-                  f"but completed {q.completed}")
-    report["blk_ops_done"] += res.ops_done
-    report["vblk_ejections"] += 1
-    report["per_cycle"][-1]["vblk_rc"] = rc
-    report["per_cycle"][-1]["blk_ops"] = res.ops_done
-
-
-__all__ = ["ATTACK_ADDR", "HOSTILE_MODULE", "HOSTILE_NAME", "SoakError",
-           "run_soak"]
+__all__ = ["ATTACK_ADDR", "BLK_FAULTS", "HOSTILE_MODULE", "HOSTILE_NAME",
+           "NET_FAULTS", "SoakError", "run_soak"]

@@ -89,7 +89,7 @@ class ProcFS:
         s = policy.stats
         lines = [
             f"index: {policy.index.name}",
-            f"enforce: {'on' if policy.enforce else 'audit-only'}",
+            f"enforce: {'audit-only' if policy.mode == 'audit' else 'on'}",
             f"checks: {s.checks}",
             f"allowed: {s.allowed}",
             f"denied: {s.denied}",

@@ -48,9 +48,6 @@ class PolicyManager:
     def set_default(self, allow: bool) -> None:
         self._ioctl(pm.CMD_SET_DEFAULT, struct.pack("<I", int(allow)))
 
-    def set_enforce(self, enforce: bool) -> None:
-        self._ioctl(pm.CMD_SET_ENFORCE, struct.pack("<I", int(enforce)))
-
     def stats(self) -> dict[str, int]:
         out = self._ioctl(pm.CMD_GET_STATS)
         checks, allowed, denied, scanned, regions = struct.unpack("<QQQQQ", out)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .. import abi
 from .manager import PolicyManager
-from .module import CaratPolicyModule
+from .module import MODE_AUDIT, CaratPolicyModule
 from .region import Region
 from .table import MAX_REGIONS
 
@@ -82,7 +82,7 @@ class PolicyMiner:
         self.policy = policy
         self.max_regions = max_regions
         self.records: list[AccessRecord] = []
-        self._saved_enforce = True
+        self._saved_mode = policy.mode
         self._recording = False
 
     # -- recording ----------------------------------------------------------
@@ -98,8 +98,8 @@ class PolicyMiner:
         """Begin recording: wrap the policy guard with a tap, audit-only."""
         if self._recording:
             raise RuntimeError("miner already recording")
-        self._saved_enforce = self.policy.enforce
-        self.policy.enforce = False
+        self._saved_mode = self.policy.mode
+        self.policy._set_global_mode(MODE_AUDIT)
         kernel = self.policy.kernel
         original = self.policy._guard
 
@@ -115,7 +115,7 @@ class PolicyMiner:
         if not self._recording:
             return
         self._rebind_guards(self.policy.kernel, self.policy._guard)
-        self.policy.enforce = self._saved_enforce
+        self.policy._set_global_mode(self._saved_mode)
         self._recording = False
 
     def _rebind_guards(self, kernel, memory_guard) -> None:

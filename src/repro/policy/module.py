@@ -38,7 +38,8 @@ CMD_SET_DEFAULT = 0xC0DE0004
 CMD_GET_STATS = 0xC0DE0005
 CMD_GET_REGION = 0xC0DE0006
 CMD_COUNT = 0xC0DE0007
-CMD_SET_ENFORCE = 0xC0DE0008
+# 0xC0DE0008 is retired (a boolean enforce flag); never reuse it, so an
+# old client gets ENOTTY rather than another command's meaning.
 CMD_ALLOW_INTRINSIC = 0xC0DE0009
 CMD_DENY_INTRINSIC = 0xC0DE000A
 CMD_ALLOW_CALL = 0xC0DE000B
@@ -155,18 +156,10 @@ class _GuardCache:
 class CaratPolicyModule:
     """The policy module; one per kernel."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        index=None,
-        enforce: bool = True,
-        mode: Optional[str] = None,
-    ):
+    def __init__(self, kernel: Kernel, index=None, mode: str = MODE_PANIC):
         self.kernel = kernel
         self.index = index if index is not None else RegionTable()
-        if mode is None:
-            mode = MODE_PANIC if enforce else MODE_AUDIT
-        elif mode not in MODES:
+        if mode not in MODES:
             raise ValueError(f"unknown enforcement mode {mode!r}")
         #: Global enforcement mode; per-module overrides win over it.
         self.mode = mode
@@ -273,17 +266,9 @@ class CaratPolicyModule:
 
     # -- enforcement modes ----------------------------------------------------
 
-    @property
-    def enforce(self) -> bool:
-        """Backwards-compatible view: enforcing means any non-audit mode.
-        Assigning a bool selects panic (the paper default) or audit."""
-        return self.mode != MODE_AUDIT
-
-    @enforce.setter
-    def enforce(self, value: bool) -> None:
-        self._set_global_mode(MODE_PANIC if value else MODE_AUDIT)
-
     def _set_global_mode(self, mode: str) -> None:
+        """Switch the global mode without logging (the policy miner's
+        temporary audit window leaves dmesg untouched)."""
         if mode not in MODES:
             raise ValueError(f"unknown enforcement mode {mode!r}")
         if mode != self.mode:
@@ -291,8 +276,7 @@ class CaratPolicyModule:
             self._enforce_epoch += 1
 
     def set_mode(self, mode: str) -> None:
-        """Switch the global enforcement mode (logged, unlike the legacy
-        enforce flag, which stays silent for byte-compatible audit runs)."""
+        """Switch the global enforcement mode (logged)."""
         previous = self.mode
         self._set_global_mode(mode)
         if self.mode != previous:
@@ -356,7 +340,7 @@ class CaratPolicyModule:
         self.kernel.carat_policy = self
         self.kernel.dmesg(
             f"{MODULE_NAME}: loaded (index={self.index.name}, "
-            f"enforce={'on' if self.enforce else 'audit-only'})"
+            f"mode={self.mode})"
         )
         self._installed = True
         return self
@@ -627,10 +611,6 @@ class CaratPolicyModule:
             self._publish_replicas()
             self.kernel.on_policy_mutated()
             return b""
-        if cmd == CMD_SET_ENFORCE:
-            (flag,) = self._unpack("<I", arg)
-            self.enforce = bool(flag)
-            return b""
         if cmd == CMD_GET_STATS:
             s = self.stats
             return struct.pack(
@@ -860,7 +840,6 @@ __all__ = [
     "CMD_GET_STATS",
     "CMD_GET_VIOLATIONS",
     "CMD_SET_DEFAULT",
-    "CMD_SET_ENFORCE",
     "CMD_SET_MODE",
     "CMD_SET_MODE_FOR",
     "CMD_TENANT_CREATE",

@@ -54,7 +54,7 @@ class TestPipeline:
         """
         plain = compile_module(src, CompileOptions(module_name="a"))
         opt = compile_module(
-            src, CompileOptions(module_name="b", optimize_guards=True)
+            src, CompileOptions(module_name="b", opt_level=1)
         )
         assert opt.guard_count < plain.guard_count
 

@@ -125,7 +125,7 @@ class TestDeviceFailures:
 
     def test_audit_mode_survives_violations_during_traffic(self):
         """Enforce-off systems keep running and keep counting."""
-        system = CaratKopSystem(SystemConfig(machine=None, enforce=False))
+        system = CaratKopSystem(SystemConfig(machine=None, enforce_mode="audit"))
         system.policy_manager.clear()
         system.policy_manager.set_default(False)  # everything violates
         result = system.blast(size=128, count=20)

@@ -91,7 +91,7 @@ class TestEject:
         assert system.kernel.entry_refusals == refusals + 1
 
     def test_per_module_override_ejects_under_global_panic(self):
-        system = _system(None)  # global default: panic
+        system = _system("panic")  # the global default
         system.policy.set_module_mode(HOSTILE_NAME, "eject")
         _, loaded = _hostile(system)
         rc = system.kernel.run_function(loaded, "attack", [ATTACK_ADDR])
@@ -237,7 +237,7 @@ class TestAuditAndPanic:
         assert kernel.panicked is None
 
     def test_panic_mode_is_the_paper_behaviour(self):
-        system = _system(None)  # default: panic
+        system = _system("panic")  # the default
         _, loaded = _hostile(system)
         with pytest.raises(KernelPanic):
             system.kernel.run_function(loaded, "attack", [ATTACK_ADDR])

@@ -159,7 +159,7 @@ def test_tutorial_tenant_quota_rollback():
     )
 
     kernel = Kernel(ncpus=2)
-    policy = CaratPolicyModule(kernel, enforce=False).install()
+    policy = CaratPolicyModule(kernel, mode="audit").install()
     manager = PolicyManager(kernel)
     cp = PolicyControlPlane(
         kernel, policy, ControlPlaneConfig(canary_tick_limit=4),

@@ -38,7 +38,7 @@ BASE = 0x5000_0000
 
 def _plane(ncpus=1, injector=None, **cfg):
     kernel = Kernel(ncpus=ncpus)
-    policy = CaratPolicyModule(kernel, enforce=False).install()
+    policy = CaratPolicyModule(kernel, mode="audit").install()
     manager = PolicyManager(kernel)
     cp = PolicyControlPlane(
         kernel, policy, ControlPlaneConfig(**cfg), injector=injector
@@ -429,7 +429,7 @@ class TestLegacyWritePathPreemption:
 class TestIoctlSurface:
     def test_no_control_plane_is_enotty(self):
         kernel = Kernel()
-        CaratPolicyModule(kernel, enforce=False).install()
+        CaratPolicyModule(kernel, mode="audit").install()
         manager = PolicyManager(kernel)
         with pytest.raises(OSError) as e:
             manager.create_tenant("a")
@@ -484,7 +484,7 @@ class TestOverlapRejection:
 
     def test_add_region_for_duplicate_is_eexist(self):
         kernel = Kernel()
-        CaratPolicyModule(kernel, enforce=False).install()
+        CaratPolicyModule(kernel, mode="audit").install()
         manager = PolicyManager(kernel)
         manager.add_region_for("mod", BASE, 0x1000, RW)
         with pytest.raises(OSError) as e:
@@ -493,7 +493,7 @@ class TestOverlapRejection:
 
     def test_add_region_for_partial_overlap_is_eexist(self):
         kernel = Kernel()
-        CaratPolicyModule(kernel, enforce=False).install()
+        CaratPolicyModule(kernel, mode="audit").install()
         manager = PolicyManager(kernel)
         manager.add_region_for("mod", BASE, 0x1000, RW)
         with pytest.raises(OSError) as e:

@@ -29,9 +29,9 @@ from repro.vm import GuardViolation
 RW = abi.FLAG_READ | abi.FLAG_WRITE
 
 
-def _policy(index=None, enforce=False):
+def _policy(index=None, mode="audit"):
     kernel = Kernel()
-    policy = CaratPolicyModule(kernel, index=index, enforce=enforce).install()
+    policy = CaratPolicyModule(kernel, index=index, mode=mode).install()
     return policy
 
 
@@ -106,7 +106,7 @@ def test_pure_sorted_index_is_cached():
 
 
 def test_cached_denial_still_panics_when_enforcing():
-    policy = _policy(enforce=True)
+    policy = _policy(mode="panic")
     policy.index.add(Region(0x1000, 0x1000, RW))
     with pytest.raises(GuardViolation):
         policy._guard(None, 0xDEAD0000, 8, abi.FLAG_WRITE)
@@ -182,7 +182,6 @@ def test_noop_mode_set_does_not_invalidate():
     policy.index.add(Region(0x1000, 0x1000, RW))
     policy._guard(None, 0x1800, 8, abi.FLAG_READ)
     policy.set_mode(policy.mode)  # same mode: no epoch bump
-    policy.enforce = policy.enforce  # same legacy flag: no bump either
     policy._guard(None, 0x1800, 8, abi.FLAG_READ)
     assert policy.stats.guard_cache_misses == 1
     assert policy.stats.guard_cache_hits == 1

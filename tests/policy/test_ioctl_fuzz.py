@@ -14,7 +14,7 @@ from repro.policy import module as pm
 
 ALL_CMDS = [
     pm.CMD_ADD_REGION, pm.CMD_DEL_REGION, pm.CMD_CLEAR, pm.CMD_SET_DEFAULT,
-    pm.CMD_GET_STATS, pm.CMD_GET_REGION, pm.CMD_COUNT, pm.CMD_SET_ENFORCE,
+    pm.CMD_GET_STATS, pm.CMD_GET_REGION, pm.CMD_COUNT,
     pm.CMD_ALLOW_INTRINSIC, pm.CMD_DENY_INTRINSIC, pm.CMD_ALLOW_CALL,
     pm.CMD_DENY_CALL, pm.CMD_CALL_POLICY, pm.CMD_ADD_REGION_FOR,
     pm.CMD_CLEAR_FOR, pm.CMD_SET_MODE, pm.CMD_SET_MODE_FOR, pm.CMD_GET_MODE,
@@ -58,7 +58,7 @@ def test_ioctl_fails_closed(cmd, arg, uid):
 def test_non_root_never_mutates(cmd, arg):
     kernel, policy = fresh()
     before = (
-        len(policy.index), policy.index.default_allow, policy.enforce,
+        len(policy.index), policy.index.default_allow, policy.mode,
         set(policy.allowed_intrinsics),
         None if policy.allowed_calls is None else set(policy.allowed_calls),
         dict(policy.module_indexes),
@@ -68,7 +68,7 @@ def test_non_root_never_mutates(cmd, arg):
     except IoctlError as e:
         assert e.errno == 1  # EPERM
     after = (
-        len(policy.index), policy.index.default_allow, policy.enforce,
+        len(policy.index), policy.index.default_allow, policy.mode,
         set(policy.allowed_intrinsics),
         None if policy.allowed_calls is None else set(policy.allowed_calls),
         dict(policy.module_indexes),

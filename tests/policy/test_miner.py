@@ -133,11 +133,20 @@ class TestEndToEnd:
 
     def test_miner_restores_enforcement(self):
         system = CaratKopSystem(SystemConfig(machine=None, protect=True))
-        assert system.policy.enforce is True
+        assert system.policy.mode == "panic"
         with PolicyMiner(system.policy) as miner:
-            assert system.policy.enforce is False
+            assert system.policy.mode == "audit"
             system.blast(size=128, count=2)
-        assert system.policy.enforce is True
+        assert system.policy.mode == "panic"
+
+    def test_miner_restores_eject_mode_exactly(self):
+        # Restoring "enforcing" as panic would turn a recoverable eject
+        # into a kernel panic after the audit window.
+        system = CaratKopSystem(SystemConfig(machine=None,
+                                             enforce_mode="eject"))
+        with PolicyMiner(system.policy):
+            system.blast(size=128, count=2)
+        assert system.policy.mode == "eject"
 
     def test_double_start_rejected(self):
         system = CaratKopSystem(SystemConfig(machine=None, protect=True))

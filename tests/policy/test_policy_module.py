@@ -70,6 +70,14 @@ class TestIoctlProtocol:
             kernel.devices.ioctl(pm.DEVICE_PATH, 0xBADC0DE, b"", uid=0)
         assert e.value.errno == ENOTTY
 
+    def test_retired_enforce_command_is_unknown(self, system):
+        kernel, policy, _ = system
+        with pytest.raises(IoctlError) as e:
+            kernel.devices.ioctl(pm.DEVICE_PATH, 0xC0DE0008,
+                                 struct.pack("<I", 0), uid=0)
+        assert e.value.errno == ENOTTY
+        assert policy.mode == "panic"
+
     def test_table_full_errno(self, system):
         _, _, mgr = system
         for i in range(64):
@@ -121,17 +129,17 @@ class TestGuardEnforcement:
         assert any("Kernel panic" in l for l in kernel.dmesg_log)
 
     def test_audit_mode_logs_without_panic(self, kernel):
-        policy = CaratPolicyModule(kernel, enforce=False).install()
+        policy = CaratPolicyModule(kernel, mode="audit").install()
         policy._guard(None, 0xBAD0, 8, abi.FLAG_READ, "m")
         assert kernel.panicked is None
         assert any("DENY" in l for l in kernel.dmesg_log)
         assert policy.stats.denied == 1
 
-    def test_enforce_toggle_via_ioctl(self, system):
+    def test_mode_toggle_via_ioctl(self, system):
         kernel, policy, mgr = system
-        mgr.set_enforce(False)
+        mgr.set_mode("audit")
         policy._guard(None, 0xBAD0, 8, abi.FLAG_READ, "m")
-        mgr.set_enforce(True)
+        mgr.set_mode("panic")
         with pytest.raises(GuardViolation):
             policy._guard(None, 0xBAD0, 8, abi.FLAG_READ, "m")
 

@@ -99,7 +99,7 @@ class TestSnapshotSemantics:
 
 def _audit_policy(ncpus):
     kernel = Kernel(ncpus=ncpus)
-    policy = CaratPolicyModule(kernel, enforce=False).install()
+    policy = CaratPolicyModule(kernel, mode="audit").install()
     return kernel, policy, PolicyManager(kernel)
 
 
@@ -197,8 +197,8 @@ class TestGuardCacheInvalidation:
 
         # A mode change bumps the enforcement epoch: every CPU's cached
         # decisions are stale and the next guard must miss.
-        policy.enforce = True
-        policy.enforce = False  # back to audit so denials don't raise
+        policy.set_mode("panic")
+        policy.set_mode("audit")  # back to audit so denials don't raise
         for cpu in range(ncpus):
             with kernel.smp.on(cpu):
                 policy._guard(None, *query, "t")
@@ -316,7 +316,7 @@ class TestVerifyEpochDemotion:
         from repro.passes.absint import AREAS
 
         kernel = Kernel(engine=engine)
-        policy = CaratPolicyModule(kernel, enforce=False).install()
+        policy = CaratPolicyModule(kernel, mode="audit").install()
         manager = PolicyManager(kernel)
         lo, hi = AREAS["module"]
         manager.allow(lo, hi - lo + 1)
@@ -373,7 +373,7 @@ class TestVerifyPolicyUnderMutationStorm:
         from repro.passes.absint import AREAS
 
         kernel = Kernel(ncpus=ncpus, verify_policy=verify_policy)
-        policy = CaratPolicyModule(kernel, enforce=False).install()
+        policy = CaratPolicyModule(kernel, mode="audit").install()
         manager = PolicyManager(kernel)
         lo, hi = AREAS["module"]
         manager.allow(lo, hi - lo + 1)
@@ -443,7 +443,7 @@ class TestVerifyPolicyUnderMutationStorm:
         from repro.passes.absint import AREAS
 
         kernel = Kernel(verify_policy="strict")
-        policy = CaratPolicyModule(kernel, enforce=False).install()
+        policy = CaratPolicyModule(kernel, mode="audit").install()
         manager = PolicyManager(kernel)
         lo, hi = AREAS["module"]
         manager.allow(lo, hi - lo + 1)
@@ -469,7 +469,7 @@ class TestVerifyPolicyUnderMutationStorm:
         )
 
         kernel = Kernel(ncpus=2, verify_policy="demote")
-        policy = CaratPolicyModule(kernel, enforce=False).install()
+        policy = CaratPolicyModule(kernel, mode="audit").install()
         manager = PolicyManager(kernel)
         cp = PolicyControlPlane(
             kernel, policy, ControlPlaneConfig(canary_tick_limit=1),
