@@ -241,7 +241,7 @@ def pktblast_main(argv: list[str] | None = None) -> int:
             f"{technique}: {pool.packets_sent}/{pool.packets_requested} "
             f"packets across {pool.workers} workers, "
             f"{pool.wall_pps:,.0f} wall pps "
-            f"(slowest worker {pool.wall_elapsed_s:.3f}s), "
+            f"(pool wall time {pool.wall_elapsed_s:.3f}s), "
             f"{pool.errors} errors, {pool.stalls} stalls"
         )
         stats = pool.guard_stats

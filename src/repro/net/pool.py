@@ -6,9 +6,13 @@ but no wall-clock speedup.  This module is the other axis: ``--workers
 N`` partitions one blast across N OS processes, each running its own
 complete :class:`~repro.core.system.CaratKopSystem` on the compiled
 engine, and merges the results deterministically (workers are summed in
-worker-index order; wall-clock throughput divides the total stream by
-the slowest worker's blast time, the way a real fan-out is gated by its
-straggler).
+worker-index order).  Wall-clock throughput divides the total stream by
+the time the workers took together.  Across parallel processes that is
+the span from the first blast's start to the last blast's end (on the
+system-wide monotonic clock), so a fan-out is gated by its straggler
+and by any worker the host could not run at the same time; in-process
+workers run one after another, so their times add up and an in-process
+pool reports no speedup.
 
 Simulated quantities (cycles, guard decisions, trace counters) are
 per-worker exact and merge by summation; wall-clock speedup is a host
@@ -45,7 +49,7 @@ def _run_worker(args: tuple) -> dict:
         system.kernel.trace.enable()
     wall_start = time.perf_counter()
     result = system.blast(size=size, count=count)
-    wall_elapsed = time.perf_counter() - wall_start
+    wall_end = time.perf_counter()
     if trace:
         system.kernel.trace.disable()
     trace_sub = system.kernel.trace
@@ -57,7 +61,9 @@ def _run_worker(args: tuple) -> dict:
         "stalls": result.stalls,
         "total_cycles": result.total_cycles,
         "throughput_pps": result.throughput_pps,
-        "wall_elapsed_s": wall_elapsed,
+        "wall_start_s": wall_start,
+        "wall_end_s": wall_end,
+        "wall_elapsed_s": wall_end - wall_start,
         "guard_stats": system.guard_stats(),
         "trace_events": trace_sub.counters.as_dict(),
         "ring_stats": trace_sub.ring_stats(),
@@ -74,9 +80,10 @@ class PoolResult:
     packets_sent: int
     errors: int
     stalls: int
-    #: Slowest worker's blast wall time — the fan-out's critical path.
+    #: Blast wall time of the whole pool: first start to last end across
+    #: processes (never less than the slowest worker), the sum in-process.
     wall_elapsed_s: float
-    #: Total stream / slowest worker: the wall-clock scale-out number.
+    #: Total stream / ``wall_elapsed_s``: the wall-clock scale-out number.
     wall_pps: float
     #: Summed simulated cycles across workers (each worker's own clock).
     total_cycles: float
@@ -101,14 +108,16 @@ def pool_blast(
     ``config_kwargs`` are :class:`~repro.core.system.SystemConfig`
     fields (picklable primitives only).  ``processes=False`` runs the
     workers sequentially in-process — same merge math, no
-    multiprocessing — for tests and single-core hosts.
+    multiprocessing — for tests and single-core hosts; the wall time is
+    then the sum of the workers' times, since nothing overlapped.
     """
     shares = partition(count, workers)
     kwargs = dict(config_kwargs or {})
     jobs = [
         (w, kwargs, size, shares[w], trace) for w in range(workers)
     ]
-    if processes and workers > 1:
+    parallel = processes and workers > 1
+    if parallel:
         with multiprocessing.Pool(processes=workers) as pool:
             reports = pool.map(_run_worker, jobs)
     else:
@@ -123,15 +132,19 @@ def pool_blast(
         for key, value in report["trace_events"].items():
             trace_events[key] = trace_events.get(key, 0) + value
     packets_sent = sum(r["packets_sent"] for r in reports)
-    slowest = max(r["wall_elapsed_s"] for r in reports)
+    if parallel:
+        wall = (max(r["wall_end_s"] for r in reports)
+                - min(r["wall_start_s"] for r in reports))
+    else:
+        wall = sum(r["wall_elapsed_s"] for r in reports)
     return PoolResult(
         workers=workers,
         packets_requested=count,
         packets_sent=packets_sent,
         errors=sum(r["errors"] for r in reports),
         stalls=sum(r["stalls"] for r in reports),
-        wall_elapsed_s=slowest,
-        wall_pps=packets_sent / slowest if slowest > 0 else 0.0,
+        wall_elapsed_s=wall,
+        wall_pps=packets_sent / wall if wall > 0 else 0.0,
         total_cycles=sum(r["total_cycles"] for r in reports),
         guard_stats=guard_stats,
         trace_events=trace_events,

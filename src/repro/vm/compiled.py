@@ -1,54 +1,71 @@
-"""Translate-once, direct-threaded execution engine.
+"""Translate-once, whole-function execution engine.
 
 The interpreter (:mod:`repro.vm.interp`) re-dispatches on ``type(inst)``
 and re-evaluates every operand through ``env[id(...)]`` dict lookups on
 every visit of a basic block.  This engine translates each IR function
-**once**: every basic block becomes Python source — generated at
-translate time and compiled with :func:`compile`/``exec`` — so the hot
-path is straight-line bytecode with no dispatch loop at all:
+**once** into a single generated Python function ``_f(v1, ..., vk)``,
+compiled with :func:`compile`/``exec``:
 
-- operand accessors are resolved at translate time — constants (and
-  global addresses) become literals in the generated source, SSA values
-  are reads of preallocated slots in a flat ``regs`` list;
-- per-instruction cycle costs are resolved against the machine model at
-  translate time and emitted as ``timing.cycles += <literal>``;
-- integer arithmetic (binops, compares, casts, geps, selects) is
-  emitted as inline expressions; stateful operations — loads, stores,
-  calls, guards, allocas, float math — call specialized per-site
-  closures bound into the generated module's namespace;
+- SSA values are Python locals ``v<slot>``; constants and global
+  addresses are literals in the source;
+- blocks sit in IR order inside ``while True:`` as ``if b == i:`` arms.
+  A forward branch sets ``b`` and falls through to its target's arm; a
+  backward branch ``continue``\\ s.  Phis become parallel assignments on
+  each incoming edge;
+- integer arithmetic (binops, compares, casts, geps, selects) is inline
+  expressions; stateful operations (loads, stores, native calls, guards,
+  allocas, division, float math) call per-site closures that take
+  operand values and return the result (``v5 = C0(v2)``);
+- a call to another function of the same module is ``v7 = F3(v1, v2)``,
+  where ``F3`` is a namespace slot bound lazily to the callee's
+  generated function, so no per-call translation lookup remains;
 - loads and stores fuse the mapping lookup the interpreter performs
   twice (once for MMIO accounting, once inside ``read_bytes``) into a
   single ``find`` plus a direct page-bytearray access for intra-page RAM
   accesses, with a per-site mapping memo keyed on the address space's
   map/unmap version.
 
-Accounting is **bit-identical** to the interpreter: every counter is
-charged per instruction, in the interpreter's order (float addition does
-not reassociate, and natives observe ``timing.cycles`` mid-execution),
-guard calls are charged only through ``add_guard``, and phi nodes bump
-only ``timing.instructions``.  The differential test
-(``tests/vm/test_compiled_vs_interp.py``) pins this down.
+Accounting is **bit-identical** to the interpreter.  Between observable
+points (a closure, native, guard, call, or terminator) the charges of
+the inline steps are batched into ``T.instructions += k`` and
+``T.cycles = T.cycles + c1 + ... + ck``: the same left-to-right float
+additions the interpreter makes one instruction at a time, so no sum is
+reassociated, and everything that can observe ``timing`` (natives, MMIO
+devices, guards, panics) sees exactly the interpreter's values.  If an
+inline step raises (a read of an SSA value whose definition did not
+run), the exception handler replays the charges not yet flushed, from a
+table built at translate time and keyed by the generated source line.
+``instructions_executed`` has no mid-run observers and is counted in a
+local flushed when the function exits.  With a profiler attached every
+instruction is charged on its own, as ``P.on_instruction`` needs.  The
+differential test (``tests/vm/test_compiled_vs_interp.py``) pins this
+down.
+
+The generated function owns the call bookkeeping (depth limit, kernel
+stack, profiler and tracer enter/exit).  Its prologue checks the
+module's IR ``generation`` and the engine's profiler and tracer against
+the values it was translated for and, on any difference, falls back to
+:meth:`CompiledEngine._exec_function`, which re-translates.  So a
+certificate demotion (which bumps the generation) in the middle of a
+call still re-emits the guards on every later call, also on calls made
+from the stale frame through its direct-bound slots.
 
 Translations are cached on the :class:`LoadedModule` (keyed by engine
-instance, then by function) and invalidated when the module IR's
-``generation`` counter moves or the engine's profiler or tracer changes
-(profiler and tracer presence is specialized into the closures — a
-disabled tracer therefore costs literally nothing in generated code,
-the compiled-engine analog of a patched-out static key).
+instance, then by function) and revalidated against the same three
+keys.  Profiler and tracer presence is specialized into the code and
+the closures, so a disabled tracer costs literally nothing in generated
+code, the compiled-engine analog of a patched-out static key.
 
 Below both of those sits a **process-global code cache**
 (:data:`TRANSLATION_CACHE`): the ``compile()`` of the generated source
 is shared across engines and :class:`~repro.core.system.CaratKopSystem`
 instances.  The generated source is itself a faithful content hash of
-everything the bytecode depends on — the instruction stream, resolved
-global addresses, per-opcode machine costs, and profiler presence are
-all emitted as source literals, while everything engine-specific
-(per-site closures, hoisted constants, the engine/timing/profiler
-references) is bound into a fresh namespace at ``exec`` time — so two
+everything the bytecode depends on (the instruction stream, resolved
+global addresses, per-opcode machine costs, profiler and tracer
+presence), while everything engine-specific (per-site closures, callee
+slots, hoisted constants, the engine/timing/profiler references, the
+IR generation) is bound into a fresh namespace at ``exec`` time, so two
 translations with identical source can always share one code object.
-The second system in a process (a fleet of benchmark trials, a process
-pool worker warm-up, repeated test fixtures) skips every ``compile()``
-call the first one paid for.
 """
 
 from __future__ import annotations
@@ -145,38 +162,13 @@ def translation_cache_stats() -> dict:
     return TRANSLATION_CACHE.stats()
 
 
-class _CompiledBlock:
-    """One translated basic block.
-
-    ``run`` is a Python function compiled from generated source: the
-    block's straight-line body with per-instruction accounting inlined
-    as literal statements, integer arithmetic inlined as expressions,
-    and the remaining operations (memory, calls, guards, floats) left
-    as calls into specialized closures.  It takes the register file and
-    returns the next block index, or -1 to return from the function.
-
-    ``phi_plans`` maps predecessor block index to the copy plan the
-    execution loop applies before running the body (phis read
-    pre-transfer values, so they cannot live inside ``run``)."""
-
-    __slots__ = ("phi_plans", "run")
-
-    def __init__(self, phi_plans, run):
-        self.phi_plans = phi_plans
-        self.run = run
-
-
 class _CompiledFunction:
-    """A function's translation, tagged with its invalidation keys."""
+    """A function's generated ``entry``, tagged with its validity keys."""
 
-    __slots__ = ("blocks", "block_names", "nregs", "module", "generation",
-                 "profiler", "tracer")
+    __slots__ = ("entry", "module", "generation", "profiler", "tracer")
 
-    def __init__(self, blocks, block_names, nregs, module, generation,
-                 profiler, tracer):
-        self.blocks = blocks
-        self.block_names = block_names
-        self.nregs = nregs
+    def __init__(self, entry, module, generation, profiler, tracer):
+        self.entry = entry
         self.module = module
         self.generation = generation
         self.profiler = profiler
@@ -205,67 +197,15 @@ class CompiledEngine(Interpreter):
         self.translation_cache_misses = 0
 
     def _exec_function(self, module: LoadedModule, fn, args: list):
-        # The declaration check lives in the translator (a cached
-        # translation implies a definition; IR edits that strip blocks
-        # bump the generation and re-translate), so every call raises
-        # the same error as the interpreter — just not per-call.
-        code = self._translation(module, fn)
+        # The declaration check lives in the translator, so every call
+        # raises the same error as the interpreter.  Depth, stack, and
+        # profiler/tracer bookkeeping live in the generated function.
+        entry = self._translation(module, fn).entry
         if len(args) != len(fn.args):
             raise InterpreterError(
                 f"@{fn.name}: expected {len(fn.args)} args, got {len(args)}"
             )
-        self._depth += 1
-        if self._depth > self.max_call_depth:
-            self._depth -= 1
-            self.kernel.panic(f"kernel stack overflow in @{fn.name}")
-        saved_stack = self._stack_top
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter_function(fn.name)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.enter_function(fn.name)
-        timing = self.timing
-        regs = [None] * code.nregs
-        regs[1:1 + len(args)] = args
-        blocks = code.blocks
-        prev = -1
-        bi = 0
-        # Per-instruction accounting (and ``instructions_executed``
-        # batching) lives inside the generated block bodies; the loop
-        # here only routes control flow and applies phi copy plans.
-        try:
-            while True:
-                b = blocks[bi]
-                plans = b.phi_plans
-                if plans is not None:
-                    plan = plans.get(prev)
-                    if type(plan) is not list:
-                        raise KeyError(
-                            "phi has no incoming edge from "
-                            f"{code.block_names[prev] if prev >= 0 else None}"
-                        )
-                    # Phis read pre-transfer values: evaluate all sources
-                    # before writing any destination slot.
-                    vals = [regs[v] if r else v for (_, r, v) in plan]
-                    k = 0
-                    for item in plan:
-                        regs[item[0]] = vals[k]
-                        k += 1
-                    if timing is not None:
-                        timing.instructions += len(plan)
-                nxt = b.run(regs)
-                if nxt < 0:
-                    return regs[0]
-                prev = bi
-                bi = nxt
-        finally:
-            self._stack_top = saved_stack
-            self._depth -= 1
-            if profiler is not None:
-                profiler.exit_function(fn.name)
-            if tracer is not None:
-                tracer.exit_function(fn.name)
+        return entry(*args)
 
     # -- translation cache -------------------------------------------------
 
@@ -309,8 +249,9 @@ class CompiledEngine(Interpreter):
 class _Translator:
     """Translates one function into a :class:`_CompiledFunction`.
 
-    One instance per translation; holds the register map and the
-    engine/timing/profiler the closures specialize against."""
+    One instance per translation; holds the local-name map, the pending
+    (not yet emitted) charges, and the engine/timing/profiler the
+    closures specialize against."""
 
     def __init__(self, engine: CompiledEngine, module: LoadedModule, fn):
         if fn.is_declaration:
@@ -325,59 +266,127 @@ class _Translator:
         # (blocks in order, stopping at terminators) backs the
         # interpreter's VMTracer.site_for, so ids agree across engines.
         self._guard_ordinal = 0
-        # Slot 0 is the return value; arguments fill 1..n; every
-        # instruction gets a slot (void results simply never store).
-        self.regmap: dict = {}
-        slot = 1
-        for a in fn.args:
-            self.regmap[a] = slot
-            slot += 1
-        for block in fn.blocks:
-            for inst in block.instructions:
-                self.regmap[inst] = slot
-                slot += 1
-        self.nregs = slot
+        # Arguments are v1..vn; every instruction gets the next name
+        # (void results are simply never assigned).
+        self.names: dict = {}
+        for slot, v in enumerate(
+            [*fn.args, *(i for b in fn.blocks for i in b.instructions)], 1
+        ):
+            self.names[v] = f"v{slot}"
         self.block_index = {b: i for i, b in enumerate(fn.blocks)}
 
     def translate(self, generation: int) -> _CompiledFunction:
-        # The generated module's namespace: engine/timing/profiler under
-        # fixed short names, plus per-site closures (``C<n>``), hoisted
-        # non-int constants (``K<n>``), and switch tables (``TBL<n>``).
+        fn = self.fn
+        # The generated module's namespace: engine/timing/profiler/tracer
+        # under fixed short names, plus per-site closures (``C<n>``),
+        # callee slots (``F<n>``), hoisted non-int constants (``K<n>``),
+        # and switch tables (``TBL<n>``).
         self.ns: dict = {
-            "E": self.engine,
-            "T": self.timing,
-            "P": self.profiler,
-            "IE": InterpreterError,
+            "E": self.engine, "T": self.timing, "P": self.profiler,
+            "TR": self.tracer, "M": self.module, "IR": self.module.ir,
+            "FN": fn, "GEN": generation, "IE": InterpreterError,
         }
         self._nsym = 0
-        plans = []
-        lines: list[str] = []
-        for i, block in enumerate(self.fn.blocks):
-            plans.append(self._translate_block(block, i, lines))
-        src = "\n".join(lines)
+        self._callees: dict = {}
+        self.lines: list[str] = []
+        # Source line -> (instructions, cycle costs, executed count)
+        # charged by the interpreter but not yet emitted at that line.
+        self.replay: dict = {}
+        self._pi = 0
+        self._pc: list = []
+        self._pe = 0
+        self._emit_function()
+        src = "\n".join(self.lines)
         code, hit = TRANSLATION_CACHE.fetch(
-            f"<compiled {self.module.name}:@{self.fn.name}>", src
+            f"<compiled {self.module.name}:@{fn.name}>", src
         )
         if hit:
             self.engine.translation_cache_hits += 1
         else:
             self.engine.translation_cache_misses += 1
+        self.ns["RP"] = self._replayer()
         exec(code, self.ns)
-        blocks = [
-            _CompiledBlock(plans[i], self.ns[f"_b{i}"])
-            for i in range(len(self.fn.blocks))
-        ]
-        return _CompiledFunction(
-            blocks,
-            [b.name for b in self.fn.blocks],
-            self.nregs,
-            self.module,
-            generation,
-            self.profiler,
-            self.tracer,
-        )
+        return _CompiledFunction(self.ns["_f"], self.module, generation,
+                                 self.profiler, self.tracer)
+
+    def _emit_function(self) -> None:
+        fn = self.fn
+        params = ", ".join(self.names[a] for a in fn.args)
+        emit = self._emit
+        emit(0, f"def _f({params}):")
+        emit(1, "if (IR.generation != GEN or E.profiler is not P"
+                " or E.tracer is not TR):")
+        emit(2, f"return E._exec_function(M, FN, [{params}])")
+        emit(1, "d = E._depth + 1")
+        emit(1, "if d > E.max_call_depth:")
+        emit(2, f"E.kernel.panic({f'kernel stack overflow in @{fn.name}'!r})")
+        emit(1, "E._depth = d")
+        emit(1, "sp = E._stack_top")
+        if self.profiler is not None:
+            emit(1, f"P.enter_function({fn.name!r})")
+        if self.tracer is not None:
+            emit(1, f"TR.enter_function({fn.name!r})")
+        emit(1, "n = 0")
+        emit(1, "b = 0")
+        emit(1, "try:")
+        if fn.blocks[0].instructions and isinstance(
+                fn.blocks[0].instructions[0], Phi):
+            for line in self._phi_copies(None, 0):
+                emit(2, line)
+        emit(2, "while True:")
+        for i, block in enumerate(fn.blocks):
+            emit(3, f"if b == {i}:")
+            self._translate_block(block, i)
+        emit(1, "except BaseException as e:")
+        emit(2, "RP(e)")
+        emit(2, "raise")
+        emit(1, "finally:")
+        emit(2, "E.instructions_executed += n")
+        emit(2, "E._stack_top = sp")
+        emit(2, "E._depth -= 1")
+        if self.profiler is not None:
+            emit(2, f"P.exit_function({fn.name!r})")
+        if self.tracer is not None:
+            emit(2, f"TR.exit_function({fn.name!r})")
+
+    def _replayer(self):
+        """The exception handler's helper: apply the charges pending at
+        the raising line, and report a read of an SSA local that was
+        never assigned as the interpreter's undefined-value error."""
+        table = self.replay
+        eng = self.engine
+        timing = self.timing
+        undefined = {
+            name: f"use of undefined value %{v.name} ({v.type})"
+            for v, name in self.names.items()
+        }
+
+        def replay(exc, _tab=table, _e=eng, _t=timing, _u=undefined):
+            tb = exc.__traceback__
+            pending = _tab.get(tb.tb_lineno)
+            if pending is not None:
+                pi, costs, pe = pending
+                _e.instructions_executed += pe
+                if _t is not None:
+                    _t.instructions += pi
+                    for c in costs:
+                        _t.cycles += c
+            if type(exc) is UnboundLocalError and tb.tb_next is None:
+                msg = _u.get(str(exc).split("'")[1])
+                if msg is not None:
+                    raise InterpreterError(msg) from None
+
+        return replay
 
     # -- codegen helpers ---------------------------------------------------
+
+    def _emit(self, level: int, line: str) -> None:
+        """Append one source line, recording the charges still pending
+        at it for the exception handler's replay."""
+        self.lines.append("    " * level + line)
+        if self._pi or self._pc or self._pe:
+            self.replay[len(self.lines)] = (self._pi, tuple(self._pc),
+                                            self._pe)
 
     def _bind(self, prefix: str, obj) -> str:
         """Bind ``obj`` into the generated module's namespace."""
@@ -386,132 +395,104 @@ class _Translator:
         self.ns[name] = obj
         return name
 
-    def _ref(self, spec) -> str:
-        """Source expression for a resolved operand: a register read, an
-        int literal, or a hoisted constant (floats don't all have source
+    def _v(self, v) -> str:
+        """Source expression for an operand: an SSA local, an int
+        literal, or a hoisted constant (floats don't all have source
         literals — nan/inf — so any non-int constant is hoisted)."""
-        is_reg, v = spec
-        if is_reg:
-            return f"r[{v}]"
-        if type(v) is int:
-            return repr(v) if v >= 0 else f"({v!r})"
-        return self._bind("K", v)
-
-    # -- operands ----------------------------------------------------------
-
-    def _spec(self, v) -> tuple[bool, object]:
-        """Resolve an operand to ``(is_register, slot_or_constant)``."""
         k = type(v)
         if k is ConstantInt or k is ConstantFloat:
-            return False, v.value
+            c = v.value
+            if type(c) is int:
+                return repr(c) if c >= 0 else f"({c!r})"
+            return self._bind("K", c)
         if k is ConstantNull or k is UndefValue:
-            return False, 0
+            return "0"
         if k is GlobalVariable:
             addr = self.module.global_addresses.get(v.name)
             if addr is None:
                 raise InterpreterError(
                     f"module {self.module.name}: no storage for @{v.name}"
                 )
-            return False, addr
+            return repr(addr)
         if k is ConstantString:
             raise InterpreterError("string constants must live in globals")
-        slot = self.regmap.get(v)
-        if slot is None:
+        name = self.names.get(v)
+        if name is None:
             raise InterpreterError(
                 f"use of undefined value %{v.name} ({v.type})"
             )
-        return True, slot
+        return name
 
-    # -- blocks ------------------------------------------------------------
-
-    def _translate_block(self, block, bi: int, out: list[str]):
-        """Emit ``def _b<bi>(r): ...`` into ``out``; return the phi plans.
-
-        The body counts instructions in a local ``n`` (assigned *before*
-        each step, mirroring the interpreter's charge-then-execute order)
-        and flushes the batch into ``engine.instructions_executed`` right
-        before the terminator's return — the only statements after the
-        flush are provably non-raising return expressions.  An exception
-        unwinding mid-block flushes the partial count in the handler, so
-        the engine counter is exact even across panics."""
-        insts = block.instructions
-        n_phi = 0
-        phi_plans = None
-        if insts and isinstance(insts[0], Phi):
-            # Leading phis become per-predecessor copy plans; a phi later
-            # in the block is an execution error, matching the interpreter.
-            while n_phi < len(insts) and isinstance(insts[n_phi], Phi):
-                n_phi += 1
-            phis = insts[:n_phi]
-            mentioned: set[int] = set()
-            for phi in phis:
-                for _, pred in phi.incoming:
-                    pi = self.block_index.get(pred)
-                    if pi is not None:
-                        mentioned.add(pi)
-            phi_plans = {}
-            for pi in mentioned:
-                plan: object = []
-                for phi in phis:
-                    spec = None
-                    # First matching edge wins, like ``incoming_for``.
-                    for value, pred in phi.incoming:
-                        if self.block_index.get(pred) == pi:
-                            spec = self._spec(value)
-                            break
-                    if spec is None:
-                        # Some phi lacks this edge: taking it is a
-                        # KeyError at runtime, same as the interpreter.
-                        plan = False
-                        break
-                    plan.append((self.regmap[phi], spec[0], spec[1]))
-                phi_plans[pi] = plan
-        body: list[str] = []
-        k = 0
-        terminated = False
-        for inst in insts[n_phi:]:
-            kind = type(inst)
-            if kind is Br or kind is Ret or kind is Switch:
-                self._emit_terminator(inst, body, k + 1)
-                terminated = True
-                break
-            if kind is Unreachable:
-                self._emit_unreachable(inst, body, k + 1)
-                terminated = True
-                break
-            k += 1
-            body.append(f"n = {k}")
-            self._emit_step(inst, body)
-        if not terminated:
-            # Falling off a block is an execution error, not an
-            # instruction — nothing is charged (the handler flushes the
-            # step count accumulated so far).
-            msg = f"block {block.name} in @{self.fn.name} fell through"
-            body.append(f"raise IE({msg!r})")
-        out.append(f"def _b{bi}(r):")
-        out.append("    n = 0")
-        out.append("    try:")
-        for line in body:
-            out.append("        " + line)
-        out.append("    except BaseException:")
-        out.append("        E.instructions_executed += n")
-        out.append("        raise")
-        return phi_plans
+    def _args(self, values) -> str:
+        return ", ".join(self._v(a) for a in values)
 
     # -- charging ----------------------------------------------------------
 
-    def _emit_charge(self, opcode: str, body: list[str]) -> None:
-        """Emit the interpreter's per-instruction accounting as literal
-        statements (cost pre-resolved against the machine model; ``repr``
-        of a float round-trips exactly)."""
-        if self.timing is not None:
-            cost = self.timing.machine.op_cost(opcode)
-            body.append("T.instructions += 1")
-            body.append(f"T.cycles += {cost!r}")
-            if self.profiler is not None:
-                body.append(f"P.on_instruction({opcode!r}, {cost!r})")
-        elif self.profiler is not None:
-            body.append(f"P.on_instruction({opcode!r}, 0.0)")
+    def _charge(self, opcode: str) -> None:
+        """Charge one instruction, in the interpreter's order (before it
+        executes).  Without a profiler the timing charge stays pending
+        until the next :meth:`_flush`."""
+        self._pe += 1
+        timing = self.timing
+        cost = timing.machine.op_cost(opcode) if timing is not None else 0.0
+        if self.profiler is not None:
+            if timing is not None:
+                self._emit(4, "T.instructions += 1")
+                self._emit(4, f"T.cycles += {cost!r}")
+            self._emit(4, f"P.on_instruction({opcode!r}, {cost!r})")
+        elif timing is not None:
+            self._pi += 1
+            self._pc.append(cost)
+
+    def _flush(self) -> None:
+        """Emit the pending timing charges: the instruction count as one
+        int add, the cycles as one left-to-right float sum (``repr`` of a
+        float round-trips exactly)."""
+        pi, pc = self._pi, self._pc
+        self._pi, self._pc = 0, []
+        if pi:
+            self._emit(4, f"T.instructions += {pi}")
+        if pc:
+            self._emit(4, "T.cycles = T.cycles + "
+                          + " + ".join(repr(c) for c in pc))
+
+    def _observed(self, opcode: str, line: str) -> None:
+        """A charged step that may observe ``timing``: flush first."""
+        self._charge(opcode)
+        self._flush()
+        self._emit(4, line)
+
+    # -- blocks ------------------------------------------------------------
+
+    def _translate_block(self, block, bi: int) -> None:
+        """Emit block ``bi``'s arm body.  Leading phis were assigned on
+        the incoming edge; a phi later in the block is an execution
+        error, matching the interpreter."""
+        insts = block.instructions
+        k = 0
+        while k < len(insts) and isinstance(insts[k], Phi):
+            k += 1
+        for inst in insts[k:]:
+            kind = type(inst)
+            if kind is Br or kind is Ret or kind is Switch:
+                self._emit_terminator(inst, bi)
+                break
+            if kind is Unreachable:
+                msg = (
+                    f"module {self.module.name}: reached 'unreachable' "
+                    f"in @{self.fn.name}"
+                )
+                self._observed(inst.opcode, f"E.kernel.panic({msg!r})")
+                break
+            self._emit_step(inst)
+        else:
+            # Falling off a block is an execution error, not an
+            # instruction: nothing more is charged.
+            msg = f"block {block.name} in @{self.fn.name} fell through"
+            self._emit(4, f"raise IE({msg!r})")
+        # Nothing pending crosses into the next arm: a terminator flushed
+        # it, and a raise leaves it to the handler's replay.
+        self._pi, self._pc, self._pe = 0, [], 0
 
     # -- straight-line steps -----------------------------------------------
 
@@ -519,274 +500,220 @@ class _Translator:
         ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
     )
 
-    def _emit_step(self, inst, body: list[str]) -> None:
+    def _emit_step(self, inst) -> None:
         kind = type(inst)
+        s = self.names[inst]
         if kind is BinOp:
             if (isinstance(inst.type, IntType)
                     and inst.op in self._INLINE_INT_OPS):
-                self._emit_charge(inst.opcode, body)
-                self._emit_int_binop(inst, body)
+                self._charge(inst.opcode)
+                self._emit(4, f"{s} = {self._int_binop(inst)}")
                 return
             # Division (panic path) and float arithmetic stay closures.
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._binop_core(inst))}(r)")
+            c = self._bind("C", self._binop_core(inst))
+            self._observed(inst.opcode,
+                           f"{s} = {c}({self._args((inst.lhs, inst.rhs))})")
             return
         if kind is ICmp:
-            self._emit_charge(inst.opcode, body)
-            self._emit_icmp(inst, body)
+            self._charge(inst.opcode)
+            self._emit(4, f"{s} = {self._icmp(inst)}")
             return
         if kind is Cast:
-            self._emit_charge(inst.opcode, body)
-            self._emit_cast(inst, body)
+            if inst.op in ("sitofp", "fptosi", "fptrunc"):
+                # Float conversions (f32 narrowing via struct) stay closures.
+                c = self._bind("C", self._cast_core(inst))
+                self._observed(inst.opcode,
+                               f"{s} = {c}({self._v(inst.value)})")
+                return
+            self._charge(inst.opcode)
+            self._emit(4, f"{s} = {self._int_cast(inst)}")
             return
         if kind is Gep:
-            self._emit_charge(inst.opcode, body)
-            self._emit_gep(inst, body)
+            self._charge(inst.opcode)
+            self._emit(4, f"{s} = {self._gep(inst)}")
             return
         if kind is Select:
-            self._emit_charge(inst.opcode, body)
-            c = self._ref(self._spec(inst.operands[0]))
-            t = self._ref(self._spec(inst.operands[1]))
-            f = self._ref(self._spec(inst.operands[2]))
-            body.append(f"r[{self.regmap[inst]}] = {t} if {c} else {f}")
+            self._charge(inst.opcode)
+            c, t, f = (self._v(o) for o in inst.operands[:3])
+            self._emit(4, f"{s} = {t} if {c} else {f}")
             return
         if kind is Load:
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._load_core(inst))}(r)")
+            c = self._bind("C", self._load_core(inst))
+            self._observed(inst.opcode, f"{s} = {c}({self._v(inst.pointer)})")
             return
         if kind is Store:
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._store_core(inst))}(r)")
+            c = self._bind("C", self._store_core(inst))
+            self._observed(
+                inst.opcode,
+                f"{c}({self._args((inst.pointer, inst.value))})")
             return
         if kind is Call:
-            if inst.is_guard or inst.callee.name == abi.GUARD_SYMBOL:
-                if id(inst) in self.module.elided_guards:
-                    # Statically proven in-policy at insmod (-O3): emit
-                    # no code at all.  The ordinal still advances so
-                    # guard-site IDs stay aligned with the interpreter's
-                    # walk, and the missing line changes the source text,
-                    # so the process-global translation cache can never
-                    # serve an elided body to an unverified module.
-                    self._guard_ordinal += 1
-                    return
-                # Guard calls bypass add_op/profiler (charged through the
-                # guard cost only, like the interpreter) — no charge lines.
-                body.append(f"{self._bind('C', self._guard_core(inst))}(r)")
-                return
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._call_core(inst))}(r)")
+            self._emit_call(inst, s)
             return
         if kind is Alloca:
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._alloca_core(inst))}(r)")
+            c = self._bind("C", self._alloca_core(inst))
+            self._observed(inst.opcode, f"{s} = {c}()")
             return
         if kind is FCmp:
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._fcmp_core(inst))}(r)")
+            c = self._bind("C", self._fcmp_core(inst))
+            self._observed(inst.opcode,
+                           f"{s} = {c}({self._args(inst.operands[:2])})")
             return
         if kind is InlineAsm:
-            self._emit_charge(inst.opcode, body)
             msg = (
                 f"module {self.module.name}: executed inline assembly "
                 "(should have been rejected at load time)"
             )
-            body.append(f"E.kernel.panic({msg!r})")
+            self._observed(inst.opcode, f"E.kernel.panic({msg!r})")
             return
         # Misplaced phi or unknown opcode: fail at execution time like
         # the interpreter's exhaustive dispatch.
-        self._emit_charge(inst.opcode, body)
-        body.append(f"raise IE({f'cannot execute {inst.opcode}'!r})")
+        self._observed(inst.opcode,
+                       f"raise IE({f'cannot execute {inst.opcode}'!r})")
 
     # -- inline integer arithmetic -----------------------------------------
 
-    def _emit_int_binop(self, inst: BinOp, body: list[str]) -> None:
-        a = self._ref(self._spec(inst.lhs))
-        b = self._ref(self._spec(inst.rhs))
+    def _int_binop(self, inst: BinOp) -> str:
+        a = self._v(inst.lhs)
+        b = self._v(inst.rhs)
         t = inst.type
-        s = self.regmap[inst]
         op = inst.op
         mask = t.max_unsigned
         bits = t.bits
         if op == "add":
-            body.append(f"r[{s}] = ({a} + {b}) & {mask}")
-        elif op == "sub":
-            body.append(f"r[{s}] = ({a} - {b}) & {mask}")
-        elif op == "mul":
-            body.append(f"r[{s}] = ({a} * {b}) & {mask}")
-        elif op == "and":
-            body.append(f"r[{s}] = {a} & {b}")
-        elif op == "or":
-            body.append(f"r[{s}] = {a} | {b}")
-        elif op == "xor":
-            body.append(f"r[{s}] = {a} ^ {b}")
-        elif op == "shl":
-            body.append(f"r[{s}] = ({a} << ({b} % {bits})) & {mask}")
-        elif op == "lshr":
-            body.append(f"r[{s}] = {a} >> ({b} % {bits})")
-        elif bits > 1:  # ashr: ``to_signed`` inlined (mask, bias, wrap)
-            body.append(f"x = {a} & {mask}")
-            body.append(f"if x > {t.max_signed}:")
-            body.append(f"    x -= {1 << bits}")
-            body.append(f"r[{s}] = (x >> ({b} % {bits})) & {mask}")
-        else:  # ashr on i1: no negative range
-            body.append(f"r[{s}] = ({a} & 1) >> ({b} % 1)")
+            return f"({a} + {b}) & {mask}"
+        if op == "sub":
+            return f"({a} - {b}) & {mask}"
+        if op == "mul":
+            return f"({a} * {b}) & {mask}"
+        if op == "and":
+            return f"{a} & {b}"
+        if op == "or":
+            return f"{a} | {b}"
+        if op == "xor":
+            return f"{a} ^ {b}"
+        if op == "shl":
+            return f"({a} << ({b} % {bits})) & {mask}"
+        if op == "lshr":
+            return f"{a} >> ({b} % {bits})"
+        if bits > 1:  # ashr: ``to_signed`` is ((x & mask) ^ sign) - sign
+            sign = 1 << (bits - 1)
+            return f"(((({a} & {mask}) ^ {sign}) - {sign}) >> ({b} % {bits})) & {mask}"
+        return f"({a} & 1) >> ({b} % 1)"  # ashr on i1: no negative range
 
     _CMP_SRC = {
         "eq": "==", "ne": "!=",
         "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
         "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
     }
+    _SIGNED_PREDS = frozenset(("slt", "sle", "sgt", "sge"))
 
-    def _emit_icmp(self, inst: ICmp, body: list[str]) -> None:
-        a = self._ref(self._spec(inst.lhs))
-        b = self._ref(self._spec(inst.rhs))
-        s = self.regmap[inst]
+    def _icmp(self, inst: ICmp) -> str:
+        a = self._v(inst.lhs)
+        b = self._v(inst.rhs)
         c = self._CMP_SRC[inst.pred]
         t = inst.lhs.type
         if inst.pred in self._SIGNED_PREDS and not isinstance(t, PointerType):
             assert isinstance(t, IntType)
             if t.bits > 1:
-                # ``to_signed`` inlined: mask, then bias down past the
-                # sign bit.  (i1 has no negative range — raw compare.)
-                mask, ms, span = t.max_unsigned, t.max_signed, 1 << t.bits
-                body.append(f"x = {a} & {mask}")
-                body.append(f"if x > {ms}:")
-                body.append(f"    x -= {span}")
-                body.append(f"y = {b} & {mask}")
-                body.append(f"if y > {ms}:")
-                body.append(f"    y -= {span}")
-                body.append(f"r[{s}] = 1 if x {c} y else 0")
-            else:
-                body.append(f"r[{s}] = 1 if ({a} & 1) {c} ({b} & 1) else 0")
-        else:
-            body.append(f"r[{s}] = 1 if {a} {c} {b} else 0")
+                # Flipping the sign bit of the masked pattern maps signed
+                # order onto unsigned order, exactly like ``to_signed``.
+                m, sign = t.max_unsigned, 1 << (t.bits - 1)
+                return (f"1 if (({a} & {m}) ^ {sign}) {c} "
+                        f"(({b} & {m}) ^ {sign}) else 0")
+            # i1 has no negative range: raw compare.
+            return f"1 if ({a} & 1) {c} ({b} & 1) else 0"
+        return f"1 if {a} {c} {b} else 0"
 
-    def _emit_cast(self, inst: Cast, body: list[str]) -> None:
+    def _int_cast(self, inst: Cast) -> str:
         op = inst.op
-        s = self.regmap[inst]
-        if op in ("sitofp", "fptosi", "fptrunc"):
-            # Float conversions (f32 narrowing via struct) stay closures.
-            body.append(f"{self._bind('C', self._cast_core(inst))}(r)")
-            return
-        v = self._ref(self._spec(inst.value))
+        v = self._v(inst.value)
         if op in ("bitcast", "inttoptr", "ptrtoint", "zext", "fpext"):
-            body.append(f"r[{s}] = {v}")
-        elif op == "trunc":
+            return v
+        if op == "trunc":
             assert isinstance(inst.type, IntType)
-            body.append(f"r[{s}] = {v} & {inst.type.max_unsigned}")
-        elif op == "sext":
+            return f"{v} & {inst.type.max_unsigned}"
+        if op == "sext":
             src = inst.value.type
             t = inst.type
             assert isinstance(src, IntType) and isinstance(t, IntType)
             if src.bits > 1:
-                body.append(f"x = {v} & {src.max_unsigned}")
-                body.append(
-                    f"r[{s}] = ((x - {1 << src.bits}) & {t.max_unsigned})"
-                    f" if x > {src.max_signed} else x"
-                )
-            else:  # i1 has no negative range: sext == zext
-                body.append(f"r[{s}] = {v} & 1")
-        else:  # pragma: no cover - verifier rejects other casts
-            raise InterpreterError(f"bad cast {op}")
+                sign = 1 << (src.bits - 1)
+                return (f"((({v} & {src.max_unsigned}) ^ {sign}) - {sign})"
+                        f" & {t.max_unsigned}")
+            return f"{v} & 1"  # i1 has no negative range: sext == zext
+        raise InterpreterError(f"bad cast {op}")  # pragma: no cover
 
-    def _emit_gep(self, inst: Gep, body: list[str]) -> None:
-        base = self._ref(self._spec(inst.base))
-        ir_, iv = self._spec(inst.index)
-        s = self.regmap[inst]
-        if not ir_:
+    def _gep(self, inst: Gep) -> str:
+        base = self._v(inst.base)
+        if type(inst.index) is ConstantInt:
             # Constant index: fold the whole displacement.
-            delta = abi.to_signed64(iv) * inst.scale + inst.displacement
-            body.append(f"r[{s}] = ({base} + ({delta})) & {_MASK64}")
-        else:
-            # ``abi.to_signed64`` inlined (bias only — values are already
-            # width-masked).
-            body.append(f"x = r[{iv}]")
-            body.append(f"if x > {0x7FFFFFFFFFFFFFFF}:")
-            body.append(f"    x -= {1 << 64}")
-            body.append(
-                f"r[{s}] = ({base} + x * {inst.scale}"
-                f" + ({inst.displacement})) & {_MASK64}"
-            )
+            delta = (abi.to_signed64(inst.index.value) * inst.scale
+                     + inst.displacement)
+            return f"({base} + ({delta})) & {_MASK64}"
+        # ``abi.to_signed64`` as a sign-bit flip: exact modulo 2**64,
+        # which the final mask makes exact outright.
+        x = f"(({self._v(inst.index)} ^ {1 << 63}) - {1 << 63})"
+        return (f"({base} + {x} * {inst.scale} + ({inst.displacement}))"
+                f" & {_MASK64}")
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic closures -----------------------------------------------
 
     def _binop_core(self, inst: BinOp):
-        """Closure builder for the binops codegen doesn't inline:
-        division (panic-on-zero path) and float arithmetic."""
-        ar, av = self._spec(inst.lhs)
-        br, bv = self._spec(inst.rhs)
+        """Closure for the binops codegen doesn't inline: division
+        (panic-on-zero path) and float arithmetic."""
         op = inst.op
         t = inst.type
         if isinstance(t, FloatType):
-            return self._float_binop_core(inst, ar, av, br, bv)
+            if op not in ("fadd", "fsub", "fmul", "fdiv"):  # pragma: no cover
+                raise InterpreterError(f"bad float op {op}")
+
+            def core(a, b, _op=op, _n=t.bits == 32):
+                if _op == "fadd":
+                    r = a + b
+                elif _op == "fsub":
+                    r = a - b
+                elif _op == "fmul":
+                    r = a * b
+                elif b == 0.0:
+                    r = (float("inf") if a > 0
+                         else float("-inf") if a < 0 else float("nan"))
+                else:
+                    r = a / b
+                if _n:
+                    r = _F32.unpack(_F32.pack(r))[0]
+                return r
+
+            return core
         assert isinstance(t, IntType)
         if op not in ("sdiv", "udiv", "srem", "urem"):  # pragma: no cover
             raise InterpreterError(f"bad int op {op}")
-        return self._divrem_core(inst, op, t, ar, av, br, bv)
-
-    def _divrem_core(self, inst, op, t, ar, av, br, bv):
-        slot = self.regmap[inst]
         eng = self.engine
         ts, wrap = t.to_signed, t.wrap
         msg = f"module {self.module.name}: divide error ({op} by zero)"
         if op == "sdiv":
-            def core(regs, _s=slot, _ts=ts, _w=wrap, _e=eng, _m=msg):
-                sa = _ts(regs[av] if ar else av)
-                sb = _ts(regs[bv] if br else bv)
+            def core(a, b, _ts=ts, _w=wrap, _e=eng, _m=msg):
+                sa, sb = _ts(a), _ts(b)
                 if sb == 0:
                     _e.kernel.panic(_m)
-                regs[_s] = _w(int(sa / sb))
+                return _w(int(sa / sb))
         elif op == "udiv":
-            def core(regs, _s=slot, _e=eng, _m=msg):
-                a = regs[av] if ar else av
-                b = regs[bv] if br else bv
+            def core(a, b, _e=eng, _m=msg):
                 if b == 0:
                     _e.kernel.panic(_m)
-                regs[_s] = a // b
+                return a // b
         elif op == "srem":
-            def core(regs, _s=slot, _ts=ts, _w=wrap, _e=eng, _m=msg):
-                sa = _ts(regs[av] if ar else av)
-                sb = _ts(regs[bv] if br else bv)
+            def core(a, b, _ts=ts, _w=wrap, _e=eng, _m=msg):
+                sa, sb = _ts(a), _ts(b)
                 if sb == 0:
                     _e.kernel.panic(_m)
-                regs[_s] = _w(sa - int(sa / sb) * sb)
+                return _w(sa - int(sa / sb) * sb)
         else:  # urem
-            def core(regs, _s=slot, _e=eng, _m=msg):
-                a = regs[av] if ar else av
-                b = regs[bv] if br else bv
+            def core(a, b, _e=eng, _m=msg):
                 if b == 0:
                     _e.kernel.panic(_m)
-                regs[_s] = a % b
+                return a % b
         return core
-
-    def _float_binop_core(self, inst, ar, av, br, bv):
-        slot = self.regmap[inst]
-        op = inst.op
-        narrow = inst.type.bits == 32
-        if op not in ("fadd", "fsub", "fmul", "fdiv"):  # pragma: no cover
-            raise InterpreterError(f"bad float op {op}")
-
-        def core(regs, _s=slot, _op=op, _n=narrow):
-            a = regs[av] if ar else av
-            b = regs[bv] if br else bv
-            if _op == "fadd":
-                r = a + b
-            elif _op == "fsub":
-                r = a - b
-            elif _op == "fmul":
-                r = a * b
-            elif b == 0.0:
-                r = (float("inf") if a > 0
-                     else float("-inf") if a < 0 else float("nan"))
-            else:
-                r = a / b
-            if _n:
-                r = _F32.unpack(_F32.pack(r))[0]
-            regs[_s] = r
-
-        return core
-
-    _SIGNED_PREDS = frozenset(("slt", "sle", "sgt", "sge"))
 
     def _fcmp_core(self, inst: FCmp):
         import operator as _op
@@ -795,293 +722,190 @@ class _Translator:
             "oeq": _op.eq, "one": _op.ne, "olt": _op.lt,
             "ole": _op.le, "ogt": _op.gt, "oge": _op.ge,
         }[inst.pred]
-        ar, av = self._spec(inst.operands[0])
-        br, bv = self._spec(inst.operands[1])
-        slot = self.regmap[inst]
 
-        def core(regs, _s=slot, _c=cmp_fn):
-            a = regs[av] if ar else av
-            b = regs[bv] if br else bv
+        def core(a, b, _c=cmp_fn):
             if a != a or b != b:  # NaN: ordered predicates are all false
-                regs[_s] = 0
-            else:
-                regs[_s] = 1 if _c(a, b) else 0
+                return 0
+            return 1 if _c(a, b) else 0
 
         return core
 
     def _cast_core(self, inst: Cast):
-        """Closure builder for the casts codegen doesn't inline (float
-        conversions; everything else is emitted as source)."""
-        vr, vv = self._spec(inst.value)
-        slot = self.regmap[inst]
+        """Closure for the float conversions codegen doesn't inline."""
         op = inst.op
         t = inst.type
         if op == "sitofp":
             src = inst.value.type
             assert isinstance(src, IntType)
-            ts = src.to_signed
-            narrow = isinstance(t, FloatType) and t.bits == 32
 
-            def core(regs, _s=slot, _ts=ts, _n=narrow):
-                r = float(_ts(regs[vv] if vr else vv))
+            def core(v, _ts=src.to_signed,
+                     _n=isinstance(t, FloatType) and t.bits == 32):
+                r = float(_ts(v))
                 if _n:
                     r = _F32.unpack(_F32.pack(r))[0]
-                regs[_s] = r
+                return r
         elif op == "fptosi":
             assert isinstance(t, IntType)
-            wrap = t.wrap
 
-            def core(regs, _s=slot, _w=wrap):
-                regs[_s] = _w(int(regs[vv] if vr else vv))
+            def core(v, _w=t.wrap):
+                return _w(int(v))
         elif op == "fptrunc":
-            def core(regs, _s=slot):
-                regs[_s] = _F32.unpack(_F32.pack(regs[vv] if vr else vv))[0]
+            def core(v):
+                return _F32.unpack(_F32.pack(v))[0]
         else:  # pragma: no cover - verifier rejects other casts
             raise InterpreterError(f"bad cast {op}")
         return core
 
     def _alloca_core(self, inst: Alloca):
-        slot = self.regmap[inst]
-        size = inst.size_bytes
-        align_mask = ~(max(inst.allocated_type.align_bytes(), 8) - 1)
-        eng = self.engine
-        kbase = layout.KSTACK_BASE
-
-        def core(regs, _s=slot, _sz=size, _am=align_mask, _e=eng, _kb=kbase):
+        def core(_sz=inst.size_bytes,
+                 _am=~(max(inst.allocated_type.align_bytes(), 8) - 1),
+                 _e=self.engine, _kb=layout.KSTACK_BASE):
             top = (_e._stack_top - _sz) & _am
             if top < _kb:
                 _e.kernel.panic("kernel stack exhausted")
             _e._stack_top = top
-            regs[_s] = top
+            return top
 
         return core
 
     # -- memory ------------------------------------------------------------
 
     def _load_core(self, inst: Load):
-        pr, pv = self._spec(inst.pointer)
-        slot = self.regmap[inst]
         t = inst.type
         timing = self.timing
         mem = self.engine.kernel.address_space
         find = mem.find
+        mrc = timing.machine.mmio_read_cycles if timing is not None else 0
         if isinstance(t, FloatType):
             reader = mem.read_f32 if t.bits == 32 else mem.read_f64
-            if timing is not None:
-                mrc = timing.machine.mmio_read_cycles
 
-                def core(regs, _s=slot, _t=timing, _f=find, _r=reader,
-                         _mrc=mrc):
-                    addr = regs[pv] if pr else pv
+            def core(addr, _t=timing, _f=find, _r=reader, _mrc=mrc):
+                if _t is not None:
                     _t.loads += 1
                     m = _f(addr)
                     if m is not None and m.device is not None:
                         _t.mmio_reads += 1
                         _t.cycles += _mrc
-                    regs[_s] = _r(addr)
-            else:
-                def core(regs, _s=slot, _r=reader):
-                    regs[_s] = _r(regs[pv] if pr else pv)
+                return _r(addr)
+
             return core
         size = t.size_bytes()
         ram = mem.ram
-        pages = ram._pages
         ram_read = ram.read
         ram_size = ram.size
-        page_size = layout.PAGE_SIZE
-        page_shift = layout.PAGE_SHIFT
-        off_mask = page_size - 1
         # Per-site memo of the last RAM mapping hit, guarded by the address
         # space's map/unmap version — a load site almost always touches the
         # same region, so the steady state skips the bisect ``find``.
         # ``find`` is side-effect free and mappings never overlap, so a
         # memo hit returns exactly what ``find`` would.
         memo = [None, -1]
-        if timing is not None:
-            mrc = timing.machine.mmio_read_cycles
 
-            def core(regs, _s=slot, _z=size, _t=timing, _f=find, _p=pages,
-                     _rr=ram_read, _rs=ram_size, _ps=page_size,
-                     _sh=page_shift, _om=off_mask, _mrc=mrc,
-                     _memo=memo, _a=mem):
-                addr = regs[pv] if pr else pv
-                _t.loads += 1
-                m = _memo[0]
-                if (m is not None and _memo[1] == _a.version
-                        and m.base <= addr
-                        and addr + _z <= m.base + m.size):
-                    phys = m.phys_base + (addr - m.base)
-                    if phys + _z > _rs:
-                        raise MemoryFault(phys, _z, False, "beyond end of RAM")
-                    off = phys & _om
-                    if off + _z <= _ps:
-                        page = _p.get(phys >> _sh)
-                        regs[_s] = (0 if page is None else int.from_bytes(
-                            page[off:off + _z], "little"))
-                    else:
-                        regs[_s] = int.from_bytes(_rr(phys, _z), "little")
-                    return
-                m = _f(addr)
-                if m is not None:
-                    dev = m.device
-                    if dev is not None:
+        def miss(addr, _z=size, _t=timing, _f=find, _mrc=mrc, _memo=memo,
+                 _a=mem, _rr=ram_read, _rs=ram_size):
+            m = _f(addr)
+            if m is not None:
+                dev = m.device
+                if dev is not None:
+                    if _t is not None:
                         _t.mmio_reads += 1
                         _t.cycles += _mrc
-                        if addr + _z > m.base + m.size:
-                            raise MemoryFault(addr, _z, False, "no mapping")
-                        regs[_s] = int.from_bytes(
-                            dev.mmio_read(addr - m.base, _z)
-                            .to_bytes(_z, "little"), "little")
-                        return
-                    if addr + _z <= m.base + m.size:
-                        _memo[0] = m
-                        _memo[1] = _a.version
-                        phys = m.phys_base + (addr - m.base)
-                        if phys + _z > _rs:
-                            raise MemoryFault(
-                                phys, _z, False, "beyond end of RAM")
-                        off = phys & _om
-                        if off + _z <= _ps:
-                            page = _p.get(phys >> _sh)
-                            regs[_s] = (0 if page is None else int.from_bytes(
-                                page[off:off + _z], "little"))
-                        else:
-                            regs[_s] = int.from_bytes(
-                                _rr(phys, _z), "little")
-                        return
-                raise MemoryFault(addr, _z, False, "no mapping")
-        else:
-            def core(regs, _s=slot, _z=size, _f=find, _p=pages,
-                     _rr=ram_read, _rs=ram_size, _ps=page_size,
-                     _sh=page_shift, _om=off_mask, _memo=memo, _a=mem):
-                addr = regs[pv] if pr else pv
-                m = _memo[0]
-                if (m is not None and _memo[1] == _a.version
-                        and m.base <= addr
-                        and addr + _z <= m.base + m.size):
+                    if addr + _z > m.base + m.size:
+                        raise MemoryFault(addr, _z, False, "no mapping")
+                    return int.from_bytes(
+                        dev.mmio_read(addr - m.base, _z)
+                        .to_bytes(_z, "little"), "little")
+                if addr + _z <= m.base + m.size:
+                    _memo[0] = m
+                    _memo[1] = _a.version
                     phys = m.phys_base + (addr - m.base)
                     if phys + _z > _rs:
                         raise MemoryFault(phys, _z, False, "beyond end of RAM")
-                    off = phys & _om
-                    if off + _z <= _ps:
-                        page = _p.get(phys >> _sh)
-                        regs[_s] = (0 if page is None else int.from_bytes(
-                            page[off:off + _z], "little"))
-                    else:
-                        regs[_s] = int.from_bytes(_rr(phys, _z), "little")
-                    return
-                m = _f(addr)
-                if m is not None:
-                    if m.device is not None:
-                        if addr + _z > m.base + m.size:
-                            raise MemoryFault(addr, _z, False, "no mapping")
-                        regs[_s] = int.from_bytes(
-                            m.device.mmio_read(addr - m.base, _z)
-                            .to_bytes(_z, "little"), "little")
-                        return
-                    if addr + _z <= m.base + m.size:
-                        _memo[0] = m
-                        _memo[1] = _a.version
-                        phys = m.phys_base + (addr - m.base)
-                        if phys + _z > _rs:
-                            raise MemoryFault(
-                                phys, _z, False, "beyond end of RAM")
-                        off = phys & _om
-                        if off + _z <= _ps:
-                            page = _p.get(phys >> _sh)
-                            regs[_s] = (0 if page is None else int.from_bytes(
-                                page[off:off + _z], "little"))
-                        else:
-                            regs[_s] = int.from_bytes(
-                                _rr(phys, _z), "little")
-                        return
-                raise MemoryFault(addr, _z, False, "no mapping")
+                    return int.from_bytes(_rr(phys, _z), "little")
+            raise MemoryFault(addr, _z, False, "no mapping")
+
+        def core(addr, _z=size, _t=timing, _p=ram._pages, _rr=ram_read,
+                 _rs=ram_size, _ps=layout.PAGE_SIZE, _sh=layout.PAGE_SHIFT,
+                 _om=layout.PAGE_SIZE - 1, _memo=memo, _a=mem, _miss=miss):
+            if _t is not None:
+                _t.loads += 1
+            m = _memo[0]
+            if (m is not None and _memo[1] == _a.version
+                    and m.base <= addr and addr + _z <= m.base + m.size):
+                phys = m.phys_base + (addr - m.base)
+                if phys + _z > _rs:
+                    raise MemoryFault(phys, _z, False, "beyond end of RAM")
+                off = phys & _om
+                if off + _z <= _ps:
+                    page = _p.get(phys >> _sh)
+                    return (0 if page is None else
+                            int.from_bytes(page[off:off + _z], "little"))
+                return int.from_bytes(_rr(phys, _z), "little")
+            return _miss(addr)
+
         return core
 
     def _store_core(self, inst: Store):
-        pr, pv = self._spec(inst.pointer)
-        vr, vv = self._spec(inst.value)
         t = inst.value.type
         timing = self.timing
         mem = self.engine.kernel.address_space
         find = mem.find
+        mwc = timing.machine.mmio_write_cycles if timing is not None else 0
         if isinstance(t, FloatType):
             writer = mem.write_f32 if t.bits == 32 else mem.write_f64
-            if timing is not None:
-                mwc = timing.machine.mmio_write_cycles
 
-                def core(regs, _t=timing, _f=find, _w=writer, _mwc=mwc):
-                    addr = regs[pv] if pr else pv
-                    value = regs[vv] if vr else vv
+            def core(addr, value, _t=timing, _f=find, _w=writer, _mwc=mwc):
+                if _t is not None:
                     _t.stores += 1
                     m = _f(addr)
                     if m is not None and m.device is not None:
                         _t.mmio_writes += 1
                         _t.cycles += _mwc
-                    _w(addr, value)
-            else:
-                def core(regs, _w=writer):
-                    _w(regs[pv] if pr else pv, regs[vv] if vr else vv)
+                _w(addr, value)
+
             return core
         size = t.size_bytes()
-        mask = (1 << (8 * size)) - 1
         ram = mem.ram
-        pages = ram._pages
         ram_write = ram.write
         ram_size = ram.size
-        page_size = layout.PAGE_SIZE
-        page_shift = layout.PAGE_SHIFT
-        off_mask = page_size - 1
-
         # Same per-site mapping memo as loads; only writable RAM mappings
         # are memoized, so the fast path needs no writability re-check.
         memo = [None, -1]
-        if timing is not None:
-            mwc = timing.machine.mmio_write_cycles
 
-            def core(regs, _z=size, _k=mask, _t=timing, _f=find, _p=pages,
-                     _rw=ram_write, _rs=ram_size, _ps=page_size,
-                     _sh=page_shift, _om=off_mask, _mwc=mwc,
-                     _memo=memo, _a=mem):
-                addr = regs[pv] if pr else pv
-                value = regs[vv] if vr else vv
+        def miss(addr, value, _z=size, _k=(1 << (8 * size)) - 1, _t=timing,
+                 _f=find, _mwc=mwc, _memo=memo, _a=mem, _rw=ram_write,
+                 _rs=ram_size):
+            m = _f(addr)
+            if _t is not None and m is not None and m.device is not None:
+                _t.mmio_writes += 1
+                _t.cycles += _mwc
+            if m is None or addr + _z > m.base + m.size:
+                raise MemoryFault(addr, _z, True, "no mapping")
+            if not m.writable:
+                raise MemoryFault(addr, _z, True, f"{m.name} is read-only")
+            v = int(value) & _k
+            if m.device is not None:
+                m.device.mmio_write(addr - m.base, _z, v)
+                return
+            _memo[0] = m
+            _memo[1] = _a.version
+            phys = m.phys_base + (addr - m.base)
+            if phys + _z > _rs:
+                raise MemoryFault(phys, _z, False, "beyond end of RAM")
+            _rw(phys, v.to_bytes(_z, "little"))
+
+        def core(addr, value, _z=size, _k=(1 << (8 * size)) - 1, _t=timing,
+                 _p=ram._pages, _rw=ram_write, _rs=ram_size,
+                 _ps=layout.PAGE_SIZE, _sh=layout.PAGE_SHIFT,
+                 _om=layout.PAGE_SIZE - 1, _memo=memo, _a=mem, _miss=miss):
+            if _t is not None:
                 _t.stores += 1
-                m = _memo[0]
-                if (m is not None and _memo[1] == _a.version
-                        and m.base <= addr
-                        and addr + _z <= m.base + m.size):
-                    phys = m.phys_base + (addr - m.base)
-                    if phys + _z > _rs:
-                        raise MemoryFault(phys, _z, False, "beyond end of RAM")
-                    v = int(value) & _k
-                    off = phys & _om
-                    if off + _z <= _ps:
-                        pfn = phys >> _sh
-                        page = _p.get(pfn)
-                        if page is None:
-                            page = bytearray(_ps)
-                            _p[pfn] = page
-                        page[off:off + _z] = v.to_bytes(_z, "little")
-                    else:
-                        _rw(phys, v.to_bytes(_z, "little"))
-                    return
-                m = _f(addr)
-                if m is not None and m.device is not None:
-                    _t.mmio_writes += 1
-                    _t.cycles += _mwc
-                if m is None or addr + _z > m.base + m.size:
-                    raise MemoryFault(addr, _z, True, "no mapping")
-                if not m.writable:
-                    raise MemoryFault(addr, _z, True, f"{m.name} is read-only")
-                v = int(value) & _k
-                if m.device is not None:
-                    m.device.mmio_write(addr - m.base, _z, v)
-                    return
-                _memo[0] = m
-                _memo[1] = _a.version
+            m = _memo[0]
+            if (m is not None and _memo[1] == _a.version
+                    and m.base <= addr and addr + _z <= m.base + m.size):
                 phys = m.phys_base + (addr - m.base)
                 if phys + _z > _rs:
                     raise MemoryFault(phys, _z, False, "beyond end of RAM")
+                v = int(value) & _k
                 off = phys & _om
                 if off + _z <= _ps:
                     pfn = phys >> _sh
@@ -1092,124 +916,103 @@ class _Translator:
                     page[off:off + _z] = v.to_bytes(_z, "little")
                 else:
                     _rw(phys, v.to_bytes(_z, "little"))
-        else:
-            def core(regs, _z=size, _k=mask, _f=find, _p=pages,
-                     _rw=ram_write, _rs=ram_size, _ps=page_size,
-                     _sh=page_shift, _om=off_mask, _memo=memo, _a=mem):
-                addr = regs[pv] if pr else pv
-                value = regs[vv] if vr else vv
-                m = _memo[0]
-                if (m is not None and _memo[1] == _a.version
-                        and m.base <= addr
-                        and addr + _z <= m.base + m.size):
-                    phys = m.phys_base + (addr - m.base)
-                    if phys + _z > _rs:
-                        raise MemoryFault(phys, _z, False, "beyond end of RAM")
-                    v = int(value) & _k
-                    off = phys & _om
-                    if off + _z <= _ps:
-                        pfn = phys >> _sh
-                        page = _p.get(pfn)
-                        if page is None:
-                            page = bytearray(_ps)
-                            _p[pfn] = page
-                        page[off:off + _z] = v.to_bytes(_z, "little")
-                    else:
-                        _rw(phys, v.to_bytes(_z, "little"))
-                    return
-                m = _f(addr)
-                if m is None or addr + _z > m.base + m.size:
-                    raise MemoryFault(addr, _z, True, "no mapping")
-                if not m.writable:
-                    raise MemoryFault(addr, _z, True, f"{m.name} is read-only")
-                v = int(value) & _k
-                if m.device is not None:
-                    m.device.mmio_write(addr - m.base, _z, v)
-                    return
-                _memo[0] = m
-                _memo[1] = _a.version
-                phys = m.phys_base + (addr - m.base)
-                if phys + _z > _rs:
-                    raise MemoryFault(phys, _z, False, "beyond end of RAM")
-                off = phys & _om
-                if off + _z <= _ps:
-                    pfn = phys >> _sh
-                    page = _p.get(pfn)
-                    if page is None:
-                        page = bytearray(_ps)
-                        _p[pfn] = page
-                    page[off:off + _z] = v.to_bytes(_z, "little")
-                else:
-                    _rw(phys, v.to_bytes(_z, "little"))
+                return
+            _miss(addr, value)
+
         return core
 
     # -- calls -------------------------------------------------------------
 
-    def _call_core(self, inst: Call):
-        eng = self.engine
-        module = self.module
-        timing = self.timing
-        argspec = [self._spec(a) for a in inst.args]
+    def _emit_call(self, inst: Call, s: str) -> None:
         callee = inst.callee
-        is_void = inst.type.is_void
-        slot = None if is_void else self.regmap[inst]
-        if not callee.is_declaration:
-            # Same-module direct call: skip the ``_dispatch_call`` frame.
-            if timing is not None:
-                if is_void:
-                    def core(regs, _e=eng, _m=module, _fn=callee, _a=argspec,
-                             _t=timing):
-                        _t.calls += 1
-                        _e._exec_function(
-                            _m, _fn, [regs[v] if r else v for (r, v) in _a])
+        assign = "" if inst.type.is_void else f"{s} = "
+        if inst.is_guard or callee.name == abi.GUARD_SYMBOL:
+            # Guard calls are charged through the guard cost only, like
+            # the interpreter (which keys that on ``is_guard``).
+            if id(inst) in self.module.elided_guards:
+                # Statically proven in-policy at insmod (-O3): emit no
+                # code at all.  The ordinal still advances so guard-site
+                # IDs stay aligned with the interpreter's walk, and the
+                # missing line changes the source text, so the
+                # process-global translation cache can never serve an
+                # elided body to an unverified module.
+                self._guard_ordinal += 1
+                if inst.is_guard:
+                    self._pe += 1
                 else:
-                    def core(regs, _s=slot, _e=eng, _m=module, _fn=callee,
-                             _a=argspec, _t=timing):
-                        _t.calls += 1
-                        regs[_s] = _e._exec_function(
-                            _m, _fn, [regs[v] if r else v for (r, v) in _a])
-            elif is_void:
-                def core(regs, _e=eng, _m=module, _fn=callee, _a=argspec):
-                    _e._exec_function(
-                        _m, _fn, [regs[v] if r else v for (r, v) in _a])
+                    self._charge(inst.opcode)
+                if not inst.type.is_void:
+                    self._emit(4, f"{s} = 0")
+                return
+            if inst.is_guard:
+                self._pe += 1
             else:
-                def core(regs, _s=slot, _e=eng, _m=module, _fn=callee,
-                         _a=argspec):
-                    regs[_s] = _e._exec_function(
-                        _m, _fn, [regs[v] if r else v for (r, v) in _a])
-            return core
-        # Declaration: the linked native is the common case — inline it
-        # (with the interpreter's int-return normalization); symbols that
-        # are unlinked or IR-owned fall back to ``_dispatch_call``, which
-        # re-resolves and keeps the error/exotic paths in one place.
-        cname = callee.name
-        imports = module.imports
-        rt = callee.function_type.ret
-        rmask = rt.max_unsigned if isinstance(rt, IntType) else None
+                self._charge(inst.opcode)
+            self._flush()
+            c = self._bind("C", self._guard_core(inst))
+            self._emit(4, f"{assign}{c}({self._args(inst.args[:3])})")
+            return
+        args = self._args(inst.args)
+        bump = "T.calls += 1; " if self.timing is not None else ""
+        if callee.is_declaration:
+            c = self._bind("C", self._native_core(inst))
+            self._observed(inst.opcode, f"{assign}{c}({args})")
+        elif len(inst.args) != len(callee.args):
+            # Wrong arity: the engine's entry raises the interpreter's
+            # error (after the call is counted, as the interpreter does).
+            fn = self._bind("FN", callee)
+            self._observed(inst.opcode,
+                           f"{bump}{assign}E._exec_function(M, {fn}, [{args}])")
+        else:
+            self._observed(inst.opcode,
+                           f"{bump}{assign}{self._callee(callee)}({args})")
 
-        def core(regs, _s=slot, _e=eng, _i=inst, _m=module, _a=argspec,
-                 _imp=imports, _n=cname, _t=timing, _k=rmask):
-            args = [regs[v] if r else v for (r, v) in _a]
+    def _callee(self, callee) -> str:
+        """The namespace slot for a same-module callee.  It starts as a
+        stub that resolves the callee's translation on the first call and
+        rebinds the slot to its generated function; that function's own
+        prologue revalidates on every call."""
+        name = self._callees.get(callee)
+        if name is not None:
+            return name
+        eng, module, ns = self.engine, self.module, self.ns
+
+        def resolve(*args):
+            entry = eng._translation(module, callee).entry
+            ns[name] = entry
+            return entry(*args)
+
+        name = self._bind("F", resolve)
+        self._callees[callee] = name
+        return name
+
+    def _native_core(self, inst: Call):
+        """Call to a declaration: the linked native is the common case —
+        inline it (with the interpreter's int-return normalization);
+        symbols that are unlinked or IR-owned fall back to
+        ``_dispatch_call``, which re-resolves and keeps the error/exotic
+        paths in one place."""
+        rt = inst.callee.function_type.ret
+
+        def core(*args, _e=self.engine, _i=inst, _m=self.module,
+                 _imp=self.module.imports, _n=inst.callee.name,
+                 _t=self.timing,
+                 _k=rt.max_unsigned if isinstance(rt, IntType) else None):
             sym = _imp.get(_n)
             if sym is None or sym.native is None:
-                ret = _e._dispatch_call(_i, _m, args)
-            else:
-                if _t is not None:
-                    _t.calls += 1
-                _e.current_module = _m
-                ret = sym.native(_e, *args)
-                if _k is not None and isinstance(ret, int):
-                    ret &= _k
-            if _s is not None:
-                regs[_s] = ret
+                return _e._dispatch_call(_i, _m, list(args))
+            if _t is not None:
+                _t.calls += 1
+            _e.current_module = _m
+            ret = sym.native(_e, *args)
+            if _k is not None and isinstance(ret, int):
+                ret &= _k
+            return ret
 
         return core
 
     def _guard_core(self, inst: Call):
-        """Guard calls bypass add_op/profiler (charged via ``add_guard``
-        only, like the interpreter) — the emitter writes no charge lines.
-
-        The common case — the guard symbol is linked and native — is
+        """The common case — the guard symbol is linked and native — is
         inlined: the module's import dict and name, and the machine's
         guard cost coefficients, are captured at translate time, so the
         hot path is one dict lookup and one native call.  ``add_guard``'s
@@ -1219,198 +1022,148 @@ class _Translator:
         missing policy panic) falls back to the interpreter's shared
         ``_dispatch_guard``, which consults ``module.imports`` afresh —
         policy swaps mutate that dict in place, so the captured reference
-        observes them."""
-        eng = self.engine
-        module = self.module
-        imports = module.imports
-        mname = module.name
-        gsym = abi.GUARD_SYMBOL
-        timing = self.timing
-        prof = self.profiler
-        ordinal = self._guard_ordinal
-        self._guard_ordinal += 1
-        ar, av = self._spec(inst.args[0])
-        sr, sv = self._spec(inst.args[1])
-        fr, fv = self._spec(inst.args[2])
-        if self.tracer is not None:
-            # Traced translation: the static key is the translation
-            # itself — these closures exist only while a tracer is
-            # attached; untraced translations carry no trace code at all.
-            return self._traced_guard_core(inst, ordinal, ar, av, sr, sv,
-                                           fr, fv)
-        if timing is not None:
-            gb = timing.machine.guard_base_cycles
-            ge = timing.machine.guard_entry_cycles
-            if prof is None:
-                def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
-                         _g=gsym, _t=timing, _gb=gb, _ge=ge):
-                    a = regs[av] if ar else av
-                    s = regs[sv] if sr else sv
-                    f = regs[fv] if fr else fv
-                    sym = _imp.get(_g)
-                    if sym is None or sym.native is None:
-                        _e._dispatch_guard(_m, a, s, f)
-                        return
-                    _e.guard_checks += 1
-                    n = int(sym.native(_e, a, s, f, _n) or 0)
-                    _t.guards += 1
-                    _t.guard_entries_scanned += n
-                    _t.cycles += _gb + _ge * n
-            else:
-                def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
-                         _g=gsym, _t=timing, _gb=gb, _ge=ge, _p=prof):
-                    a = regs[av] if ar else av
-                    s = regs[sv] if sr else sv
-                    f = regs[fv] if fr else fv
-                    sym = _imp.get(_g)
-                    if sym is None or sym.native is None:
-                        _e._dispatch_guard(_m, a, s, f)
-                        return
-                    _e.guard_checks += 1
-                    n = int(sym.native(_e, a, s, f, _n) or 0)
-                    cost = _gb + _ge * n
-                    _t.guards += 1
-                    _t.guard_entries_scanned += n
-                    _t.cycles += cost
-                    _p.on_guard(a, s, f, cost)
-        elif prof is None:
-            def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
-                     _g=gsym):
-                a = regs[av] if ar else av
-                s = regs[sv] if sr else sv
-                f = regs[fv] if fr else fv
-                sym = _imp.get(_g)
-                if sym is None or sym.native is None:
-                    _e._dispatch_guard(_m, a, s, f)
-                    return
-                _e.guard_checks += 1
-                sym.native(_e, a, s, f, _n)
-        else:
-            def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
-                     _g=gsym, _p=prof):
-                a = regs[av] if ar else av
-                s = regs[sv] if sr else sv
-                f = regs[fv] if fr else fv
-                sym = _imp.get(_g)
-                if sym is None or sym.native is None:
-                    _e._dispatch_guard(_m, a, s, f)
-                    return
-                _e.guard_checks += 1
-                sym.native(_e, a, s, f, _n)
-                _p.on_guard(a, s, f, 0.0)
-        return core
+        observes them.
 
-    def _traced_guard_core(self, inst: Call, ordinal: int,
-                           ar, av, sr, sv, fr, fv):
-        """The guard closure compiled while a tracer is attached.
-
-        The callsite id is baked in at translate time (no per-hit walk),
-        and the cost expression ``cost = base + entry * n`` is the same
-        float-op sequence the untraced closures charge, so simulated
-        accounting stays bit-identical with tracing on.  The profiler is
-        consulted dynamically (traced runs are not the <2%-overhead
-        path)."""
-        eng = self.engine
+        Profiled, traced, or untimed translations get the general
+        closure, with the callsite id baked in at translate time (no
+        per-hit walk)."""
         module = self.module
-        imports = module.imports
-        mname = module.name
-        gsym = abi.GUARD_SYMBOL
         timing = self.timing
         prof = self.profiler
         tracer = self.tracer
-        site = guard_site_id(mname, self.fn.name, ordinal)
-        if timing is not None:
+        ordinal = self._guard_ordinal
+        self._guard_ordinal += 1
+        eng = self.engine
+        imports = module.imports
+        mname = module.name
+        gsym = abi.GUARD_SYMBOL
+        if prof is None and tracer is None and timing is not None:
             gb = timing.machine.guard_base_cycles
             ge = timing.machine.guard_entry_cycles
 
-            def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
-                     _g=gsym, _t=timing, _gb=gb, _ge=ge, _p=prof,
-                     _tr=tracer, _site=site, _i=inst):
-                a = regs[av] if ar else av
-                s = regs[sv] if sr else sv
-                f = regs[fv] if fr else fv
+            def core(a, s, f, _e=eng, _m=module, _imp=imports, _n=mname,
+                     _g=gsym, _t=timing, _gb=gb, _ge=ge):
                 sym = _imp.get(_g)
                 if sym is None or sym.native is None:
-                    _e._dispatch_guard(_m, a, s, f, _i)
-                    return
+                    return _e._dispatch_guard(_m, a, s, f)
                 _e.guard_checks += 1
                 n = int(sym.native(_e, a, s, f, _n) or 0)
+                _t.guards += 1
+                _t.guard_entries_scanned += n
+                _t.cycles += _gb + _ge * n
+
+            return core
+        machine = timing.machine if timing is not None else None
+        site = (guard_site_id(mname, self.fn.name, ordinal)
+                if tracer is not None else None)
+
+        def core(a, s, f, _e=eng, _m=module, _imp=imports, _n=mname,
+                 _g=gsym, _i=inst, _t=timing, _p=prof, _tr=tracer, _site=site,
+                 _gb=machine.guard_base_cycles if machine else 0.0,
+                 _ge=machine.guard_entry_cycles if machine else 0.0):
+            sym = _imp.get(_g)
+            if sym is None or sym.native is None:
+                return _e._dispatch_guard(_m, a, s, f, _i)
+            _e.guard_checks += 1
+            n = int(sym.native(_e, a, s, f, _n) or 0)
+            cost = 0.0
+            if _t is not None:
                 cost = _gb + _ge * n
                 _t.guards += 1
                 _t.guard_entries_scanned += n
                 _t.cycles += cost
-                if _p is not None:
-                    _p.on_guard(a, s, f, cost)
+            if _p is not None:
+                _p.on_guard(a, s, f, cost)
+            if _tr is not None:
                 _tr.on_guard(_site, a, s, f, n, cost)
-        else:
-            def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
-                     _g=gsym, _p=prof, _tr=tracer, _site=site, _i=inst):
-                a = regs[av] if ar else av
-                s = regs[sv] if sr else sv
-                f = regs[fv] if fr else fv
-                sym = _imp.get(_g)
-                if sym is None or sym.native is None:
-                    _e._dispatch_guard(_m, a, s, f, _i)
-                    return
-                _e.guard_checks += 1
-                n = int(sym.native(_e, a, s, f, _n) or 0)
-                if _p is not None:
-                    _p.on_guard(a, s, f, 0.0)
-                _tr.on_guard(_site, a, s, f, n, 0.0)
+
         return core
 
     # -- terminators -------------------------------------------------------
 
-    def _emit_terminator(self, inst, body: list[str], count: int) -> None:
-        """Emit the charged terminator.  The batched instruction count is
-        flushed immediately before the ``return`` — everything after the
-        flush (register reads, int literals, ``dict.get`` on a literal
-        table) is non-raising, so the count can never double-flush
-        through the exception handler."""
-        body.append(f"n = {count}")
-        self._emit_charge(inst.opcode, body)
-        flush = f"E.instructions_executed += {count}"
+    def _emit_terminator(self, inst, bi: int) -> None:
+        """Charge the terminator, flush every pending charge and the
+        block's executed count, then leave the arm."""
+        self._charge(inst.opcode)
+        self._flush()
+        self._emit(4, f"n += {self._pe}")
+        self._pe = 0
         kind = type(inst)
-        if kind is Br:
-            if inst.is_conditional:
-                c = self._ref(self._spec(inst.operands[0]))
-                ti = self.block_index[inst.targets[0]]
-                fi = self.block_index[inst.targets[1]]
-                body.append(flush)
-                body.append(f"return {ti} if {c} else {fi}")
-            else:
-                body.append(flush)
-                body.append(f"return {self.block_index[inst.targets[0]]}")
-            return
         if kind is Ret:
-            if inst.value is not None:
-                body.append(f"r[0] = {self._ref(self._spec(inst.value))}")
-            body.append(flush)
-            body.append("return -1")
+            self._emit(4, f"return {self._v(inst.value)}"
+                       if inst.value is not None else "return")
             return
-        assert type(inst) is Switch
-        v = self._ref(self._spec(inst.operands[0]))
+        if kind is Br:
+            targets = [self.block_index[t] for t in inst.targets]
+            if not inst.is_conditional:
+                self._goto(bi, targets[0], 4)
+                return
+            c = self._v(inst.operands[0])
+            t, f = targets
+            if (t > bi and f > bi and not self._phi_copies(bi, t)
+                    and not self._phi_copies(bi, f)):
+                self._emit(4, f"b = {t} if {c} else {f}")
+                return
+            self._emit(4, f"if {c}:")
+            self._goto(bi, t, 5)
+            self._emit(4, "else:")
+            self._goto(bi, f, 5)
+            return
+        assert kind is Switch
         # First matching case wins, like the interpreter's linear scan:
         # keep only the first target for duplicated case values.
         table: dict[int, int] = {}
         for cv_, target in inst.cases:
-            if cv_ not in table:
-                table[cv_] = self.block_index[target]
+            table.setdefault(cv_, self.block_index[target])
+        default = self.block_index[inst.default]
         tbl = self._bind("TBL", table)
-        body.append(flush)
-        body.append(f"return {tbl}.get({v}, {self.block_index[inst.default]})")
+        self._emit(4, f"b = {tbl}.get({self._v(inst.operands[0])}, {default})")
+        targets = dict.fromkeys([*table.values(), default])
+        for j in targets:
+            copies = self._phi_copies(bi, j)
+            if copies:
+                self._emit(4, f"if b == {j}:")
+                for line in copies:
+                    self._emit(5, line)
+        if min(targets) <= bi:
+            self._emit(4, "continue")
 
-    def _emit_unreachable(
-        self, inst: Unreachable, body: list[str], count: int
-    ) -> None:
-        body.append(f"n = {count}")
-        self._emit_charge(inst.opcode, body)
-        msg = (
-            f"module {self.module.name}: reached 'unreachable' "
-            f"in @{self.fn.name}"
-        )
-        # ``panic`` raises, so the handler flushes the charged count.
-        body.append(f"E.kernel.panic({msg!r})")
+    def _goto(self, bi: int, target: int, level: int) -> None:
+        """Take the edge ``bi -> target``: phi copies, then ``b = target``
+        (a forward edge falls through to the target's arm; a backward
+        one restarts the arm chain)."""
+        for line in self._phi_copies(bi, target):
+            self._emit(level, line)
+        self._emit(level, f"b = {target}")
+        if target <= bi:
+            self._emit(level, "continue")
+
+    def _phi_copies(self, pred, target: int) -> list[str]:
+        """The target's phis on the edge from block ``pred`` (None: the
+        function entry), as one parallel assignment (phis read
+        pre-transfer values) plus their instruction charge.  An edge some
+        phi lacks raises the interpreter's ``KeyError``, after evaluating
+        the phis before it."""
+        pblock = None if pred is None else self.fn.blocks[pred]
+        dests, srcs = [], []
+        for inst in self.fn.blocks[target].instructions:
+            if not isinstance(inst, Phi):
+                break
+            # First matching edge wins, like ``incoming_for``.
+            src = next((v for v, b in inst.incoming if b is pblock), None)
+            if src is None:
+                msg = ("phi has no incoming edge from "
+                       f"{None if pblock is None else pblock.name}")
+                lines = [f"({', '.join(srcs)},)"] if srcs else []
+                return lines + [f"raise KeyError({msg!r})"]
+            dests.append(self.names[inst])
+            srcs.append(self._v(src))
+        if not dests:
+            return []
+        lines = [f"{', '.join(dests)} = {', '.join(srcs)}"]
+        if self.timing is not None:
+            lines.append(f"T.instructions += {len(dests)}")
+        return lines
 
 
 __all__ = ["CompiledEngine", "TRANSLATION_CACHE", "translation_cache_stats"]

@@ -483,7 +483,7 @@ class Interpreter:
 
     def _dispatch_call(self, inst: Call, module: LoadedModule, args: list):
         """Call dispatch after argument evaluation (shared with the
-        compiled engine, which evaluates operands through register slots)."""
+        compiled engine, whose closures receive operand values)."""
         callee = inst.callee
         if self.timing is not None:
             self.timing.calls += 1

@@ -77,10 +77,28 @@ class TestPoolBlast:
         assert sim_stats(a) == sim_stats(b)
 
     def test_wall_pps_is_gated_by_the_straggler(self):
-        merged = self._blast(2, count=40)
-        slowest = max(w["wall_elapsed_s"] for w in merged.per_worker)
-        assert merged.wall_elapsed_s == slowest
-        assert merged.wall_pps == pytest.approx(40 / slowest)
+        # Real fan-out: the pool's wall time runs from the first blast's
+        # start to the last one's end, so the slowest worker gates it.
+        merged = pool_blast(
+            2, size=128, count=40,
+            config_kwargs={"machine": "r415", "protect": True},
+            processes=True,
+        )
+        workers = merged.per_worker
+        slowest = max(w["wall_elapsed_s"] for w in workers)
+        assert merged.wall_elapsed_s == (
+            max(w["wall_end_s"] for w in workers)
+            - min(w["wall_start_s"] for w in workers))
+        assert merged.wall_elapsed_s >= slowest
+        assert merged.wall_pps == pytest.approx(40 / merged.wall_elapsed_s)
+
+    def test_in_process_wall_time_is_the_sum_of_workers(self):
+        # Sequential workers overlap nothing: their times add up, so an
+        # in-process pool can never report a speedup.
+        merged = self._blast(4, count=80)
+        assert merged.wall_elapsed_s == sum(
+            w["wall_elapsed_s"] for w in merged.per_worker)
+        assert merged.wall_pps == pytest.approx(80 / merged.wall_elapsed_s)
 
     def test_single_worker_degenerates_to_plain_blast(self):
         merged = self._blast(1, count=25)

@@ -13,8 +13,14 @@ import pytest
 
 from repro.core.pipeline import CompileOptions, compile_module
 from repro.core.system import CaratKopSystem, SystemConfig
+from repro.ir import I64, Function, FunctionType, IRBuilder, Module
+from repro.ir.values import ConstantInt
 from repro.kernel import Kernel
+from repro.kernel.module_loader import CompiledModule
 from repro.kernel.panic import KernelPanic
+from repro.passes import AttestationPass, PassManager
+from repro.passes.absint import AREAS
+from repro.policy import CaratPolicyModule, PolicyManager
 from repro.vm import Profiler, get_machine
 
 # ---------------------------------------------------------------------------
@@ -464,3 +470,200 @@ def test_same_ir_reinsmod_uses_fresh_addresses():
     kernel.rmmod(first.name)
     second = kernel.insmod(compiled)
     assert kernel.run_function(second, "bump", [3]) == 3
+
+
+# ---------------------------------------------------------------------------
+# whole-function translation edge cases: batched charges, SSA locals,
+# direct-bound calls, and the validity prologue.  Each case runs under
+# both engines and compares every observable, the raised error included.
+
+
+def _ir_module(name, build):
+    m = Module(name)
+    build(m)
+    PassManager([AttestationPass()]).run(m)
+    return CompiledModule(ir=m)
+
+
+def _run_ir(engine, compiled, calls, *, mutate=None, max_depth=None):
+    kernel = Kernel(machine=get_machine("r415"), engine=engine)
+    if max_depth is not None:
+        kernel.vm.max_call_depth = max_depth
+    loaded = kernel.insmod(compiled)
+    if mutate is not None:
+        mutate(loaded)
+        loaded.invalidate_translations()
+    outcomes = []
+    for fn, args in calls:
+        try:
+            outcomes.append(("ok", kernel.run_function(loaded, fn, list(args))))
+        except Exception as e:  # noqa: BLE001 - the error is the observable
+            outcomes.append((type(e).__name__, str(e)))
+    return _observe(kernel, {"outcomes": outcomes})
+
+
+def _both(make, calls, **kw):
+    """Run ``calls`` on a fresh module from ``make()`` under each engine
+    (``mutate`` edits the loaded IR, so the engines never share it)."""
+    a = _run_ir("interp", make(), calls, **kw)
+    b = _run_ir("compiled", make(), calls, **kw)
+    assert a == b
+    return a
+
+
+def _diamond(m, *, phi):
+    """entry -> (then | join), then -> join; ``join`` reads the value
+    defined in ``then`` either through a phi or (phi=False) directly,
+    a use its definition does not dominate."""
+    fn = Function("f", FunctionType(I64, [I64]), ["a"])
+    m.add_function(fn)
+    entry, then, join = (fn.add_block(n) for n in ("entry", "then", "join"))
+    a = fn.args[0]
+    b = IRBuilder(entry)
+    b.cond_br(b.icmp("ne", a, b.const_i64(0), "c"), then, join)
+    b.position_at_end(then)
+    x = b.add(a, b.const_i64(1), "x")
+    b.br(join)
+    b.position_at_end(join)
+    if phi:
+        p = b.phi(I64, "p")
+        p.add_incoming(x, then)
+        p.add_incoming(a, entry)
+        x = p
+    y = b.mul(a, b.const_i64(3), "y")
+    z = b.add(y, x, "z")
+    w = b.xor(z, b.shl(a, b.const_i64(2), "s"), "w")
+    b.ret(w)
+
+
+def test_undominated_ssa_read_matches_interp():
+    # a=0 skips the definition of %x; the read faults in the middle of a
+    # run of batched inline steps, so the handler must replay the
+    # pending charges of %y exactly.
+    state = _both(lambda: _ir_module("undom", lambda m: _diamond(m, phi=False)),
+                  [("f", (5,)), ("f", (0,)), ("f", (7,))])
+    assert state["outcomes"][1] == (
+        "InterpreterError", "use of undefined value %x (i64)")
+    assert state["outcomes"][2][0] == "ok"
+
+
+def test_phi_edge_not_covered_matches_interp():
+    def drop_entry_edge(loaded):
+        phi = loaded.ir.functions["f"].blocks[2].instructions[0]
+        phi.incoming = [(v, b) for v, b in phi.incoming
+                        if b.name != "entry"]
+
+    state = _both(lambda: _ir_module("phiedge", lambda m: _diamond(m, phi=True)),
+                  [("f", (5,)), ("f", (0,))],
+                  mutate=drop_entry_edge)
+    assert state["outcomes"][0][0] == "ok"
+    assert state["outcomes"][1][0] == "KeyError"
+
+
+def test_direct_call_wrong_arity_matches_interp():
+    src = """
+    long g(long x) { return x + 1; }
+    __export long f(long a) { long t = a * 2; return g(t) + t; }
+    """
+
+    def extra_arg(loaded):
+        call = next(i for blk in loaded.ir.functions["f"].blocks
+                    for i in blk.instructions if i.opcode == "call")
+        call.operands.append(ConstantInt(I64, 9))
+
+    state = _both(lambda: compile_module(src, CompileOptions(
+                      module_name="arity", protect=False)),
+                   [("f", (4,))], mutate=extra_arg)
+    assert state["outcomes"] == [
+        ("InterpreterError", "@g: expected 1 args, got 2")]
+    assert state["timing"]["calls"] == 1
+
+
+@pytest.mark.parametrize("depth", [3, 10])
+def test_recursion_past_max_call_depth_matches_interp(depth):
+    # Mutual recursion through direct-bound slots, with memory traffic
+    # in every frame; the depth limit is read live from the engine.
+    src = """
+    long cells[2];
+    long odd(long n);
+    long even(long n) { cells[0] = cells[0] + 1; return n == 0 ? 1 : odd(n - 1); }
+    long odd(long n) { cells[1] = cells[1] + 1; return n == 0 ? 0 : even(n - 1); }
+    __export long run(long n) { return even(n); }
+    """
+    state = _both(lambda: compile_module(src, CompileOptions(
+                      module_name="mutrec", protect=False)),
+                   [("run", (depth - 2,)), ("run", (depth + 5,)),
+                             ("run", (1,))], max_depth=depth)
+    assert state["outcomes"][0][0] == "ok"
+    kind, msg = state["outcomes"][1]
+    assert kind == "KernelPanic"
+    assert msg.endswith(
+        f"kernel stack overflow in @{'even' if depth % 2 else 'odd'}")
+    assert state["outcomes"][2][0] == "ok"  # depth fully unwound
+
+
+def test_divide_fault_after_inline_steps_matches_interp():
+    src = """
+    __export long f(long a, long b) {
+        long x = a + 1; long y = x * 3; long z = y ^ b; long w = z << 2;
+        return w / (b - b);
+    }
+    """
+    state = _both(lambda: compile_module(src, CompileOptions(
+                      module_name="div", protect=False)),
+                   [("f", (6, 9))])
+    assert state["outcomes"][0][0] == "KernelPanic"
+    assert state["instructions_executed"] > 5
+
+
+def _demote_mid_call(engine, *, demote):
+    kernel = Kernel(machine=get_machine("r415"), engine=engine)
+    policy = CaratPolicyModule(kernel, mode="audit").install()
+    manager = PolicyManager(kernel)
+    lo, hi = AREAS["module"]
+    manager.allow(lo, hi - lo + 1)
+    manager.set_default(False)
+    box = {}
+
+    def hook(vm):
+        if demote:
+            kernel.demote_module(box["loaded"], "mid-call test")
+        return 0
+
+    kernel.export_native("demote_hook", hook)
+    src = """
+    extern long demote_hook(void);
+    long cells[4];
+    long inner(long s) { cells[1] = s; cells[2] = cells[1] + 1; return cells[2]; }
+    __export long run(long seed) {
+        cells[0] = seed;
+        long r = inner(seed);
+        demote_hook();
+        return r + inner(seed + 1) + inner(seed + 2);
+    }
+    """
+    compiled = compile_module(src, CompileOptions(
+        module_name="midcall", protect=True, opt_level=3,
+        verify_table=policy.index))
+    loaded = box["loaded"] = kernel.insmod(compiled)
+    assert loaded.elided_guards, "setup: nothing was elided"
+    result = kernel.run_function(loaded, "run", [5])
+    return _observe(kernel, {
+        "result": result,
+        "checks": policy.stats.checks,
+        "verify_state": loaded.verify_state,
+    })
+
+
+def test_demotion_mid_call_reemits_guards_in_later_calls():
+    """A certificate demotion while a module frame is on the stack: the
+    calls the stale frame makes afterwards reach their callee through a
+    slot bound to the elided body, whose prologue must notice the
+    generation change and run the guarded body instead."""
+    a = _demote_mid_call("interp", demote=True)
+    b = _demote_mid_call("compiled", demote=True)
+    assert a == b
+    assert a["verify_state"].startswith("demoted")
+    clean = _demote_mid_call("compiled", demote=False)
+    assert clean["checks"] == 0
+    assert b["checks"] > 0  # the two later inner() calls ran their guards
