@@ -12,6 +12,7 @@ the examples demonstrate.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..signing import SigningKey
@@ -28,6 +29,11 @@ from .symbols import SymbolTable
 #: errno values the graceful-enforcement paths return (negated).
 EACCES = 13
 EFAULT = 14
+
+#: Kernel log capacity in lines.  Like printk's fixed ``log_buf``, the
+#: log is a ring: once full, each new line evicts the oldest, so a
+#: long-running system's memory does not grow with its ioctl count.
+DMESG_LINES = 2048
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..vm.interp import Interpreter
@@ -84,7 +90,7 @@ class Kernel:
         self.require_protected_modules = require_protected_modules
         self.machine = machine
         self.engine = engine
-        self._dmesg: list[str] = []
+        self._dmesg: deque[str] = deque(maxlen=DMESG_LINES)
         self.panicked: Optional[str] = None
         # Graceful-enforcement state (eject/isolate modes).
         self._quarantine: dict[str, dict] = {}  # digest-or-name -> entry
@@ -125,6 +131,7 @@ class Kernel:
 
     @property
     def dmesg_log(self) -> list[str]:
+        """The retained tail of the log, oldest line first."""
         return list(self._dmesg)
 
     def panic(self, reason: str) -> "NoReturn":  # type: ignore[name-defined]  # noqa: F821

@@ -28,6 +28,16 @@ interval index never slower than the paper's table.
 module's RCU publish path (per-CPU replicas, epoch staleness tokens,
 guard-decision caches) works unchanged; ``snapshot()`` hands each CPU an
 immutable replica carrying the prebuilt segment index.
+
+Writes cost in proportion to the change, as RCU map updates should: an
+``add`` or ``remove`` on a table whose index is current derives the new
+index from the old one copy-on-write (:meth:`_IntervalLookup.added` /
+:meth:`_IntervalLookup.removed`), touching only the segments the region
+spans and never mutating a published index.  The result is structurally
+identical to a full build over the new region tuple.  A stale index
+(direct ``_regions`` edits plus an epoch bump, a freshly composed table,
+``clear()``) is rebuilt in full on its next use, as is a change that
+crosses :data:`LINEAR_CUTOFF`.
 """
 
 from __future__ import annotations
@@ -69,6 +79,68 @@ class _IntervalLookup:
             for k in range(lo, hi + 1):
                 candidates[k].append(r)
         self._candidates = tuple(tuple(c) for c in candidates)
+
+    @classmethod
+    def _segments(cls, regions, points, candidates) -> "_IntervalLookup":
+        lookup = cls.__new__(cls)
+        lookup._regions = regions
+        lookup._linear = False
+        lookup._points = tuple(points)
+        lookup._candidates = tuple(candidates)
+        return lookup
+
+    def added(self, region: Region) -> "_IntervalLookup":
+        """The index of ``self``'s regions plus ``region`` appended.
+
+        The appended region has the lowest priority, so it goes last in
+        every candidate tuple it joins.  Each new endpoint splits the
+        segment containing it; both halves keep the old candidates,
+        because no other region has a boundary there."""
+        regions = self._regions + (region,)
+        if self._linear or len(regions) <= LINEAR_CUTOFF:
+            return _IntervalLookup(regions)
+        points = list(self._points)
+        candidates = list(self._candidates)
+        for p in (region.base, region.end):
+            k = bisect.bisect_left(points, p)
+            if k == len(points) or points[k] != p:
+                points.insert(k, p)
+                candidates.insert(k, candidates[k])
+        lo = bisect.bisect_right(points, region.base)
+        hi = bisect.bisect_left(points, region.end)
+        for k in range(lo, hi + 1):
+            candidates[k] = candidates[k] + (region,)
+        return _IntervalLookup._segments(regions, points, candidates)
+
+    def removed(self, idx: int) -> "_IntervalLookup":
+        """The index of ``self``'s regions without the one at ``idx``.
+
+        Its first equal occurrence in each candidate tuple is dropped;
+        if an earlier region equals it, the tuples that remain hold the
+        same values either way.  Then each endpoint of the removed
+        region is dropped iff its two neighbouring segments hold equal
+        candidate tuples: a remaining region with a boundary there is in
+        exactly one of the two (regions have positive length), and with
+        no such boundary every region covering one side covers the
+        other."""
+        region = self._regions[idx]
+        regions = self._regions[:idx] + self._regions[idx + 1:]
+        if len(regions) <= LINEAR_CUTOFF:
+            return _IntervalLookup(regions)
+        points = list(self._points)
+        candidates = list(self._candidates)
+        lo = bisect.bisect_right(points, region.base)
+        hi = bisect.bisect_left(points, region.end)
+        for k in range(lo, hi + 1):
+            c = candidates[k]
+            j = c.index(region)
+            candidates[k] = c[:j] + c[j + 1:]
+        # The end first, so the base's position does not shift.
+        for k in (hi, lo - 1):
+            if candidates[k] == candidates[k + 1]:
+                del points[k]
+                del candidates[k + 1]
+        return _IntervalLookup._segments(regions, points, candidates)
 
     def check(
         self, addr: int, size: int, flags: int, default_allow: bool
@@ -129,9 +201,11 @@ class IntervalRegionTable(RegionTable):
     """Drop-in :class:`RegionTable` with sub-linear overlap-aware checks.
 
     Mutations go through the inherited table (priority order preserved,
-    epoch bumped); the segment index is rebuilt lazily on the first check
-    after a mutation.  ``supports_overlap`` stays True: overlapped
-    first-match-wins policies need no ``OverlapError`` fallback.
+    epoch bumped).  ``add`` and ``remove`` carry a current segment index
+    forward copy-on-write; any other change leaves it stale, and it is
+    rebuilt in full on the next check or snapshot.  ``supports_overlap``
+    stays True: overlapped first-match-wins policies need no
+    ``OverlapError`` fallback.
     """
 
     name = "interval-index"
@@ -144,11 +218,31 @@ class IntervalRegionTable(RegionTable):
         self._lookup: _IntervalLookup | None = None
         self._lookup_epoch = -1
 
-    def _current_lookup(self) -> _IntervalLookup:
-        if self._lookup is None or self._lookup_epoch != self.epoch:
-            self._lookup = _IntervalLookup(tuple(self._regions))
+    def _fresh_lookup(self) -> _IntervalLookup | None:
+        """The segment index if it matches the table, else None."""
+        return self._lookup if self._lookup_epoch == self.epoch else None
+
+    def add(self, region: Region) -> int:
+        lookup = self._fresh_lookup()
+        idx = super().add(region)
+        if lookup is not None:
+            self._lookup = lookup.added(region)
             self._lookup_epoch = self.epoch
-        return self._lookup
+        return idx
+
+    def _remove_at(self, i: int) -> None:
+        lookup = self._fresh_lookup()
+        super()._remove_at(i)
+        if lookup is not None:
+            self._lookup = lookup.removed(i)
+            self._lookup_epoch = self.epoch
+
+    def _current_lookup(self) -> _IntervalLookup:
+        lookup = self._fresh_lookup()
+        if lookup is None:
+            lookup = self._lookup = _IntervalLookup(tuple(self._regions))
+            self._lookup_epoch = self.epoch
+        return lookup
 
     def check(self, addr: int, size: int, flags: int) -> Decision:
         return self._current_lookup().check(
@@ -156,9 +250,9 @@ class IntervalRegionTable(RegionTable):
         )
 
     def snapshot(self) -> IntervalTableReplica:
+        lookup = self._current_lookup()
         return IntervalTableReplica(
-            tuple(self._regions), self.default_allow, self.epoch,
-            self._current_lookup(),
+            lookup._regions, self.default_allow, self.epoch, lookup,
         )
 
 

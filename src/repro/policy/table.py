@@ -99,10 +99,13 @@ class RegionTable:
         """Remove the first region exactly matching (base, length)."""
         for i, r in enumerate(self._regions):
             if r.base == base and r.length == length:
-                del self._regions[i]
-                self.epoch += 1
+                self._remove_at(i)
                 return True
         return False
+
+    def _remove_at(self, i: int) -> None:
+        del self._regions[i]
+        self.epoch += 1
 
     def clear(self) -> None:
         self._regions.clear()
