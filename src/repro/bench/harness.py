@@ -46,8 +46,8 @@ class WorkloadConfig:
     #: Guard optimization level (the paper figures stay at the faithful
     #: -O0 default).
     opt_level: int = 0
-    #: Policy index structure name ("linear", "interval", ...); None is
-    #: the paper's linear table.
+    #: Policy index name ("linear" or "interval"); None is the paper's
+    #: linear table.
     policy_index: Optional[str] = None
     engine: str = "compiled"  # "compiled" | "interp" (reference engine)
 

@@ -16,11 +16,19 @@ from typing import Optional, Union
 
 from ..kernel import Kernel
 from ..kernel.module_loader import CompiledModule, LoadedModule
-from ..policy import CaratPolicyModule, PolicyManager, RegionTable
+from ..policy import (
+    CaratPolicyModule,
+    IntervalRegionTable,
+    PolicyManager,
+    RegionTable,
+)
 from ..signing import SigningKey
 from ..vm.machine import MachineModel, get_machine
 from .pipeline import CompileOptions, compile_module
 from .stacks import STACKS
+
+#: ``SystemConfig.policy_index`` names and the tables they build.
+POLICY_INDEXES = {"linear": RegionTable, "interval": IntervalRegionTable}
 
 
 @dataclass
@@ -43,10 +51,9 @@ class SystemConfig:
     #: "strict" rejects the module, "demote" (default) loads it with
     #: full dynamic guarding, "off" ignores certificates entirely.
     verify_policy: str = "demote"
-    #: Policy index structure: a region-table instance, or a structure
-    #: name from ``repro.policy.structures.STRUCTURES`` ("linear",
-    #: "interval", ...).  None means the paper's linear table.
-    policy_index: Optional[object] = None
+    #: Policy index: "linear" (the paper's table) or "interval" (the
+    #: decision-identical overlap-aware index).  None means "linear".
+    policy_index: Optional[str] = None
     #: Number of regions for the standard policy (Figure 5 varies this).
     regions: int = 2
     #: Enforcement mode: "audit", "panic" (the paper behaviour), "eject",
@@ -87,6 +94,10 @@ class CaratKopSystem:
         stack_cls = STACKS.get(cfg.driver)
         if stack_cls is None:
             raise ValueError(f"unknown driver {cfg.driver!r}")
+        index_name = "linear" if cfg.policy_index is None else cfg.policy_index
+        index_cls = POLICY_INDEXES.get(index_name)
+        if index_cls is None:
+            raise ValueError(f"unknown policy index {cfg.policy_index!r}")
         machine = cfg.machine
         if isinstance(machine, str):
             machine = get_machine(machine)
@@ -103,13 +114,8 @@ class CaratKopSystem:
             smp_seed=cfg.smp_seed,
             verify_policy=cfg.verify_policy,
         )
-        index = cfg.policy_index if cfg.policy_index is not None else RegionTable()
-        if isinstance(index, str):
-            from ..policy import make_index
-
-            index = make_index(index)
         self.policy = CaratPolicyModule(
-            self.kernel, index=index, mode=cfg.enforce_mode,
+            self.kernel, index=index_cls(), mode=cfg.enforce_mode,
         ).install()
         self.policy_manager = PolicyManager(self.kernel)
         if cfg.regions == 2:

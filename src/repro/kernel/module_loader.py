@@ -305,11 +305,6 @@ class ModuleLoader:
         if compiled.name in policy.module_indexes:
             return invalid("module is bound to a per-module policy table")
         table = policy.index
-        if not hasattr(table, "digest") or not hasattr(table, "check_range"):
-            return invalid(
-                f"policy index {getattr(table, 'name', '?')} does not "
-                "support static range queries"
-            )
         if table.digest() != cert.policy_digest:
             return invalid("policy table changed since certification")
         if table.epoch != cert.policy_epoch:

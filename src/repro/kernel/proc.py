@@ -193,9 +193,7 @@ class ProcFS:
         cp = getattr(policy, "controlplane", None)
         if cp is not None:
             lines.append(cp.describe())
-        lines.append(policy.index.describe()
-                     if hasattr(policy.index, "describe")
-                     else f"regions: {len(policy.index)}")
+        lines.append(policy.index.describe())
         return "\n".join(lines) + "\n"
 
     def _trace(self) -> str:

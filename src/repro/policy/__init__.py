@@ -1,4 +1,4 @@
-"""Policy: region tables, alternative indexes, the policy module, manager."""
+"""Policy: region tables, the interval index, the policy module, manager."""
 
 from .controlplane import (
     OP_ADD,
@@ -22,33 +22,18 @@ from .module import (
 )
 from .interval import IntervalRegionTable, IntervalTableReplica
 from .region import Decision, Region
-from .structures import (
-    AMQFilterIndex,
-    BloomFilter,
-    CachedIndex,
-    LSHBucketIndex,
-    OverlapError,
-    STRUCTURES,
-    SortedRegionIndex,
-    SplayRegionIndex,
-    make_index,
-)
 from .table import MAX_REGIONS, PolicyTableFull, RegionTable, RegionTableReplica
 
 __all__ = [
-    "AMQFilterIndex",
     "AccessRecord",
     "MinedPolicy",
     "PolicyMiner",
-    "BloomFilter",
-    "CachedIndex",
     "CaratPolicyModule",
     "ControlPlaneConfig",
     "ControlPlaneError",
     "Decision",
     "IntervalRegionTable",
     "IntervalTableReplica",
-    "LSHBucketIndex",
     "MAX_REGIONS",
     "MODES",
     "MODE_AUDIT",
@@ -57,7 +42,6 @@ __all__ = [
     "MODE_PANIC",
     "OP_ADD",
     "OP_DEL",
-    "OverlapError",
     "PolicyControlPlane",
     "PolicyManager",
     "PolicyStats",
@@ -67,8 +51,4 @@ __all__ = [
     "TenantQuota",
     "RegionTable",
     "RegionTableReplica",
-    "STRUCTURES",
-    "SortedRegionIndex",
-    "SplayRegionIndex",
-    "make_index",
 ]

@@ -1,11 +1,10 @@
 """Overlap-aware interval index: sub-linear lookup, linear-table semantics.
 
 The paper's §4.2 invites replacing the O(n) region-table walk with a
-sorted structure, but the obvious sorted-array/binary-search upgrade
-(:class:`repro.policy.structures.SortedRegionIndex`) cannot represent
-*overlapped* regions, and first-match-wins overlap is load-bearing for
-real policies (quarantine rules shadowing broad allow rules).  This
-module lifts that restriction:
+sorted structure, but a plain sorted array searched by bisection cannot
+represent *overlapped* regions, and first-match-wins overlap is
+load-bearing for real policies (quarantine rules shadowing broad allow
+rules).  This module lifts that restriction:
 
 The region list is compiled into **elementary segments**: sort the
 distinct region endpoints; between two adjacent endpoints no region
@@ -153,9 +152,9 @@ class _IntervalLookup:
             for i, r in enumerate(regions):
                 if r.base <= addr and addr + size <= r.base + r.length:
                     return (r.prot & flags) == flags, i + 1
-            # ``or 1``: the structures contract promises scanned >= 1
-            # even on an empty table (the linear RegionTable alone may
-            # report 0 there).
+            # ``or 1``: an empty interval index charges one comparison
+            # where the linear RegionTable charges 0; recorded counters
+            # depend on it.
             return default_allow, len(regions) or 1
         points = self._points
         lo, hi = 0, len(points)
@@ -179,7 +178,6 @@ class IntervalTableReplica(RegionTableReplica):
     """Immutable RCU replica carrying the prebuilt segment index."""
 
     name = "interval-index-replica"
-    pure_check = True
 
     __slots__ = ("_lookup",)
 
@@ -203,14 +201,10 @@ class IntervalRegionTable(RegionTable):
     Mutations go through the inherited table (priority order preserved,
     epoch bumped).  ``add`` and ``remove`` carry a current segment index
     forward copy-on-write; any other change leaves it stale, and it is
-    rebuilt in full on the next check or snapshot.  ``supports_overlap``
-    stays True: overlapped first-match-wins policies need no
-    ``OverlapError`` fallback.
+    rebuilt in full on the next check or snapshot.
     """
 
     name = "interval-index"
-    supports_overlap = True
-    pure_check = True
 
     def __init__(self, default_allow: bool = False,
                  max_regions: int = MAX_REGIONS):

@@ -5,8 +5,8 @@ A native "kernel module" that:
 - privately exports the single symbol ``carat_guard`` ("a callback to a
   CARAT CAKE runtime function that is privately exported from the
   kernel", §2),
-- owns the policy index (the 64-entry region table by default, swappable
-  for any structure in :mod:`repro.policy.structures`),
+- owns the policy index: the 64-entry region table by default, or the
+  decision-identical interval index (:mod:`repro.policy.interval`),
 - registers ``/dev/carat`` and implements the ioctl protocol the
   ``policy-manager`` application speaks (Figure 1),
 - on a forbidden access: logs and panics the kernel (§3.1), optionally
@@ -109,16 +109,16 @@ class PolicyStats:
         self.allowed = 0
         self.denied = 0
         self.entries_scanned = 0
-        # Comparisons actually performed by the policy structure (the
-        # quantity abl1 compares): decision-cache hits charge scanned
-        # entries for timing but perform no structure comparisons, so
-        # ``comparisons / structure_checks`` is the operator-visible
-        # mean cost of one real index walk (~n/2 linear, ~log2 n interval).
+        # Comparisons actually performed by the policy index:
+        # decision-cache hits charge scanned entries for timing but
+        # perform no index comparisons, so ``comparisons /
+        # structure_checks`` is the operator-visible mean cost of one
+        # real index walk (~n/2 linear, ~log2 n interval).
         self.comparisons = 0
         self.structure_checks = 0
         self.intrinsic_checks = 0
         self.intrinsic_denied = 0
-        # Decision-cache traffic (only moves for pure_check indexes).
+        # Decision-cache traffic.
         self.guard_cache_hits = 0
         self.guard_cache_misses = 0
 
@@ -156,9 +156,16 @@ class _GuardCache:
 class CaratPolicyModule:
     """The policy module; one per kernel."""
 
-    def __init__(self, kernel: Kernel, index=None, mode: str = MODE_PANIC):
+    def __init__(self, kernel: Kernel, index: Optional[RegionTable] = None,
+                 mode: str = MODE_PANIC):
         self.kernel = kernel
-        self.index = index if index is not None else RegionTable()
+        if index is None:
+            index = RegionTable()
+        elif not isinstance(index, RegionTable):
+            raise TypeError(
+                f"policy index must be a RegionTable, not {type(index).__name__}"
+            )
+        self.index = index
         if mode not in MODES:
             raise ValueError(f"unknown enforcement mode {mode!r}")
         #: Global enforcement mode; per-module overrides win over it.
@@ -187,16 +194,16 @@ class CaratPolicyModule:
         #: Per-module region tables (paper §5: "a different policy table
         #: could be consulted" per module).  A module with an entry here
         #: is checked against ITS table; others use the global index.
-        self.module_indexes: dict[str, object] = {}
-        #: Guard-decision caches, per CPU and per pure-check index, keyed
-        #: by ``id(index)`` (each cache holds a strong ref to its index,
-        #: so ids cannot be reused while an entry is live; identity is
+        self.module_indexes: dict[str, RegionTable] = {}
+        #: Guard-decision caches, per CPU and per index, keyed by
+        #: ``id(index)`` (each cache holds a strong ref to its index, so
+        #: ids cannot be reused while an entry is live; identity is
         #: re-verified on lookup anyway).  Per-CPU so the hot path never
         #: shares a dict between CPUs — the PR 2 epoch cache, sharded.
         self._guard_caches: PerCpu = PerCpu(ncpus, lambda cpu: {})
         # One-entry binding memo for the hot path, one per CPU: the last
-        # index checked on that CPU and its cache (None for impure
-        # indexes).  Re-resolved whenever a guard sees a different index.
+        # index checked on that CPU and its cache.  Re-resolved whenever
+        # a guard sees a different index.
         self._fast_index: PerCpu = PerCpu(ncpus, lambda cpu: None)
         self._fast_cache: PerCpu = PerCpu(ncpus, lambda cpu: None)
         #: RCU-published per-CPU ``(master, replica)`` slots for the
@@ -358,26 +365,35 @@ class CaratPolicyModule:
 
     # -- the guard (hot path) -------------------------------------------------
 
-    def _bind_cache(self, index, cpu: int) -> Optional[_GuardCache]:
-        """Resolve ``cpu``'s decision cache for ``index`` (``None`` if
-        the index is impure) and memoize the binding for the next guard."""
-        if getattr(index, "pure_check", False):
-            caches = self._guard_caches[cpu]
-            cache = caches.get(id(index))
-            if cache is None or cache.index is not index:
-                cache = _GuardCache(index, self._enforce_epoch)
-                caches[id(index)] = cache
-        else:
-            cache = None
+    def _bind_cache(self, index: RegionTable, cpu: int) -> _GuardCache:
+        """Resolve ``cpu``'s decision cache for ``index`` and memoize the
+        binding for the next guard."""
+        caches = self._guard_caches[cpu]
+        cache = caches.get(id(index))
+        if cache is None or cache.index is not index:
+            cache = _GuardCache(index, self._enforce_epoch)
+            caches[id(index)] = cache
         self._fast_index[cpu] = index
         self._fast_cache[cpu] = cache
         return cache
+
+    def _drop_guard_caches(self, index: RegionTable) -> None:
+        """Forget every CPU's decision cache and binding memo for a
+        dropped per-module table, so its decisions are freed with it."""
+        for cpu in self.kernel.smp.cpus():
+            caches = self._guard_caches[cpu]
+            cache = caches.get(id(index))
+            if cache is not None and cache.index is index:
+                del caches[id(index)]
+            if self._fast_index[cpu] is index:
+                self._fast_index[cpu] = None
+                self._fast_cache[cpu] = None
 
     def _publish_replicas(self) -> None:
         """Write-side RCU discipline for region-table mutations: build a
         fresh immutable snapshot, publish it to every CPU, and reclaim
         the superseded replicas only after a full grace period (no
-        reader can still hold them).  No-op for non-table indexes."""
+        reader can still hold them)."""
         if self.controlplane is not None:
             # The control plane owns the replica surface: a master
             # mutation is a system-namespace change that recomposes and
@@ -386,8 +402,6 @@ class CaratPolicyModule:
             self.controlplane.on_master_mutated()
             return
         index = self.index
-        if not isinstance(index, RegionTable):
-            return
         retired = [slot for slot in self._replicas if slot is not None]
         for cpu in self.kernel.smp.cpus():
             self._replicas[cpu] = (index, index.snapshot())
@@ -402,12 +416,12 @@ class CaratPolicyModule:
         """Check against ``cpu``'s RCU replica when one applies.
 
         Only the global region table is replicated; per-module tables
-        and non-table indexes go straight to the master.  A replica
-        whose ``(master, epoch, default_allow)`` token mismatches the
-        live master (someone mutated it without the ioctl write path)
-        is rebuilt CPU-locally first.  Replica scans are byte-identical
+        go straight to the master.  A replica whose ``(master, epoch,
+        default_allow)`` token mismatches the live master (someone
+        mutated it without the ioctl write path) is rebuilt CPU-locally
+        first.  Replica scans are byte-identical
         to master scans, so every simulated counter is unchanged."""
-        if index is not self.index or not isinstance(index, RegionTable):
+        if index is not self.index:
             return index.check(addr, size, flags)
         rcu = self.kernel.rcu
         cp = self.controlplane
@@ -447,35 +461,28 @@ class CaratPolicyModule:
             cache = self._fast_cache[cpu]
         else:
             cache = self._bind_cache(index, cpu)
-        if cache is not None:
-            if (cache.epoch != index.epoch
-                    or cache.default_allow != index.default_allow
-                    or cache.enforce_epoch != self._enforce_epoch):
-                cache.epoch = index.epoch
-                cache.default_allow = index.default_allow
-                cache.enforce_epoch = self._enforce_epoch
-                cache.decisions.clear()
-            key = (addr, size, flags)
-            decision = cache.decisions.get(key)
-            if decision is not None:
-                stats.guard_cache_hits += 1
-                allowed, scanned = decision
-            else:
-                stats.guard_cache_misses += 1
-                allowed, scanned = self._replica_check(
-                    index, cpu, addr, size, flags
-                )
-                stats.structure_checks += 1
-                stats.comparisons += scanned
-                if len(cache.decisions) >= cache.MAX_ENTRIES:
-                    cache.decisions.clear()
-                cache.decisions[key] = (allowed, scanned)
+        if (cache.epoch != index.epoch
+                or cache.default_allow != index.default_allow
+                or cache.enforce_epoch != self._enforce_epoch):
+            cache.epoch = index.epoch
+            cache.default_allow = index.default_allow
+            cache.enforce_epoch = self._enforce_epoch
+            cache.decisions.clear()
+        key = (addr, size, flags)
+        decision = cache.decisions.get(key)
+        if decision is not None:
+            stats.guard_cache_hits += 1
+            allowed, scanned = decision
         else:
+            stats.guard_cache_misses += 1
             allowed, scanned = self._replica_check(
                 index, cpu, addr, size, flags
             )
             stats.structure_checks += 1
             stats.comparisons += scanned
+            if len(cache.decisions) >= cache.MAX_ENTRIES:
+                cache.decisions.clear()
+            cache.decisions[key] = (allowed, scanned)
         stats.checks += 1
         stats.entries_scanned += scanned
         mshard = self._cpu_module_stats[cpu]
@@ -674,7 +681,9 @@ class CaratPolicyModule:
             self.kernel.on_policy_mutated()
             return struct.pack("<I", idx)
         if cmd == CMD_CLEAR_FOR:
-            self.module_indexes.pop(self._decode_name(arg), None)
+            index = self.module_indexes.pop(self._decode_name(arg), None)
+            if index is not None:
+                self._drop_guard_caches(index)
             self.kernel.on_policy_mutated()
             return b""
         if cmd == CMD_SET_MODE:

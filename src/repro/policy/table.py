@@ -43,7 +43,6 @@ class RegionTableReplica:
     """
 
     name = "linear-table-replica"
-    pure_check = True
 
     __slots__ = ("default_allow", "epoch", "_regions")
 
@@ -70,17 +69,14 @@ class RegionTable:
     """Linear-scan region table; first fully-covering region wins."""
 
     name = "linear-table"
-    supports_overlap = True
-    #: ``check`` neither mutates the structure nor keeps per-call state,
-    #: so callers may memoize its decisions per :attr:`epoch`.
-    pure_check = True
 
     def __init__(self, default_allow: bool = False,
                  max_regions: int = MAX_REGIONS):
         self.default_allow = default_allow
         self.max_regions = max_regions
         self._regions: list[Region] = []
-        #: Bumped on every mutation; guard-decision caches key on it.
+        #: Bumped on every mutation; guard-decision caches key on it
+        #: (``check`` is pure, so its decisions may be memoized per epoch).
         self.epoch = 0
 
     # -- mutation ----------------------------------------------------------

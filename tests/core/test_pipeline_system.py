@@ -96,14 +96,37 @@ class TestSystemAssembly:
         assert "R415" in sys_.machine.name
 
     def test_custom_policy_index(self):
-        from repro.policy import SortedRegionIndex
-
         sys_ = CaratKopSystem(
-            SystemConfig(machine=None, policy_index=SortedRegionIndex())
+            SystemConfig(machine=None, policy_index="interval")
         )
         sys_.blast(size=128, count=5)
-        assert sys_.policy.index.name == "sorted-bsearch"
+        assert sys_.policy.index.name == "interval-index"
         assert sys_.guard_stats()["checks"] > 0
+
+    @pytest.mark.parametrize("name", [None, "linear"])
+    def test_linear_policy_index(self, name):
+        sys_ = CaratKopSystem(SystemConfig(machine=None, policy_index=name))
+        assert sys_.policy.index.name == "linear-table"
+
+    @pytest.mark.parametrize("name", ["btree", "sorted", ""])
+    def test_unknown_policy_index(self, name):
+        with pytest.raises(ValueError, match="unknown policy index"):
+            CaratKopSystem(SystemConfig(machine=None, policy_index=name))
+
+    def test_policy_module_rejects_non_table_index(self):
+        from repro.kernel import Kernel
+        from repro.policy import CaratPolicyModule
+
+        class DictIndex:
+            name = "dict"
+            epoch = 0
+            default_allow = False
+
+            def check(self, addr, size, flags):
+                return False, 1
+
+        with pytest.raises(TypeError, match="RegionTable"):
+            CaratPolicyModule(Kernel(), index=DictIndex())
 
     def test_strict_kernel_validates_driver(self):
         sys_ = CaratKopSystem(SystemConfig(machine=None, strict_kernel=True))

@@ -174,7 +174,6 @@ class TestExamplesRun:
         [
             "quickstart.py",
             "buggy_driver_firewall.py",
-            "policy_structures.py",
             "file_ipc_protection.py",
             "privileged_intrinsics.py",
             "policy_mining.py",

@@ -1,38 +1,33 @@
 """The guard-decision cache: epoch-keyed memoization of policy checks.
 
-The policy module may memoize ``index.check`` results only for indexes
-declaring ``pure_check`` (the linear table and the sorted index); the
-splay tree and the one-entry-cache index mutate on lookup, so caching
-their decisions would change the structures' observable state.  Any
+Every policy index is a region table whose ``check`` is pure, so the
+policy module memoizes every guard decision, per CPU and per index.  Any
 region mutation bumps the index ``epoch`` and must invalidate every
-cached decision, and the cached path must report the same ``(allowed,
+cached decision, and a cache hit must report the same ``(allowed,
 scanned)`` pair — and therefore the same stats and guard cycle costs —
-as the uncached one.
+as the index walk it replaces.  Dropping a per-module table drops its
+caches too.
 """
 
 from __future__ import annotations
+
+import struct
 
 import pytest
 
 from repro import abi
 from repro.kernel import Kernel
 from repro.policy import CaratPolicyModule
+from repro.policy import module as pm
 from repro.policy.region import Region
-from repro.policy.structures import (
-    CachedIndex,
-    SortedRegionIndex,
-    SplayRegionIndex,
-)
 from repro.policy.table import RegionTable
 from repro.vm import GuardViolation
 
 RW = abi.FLAG_READ | abi.FLAG_WRITE
 
 
-def _policy(index=None, mode="audit"):
-    kernel = Kernel()
-    policy = CaratPolicyModule(kernel, index=index, mode=mode).install()
-    return policy
+def _policy(mode="audit"):
+    return CaratPolicyModule(Kernel(), mode=mode).install()
 
 
 def test_repeat_checks_hit_the_cache():
@@ -80,29 +75,6 @@ def test_default_allow_flip_invalidates():
     policy._guard(None, 0x4000, 8, abi.FLAG_READ)
     assert policy.stats.allowed == 1
     assert policy.stats.guard_cache_misses == 2
-
-
-@pytest.mark.parametrize(
-    "make_index",
-    [SplayRegionIndex, lambda: CachedIndex(SortedRegionIndex())],
-    ids=["splay", "cached"],
-)
-def test_impure_indexes_bypass_the_cache(make_index):
-    policy = _policy(index=make_index())
-    policy.index.add(Region(0x1000, 0x1000, RW))
-    for _ in range(5):
-        policy._guard(None, 0x1800, 8, abi.FLAG_READ)
-    assert policy.stats.guard_cache_hits == 0
-    assert policy.stats.guard_cache_misses == 0
-    assert policy.stats.checks == 5
-
-
-def test_pure_sorted_index_is_cached():
-    policy = _policy(index=SortedRegionIndex())
-    policy.index.add(Region(0x1000, 0x1000, RW))
-    for _ in range(3):
-        policy._guard(None, 0x1800, 8, abi.FLAG_READ)
-    assert policy.stats.guard_cache_hits == 2
 
 
 def test_cached_denial_still_panics_when_enforcing():
@@ -203,3 +175,34 @@ def test_cached_denial_faults_in_eject_mode():
     assert policy.stats.guard_cache_hits == 1
     assert policy.kernel.panicked is None
     assert policy.violations["mod"] == 2
+
+
+def test_cleared_module_tables_release_their_caches():
+    """CMD_CLEAR_FOR drops a per-module table; every CPU's decision
+    cache and binding memo for it must go too, or repeated add/guard/
+    clear cycles pile up one cache per dropped table."""
+    kernel = Kernel(ncpus=2)
+    policy = CaratPolicyModule(kernel, mode="audit").install()
+    policy.index.add(Region(0x1000, 0x1000, RW))
+    name = b"churny".ljust(32, b"\0")
+    base = 0x10_0000
+    for _ in range(200):
+        policy.ioctl(
+            pm.CMD_ADD_REGION_FOR,
+            name + struct.pack("<QQI", base, 0x1000, RW),
+            uid=0,
+        )
+        for cpu in kernel.smp.cpus():
+            with kernel.smp.on(cpu):
+                policy._guard(None, 0x1800, 8, abi.FLAG_READ, "e1000e")
+                for i in range(50):
+                    policy._guard(
+                        None, base + 8 * i, 8, abi.FLAG_READ, "churny"
+                    )
+        policy.ioctl(pm.CMD_CLEAR_FOR, name, uid=0)
+    assert policy.stats.denied == 0
+    for cpu in kernel.smp.cpus():
+        caches = policy._guard_caches[cpu]
+        assert len(caches) <= 1
+        assert all(c.index is policy.index for c in caches.values())
+        assert policy._fast_index[cpu] in (None, policy.index)

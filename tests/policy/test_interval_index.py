@@ -1,11 +1,10 @@
 """Decision-identity of the interval index on OVERLAPPED policies.
 
-The structures-parity property test only covers disjoint regions (the
-abl1 restriction).  The interval index's reason to exist is that it
-keeps the linear table's first-match-wins semantics under arbitrary
-overlap — quarantine rules shadowing broad allow rules — with no
-``OverlapError`` fallback.  This file is the proof obligation from the
-ISSUE: for ANY region list (any overlap, any add order) and ANY query,
+The interval index's reason to exist is that it keeps the linear
+table's first-match-wins semantics under arbitrary overlap — quarantine
+rules shadowing broad allow rules — where a plain sorted array cannot
+hold overlapped regions at all.  This file is its proof obligation: for
+ANY region list (any overlap, any add order) and ANY query,
 ``IntervalRegionTable.check`` and its RCU replica decide exactly like
 ``RegionTable.check``.
 """
@@ -125,7 +124,7 @@ def test_small_tables_charge_identical_scan_counts(regions, default_allow):
 class TestFirstMatchWins:
     def test_shadowing_deny_beats_later_allow(self):
         """A narrow prot-0 rule listed first shadows a broad RW rule —
-        the overlap shape the sorted/splay structures cannot express."""
+        the overlap shape a plain sorted array cannot express."""
         for cls in (RegionTable, IntervalRegionTable):
             table = cls()
             table.add(Region(BASE + 0x100, 0x10, 0))                 # deny
@@ -147,7 +146,6 @@ class TestFirstMatchWins:
         table = IntervalRegionTable()
         for i in range(32):
             table.add(Region(BASE + i * 8, 64, abi.FLAG_READ))
-        assert table.supports_overlap
         assert len(table) == 32
 
     def test_sublinear_scan_counts_at_64_disjoint_regions(self):

@@ -170,7 +170,7 @@ class TestSwapability:
         """§3.2: 'one guard function can be swapped for another without
         having to recompile the guarded module'."""
         from repro.core.pipeline import CompileOptions, compile_module
-        from repro.policy import SplayRegionIndex
+        from repro.policy import IntervalRegionTable
 
         first = CaratPolicyModule(kernel).install()
         mgr = PolicyManager(kernel)
@@ -184,9 +184,12 @@ class TestSwapability:
         checks_before = first.stats.checks
         assert checks_before > 0
 
-        # Swap: uninstall the table-based policy, install a splay-based one.
+        # Swap: uninstall the linear-table policy, install an
+        # interval-index one.
         first.uninstall()
-        second = CaratPolicyModule(kernel, index=SplayRegionIndex()).install()
+        second = CaratPolicyModule(
+            kernel, index=IntervalRegionTable()
+        ).install()
         mgr2 = PolicyManager(kernel)
         mgr2.install_two_region_policy()
         assert kernel.run_function(loaded, "f", [6]) == 6
