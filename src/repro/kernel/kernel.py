@@ -245,13 +245,10 @@ class Kernel:
         if module.name in policy.module_indexes:
             return True  # certified against the global table, not this one
         cp = policy.controlplane
-        if cp is not None and cp._staged is not None:
+        if cp._staged is not None:
             return True  # a canary generation is live on some CPUs
         index = policy.index
-        token = (
-            index.epoch, index.default_allow,
-            None if cp is None else cp.generation,
-        )
+        token = (index.epoch, index.default_allow, cp.generation)
         return token != module.verify_token
 
     def demote_module(self, loaded: LoadedModule, reason: str) -> None:

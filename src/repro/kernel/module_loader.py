@@ -310,9 +310,7 @@ class ModuleLoader:
         if table.epoch != cert.policy_epoch:
             return invalid("stale policy epoch")
         cp = policy.controlplane
-        if cp is not None and any(
-            len(t.table) for t in cp.tenants.values()
-        ):
+        if any(len(t.table) for t in cp.tenants.values()):
             # The guard enforces the tenant-composed policy, but the
             # certificate only proves the system namespace: a tenant
             # region (first-match priority) could deny what the master
@@ -330,10 +328,8 @@ class ModuleLoader:
         loaded.elided_guards = elidable_guard_ids(
             compiled.ir, report.proven_map()
         )
-        loaded.verify_token = (
-            table.epoch, table.default_allow,
-            None if cp is None else cp.generation,
-        )
+        loaded.verify_token = (table.epoch, table.default_allow,
+                               cp.generation)
         loaded.verify_state = "verified"
 
     def _unwind_mapping(self, loaded: LoadedModule) -> None:

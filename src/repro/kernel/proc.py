@@ -189,10 +189,8 @@ class ProcFS:
         for name, reason in kernel.quarantined():
             lines.append(f"quarantined: {name} ({reason})")
         # Control-plane section: generation, staged canary, per-tenant
-        # quota usage and rollback history (absent without one attached).
-        cp = getattr(policy, "controlplane", None)
-        if cp is not None:
-            lines.append(cp.describe())
+        # quota usage and rollback history.
+        lines.append(policy.controlplane.describe())
         lines.append(policy.index.describe())
         return "\n".join(lines) + "\n"
 

@@ -167,10 +167,7 @@ class _TornReplica:
     the tripwire: if repair ever misses, the guard path fails loudly
     rather than silently diverging."""
 
-    __slots__ = ("epoch",)
-
-    def __init__(self) -> None:
-        self.epoch = -1
+    __slots__ = ()
 
     def check(self, addr: int, size: int, flags: int):
         raise RuntimeError(
@@ -203,27 +200,25 @@ class _Staged:
 class PolicyControlPlane:
     """The write/publish side of the policy plane, made crash-consistent.
 
-    Attach one to a :class:`CaratPolicyModule` and the module delegates
-    its replica read path and its legacy mutation publishes here; the
+    Every :class:`CaratPolicyModule` builds one and owns it as
+    ``policy.controlplane``: it is the only replica surface the guard
+    reads, and the only publisher.  Legacy global-table ioctls are
+    changes to the system namespace (the master table); the
     batch/stage/promote/rollback surface is reachable both directly and
     through the ``CMD_TENANT_*``/``CMD_BATCH_MUTATE``/``CMD_CP_*``
-    ioctls.
+    ioctls.  Set :attr:`config` and :attr:`injector` before the first
+    tenant exists to tune or fault the plane.
     """
 
-    def __init__(self, kernel: "Kernel", policy: "CaratPolicyModule",
-                 config: Optional[ControlPlaneConfig] = None,
-                 injector=None):
+    def __init__(self, kernel: "Kernel", policy: "CaratPolicyModule"):
         self.kernel = kernel
         self.policy = policy
-        self.config = config or ControlPlaneConfig()
+        self.config = ControlPlaneConfig()
         #: Fault injector with control-plane hooks (``drop_publish``,
         #: ``publish_stall``, ``corrupt_replica``, ``torn_batch``,
         #: ``quota_race``); ``None`` = fault-free.
-        self.injector = injector
+        self.injector = None
         self.tenants: dict[str, Tenant] = {}
-        #: Current (fully promoted) generation and its composed snapshot.
-        self.generation = 0
-        self._current = None
         #: Per-CPU ``(generation_stamp, snapshot)`` slots — the replica
         #: surface the guard reads through :meth:`replica_for`.
         ncpus = kernel.smp.ncpus
@@ -251,33 +246,13 @@ class PolicyControlPlane:
         self._tp_rollback = points["cp:rollback"]
         self._tp_retry = points["cp:publish_retry"]
         self._tp_repair = points["cp:replica_repair"]
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def attach(self) -> "PolicyControlPlane":
-        """Take over the policy module's publish/read paths: compose
-        generation 1 from the current master table and publish it to
-        every CPU."""
-        if self.policy.controlplane is self:
-            return self
-        if self.policy.controlplane is not None:
-            raise RuntimeError("policy module already has a control plane")
+        #: Current (fully promoted) generation.  Generation 1 is the
+        #: master table alone; publishing it sets ``_current`` (its
+        #: composed snapshot), ``_current_tenants`` (the tenant regions
+        #: composed into it) and ``_master_token`` (the master state it
+        #: was composed from).
         self.generation = 1
-        self._current = self._compose(self.generation)
-        self._publish(self._current, self.generation,
-                      self.kernel.smp.cpus(), force_on_exhaust=True)
-        self.policy.controlplane = self
-        self.policy.bump_guard_epoch()
-        self.kernel.dmesg(
-            f"carat_cp: control plane attached (generation 1, "
-            f"{self.kernel.smp.ncpus} replica slot(s))"
-        )
-        return self
-
-    def detach(self) -> None:
-        if self.policy.controlplane is self:
-            self.policy.controlplane = None
-            self.policy.bump_guard_epoch()
+        self._republish(new_generation=False)
 
     # -- tenants ------------------------------------------------------------
 
@@ -308,7 +283,7 @@ class PolicyControlPlane:
         self.kernel.dmesg(f"carat_cp: tenant {name} deleted")
         if had_regions:
             # The composition changed; publish a new generation now.
-            self._advance_generation()
+            self._republish(new_generation=True)
 
     def tenant(self, name: str) -> Tenant:
         tenant = self.tenants.get(name)
@@ -453,31 +428,49 @@ class PolicyControlPlane:
 
     # -- composition ----------------------------------------------------------
 
-    def _compose(self, gen: int):
-        """Build the effective policy snapshot for generation ``gen``:
-        tenant regions (creation order) then system regions, in a table
-        of the master's own structure so interval-index deployments get
-        interval-index composed checks.  The snapshot's ``epoch`` is the
-        generation stamp."""
+    def _tenant_regions(self) -> tuple:
+        """Every tenant's regions, in tenant-creation order."""
+        return tuple(r for tenant in self.tenants.values()
+                     for r in tenant.table._regions)
+
+    def _compose(self, tenant_regions: tuple):
+        """Build an effective policy snapshot: ``tenant_regions`` then
+        the system regions, in a table of the master's own structure so
+        interval-index deployments get interval-index composed checks.
+        With no tenant region the composition *is* the master, so its
+        own snapshot (and copy-on-write index) is reused.  Records the
+        master token the snapshot was composed from."""
         master = self.policy.index
-        regions: list[Region] = []
-        for tenant in self.tenants.values():
-            regions.extend(tenant.table._regions)
-        regions.extend(master.regions())
-        if len(regions) > self.config.max_total_regions:
+        total = len(tenant_regions) + len(master)
+        if total > self.config.max_total_regions:
             raise ControlPlaneError(
                 ENOSPC,
-                f"composed policy would hold {len(regions)} regions "
+                f"composed policy would hold {total} regions "
                 f"(cap {self.config.max_total_regions})",
             )
+        self._master_token = (master, master.epoch, master.default_allow)
+        if not tenant_regions:
+            return master.snapshot()
         table = type(master)(
-            default_allow=master.default_allow,
-            max_regions=max(len(regions), 1),
+            default_allow=master.default_allow, max_regions=total,
         )
-        for r in regions:
+        for r in tenant_regions + tuple(master.regions()):
             table.add(r)
-        table.epoch = gen
         return table.snapshot()
+
+    def _follow_master(self) -> None:
+        """Recompose the current (and any staged) snapshot if the master
+        moved without a publish, e.g. a direct ``policy.index`` edit.
+        Runs on the guard's read path, so it installs nothing: the
+        read path's slot repair re-installs each CPU's slot lazily."""
+        master = self.policy.index
+        if (master, master.epoch, master.default_allow) == self._master_token:
+            return
+        self._current = self._compose(self._current_tenants)
+        staged = self._staged
+        if staged is not None:
+            # A staged batch's regions are already in its namespace.
+            staged.snapshot = self._compose(self._tenant_regions())
 
     def composed_digest(self) -> str:
         """Content digest of the current generation (guard-visible
@@ -485,10 +478,9 @@ class PolicyControlPlane:
         snap = self._current
         h = hashlib.sha256()
         h.update(f"gen={self.generation};".encode())
-        if snap is not None:
-            for r in snap.regions():
-                h.update(f"{r.base:x}|{r.length:x}|{r.prot:x};".encode())
-            h.update(f"default={int(snap.default_allow)}".encode())
+        for r in snap.regions():
+            h.update(f"{r.base:x}|{r.length:x}|{r.prot:x};".encode())
+        h.update(f"default={int(snap.default_allow)}".encode())
         return h.hexdigest()
 
     # -- staged rollout -------------------------------------------------------
@@ -499,8 +491,9 @@ class PolicyControlPlane:
 
     def _stage(self, tenant: Tenant, owner: str) -> int:
         gen = self.generation + 1
+        self._follow_master()
         try:
-            snapshot = self._compose(gen)
+            snapshot = self._compose(self._tenant_regions())
         except IoctlError:
             self.kernel.journal.rollback(owner, self.kernel)
             tenant.batches_rejected += 1
@@ -571,6 +564,7 @@ class PolicyControlPlane:
         self._publish(staged.snapshot, staged.gen, self.kernel.smp.cpus(),
                       force_on_exhaust=True)
         self._current = staged.snapshot
+        self._current_tenants = self._tenant_regions()
         self.generation = staged.gen
         tenant = staged.tenant
         tenant.generation = staged.gen
@@ -641,7 +635,6 @@ class PolicyControlPlane:
                 self.kernel.rcu.synchronize()
             if not dropped and not stalled:
                 self.publishes += 1
-                self.policy.replica_publishes += 1
                 if inj is not None:
                     for cpu in cpus:
                         if inj.corrupt_replica(cpu):
@@ -667,33 +660,39 @@ class PolicyControlPlane:
             self.kernel.rcu.synchronize()
             self.forced_publishes += 1
             self.publishes += 1
-            self.policy.replica_publishes += 1
             return True
         self.publish_failures += 1
         return False
 
     def on_master_mutated(self) -> None:
-        """Legacy write path (global-table ioctls) with a control plane
-        attached: the composition changed under us.  A staged canary is
-        preempted (auto-rolled back) and a fresh generation is published
-        synchronously everywhere — the legacy ioctls keep their
-        immediate-visibility semantics."""
+        """Global-table ioctls change the system namespace: a staged
+        canary is preempted (auto-rolled back) and the recomposed policy
+        is published synchronously everywhere, so the legacy ioctls keep
+        their immediate-visibility semantics.  Only a composition with
+        tenants takes a new generation; the master alone republishes
+        under the current one, and its own ``(epoch, default_allow)``
+        token invalidates the guard caches that read it."""
         staged = self._staged
         if staged is not None:
             self._staged = None
             self._rollback(staged.tenant, staged.owner, staged.gen,
                            "preempted by system policy mutation")
-        self._advance_generation()
+        self._republish(new_generation=bool(self.tenants))
 
-    def _advance_generation(self) -> None:
-        gen = self.generation + 1
-        snapshot = self._compose(gen)
+    def _republish(self, new_generation: bool) -> None:
+        """Compose from the live namespaces and publish everywhere, as
+        a new generation (a promotion) or under the current one."""
+        tenant_regions = self._tenant_regions()
+        snapshot = self._compose(tenant_regions)
+        gen = self.generation + 1 if new_generation else self.generation
         self._publish(snapshot, gen, self.kernel.smp.cpus(),
                       force_on_exhaust=True)
         self._current = snapshot
-        self.generation = gen
-        self.promotions += 1
-        self.policy.bump_guard_epoch()
+        self._current_tenants = tenant_regions
+        if new_generation:
+            self.generation = gen
+            self.promotions += 1
+            self.policy.bump_guard_epoch()
 
     # -- the guard-facing read path -------------------------------------------
 
@@ -704,7 +703,10 @@ class PolicyControlPlane:
         whose stamp or payload identity disagrees with the canonical
         snapshot is a detected partial publish or torn write — repaired
         here, before any decision is served, so a torn generation is
-        never observable from the guard path."""
+        never observable from the guard path.  A master edit that
+        bypassed the publish path recomposes first, so the same repair
+        serves it."""
+        self._follow_master()
         staged = self._staged
         if staged is not None and cpu in staged.canary:
             staged.reads += 1
@@ -731,7 +733,7 @@ class PolicyControlPlane:
             "staged_generation": 0 if staged is None else staged.gen,
             "staged_tenant": None if staged is None else staged.tenant.name,
             "tenants": len(self.tenants),
-            "regions": 0 if self._current is None else len(self._current),
+            "regions": len(self._current),
             "batches": self.batches,
             "batch_ops": self.batch_ops,
             "promotions": self.promotions,

@@ -23,8 +23,8 @@ linear scan is already optimal, so the index falls back to the exact
 linear walk — byte-identical decisions *and counts* — making the
 interval index never slower than the paper's table.
 
-``IntervalRegionTable`` subclasses :class:`RegionTable`, so the policy
-module's RCU publish path (per-CPU replicas, epoch staleness tokens,
+``IntervalRegionTable`` subclasses :class:`RegionTable`, so the control
+plane's RCU publish path (per-CPU replicas, master staleness tokens,
 guard-decision caches) works unchanged; ``snapshot()`` hands each CPU an
 immutable replica carrying the prebuilt segment index.
 

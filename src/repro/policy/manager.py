@@ -158,8 +158,7 @@ class PolicyManager:
     def create_tenant(self, name: str, max_regions: int = 256,
                       max_mutations_per_window: int = 1024,
                       violation_budget: int = 64) -> None:
-        """Create a policy namespace with quotas (requires an attached
-        control plane)."""
+        """Create a policy namespace with quotas."""
         self._ioctl(
             pm.CMD_TENANT_CREATE,
             self._packed_name(name) + struct.pack(

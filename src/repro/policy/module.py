@@ -7,6 +7,8 @@ A native "kernel module" that:
   kernel", §2),
 - owns the policy index: the 64-entry region table by default, or the
   decision-identical interval index (:mod:`repro.policy.interval`),
+  and the control plane that publishes it to every CPU
+  (:mod:`repro.policy.controlplane`),
 - registers ``/dev/carat`` and implements the ioctl protocol the
   ``policy-manager`` application speaks (Figure 1),
 - on a forbidden access: logs and panics the kernel (§3.1), optionally
@@ -27,6 +29,7 @@ from ..kernel.kernel import Kernel
 from ..kernel.panic import ViolationFault
 from ..kernel.smp import PerCpu
 from ..vm.interp import GuardViolation
+from .controlplane import PolicyControlPlane, TenantQuota
 from .region import Region
 from .table import PolicyTableFull, RegionTable
 
@@ -61,7 +64,7 @@ CMD_TRACE_DISABLE = 0xC0DE0016  # arg: empty
 CMD_TRACE_SNAPSHOT = 0xC0DE0017  # arg: empty -> u64 stored, lost, total
 CMD_TRACE_RESET = 0xC0DE0018    # arg: empty
 # Control-plane ioctls (multi-tenant namespaces + staged rollout; see
-# repro.policy.controlplane).  All require an attached control plane.
+# repro.policy.controlplane).
 CMD_TENANT_CREATE = 0xC0DE0020  # 32-byte name + u32 x3 quota
 CMD_TENANT_DELETE = 0xC0DE0021  # 32-byte name
 CMD_BATCH_MUTATE = 0xC0DE0022   # 32-byte name + u32 count + ops -> u64 gen
@@ -206,21 +209,17 @@ class CaratPolicyModule:
         # a guard sees a different index.
         self._fast_index: PerCpu = PerCpu(ncpus, lambda cpu: None)
         self._fast_cache: PerCpu = PerCpu(ncpus, lambda cpu: None)
-        #: RCU-published per-CPU ``(master, replica)`` slots for the
-        #: global region table.  The guard reads its CPU's replica
-        #: lock-free; ioctl mutations publish a fresh snapshot and wait a
-        #: grace period before the old one is reclaimed.
-        self._replicas: PerCpu = PerCpu(ncpus, lambda cpu: None)
-        #: Attached :class:`repro.policy.controlplane.PolicyControlPlane`
-        #: (``None`` = legacy single-namespace write path).  When set,
-        #: the replica read path and mutation publishes delegate to it.
-        self.controlplane = None
-        self.replica_publishes = 0
-        #: Lazy CPU-local rebuilds (master mutated without an RCU
-        #: publish — e.g. a test poking ``policy.index`` directly).
-        self.replica_refreshes = 0
         self._installed = False
         self._tp_deny = kernel.trace.points["guard:deny"]
+        #: The RCU-published replica surface for the global table: the
+        #: guard reads its CPU's generation-stamped slot lock-free, and
+        #: every mutation publishes through it behind a grace period.
+        self.controlplane = PolicyControlPlane(kernel, self)
+
+    @property
+    def replica_publishes(self) -> int:
+        """RCU publishes of the global table (the control plane's)."""
+        return self.controlplane.publishes
 
     @property
     def stats(self) -> PolicyStats:
@@ -389,62 +388,23 @@ class CaratPolicyModule:
                 self._fast_index[cpu] = None
                 self._fast_cache[cpu] = None
 
-    def _publish_replicas(self) -> None:
-        """Write-side RCU discipline for region-table mutations: build a
-        fresh immutable snapshot, publish it to every CPU, and reclaim
-        the superseded replicas only after a full grace period (no
-        reader can still hold them)."""
-        if self.controlplane is not None:
-            # The control plane owns the replica surface: a master
-            # mutation is a system-namespace change that recomposes and
-            # publishes a fresh generation everywhere (preempting any
-            # staged canary), keeping legacy ioctls immediately visible.
-            self.controlplane.on_master_mutated()
-            return
-        index = self.index
-        retired = [slot for slot in self._replicas if slot is not None]
-        for cpu in self.kernel.smp.cpus():
-            self._replicas[cpu] = (index, index.snapshot())
-        self.replica_publishes += 1
-        rcu = self.kernel.rcu
-        if retired:
-            rcu.call_rcu(retired.clear)
-        rcu.synchronize()
-
     def _replica_check(self, index, cpu: int, addr: int, size: int,
                        flags: int):
         """Check against ``cpu``'s RCU replica when one applies.
 
         Only the global region table is replicated; per-module tables
-        go straight to the master.  A replica whose ``(master, epoch,
-        default_allow)`` token mismatches the live master (someone
-        mutated it without the ioctl write path) is rebuilt CPU-locally
-        first.  Replica scans are byte-identical
-        to master scans, so every simulated counter is unchanged."""
+        go straight to the master.  The global table is read through
+        the control plane's composed snapshot for this CPU (canary CPUs
+        see a staged generation; torn, partial or stale slots are
+        repaired before any decision is served).  Replica scans are
+        byte-identical to master scans, so every simulated counter is
+        unchanged."""
         if index is not self.index:
             return index.check(addr, size, flags)
         rcu = self.kernel.rcu
-        cp = self.controlplane
-        if cp is not None:
-            # Composed multi-tenant policy: read this CPU's
-            # generation-stamped slot (canary CPUs see the staged
-            # generation; torn/partial slots are repaired before any
-            # decision is served).
-            rcu.read_lock(cpu)
-            try:
-                return cp.replica_for(cpu).check(addr, size, flags)
-            finally:
-                rcu.read_unlock(cpu)
         rcu.read_lock(cpu)
         try:
-            slot = self._replicas[cpu]
-            if (slot is None or slot[0] is not index
-                    or slot[1].epoch != index.epoch
-                    or slot[1].default_allow != index.default_allow):
-                slot = (index, index.snapshot())
-                self._replicas[cpu] = slot
-                self.replica_refreshes += 1
-            return slot[1].check(addr, size, flags)
+            return self.controlplane.replica_for(cpu).check(addr, size, flags)
         finally:
             rcu.read_unlock(cpu)
 
@@ -597,25 +557,25 @@ class CaratPolicyModule:
                 f"{MODULE_NAME}: region {idx} added "
                 f"{Region(base, length, prot).describe()}"
             )
-            self._publish_replicas()
+            self.controlplane.on_master_mutated()
             self.kernel.on_policy_mutated()
             return struct.pack("<I", idx)
         if cmd == CMD_DEL_REGION:
             base, length = self._unpack("<QQ", arg)
             ok = self.index.remove(base, length)
             if ok:
-                self._publish_replicas()
+                self.controlplane.on_master_mutated()
                 self.kernel.on_policy_mutated()
             return struct.pack("<I", int(ok))
         if cmd == CMD_CLEAR:
             self.index.clear()
-            self._publish_replicas()
+            self.controlplane.on_master_mutated()
             self.kernel.on_policy_mutated()
             return b""
         if cmd == CMD_SET_DEFAULT:
             (flag,) = self._unpack("<I", arg)
             self.index.default_allow = bool(flag)
-            self._publish_replicas()
+            self.controlplane.on_master_mutated()
             self.kernel.on_policy_mutated()
             return b""
         if cmd == CMD_GET_STATS:
@@ -743,10 +703,7 @@ class CaratPolicyModule:
 
     def _cp_ioctl(self, cmd: int, arg: bytes) -> bytes:
         """Control-plane command dispatch (root already checked)."""
-        from .controlplane import TenantQuota
         cp = self.controlplane
-        if cp is None:
-            raise IoctlError(ENOTTY, "no control plane attached")
         if cmd == CMD_TENANT_CREATE:
             want = _NAME_LEN + struct.calcsize(_TENANT_QUOTA_FMT)
             if len(arg) != want:

@@ -40,9 +40,7 @@ from .. import abi
 from ..core.pipeline import CompileOptions, compile_module
 from ..core.system import CaratKopSystem, SystemConfig
 from ..faults.injector import FaultInjector
-from .controlplane import (
-    ControlPlaneConfig, OP_ADD, OP_DEL, PolicyControlPlane, TenantQuota,
-)
+from .controlplane import ControlPlaneConfig, OP_ADD, OP_DEL, TenantQuota
 
 #: The -O3 demonstration module: every access provably inside its own
 #: globals, so all guards elide at insmod — until the first staged
@@ -114,12 +112,12 @@ def run_policyd(
     ))
     kernel = system.kernel
     policy = system.policy
-    cp_config = config or ControlPlaneConfig(
+    cp = policy.controlplane
+    cp_config = cp.config = config or ControlPlaneConfig(
         canary_window=64, canary_tick_limit=4,
         max_total_regions=max(8192, regions + 64),
     )
-    cp = PolicyControlPlane(kernel, policy, cp_config,
-                            injector=injector).attach()
+    cp.injector = injector
 
     # The -O3 module loads while the composition equals the system
     # namespace (no tenant regions yet), so its certificate holds; the

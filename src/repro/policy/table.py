@@ -30,7 +30,7 @@ class PolicyTableFull(ValueError):
 class RegionTableReplica:
     """An immutable point-in-time copy of a :class:`RegionTable`.
 
-    This is what the policy module publishes per-CPU under RCU: readers
+    This is what the control plane publishes per-CPU under RCU: readers
     walk their CPU-local replica lock-free while writers mutate the
     master and publish a fresh snapshot behind a grace period.
     ``check`` is byte-for-byte the master's scan — same first-match

@@ -154,16 +154,12 @@ def test_tutorial_trace_the_crash(tmp_path):
 def test_tutorial_tenant_quota_rollback():
     # step 7: a tenant blows its violation budget; the canary generation
     # auto-rolls back and /proc/carat + the trace carry the evidence
-    from repro.policy import (
-        ControlPlaneConfig, OP_ADD, PolicyControlPlane, PolicyManager,
-    )
+    from repro.policy import ControlPlaneConfig, OP_ADD, PolicyManager
 
     kernel = Kernel(ncpus=2)
     policy = CaratPolicyModule(kernel, mode="audit").install()
     manager = PolicyManager(kernel)
-    cp = PolicyControlPlane(
-        kernel, policy, ControlPlaneConfig(canary_tick_limit=4),
-    ).attach()
+    policy.controlplane.config = ControlPlaneConfig(canary_tick_limit=4)
     trace = kernel.trace
     trace.enable()
 

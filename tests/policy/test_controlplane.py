@@ -18,15 +18,16 @@ from repro import abi
 from repro.faults import FaultInjector
 from repro.kernel import Kernel
 from repro.kernel.chardev import (
-    EAGAIN, EBUSY, EDQUOT, EEXIST, EINVAL, EIO, ENOENT, ENOTTY,
+    EAGAIN, EBUSY, EDQUOT, EEXIST, EINVAL, EIO, ENOENT,
 )
 from repro.policy import (
     CaratPolicyModule,
     ControlPlaneConfig,
     OP_ADD,
     OP_DEL,
-    PolicyControlPlane,
     PolicyManager,
+    Region,
+    RegionTable,
     TenantQuota,
 )
 from repro.policy import module as pm
@@ -40,9 +41,9 @@ def _plane(ncpus=1, injector=None, **cfg):
     kernel = Kernel(ncpus=ncpus)
     policy = CaratPolicyModule(kernel, mode="audit").install()
     manager = PolicyManager(kernel)
-    cp = PolicyControlPlane(
-        kernel, policy, ControlPlaneConfig(**cfg), injector=injector
-    ).attach()
+    cp = policy.controlplane
+    cp.config = ControlPlaneConfig(**cfg)
+    cp.injector = injector
     return kernel, policy, manager, cp
 
 
@@ -98,12 +99,6 @@ class TestTenantLifecycle:
         with pytest.raises(OSError) as e:
             cp.delete_tenant("a")
         assert e.value.errno == EBUSY
-
-    def test_second_attach_rejected_reattach_idempotent(self):
-        kernel, policy, _, cp = _plane()
-        assert cp.attach() is cp  # idempotent
-        with pytest.raises(RuntimeError):
-            PolicyControlPlane(kernel, policy).attach()
 
 
 class TestQuotas:
@@ -384,6 +379,50 @@ class TestReplicaRepair:
         assert cp._slots[1][0] == cp.generation
 
 
+class TestDirectMasterEdit:
+    """A master edit that bypasses the ioctl publish (a direct
+    ``policy.index`` mutation) must never leave a CPU deciding from the
+    composition it replaced."""
+
+    @pytest.mark.parametrize("ncpus", [1, 2, 4])
+    def test_every_cpu_decides_from_a_fresh_composition(self, ncpus):
+        kernel, policy, _, cp = _plane(ncpus=ncpus, canary_tick_limit=1)
+        cp.create_tenant("a")
+        cp.submit_batch("a", _adds(0))
+        assert cp.tick() == 1  # promoted
+        probes = (_region(0)[0], 0x1000, 0x1ff8, 0x2000)
+        for cpu in kernel.smp.cpus():  # warm every CPU's slot and cache
+            with kernel.smp.on(cpu):
+                for addr in probes:
+                    policy._guard(None, addr, 8, abi.FLAG_READ, "t")
+        policy.index.add(Region(0x1000, 0x1000, RW))  # no ioctl
+        fresh = RegionTable(default_allow=policy.index.default_allow)
+        for r in cp.tenant("a").table.regions() + policy.index.regions():
+            fresh.add(r)
+        repairs = cp.replica_repairs
+        for cpu in kernel.smp.cpus():
+            with kernel.smp.on(cpu):
+                for addr in probes:
+                    denied = policy.stats.denied
+                    scanned = policy._guard(None, addr, 8, abi.FLAG_READ, "t")
+                    allowed = policy.stats.denied == denied
+                    assert (allowed, scanned) == fresh.check(
+                        addr, 8, abi.FLAG_READ), (cpu, hex(addr))
+        assert cp.replica_repairs == repairs + ncpus
+
+    def test_staged_canary_keeps_its_priority(self):
+        _, policy, _, cp = _plane(ncpus=2, canary_tick_limit=100,
+                                  canary_window=100)
+        cp.create_tenant("a")
+        cp.submit_batch("a", [(OP_ADD, 0x1000, 0x1000, 0)])  # staged deny
+        policy.index.add(Region(0x1000, 0x2000, RW))  # direct system allow
+        check = lambda cpu, addr: policy._replica_check(
+            policy.index, cpu, addr, 8, abi.FLAG_READ)[0]
+        assert not check(0, 0x1000)  # canary: the staged tenant deny wins
+        assert check(1, 0x1000)      # the rest: current generation only
+        assert check(0, 0x2000) and check(1, 0x2000)
+
+
 class TestQuotaRaceStorm:
     def test_racing_duplicate_batch_leaves_no_residue(self):
         inj = FaultInjector(quota_race_period=1)
@@ -427,14 +466,6 @@ class TestLegacyWritePathPreemption:
 
 
 class TestIoctlSurface:
-    def test_no_control_plane_is_enotty(self):
-        kernel = Kernel()
-        CaratPolicyModule(kernel, mode="audit").install()
-        manager = PolicyManager(kernel)
-        with pytest.raises(OSError) as e:
-            manager.create_tenant("a")
-        assert e.value.errno == ENOTTY
-
     def test_full_surface_through_the_chardev(self):
         kernel, _, manager, cp = _plane(canary_tick_limit=2)
         manager.create_tenant("a", max_regions=8,

@@ -38,6 +38,12 @@ _ops = st.lists(
         st.tuples(st.just("clear")),
         st.tuples(st.just("default"), st.booleans()),
         st.tuples(
+            st.just("direct"),
+            st.integers(0, 120),
+            st.integers(1, 0x1000),
+            st.sampled_from(PROTS),
+        ),
+        st.tuples(
             st.just("check"),
             st.integers(0, 121 * 0x1000),  # offset into the lattice
             st.sampled_from((1, 4, 8, 64)),
@@ -107,12 +113,14 @@ class TestReplicaNeverDiverges:
     @settings(max_examples=40, deadline=None)
     @given(ops=_ops, ncpus=st.sampled_from((1, 2, 4)))
     def test_randomized_ops(self, ops, ncpus):
-        """Drive mutations through the ioctl write path (RCU publish)
+        """Drive mutations through the ioctl write path (RCU publish),
+        or straight into the master table with no publish ("direct"),
         and checks through ``carat_guard`` on rotating CPUs; the guard's
         answer must always equal a direct master check."""
         kernel, policy, manager = _audit_policy(ncpus)
         master = policy.index
         cpu = 0
+        directs = 0
         for op in ops:
             kind = op[0]
             if kind == "add":
@@ -126,20 +134,26 @@ class TestReplicaNeverDiverges:
                 manager.clear()
             elif kind == "default":
                 manager.set_default(op[1])
+            elif kind == "direct":
+                _, slot, length, prot = op
+                master.add(Region(*_slot_region(slot, length, prot)))
+                directs += 1
             else:
                 _, off, size, flags = op
                 addr = _BASE + off
                 expect_allowed, expect_scanned = master.check(
                     addr, size, flags)
+                denied = policy.stats.denied
                 with kernel.smp.on(cpu):
                     scanned = policy._guard(None, addr, size, flags, "t")
                 assert scanned == expect_scanned
                 # Audit mode returns the scan count for allow and deny
                 # alike; the decision itself shows up in the counters.
+                assert (policy.stats.denied == denied) == expect_allowed
                 cpu = (cpu + 1) % ncpus
         # Every ioctl mutation re-published, so the only lazy rebuilds
-        # are each CPU's very first guard before any publish happened.
-        assert policy.replica_refreshes <= ncpus
+        # are each CPU's slot after a direct edit.
+        assert policy.controlplane.replica_repairs <= ncpus * directs
         if ncpus > 1:
             merged = policy.stats.as_dict()
             per_cpu = policy.stats_per_cpu()
@@ -158,12 +172,13 @@ class TestReplicaNeverDiverges:
             with kernel.smp.on(cpu):
                 policy._guard(None, base, 8, abi.FLAG_READ, "t")
         policy.index.add(Region(base, length, prot))  # no publish
-        refreshes_before = policy.replica_refreshes
+        cp = policy.controlplane
+        repairs_before = cp.replica_repairs
         for cpu in range(ncpus):
             with kernel.smp.on(cpu):
                 scanned = policy._guard(None, base, 8, abi.FLAG_READ, "t")
             assert scanned == policy.index.check(base, 8, abi.FLAG_READ)[1]
-        assert policy.replica_refreshes == refreshes_before + ncpus
+        assert cp.replica_repairs == repairs_before + ncpus
 
     @pytest.mark.parametrize("ncpus", [1, 4])
     def test_publish_waits_a_grace_period(self, ncpus):
@@ -248,7 +263,7 @@ class TestLiveSystemBothEngines:
         stats = system.guard_stats()
         assert stats["denied"] == 0
         assert stats["checks"] == stats["allowed"]
-        assert system.policy.replica_refreshes == 0
+        assert system.policy.controlplane.replica_repairs == 0
 
 
 class TestVerifyEpochDemotion:
@@ -464,16 +479,13 @@ class TestVerifyPolicyUnderMutationStorm:
         certificate never saw)."""
         from repro.core.pipeline import CompileOptions, compile_module
         from repro.passes.absint import AREAS
-        from repro.policy import (
-            ControlPlaneConfig, OP_ADD, PolicyControlPlane, TenantQuota,
-        )
+        from repro.policy import ControlPlaneConfig, OP_ADD, TenantQuota
 
         kernel = Kernel(ncpus=2, verify_policy="demote")
         policy = CaratPolicyModule(kernel, mode="audit").install()
         manager = PolicyManager(kernel)
-        cp = PolicyControlPlane(
-            kernel, policy, ControlPlaneConfig(canary_tick_limit=1),
-        ).attach()
+        cp = policy.controlplane
+        cp.config = ControlPlaneConfig(canary_tick_limit=1)
         lo, hi = AREAS["module"]
         manager.allow(lo, hi - lo + 1)
         manager.set_default(False)
