@@ -32,34 +32,24 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar
 T = TypeVar("T")
 
 
-class PerCpu:
+class PerCpu(list):
     """One value per CPU — ``DEFINE_PER_CPU`` for the simulated kernel.
 
     Slots are built eagerly from ``factory`` (called once per CPU with
-    the CPU id) so per-CPU state never aliases between CPUs.
+    the CPU id) so per-CPU state never aliases between CPUs.  A plain
+    ``list`` underneath, so a hot-path ``slots[cpu]`` is a C-level
+    subscript rather than a Python ``__getitem__`` call.
     """
 
-    __slots__ = ("_slots",)
+    __slots__ = ()
 
     def __init__(self, ncpus: int, factory: Callable[[int], T]):
         if ncpus < 1:
             raise ValueError("need at least one CPU")
-        self._slots: list = [factory(cpu) for cpu in range(ncpus)]
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __getitem__(self, cpu: int) -> T:
-        return self._slots[cpu]
-
-    def __setitem__(self, cpu: int, value: T) -> None:
-        self._slots[cpu] = value
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self._slots)
+        super().__init__(factory(cpu) for cpu in range(ncpus))
 
     def items(self) -> Iterator[tuple[int, T]]:
-        return enumerate(self._slots)  # type: ignore[return-value]
+        return enumerate(self)
 
 
 class SmpTopology:

@@ -271,13 +271,22 @@ class PolicyControlPlane:
         )
         return tenant
 
+    def _refuse_while_staged(self) -> None:
+        """``EBUSY`` while any tenant's canary generation is in flight."""
+        if self._staged is not None:
+            raise ControlPlaneError(
+                EBUSY,
+                f"generation {self._staged.gen} is staged by tenant "
+                f"{self._staged.tenant.name!r}; tick to completion first",
+            )
+
     def delete_tenant(self, name: str) -> None:
         tenant = self.tenants.get(name)
         if tenant is None:
             raise ControlPlaneError(ENOENT, f"no tenant {name!r}")
-        if self._staged is not None and self._staged.tenant is tenant:
-            raise ControlPlaneError(
-                EBUSY, f"tenant {name!r} has a staged generation")
+        # Republishing from the live namespaces would hand every CPU the
+        # unpromoted batch, whichever tenant staged it.
+        self._refuse_while_staged()
         had_regions = len(tenant.table) > 0
         del self.tenants[name]
         self.kernel.dmesg(f"carat_cp: tenant {name} deleted")
@@ -304,12 +313,7 @@ class PolicyControlPlane:
         replica are exactly as before the call.
         """
         tenant = self.tenant(name)
-        if self._staged is not None:
-            raise ControlPlaneError(
-                EBUSY,
-                f"generation {self._staged.gen} is staged by tenant "
-                f"{self._staged.tenant.name!r}; tick to completion first",
-            )
+        self._refuse_while_staged()
         if not ops:
             raise ControlPlaneError(EINVAL, "empty batch")
         if (tenant.mutations_window + len(ops)

@@ -139,6 +139,32 @@ class _GuardCache:
     rebuilds from an empty dict.  Stores the full ``(allowed, scanned)``
     decision so the caller's stats and the machine model's per-entry
     guard cost are identical with and without the cache.
+
+    **Serving a hit outside** :meth:`CaratPolicyModule._guard`.  The
+    compiled engine's timed guard closure may answer a guard itself,
+    without calling the linked native, only when all of these hold on
+    that call (each can change between any two guards):
+
+    - the module's ``carat_guard`` import is linked and its ``native`` is
+      the very bound ``_guard`` captured when the site was translated
+      (a §3.2 swap, the policy miner's audit tap, or a wrapper assigned
+      to ``sym.native`` all break this);
+    - the module has no per-module table, the current CPU's bound cache
+      (``_fast_cache[cpu]``) exists and its ``index`` is
+      ``policy.index``;
+    - the cache's ``epoch``, ``default_allow`` and ``enforce_epoch``
+      equal the live values;
+    - ``(addr, size, flags)`` is cached and its decision is *allowed*;
+    - the module's per-CPU ``[checks, denied]`` row already exists.
+
+    It then makes, in place, exactly the updates ``_guard``'s hit branch
+    and the engine's guard accounting make: ``guard_checks`` on the
+    engine; ``guard_cache_hits``, ``checks``, ``entries_scanned`` and
+    ``allowed`` on the CPU's :class:`PolicyStats`; ``checks`` in the
+    module row; and ``guards``, ``guard_entries_scanned`` and ``cycles
+    += base + entry * scanned`` on the timing model.  Every other case
+    (miss, stale token, denial, first guard of a module on a CPU) calls
+    the native, so ``_guard`` stays the one place that decides.
     """
 
     __slots__ = ("index", "epoch", "default_allow", "enforce_epoch",
@@ -410,7 +436,11 @@ class CaratPolicyModule:
 
     def _guard(self, ctx, addr: int, size: int, flags: int,
                module_name: str = "?") -> int:
-        """``carat_guard(addr, size, flags)``; returns entries scanned."""
+        """``carat_guard(addr, size, flags)``; returns entries scanned.
+
+        The compiled engine serves some allowed cache hits without this
+        call; the rule is on :class:`_GuardCache`, and a change to the
+        hit branch below must keep it true."""
         index = (
             self.module_indexes.get(module_name, self.index)
             if self.module_indexes else self.index

@@ -23,7 +23,15 @@ compiled with :func:`compile`/``exec``:
   twice (once for MMIO accounting, once inside ``read_bytes``) into a
   single ``find`` plus a direct page-bytearray access for intra-page RAM
   accesses, with a per-site mapping memo keyed on the address space's
-  map/unmap version.
+  map/unmap version;
+- a guard site linked to the policy module's own ``carat_guard`` serves
+  an allowed decision-cache hit inside its closure, re-checking the
+  validity rule documented on :class:`repro.policy.module._GuardCache`
+  on every call, and calls the native for everything else.  On the
+  paper's ``-O0`` build nearly every guard is such a hit, so a guarded
+  access costs one Python call instead of two.  The probe is closure
+  code, not generated text, so the source and its ``compile()`` cost
+  are the same as without it.
 
 Accounting is **bit-identical** to the interpreter.  Between observable
 points (a closure, native, guard, call, or terminator) the charges of
@@ -155,6 +163,15 @@ class _SharedCodeCache:
 
 #: The process-global translation code cache (see module docstring).
 TRANSLATION_CACHE = _SharedCodeCache()
+
+
+def _policy_guard():
+    """``CaratPolicyModule._guard``, the function whose cache hits the
+    timed guard closure may serve itself (imported late: the policy
+    module imports the VM)."""
+    from ..policy.module import CaratPolicyModule
+
+    return CaratPolicyModule._guard
 
 
 def translation_cache_stats() -> dict:
@@ -1014,15 +1031,24 @@ class _Translator:
     def _guard_core(self, inst: Call):
         """The common case — the guard symbol is linked and native — is
         inlined: the module's import dict and name, and the machine's
-        guard cost coefficients, are captured at translate time, so the
-        hot path is one dict lookup and one native call.  ``add_guard``'s
-        ``cycles += base + entry * n`` is replicated with the same float
-        expression, so accounting stays bit-identical.  Anything else
-        (unlinked symbol needing the late re-link, IR policy function,
-        missing policy panic) falls back to the interpreter's shared
-        ``_dispatch_guard``, which consults ``module.imports`` afresh —
-        policy swaps mutate that dict in place, so the captured reference
-        observes them.
+        guard cost coefficients, are captured at translate time.
+        ``add_guard``'s ``cycles += base + entry * n`` is replicated with
+        the same float expression, so accounting stays bit-identical.
+        Anything else (unlinked symbol needing the late re-link, IR
+        policy function, missing policy panic) falls back to the
+        interpreter's shared ``_dispatch_guard``, which consults
+        ``module.imports`` afresh — policy swaps mutate that dict in
+        place, so the captured reference observes them.
+
+        When the linked native is the policy module's own ``_guard``, the
+        untraced, unprofiled, timed closure also serves an allowed
+        decision-cache hit itself, with no call into the policy: the
+        validity rule and the counter updates are the ones documented on
+        :class:`repro.policy.module._GuardCache`, re-checked on every
+        call.  A hit then costs one Python call (this closure) instead of
+        two.  The probe lives here rather than in the generated text, so
+        the source (and with it :data:`TRANSLATION_CACHE` and
+        ``compile()`` time) is unchanged.
 
         Profiled, traced, or untimed translations get the general
         closure, with the callsite id baked in at translate time (no
@@ -1052,6 +1078,9 @@ class _Translator:
                 _t.guard_entries_scanned += n
                 _t.cycles += _gb + _ge * n
 
+            native = getattr(imports.get(gsym), "native", None)
+            if getattr(native, "__func__", None) is _policy_guard():
+                return self._guard_fast_core(native, core)
             return core
         machine = timing.machine if timing is not None else None
         site = (guard_site_id(mname, self.fn.name, ordinal)
@@ -1076,6 +1105,50 @@ class _Translator:
                 _p.on_guard(a, s, f, cost)
             if _tr is not None:
                 _tr.on_guard(_site, a, s, f, n, cost)
+
+        return core
+
+    def _guard_fast_core(self, native, slow):
+        """``slow`` (the timed guard closure) with an allowed decision-cache
+        hit served in front of it.  ``native`` is the policy's bound
+        ``_guard`` linked at translate time; every case the rule on
+        ``_GuardCache`` does not cover goes to ``slow``, which calls the
+        linked native."""
+        policy = native.__self__
+        machine = self.timing.machine
+
+        def core(a, s, f, _e=self.engine, _imp=self.module.imports,
+                 _n=self.module.name, _g=abi.GUARD_SYMBOL, _t=self.timing,
+                 _gb=machine.guard_base_cycles, _ge=machine.guard_entry_cycles,
+                 _gn=native, _p=policy, _smp=policy.kernel.smp,
+                 _fc=policy._fast_cache, _cs=policy._cpu_stats,
+                 _ms=policy._cpu_module_stats, _slow=slow):
+            sym = _imp.get(_g)
+            if sym is not None and sym.native is _gn \
+                    and _n not in _p.module_indexes:
+                cpu = _smp.current
+                c = _fc[cpu]
+                x = _p.index
+                if (c is not None and c.index is x and c.epoch == x.epoch
+                        and c.default_allow == x.default_allow
+                        and c.enforce_epoch == _p._enforce_epoch):
+                    d = c.decisions.get((a, s, f))
+                    if d is not None and d[0]:
+                        row = _ms[cpu].get(_n)
+                        if row is not None:
+                            n = d[1]
+                            _e.guard_checks += 1
+                            st = _cs[cpu]
+                            st.guard_cache_hits += 1
+                            st.checks += 1
+                            st.entries_scanned += n
+                            st.allowed += 1
+                            row[0] += 1
+                            _t.guards += 1
+                            _t.guard_entries_scanned += n
+                            _t.cycles += _gb + _ge * n
+                            return
+            return _slow(a, s, f)
 
         return core
 

@@ -92,13 +92,26 @@ class TestTenantLifecycle:
         assert not policy._replica_check(policy.index, 0, base, 8,
                                          abi.FLAG_READ)[0]
 
-    def test_delete_staged_tenant_is_ebusy(self):
-        _, _, _, cp = _plane(canary_tick_limit=100, canary_window=100)
+    @pytest.mark.parametrize("victim", ["a", "b"])
+    def test_delete_staged_tenant_is_ebusy(self, victim):
+        # "b" holds a promoted region while "a" stages generation 3 on
+        # canary CPU 0; deleting either tenant must leave the stage alone.
+        _, policy, _, cp = _plane(ncpus=2, canary_tick_limit=1)
+        cp.create_tenant("b")
+        cp.submit_batch("b", _adds(1))
+        assert cp.tick() == 1  # promote
         cp.create_tenant("a")
-        cp.submit_batch("a", _adds(0))
+        assert cp.submit_batch("a", _adds(0)) == 3
+        gen = cp.generation
         with pytest.raises(OSError) as e:
-            cp.delete_tenant("a")
+            cp.delete_tenant(victim)
         assert e.value.errno == EBUSY
+        assert cp.generation == gen
+        base, _ = _region(0)
+        assert policy._replica_check(policy.index, 0, base, 8,
+                                     abi.FLAG_READ)[0]
+        assert not policy._replica_check(policy.index, 1, base, 8,
+                                         abi.FLAG_READ)[0]
 
 
 class TestQuotas:

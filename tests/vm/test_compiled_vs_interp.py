@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import abi
 from repro.core.pipeline import CompileOptions, compile_module
 from repro.core.system import CaratKopSystem, SystemConfig
 from repro.ir import I64, Function, FunctionType, IRBuilder, Module
@@ -20,7 +21,14 @@ from repro.kernel.module_loader import CompiledModule
 from repro.kernel.panic import KernelPanic
 from repro.passes import AttestationPass, PassManager
 from repro.passes.absint import AREAS
-from repro.policy import CaratPolicyModule, PolicyManager
+from repro.policy import (
+    OP_ADD,
+    CaratPolicyModule,
+    PolicyManager,
+    PolicyMiner,
+    Region,
+)
+from repro.policy.module import MODE_EJECT
 from repro.vm import Profiler, get_machine
 
 # ---------------------------------------------------------------------------
@@ -667,3 +675,163 @@ def test_demotion_mid_call_reemits_guards_in_later_calls():
     clean = _demote_mid_call("compiled", demote=False)
     assert clean["checks"] == 0
     assert b["checks"] > 0  # the two later inner() calls ran their guards
+
+
+# ---------------------------------------------------------------------------
+# the guard fast path: the compiled engine serves allowed decision-cache hits
+# inside its guard closure.  Each event below changes one input of the
+# validity rule on ``_GuardCache`` between calls; both engines must agree on
+# every counter afterwards, so a stale hit served by the closure shows up.
+
+_HOT_SRC = """
+long cells[4];
+__export long run(long seed) {
+    long prev = cells[0];
+    cells[0] = seed;
+    cells[1] = prev + 1;
+    return cells[1] + cells[0];
+}
+"""
+_PEER_SRC = "__export long peek(long addr) { return *(long *)addr; }"
+_DUMMY = 0x7000_0000
+_RW = abi.FLAG_READ | abi.FLAG_WRITE
+
+
+def _fast_path_events():
+    """Each event is a list of steps ``step(env)``; the hot function runs
+    on every CPU after each step."""
+
+    def index_add(env):
+        env["policy"].index.add(Region(env["hot"], 8, 0))
+
+    def default_flip(env):
+        env["policy"].index.default_allow = False
+
+    def set_mode(env):
+        env["policy"].set_mode(MODE_EJECT)
+
+    def table_for(env):
+        env["manager"].add_region_for("hot", env["hot"], 16, _RW)
+
+    def clear_for(env):
+        env["manager"].clear_module_policy("hot")
+
+    def stage(env):
+        env["manager"].create_tenant("t")
+        env["manager"].batch_mutate("t", [(OP_ADD, env["hot"], 8, 0)])
+
+    def miner_start(env):
+        env["miner"] = PolicyMiner(env["policy"])
+        env["miner"].start()
+
+    def miner_stop(env):
+        env["miner"].stop()
+        env["extra"]["mined"] = len(env["miner"].records)
+
+    def wrap(env):
+        sym = env["kernel"].symbols.lookup("carat_guard")
+        native, seen = sym.native, env["extra"]
+        seen["wrapped"] = 0
+        seen["base"] = env["kernel"].vm.guard_checks
+
+        def counting(*args):
+            seen["wrapped"] += 1
+            return native(*args)
+
+        sym.native = counting
+
+    def peer_first_guard(env):
+        # The peer's first guard on each CPU hits the global cache the
+        # hot module filled, before the peer has a per-CPU stats row.
+        _peer_peek(env)
+
+    def peer_table(env):
+        # A peer table bound on each CPU, its (epoch, default_allow)
+        # token equal to the global one: only the cache's index
+        # identity tells the two caches apart.
+        manager, policy = env["manager"], env["policy"]
+        manager.add_region_for("peer", env["hot"], 8, abi.FLAG_READ)
+        peer = policy.module_indexes["peer"]
+        k = 0
+        while peer.epoch < policy.index.epoch:
+            k += 1
+            manager.add_region_for("peer", _DUMMY + k * 0x1000, 0x100, _RW)
+        peer.default_allow = policy.index.default_allow
+        _peer_peek(env)
+
+    return {
+        "index_add": [index_add],
+        "default_allow": [default_flip],
+        "set_mode": [set_mode],
+        "module_table": [table_for, clear_for],
+        "staged_canary": [stage],
+        "miner_window": [miner_start, miner_stop],
+        "native_wrapper": [wrap],
+        "peer_module": [peer_first_guard, peer_table],
+    }
+
+
+def _peer_peek(env):
+    kernel = env["kernel"]
+    for cpu in kernel.smp.cpus():
+        with kernel.smp.on(cpu):
+            env["extra"].setdefault("peeks", []).append(
+                kernel.run_function(env["peer"], "peek", [env["hot"]]))
+
+
+def _fast_path_run(engine, event):
+    kernel = Kernel(machine=get_machine("r415"), engine=engine, ncpus=2)
+    policy = CaratPolicyModule(kernel, mode="audit").install()
+    manager = PolicyManager(kernel)
+    manager.set_default(True)
+    for k in range(3):  # hot accesses scan past these, then default
+        manager.add_region(_DUMMY + k * 0x1000, 0x100, _RW)
+    hot = kernel.insmod(_compile(_HOT_SRC, protect=True, name="hot"))
+    peer = kernel.insmod(_compile(_PEER_SRC, protect=True, name="peer"))
+    env = {"kernel": kernel, "policy": policy, "manager": manager,
+           "hot": hot.address_of("cells"), "peer": peer, "extra": {}}
+    vm = kernel.vm
+    snapshots = []
+
+    def phase(seed):
+        results = []
+        for _ in range(2):  # the second call of each pair hits the cache
+            for cpu in kernel.smp.cpus():
+                with kernel.smp.on(cpu):
+                    results.append(kernel.run_function(hot, "run", [seed]))
+        snapshots.append({
+            "results": results,
+            "denied": policy.stats.denied,
+            "violations": dict(policy.violations),
+            "per_cpu": policy.stats_per_cpu(),
+            "drivers": policy.driver_stats(),
+            "guard_checks": vm.guard_checks,
+            "guards": vm.timing.guards,
+            "entries": vm.timing.guard_entries_scanned,
+            "cycles": vm.timing.cycles,
+            "dmesg": kernel.dmesg_log,
+            "extra": dict(env["extra"]),
+        })
+
+    phase(1)
+    for i, step in enumerate(_fast_path_events()[event]):
+        step(env)
+        phase(i + 2)
+    return snapshots
+
+
+@pytest.mark.parametrize("event", sorted(_fast_path_events()))
+def test_guard_fast_path_invalidation_matches_interp(event):
+    a = _fast_path_run("interp", event)
+    b = _fast_path_run("compiled", event)
+    assert a == b
+    last = b[-1]
+    if event == "native_wrapper":
+        # The wrapper saw every guard after it was installed.
+        extra = last["extra"]
+        assert extra["wrapped"] == last["guard_checks"] - extra["base"] > 0
+    if event in ("index_add", "default_allow"):
+        assert last["denied"] > 0
+    if event == "staged_canary":
+        cpu0, cpu1 = last["per_cpu"]
+        assert cpu0["denied"] > 0 and cpu1["denied"] == 0
