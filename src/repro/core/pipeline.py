@@ -231,15 +231,22 @@ def compile_module(
     certificate = None
     if report is not None:
         table = opts.verify_table
+        # The signature already hashed the canonical print; reuse it.
+        ir_digest = signature.digest if signature is not None else \
+            hashlib.sha256(canonical_bytes(ir)).hexdigest()
         certificate = VerificationCertificate(
             module_name=ir.name,
-            ir_digest=hashlib.sha256(canonical_bytes(ir)).hexdigest(),
+            ir_digest=ir_digest,
             policy_digest=table.digest(),
             policy_epoch=table.epoch,
             contracts_digest=report.contracts_digest,
             verdicts=report.verdicts,
             guards_proven=report.guards_proven,
             guards_dynamic=report.guards_dynamic,
+            arg_summaries=report.arg_summaries,
+            ret_summaries=report.ret_summaries,
+            field_facts=report.field_facts,
+            havoc_fields=report.havoc_fields,
         )
     compiled = CompiledModule(
         ir=ir,

@@ -51,6 +51,44 @@ def verify_function(fn: Function, module: Module | None = None) -> None:
         raise VerificationError(errors)
 
 
+# Operand and instruction classes are dispatched by ``type()`` through
+# per-class memos: the isinstance chains below run once per class, not
+# once per operand.  Kinds start at 1 so a memo miss reads as falsy.
+_PLAIN, _INST, _UNDEF, _ARG, _BAD = range(1, 6)
+_OPERAND_KIND: dict[type, int] = {}
+
+
+def _operand_kind(cls: type) -> int:
+    if issubclass(cls, UndefValue):
+        kind = _UNDEF
+    elif issubclass(cls, (Constant, GlobalValue)):
+        kind = _PLAIN
+    elif issubclass(cls, Argument):
+        kind = _ARG
+    elif issubclass(cls, Instruction):
+        kind = _INST
+    else:
+        kind = _BAD
+    _OPERAND_KIND[cls] = kind
+    return kind
+
+
+_OTHER, _LOAD, _STORE, _RET, _BR, _SWITCH, _PHI, _CALL = range(1, 9)
+_INST_KIND: dict[type, int] = {}
+
+
+def _inst_kind(cls: type) -> int:
+    for base, kind in ((Load, _LOAD), (Store, _STORE), (Ret, _RET),
+                       (Br, _BR), (Switch, _SWITCH), (Phi, _PHI),
+                       (Call, _CALL)):
+        if issubclass(cls, base):
+            break
+    else:
+        kind = _OTHER
+    _INST_KIND[cls] = kind
+    return kind
+
+
 def _verify_function(fn: Function, module: Module | None) -> list[str]:
     errors: list[str] = []
     where = f"@{fn.name}"
@@ -61,96 +99,124 @@ def _verify_function(fn: Function, module: Module | None) -> list[str]:
 
     block_set = set(map(id, fn.blocks))
     names_seen: set[str] = set()
-    defined: set[int] = {id(a) for a in fn.args}
-    all_insts: set[int] = set()
-    for block in fn.blocks:
-        for inst in block.instructions:
-            all_insts.add(id(inst))
+    arg_ids = set(map(id, fn.args))
+    all_insts = {id(inst) for block in fn.blocks for inst in block.instructions}
+    functions = module.functions if module is not None else None
+    want_ret = fn.return_type
+    preds = None  # only phis need the CFG
+    # Straight-line def-before-use within each block (phis exempt); its
+    # errors follow every other error of the function.
+    late: list[str] = []
+    operand_kinds = _OPERAND_KIND
+    inst_kinds = _INST_KIND
 
-    preds = fn.predecessors()
+    def err(message: str) -> None:
+        """Report at the instruction being checked (message built only
+        on error)."""
+        errors.append(f"{where}:{block.name}[{i}] ({inst.opcode}): {message}")
 
     for block in fn.blocks:
-        bwhere = f"{where}:{block.name}"
         if block.parent is not fn:
-            errors.append(f"{bwhere}: block parent link broken")
-        term = block.terminator
-        if term is None:
-            errors.append(f"{bwhere}: block lacks a terminator")
-        for i, inst in enumerate(block.instructions):
-            iwhere = f"{bwhere}[{i}] ({inst.opcode})"
+            errors.append(f"{where}:{block.name}: block parent link broken")
+        insts = block.instructions
+        last = len(insts) - 1
+        if last < 0 or not insts[last].is_terminator:
+            errors.append(f"{where}:{block.name}: block lacks a terminator")
+        local_defined: set[int] = set()
+        first_non_phi = -1
+        for i, inst in enumerate(insts):
+            kind = inst_kinds.get(type(inst)) or _inst_kind(type(inst))
             if inst.parent is not block:
-                errors.append(f"{iwhere}: parent link broken")
-            if inst.is_terminator and i != len(block.instructions) - 1:
-                errors.append(f"{iwhere}: terminator not last in block")
-            if isinstance(inst, Phi) and i >= block.first_non_phi_index():
-                errors.append(f"{iwhere}: phi after non-phi instruction")
-            if inst.name:
+                err("parent link broken")
+            if inst.is_terminator and i != last:
+                err("terminator not last in block")
+            if kind == _PHI:
+                if first_non_phi < 0:
+                    first_non_phi = block.first_non_phi_index()
+                if i >= first_non_phi:
+                    err("phi after non-phi instruction")
+            name = inst.name
+            if name:
                 if inst.type.is_void:
-                    errors.append(f"{iwhere}: void instruction has a name")
-                elif inst.name in names_seen:
-                    errors.append(f"{iwhere}: duplicate value name %{inst.name}")
-                names_seen.add(inst.name)
+                    err("void instruction has a name")
+                elif name in names_seen:
+                    err(f"duplicate value name %{name}")
+                names_seen.add(name)
             # Operand sanity: every operand must be a constant, an argument
             # of this function, a global, or an instruction of this function.
-            for op in inst.operands:
-                if isinstance(op, UndefValue):
-                    if op.name:
-                        errors.append(
-                            f"{iwhere}: unresolved placeholder %{op.name}"
-                        )
+            operands = inst.operands
+            for op in operands:
+                op_kind = operand_kinds.get(type(op)) or _operand_kind(type(op))
+                if op_kind == _PLAIN:
                     continue
-                if isinstance(op, (Constant, GlobalValue)):
-                    continue
-                if isinstance(op, Argument):
-                    if not any(op is a for a in fn.args):
-                        errors.append(f"{iwhere}: foreign argument %{op.name}")
-                    continue
-                if isinstance(op, Instruction):
-                    if id(op) not in all_insts:
-                        errors.append(
-                            f"{iwhere}: operand %{op.name} from another function"
-                        )
-                    continue
-                errors.append(f"{iwhere}: bad operand kind {type(op).__name__}")
-            errors.extend(_check_types(inst, iwhere, fn))
-            if isinstance(inst, (Br, Switch)):
-                for target in inst.targets:
-                    if id(target) not in block_set:
-                        errors.append(
-                            f"{iwhere}: branch to foreign block {target.name}"
-                        )
-            if isinstance(inst, Phi):
-                pred_names = sorted(b.name for b in preds[block])
-                incoming_names = sorted(b.name for _, b in inst.incoming)
-                if pred_names != incoming_names:
-                    errors.append(
-                        f"{iwhere}: phi incoming blocks {incoming_names} != "
-                        f"predecessors {pred_names}"
-                    )
-            if isinstance(inst, Call) and module is not None:
-                if inst.callee.name not in module.functions:
-                    errors.append(
-                        f"{iwhere}: callee @{inst.callee.name} not in module"
-                    )
-
-    # Straight-line def-before-use within each block (phis exempt).
-    for block in fn.blocks:
-        local_defined = set(defined)
-        for inst in block.instructions:
-            if not isinstance(inst, Phi):
-                for op in inst.operands:
-                    if (
-                        isinstance(op, Instruction)
+                if op_kind == _INST:
+                    oid = id(op)
+                    if oid not in all_insts:
+                        err(f"operand %{op.name} from another function")
+                    elif (
+                        oid not in local_defined
+                        and kind != _PHI
                         and op.parent is block
-                        and id(op) not in local_defined
                         and _comes_after(op, inst, block)
                     ):
-                        errors.append(
+                        late.append(
                             f"{where}:{block.name}: %{op.name or inst.opcode} "
                             f"used before defined in its own block"
                         )
+                elif op_kind == _UNDEF:
+                    if op.name:
+                        err(f"unresolved placeholder %{op.name}")
+                elif op_kind == _ARG:
+                    if id(op) not in arg_ids:
+                        err(f"foreign argument %{op.name}")
+                else:
+                    err(f"bad operand kind {type(op).__name__}")
+            # Per-kind checks.  Load/Store/Ret/Br keep their operands at
+            # fixed positions, so they are read directly.
+            if kind == _OTHER:
+                pass
+            elif kind == _LOAD:
+                pt = operands[0].type
+                if not isinstance(pt, PointerType):
+                    err("load from non-pointer")
+                elif pt.pointee is not inst.type:
+                    err("load result type mismatch")
+            elif kind == _STORE:
+                pt = operands[1].type
+                if not isinstance(pt, PointerType) or \
+                        pt.pointee is not operands[0].type:
+                    err("store type mismatch")
+            elif kind == _CALL:
+                if functions is not None and inst.callee.name not in functions:
+                    err(f"callee @{inst.callee.name} not in module")
+            elif kind == _RET:
+                if not operands:
+                    if want_ret is not VOID:
+                        err("ret void from non-void function")
+                elif operands[0].type is not want_ret:
+                    err(f"ret type {operands[0].type}, "
+                        f"function returns {want_ret}")
+            elif kind == _BR or kind == _SWITCH:
+                targets = inst.targets
+                if kind == _BR and len(targets) == 2:
+                    cond = operands[0]
+                    if not (isinstance(cond.type, IntType)
+                            and cond.type.bits == 1):
+                        err("branch condition is not i1")
+                for target in targets:
+                    if id(target) not in block_set:
+                        err(f"branch to foreign block {target.name}")
+            elif kind == _PHI:
+                if preds is None:
+                    preds = fn.predecessors()
+                pred_names = sorted(b.name for b in preds[block])
+                incoming_names = sorted(b.name for _, b in inst.incoming)
+                if pred_names != incoming_names:
+                    err(f"phi incoming blocks {incoming_names} != "
+                        f"predecessors {pred_names}")
             local_defined.add(id(inst))
 
+    errors.extend(late)
     return errors
 
 
@@ -163,34 +229,6 @@ def _comes_after(a: Instruction, b: Instruction, block: BasicBlock) -> bool:
         if inst is a:
             return seen_b and a is not b
     return False
-
-
-def _check_types(inst: Instruction, where: str, fn: Function) -> list[str]:
-    errors: list[str] = []
-    if isinstance(inst, Load):
-        if not isinstance(inst.pointer.type, PointerType):
-            errors.append(f"{where}: load from non-pointer")
-        elif inst.pointer.type.pointee is not inst.type:
-            errors.append(f"{where}: load result type mismatch")
-    elif isinstance(inst, Store):
-        pt = inst.pointer.type
-        if not isinstance(pt, PointerType) or pt.pointee is not inst.value.type:
-            errors.append(f"{where}: store type mismatch")
-    elif isinstance(inst, Ret):
-        want = fn.return_type
-        if inst.value is None:
-            if want is not VOID:
-                errors.append(f"{where}: ret void from non-void function")
-        elif inst.value.type is not want:
-            errors.append(
-                f"{where}: ret type {inst.value.type}, function returns {want}"
-            )
-    elif isinstance(inst, Br) and inst.is_conditional:
-        cond = inst.condition
-        assert cond is not None
-        if not (isinstance(cond.type, IntType) and cond.type.bits == 1):
-            errors.append(f"{where}: branch condition is not i1")
-    return errors
 
 
 __all__ = ["VerificationError", "verify_function", "verify_module"]

@@ -18,6 +18,7 @@ from .. import abi
 from ..ir import Function, Module, verify_module
 from ..ir.values import ConstantFloat, ConstantInt, ConstantNull, ConstantString
 from ..signing import (
+    CertificateError,
     ModuleSignature,
     SignatureError,
     SigningKey,
@@ -52,7 +53,7 @@ class CompiledModule:
     stats: Optional[object] = None
     #: -O3 static-verification certificate
     #: (:class:`repro.signing.VerificationCertificate`); validated and
-    #: re-derived by insmod before any guard may be elided.
+    #: its proof checked by insmod before any guard may be elided.
     certificate: Optional[VerificationCertificate] = None
 
     @property
@@ -177,12 +178,12 @@ class ModuleLoader:
         if name in self.loaded:
             raise LoadError(f"module {name!r} is already loaded")
 
-        self._validate(compiled)
+        ir_digest = self._validate(compiled)
         verify_module(compiled.ir)
 
         loaded = self._map_and_link(compiled)
         try:
-            self._apply_verification(compiled, loaded)
+            self._apply_verification(compiled, loaded, ir_digest)
         except LoadError:
             self._unwind_mapping(loaded)
             raise
@@ -214,8 +215,12 @@ class ModuleLoader:
                 raise LoadError(f"module {name}: init_module returned {rc}")
         return loaded
 
-    def _validate(self, compiled: CompiledModule) -> None:
+    def _validate(self, compiled: CompiledModule) -> Optional[str]:
+        """Refuse a quarantined, unsigned or badly signed module; returns
+        the IR digest the signature check just verified, or None when
+        no signing key is set."""
         kernel = self.kernel
+        ir_digest = None
         quarantine_reason = kernel.quarantine_reason(compiled)
         if quarantine_reason is not None:
             raise LoadError(
@@ -236,6 +241,7 @@ class ModuleLoader:
                 if tp.enabled:
                     tp.emit(module=compiled.name, signed=True, verified=False)
                 raise LoadError(str(e)) from e
+            ir_digest = compiled.signature.digest
             if tp.enabled:
                 tp.emit(module=compiled.name, signed=True, verified=True)
         elif tp.enabled:
@@ -259,16 +265,22 @@ class ModuleLoader:
                 raise LoadError(
                     f"module {compiled.name}: contains inline assembly"
                 )
+        return ir_digest
 
     def _apply_verification(
-        self, compiled: CompiledModule, loaded: LoadedModule
+        self, compiled: CompiledModule, loaded: LoadedModule,
+        ir_digest: Optional[str],
     ) -> None:
         """Validate a -O3 certificate and arm the guard elisions.
 
-        The kernel never trusts the shipped verdicts: after checking the
-        IR digest, policy digest/epoch, and contract digest, it re-runs
-        the deterministic analysis itself and requires bit-for-bit
-        verdict agreement.  Any mismatch rejects the module under
+        The kernel never trusts the shipped verdicts.  After checking the
+        IR digest (``ir_digest`` when the signature check already hashed
+        the IR, else a fresh print), policy digest/epoch and contract
+        digest, it checks the certificate's proof rather than redoing
+        it: one round of the analysis from the claimed summaries must
+        change none of them (:meth:`ModuleVerifier.checking`), and the
+        verdicts that round yields must equal the shipped ones bit for
+        bit.  Any failure rejects the module under
         ``verify_policy="strict"`` or loads it with full dynamic
         guarding under ``"demote"``; ``"off"`` ignores certificates.
         """
@@ -296,7 +308,8 @@ class ModuleLoader:
             elidable_guard_ids,
         )
 
-        ir_digest = hashlib.sha256(canonical_bytes(compiled.ir)).hexdigest()
+        if ir_digest is None:
+            ir_digest = hashlib.sha256(canonical_bytes(compiled.ir)).hexdigest()
         if ir_digest != cert.ir_digest:
             return invalid("IR digest mismatch")
         policy = kernel.carat_policy
@@ -322,9 +335,14 @@ class ModuleLoader:
         contracts = kernel.contracts_for(compiled.name)
         if (contracts or EMPTY_CONTRACTS).digest() != cert.contracts_digest:
             return invalid("contract set mismatch")
-        report = ModuleVerifier(compiled.ir, table, contracts).run()
+        try:
+            report = ModuleVerifier.checking(
+                compiled.ir, table, contracts, cert
+            ).run()
+        except CertificateError as e:
+            return invalid(str(e))
         if report.verdicts != cert.verdicts:
-            return invalid("verdicts do not reproduce under re-analysis")
+            return invalid("verdicts do not reproduce from the summaries")
         loaded.elided_guards = elidable_guard_ids(
             compiled.ir, report.proven_map()
         )

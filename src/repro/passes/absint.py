@@ -5,8 +5,9 @@ dynamic ``carat_guard`` check on every access, *prove* at module-load
 time that an access can only ever land in policy-allowed memory, and run
 that access with no guard at all.  Dynamic guards remain only where the
 verifier cannot conclude safety — enforcement becomes hybrid
-static+dynamic, with the kernel re-running the analysis at insmod so the
-certificate shipped with the module is never trusted on its own.
+static+dynamic, with the kernel checking the certificate's proof at
+insmod so the certificate shipped with the module is never trusted on
+its own.
 
 Abstract domain
 ---------------
@@ -41,10 +42,18 @@ Three kinds of facts feed the evaluation:
   never smuggle its own.
 
 Determinism: the analysis is a pure function of (IR, policy-table
-content, contract set).  The compile-time pipeline and the kernel's
-insmod re-verification therefore produce identical verdicts unless the
-module, policy, or contracts changed — which is precisely what the
-certificate check detects.
+content, contract set).  The compiler searches for the summaries with a
+fixpoint and ships the final ones in the certificate; insmod does not
+search again.  :meth:`ModuleVerifier.checking` seeds the claimed
+summaries — but takes exported and contracted arguments, the set of
+reached functions and the store shapes from the module and the kernel,
+never from the claim — and runs *one* round of the same transfer
+functions.  If no summary grows, the claim is inductive and the verdict
+walk from it yields exactly the compiler's verdicts; if one grows, or
+the verdicts differ, the certificate is refused.  Checking a proof is
+cheaper than finding it (proof-carrying code, Necula, POPL '97): no
+iteration and no widening.  A fixpoint cut off at ``MAX_ROUNDS`` widens
+to summaries that are themselves inductive, so it checks too.
 """
 
 from __future__ import annotations
@@ -78,6 +87,7 @@ from ..ir.values import (
     Value,
 )
 from ..kernel import layout
+from ..signing.certificate import CertificateError
 from .analysis import find_loops
 from .guard_opt import _addr_root_offset, counted_induction
 
@@ -145,6 +155,16 @@ def _norm(atoms) -> tuple:
         )
         merged[best : best + 2] = [(merged[best][0], merged[best + 1][1])]
     return tuple(merged)
+
+
+def _well_formed(av) -> bool:
+    """True for a value the analysis itself could produce: sorted,
+    disjoint, merged, at most MAX_ATOMS atoms, all inside u64."""
+    try:
+        return (isinstance(av, tuple) and _norm(av) == av
+                and all(0 <= lo and hi <= U64_MAX for lo, hi in av))
+    except (TypeError, ValueError):
+        return False  # not a sequence of integer pairs
 
 
 def av_join(a: tuple, b: tuple) -> tuple:
@@ -386,12 +406,23 @@ def _is_guard_call(inst) -> bool:
 
 @dataclass
 class VerificationReport:
-    """Deterministic per-guard-site verdicts for one module."""
+    """Deterministic per-guard-site verdicts for one module, plus the
+    final summaries the verdict walk used: the proof a certificate
+    carries and insmod checks (:meth:`ModuleVerifier.checking`)."""
 
     verdicts: tuple[tuple[str, tuple[int, ...]], ...]
     guards_proven: int
     guards_dynamic: int
     contracts_digest: str
+    #: ``(function, per-argument value)`` for every defined function,
+    #: in module order.
+    arg_summaries: tuple[tuple[str, tuple[tuple, ...]], ...] = ()
+    #: ``(function, return value)``, sorted by name.
+    ret_summaries: tuple[tuple[str, tuple], ...] = ()
+    #: ``(global, offset, size, value)``, sorted; empty once
+    #: ``havoc_fields`` is set (the facts are dead then).
+    field_facts: tuple[tuple[str, int, int, tuple], ...] = ()
+    havoc_fields: bool = False
 
     def proven_map(self) -> dict[str, tuple[int, ...]]:
         return dict(self.verdicts)
@@ -412,9 +443,11 @@ class _Frame:
 class ModuleVerifier:
     """Abstract-interpretation verdicts for every guard site in a module.
 
-    ``run()`` is pure with respect to its inputs; the kernel re-runs it
-    at insmod with its own policy table and contract registry and
-    compares verdicts against the shipped certificate.
+    ``run()`` is pure with respect to its inputs.  The compiler's
+    verifier searches for the summaries (a fixpoint); a verifier built
+    by :meth:`checking` instead checks claimed summaries in one round,
+    which is what insmod runs against its own policy table and contract
+    registry.
     """
 
     MAX_ROUNDS = 10
@@ -439,6 +472,23 @@ class ModuleVerifier:
         self._inline_cache: dict = {}
         self._call_stack: list = []
         self._depth = 0
+        self._claim = None
+
+    @classmethod
+    def checking(cls, module: Module, table,
+                 contracts: Optional[ContractSet], claim) -> "ModuleVerifier":
+        """A verifier whose ``run()`` checks ``claim``'s summaries instead
+        of searching for them.
+
+        ``claim`` carries the four summary fields of a
+        :class:`VerificationReport` (a ``VerificationCertificate`` does).
+        ``run()`` raises :class:`CertificateError` when the claim does
+        not check; its verdicts are otherwise those of a full run from
+        the same summaries.
+        """
+        verifier = cls(module, table, contracts)
+        verifier._claim = claim
+        return verifier
 
     # -- public API ---------------------------------------------------------
 
@@ -459,7 +509,11 @@ class ModuleVerifier:
             if exported:
                 self.reached.add(fn.name)
 
-        self._fixpoint(defined)
+        claim = self._claim
+        if claim is None:
+            self._fixpoint(defined)
+        else:
+            self._check_round(defined, claim)
 
         # Unreached internal functions get TOP args for the verdict walk:
         # claiming their guards proven because "no one calls them" would
@@ -469,6 +523,16 @@ class ModuleVerifier:
             for i, av in enumerate(args):
                 if not av:
                     args[i] = av_top_for(fn.args[i])
+        arg_summaries = tuple(
+            (fn.name, tuple(self.arg_summary[fn.name])) for fn in defined
+        )
+        ret_summaries = tuple(sorted(self.ret_summary.items()))
+        field_facts = () if self.havoc_fields else tuple(sorted(
+            (*key, av) for key, av in self.field_facts.items()
+        ))
+        if claim is not None:
+            self._compare_claim(claim, arg_summaries, ret_summaries,
+                                field_facts)
 
         verdicts = []
         proven = dynamic = 0
@@ -490,6 +554,10 @@ class ModuleVerifier:
             guards_proven=proven,
             guards_dynamic=dynamic,
             contracts_digest=self.contracts.digest(),
+            arg_summaries=arg_summaries,
+            ret_summaries=ret_summaries,
+            field_facts=field_facts,
+            havoc_fields=self.havoc_fields,
         )
 
     # -- fixpoint over module-level facts -----------------------------------
@@ -497,55 +565,171 @@ class ModuleVerifier:
     def _fixpoint(self, defined: list[Function]) -> None:
         by_name = {fn.name: fn for fn in defined}
         for round_no in range(self.MAX_ROUNDS):
-            self._inline_cache.clear()
-            changed = False
-            for fn in defined:
-                if fn.name not in self.reached:
-                    continue
-                frame = _Frame(fn, tuple(self.arg_summary[fn.name]))
-                for inst in fn.instructions():
-                    if isinstance(inst, Store):
-                        changed |= self._transfer_store(inst, frame)
-                    elif isinstance(inst, Call) and not _is_guard_call(inst):
-                        changed |= self._transfer_call(inst, frame, by_name)
-                    elif isinstance(inst, Ret) and inst.value is not None:
-                        av = av_join(
-                            self.ret_summary.get(fn.name, ()),
-                            self._eval(inst.value, frame),
-                        )
-                        if av != self.ret_summary.get(fn.name, ()):
-                            self.ret_summary[fn.name] = av
-                            changed = True
-            if not changed:
+            if not self._round(defined, by_name):
                 return
         # Did not stabilize inside the budget: widen everything mutable
-        # to TOP.  Sound (TOP proves nothing) and terminating.
+        # to TOP.  Sound (TOP proves nothing) and terminating.  Contracts
+        # pin their arguments, so they stay.  Closing ``reached`` and
+        # giving every reached function a TOP return makes the widened
+        # summaries inductive, so a certificate carrying them checks.
         self.havoc_fields = True
-        for name in list(self.ret_summary):
+        self._close_reached(by_name)
+        for name in self.reached:
             self.ret_summary[name] = TOP
         for fn in defined:
             if fn.linkage != "exported":
-                self.arg_summary[fn.name] = [
-                    av_top_for(a) for a in fn.args
-                ]
+                args = self.arg_summary[fn.name]
+                for i, a in enumerate(fn.args):
+                    if (fn.name, i) not in self._contract_args:
+                        args[i] = av_top_for(a)
         self._inline_cache.clear()
+
+    def _round(self, defined: list[Function],
+               by_name: dict[str, Function]) -> bool:
+        """One pass of the transfer functions over every reached
+        function; True if any summary grew."""
+        self._inline_cache.clear()
+        changed = False
+        for fn in defined:
+            if fn.name not in self.reached:
+                continue
+            frame = _Frame(fn, tuple(self.arg_summary[fn.name]))
+            for inst in fn.instructions():
+                if isinstance(inst, Store):
+                    changed |= self._transfer_store(inst, frame)
+                elif isinstance(inst, Call) and not _is_guard_call(inst):
+                    changed |= self._transfer_call(inst, frame, by_name)
+                elif isinstance(inst, Ret) and inst.value is not None:
+                    av = av_join(
+                        self.ret_summary.get(fn.name, ()),
+                        self._eval(inst.value, frame),
+                    )
+                    if av != self.ret_summary.get(fn.name, ()):
+                        self.ret_summary[fn.name] = av
+                        changed = True
+        return changed
+
+    # -- checking claimed summaries ------------------------------------------
+
+    def _check_round(self, defined: list[Function], claim) -> None:
+        """Seed the claimed summaries and run one round, no iteration.
+
+        Nothing the kernel can compute itself comes from the claim:
+        exported and contracted arguments keep the seeds ``run`` gave
+        them, ``reached`` is the syntactic call closure of the exported
+        functions, and ``store_keys`` holds every store of a reached
+        function before the round starts, so loads evaluated early in the
+        round see the complete overlap set.  If the round grows no
+        summary, the claim is inductive; :meth:`_compare_claim` checks
+        that after the round.
+        """
+        by_name = {fn.name: fn for fn in defined}
+        claimed_args = dict(claim.arg_summaries)
+        if claimed_args.keys() != by_name.keys() or \
+                len(claim.arg_summaries) != len(by_name):
+            raise CertificateError(
+                "summaries do not check: argument summaries do not name "
+                "the module's functions"
+            )
+        claimed_values = [av for _, args in claim.arg_summaries for av in args]
+        claimed_values += [av for _, av in claim.ret_summaries]
+        claimed_values += [fact[-1] for fact in claim.field_facts]
+        if not all(map(_well_formed, claimed_values)):
+            raise CertificateError(
+                "summaries do not check: a claimed value is not a "
+                "normalized set of u64 intervals"
+            )
+        self._close_reached(by_name)
+        for fn in defined:
+            claimed = claimed_args[fn.name]
+            if len(claimed) != len(fn.args):
+                raise CertificateError(
+                    f"summaries do not check: @{fn.name} has "
+                    f"{len(fn.args)} arguments, the claim {len(claimed)}"
+                )
+            if fn.linkage == "exported" or fn.name not in self.reached:
+                continue
+            args = self.arg_summary[fn.name]
+            for i, av in enumerate(claimed):
+                if (fn.name, i) not in self._contract_args:
+                    args[i] = av
+        for name, _ in claim.ret_summaries:
+            if name not in self.reached:
+                raise CertificateError(
+                    f"summaries do not check: return summary for "
+                    f"unreached @{name}"
+                )
+        self.ret_summary = dict(claim.ret_summaries)
+        self.field_facts = {(g, off, size): av
+                            for g, off, size, av in claim.field_facts}
+        self.havoc_fields = claim.havoc_fields
+        self._round(defined, by_name)
+
+    def _close_reached(self, by_name: dict[str, Function]) -> None:
+        """Extend ``reached`` to its syntactic call closure and collect
+        ``store_keys`` from every store of a reached function."""
+        work = list(self.reached)
+        done: set[str] = set()
+        while work:
+            name = work.pop()
+            if name in done:
+                continue
+            done.add(name)
+            for inst in by_name[name].instructions():
+                if isinstance(inst, Store):
+                    root, offset = _addr_root_offset(inst.pointer)
+                    if isinstance(root, GlobalVariable) and offset >= 0:
+                        self.store_keys.setdefault(root.name, set()).add(
+                            (offset, inst.access_size)
+                        )
+                elif isinstance(inst, Call) and not _is_guard_call(inst):
+                    callee = inst.callee.name
+                    if callee in by_name:
+                        self.reached.add(callee)
+                        work.append(callee)
+
+    def _compare_claim(self, claim, arg_summaries, ret_summaries,
+                       field_facts) -> None:
+        """After the round, every summary must still be the claimed one.
+
+        Summaries only grow, so equality means no transfer function
+        changed anything.  Field facts are dead once ``havoc_fields`` is
+        set, so their growth is not compared then.
+        """
+        if self.havoc_fields != claim.havoc_fields:
+            raise CertificateError(
+                "summaries do not check: a store havocs the field facts"
+            )
+        claimed_args = dict(claim.arg_summaries)
+        for name, got in arg_summaries:
+            if got != claimed_args[name]:
+                raise CertificateError(
+                    f"summaries do not check: argument summary of @{name}"
+                )
+        if ret_summaries != claim.ret_summaries:
+            raise CertificateError("summaries do not check: return summaries")
+        if not self.havoc_fields and field_facts != claim.field_facts:
+            raise CertificateError("summaries do not check: field facts")
 
     def _transfer_store(self, inst: Store, frame: _Frame) -> bool:
         root, offset = _addr_root_offset(inst.pointer)
         value_av = self._eval(inst.value, frame)
         if isinstance(root, GlobalVariable) and offset >= 0:
-            key = (root.name, offset, inst.access_size)
-            self.store_keys.setdefault(root.name, set()).add(
-                (offset, inst.access_size)
-            )
+            size = inst.access_size
+            key = (root.name, offset, size)
+            # A new store shape can turn a load elsewhere to TOP, so it
+            # counts as a change: the last round starts with every key.
+            keys = self.store_keys.setdefault(root.name, set())
+            new_key = (offset, size) not in keys
+            keys.add((offset, size))
             if key in self._contract_fields:
-                return False  # contracted fields are trusted, not tracked
+                return new_key  # contracted fields are trusted, not tracked
             old = self.field_facts.get(key, ())
             new = av_join(old, value_av)
             if new != old:
                 self.field_facts[key] = new
                 return True
-            return False
+            return new_key
         # A store the analysis cannot place: if it may land in the
         # module area it may alias any global field.
         addr_av = self._eval(inst.pointer, frame)
@@ -650,7 +834,7 @@ class ModuleVerifier:
         if isinstance(value, GlobalValue):
             return (_MODULE_AREA,)
         if isinstance(value, Alloca):
-            return (_area_pointer("stack", value.size_bytes()),)
+            return (_area_pointer("stack", value.size_bytes),)
         if isinstance(value, Cast):
             return self._compute_cast(value, frame)
         if isinstance(value, BinOp):
@@ -779,11 +963,15 @@ class ModuleVerifier:
                 size_arg = value.args[0 if name == "kmalloc" else 1] \
                     if len(value.args) > (0 if name == "kmalloc" else 1) \
                     else None
+                # The object holds at least the smallest possible size;
+                # reserving a larger one would leave out pointers to a
+                # smaller object near the window's end, which a claimed
+                # summary with an inflated size could then exploit.
                 reserve = 0
                 if size_arg is not None:
                     size_av = self._eval(size_arg, frame)
                     if size_av and not av_is_top(size_av):
-                        reserve = size_av[-1][1]
+                        reserve = size_av[0][0]
                 return (_area_pointer(area, reserve),)
             return av_top_for(value)
         # Defined callee: evaluate inline when small, else use the

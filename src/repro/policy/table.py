@@ -137,7 +137,9 @@ class RegionTable:
             # Start addresses whose whole access fits inside this region.
             rlo = r.base
             rhi = r.base + r.length - size
-            if rhi < rlo:
+            if rhi < rlo or rhi < lo or rlo > hi:
+                # Decides no start at all, or none inside [lo, hi]
+                # (which holds every undecided atom).
                 continue
             remaining = []
             decided_any = False

@@ -15,7 +15,8 @@ exercise).
 
 `certificate` extends the chain with the -O3 static-verification tier:
 a :class:`VerificationCertificate` records per-guard verdicts bound to a
-policy-table digest/epoch, validated (and re-derived) at insmod.
+policy-table digest/epoch, plus the summaries that prove them; insmod
+validates it and checks that proof.
 """
 
 from .certificate import CertificateError, VerificationCertificate

@@ -137,6 +137,24 @@ def test_hostile_guard_is_never_certified(name):
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
+def test_hostile_guard_stays_dynamic_under_strict_check(name):
+    """insmod's proof check accepts the corpus certificates under
+    ``strict`` (they are honest about what they prove) and arms exactly
+    the proven elisions: the hostile guard stays live and denies."""
+    kernel, policy = _fresh_kernel("strict")
+    compiled = _compile_o3(CORPUS[name], policy.index, name)
+    loaded = kernel.insmod(compiled)
+    assert loaded.verify_state == "verified"
+    assert len(loaded.elided_guards) == compiled.guards_proven
+    assert compiled.guards_dynamic > 0
+    try:
+        kernel.run_function(loaded, "run", [HOSTILE_SEED[name]])
+    except MemoryFault:
+        pass  # see test_hostile_guard_is_never_certified
+    assert policy.stats.denied > 0, f"{name}: the deny was hidden"
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
 def test_deny_visibility_matches_faithful_build(name):
     """The -O3 build takes a deny on the same run the -O0 build does."""
     for opt_level in (0, 3):
@@ -226,8 +244,8 @@ def test_stale_policy_epoch_rejected_or_demoted():
 
 
 def test_forged_verdicts_caught_by_revalidation():
-    """insmod re-runs the verifier: a certificate claiming MORE proven
-    guards than the analysis supports is caught bit-for-bit."""
+    """insmod checks the proof: a certificate claiming MORE proven
+    guards than its summaries support is caught bit-for-bit."""
     kernel, policy = _fresh_kernel("strict")
     compiled = _compile_o3(WILD_POINTER, policy.index, "forged")
     cert = compiled.certificate

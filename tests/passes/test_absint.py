@@ -9,6 +9,8 @@ deny (soundness is the whole point of the tier).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import abi
 from repro.core.pipeline import CompileOptions, compile_module
@@ -29,7 +31,7 @@ from repro.passes.absint import (
     av_sub,
     elidable_guard_ids,
 )
-from repro.policy import RegionTable
+from repro.policy import IntervalRegionTable, RegionTable
 from repro.policy.region import Region
 
 RW = abi.FLAG_READ | abi.FLAG_WRITE
@@ -123,6 +125,45 @@ def test_check_range_matches_pointwise_check():
         want = all(table.check(a, 8, RW)[0] for a in range(lo, hi + 1))
         got = table.check_range(lo, hi, 8, RW)
         assert got == want, (hex(lo), hex(hi), got, want)
+
+
+# Small tables over a 512-byte window: bases and lengths collide often,
+# so draws hold overlaps, regions shadowed by earlier ones, and deny
+# holes (prot 0 or a missing flag) inside larger allowances.
+_regions = st.lists(
+    st.builds(
+        Region,
+        base=st.integers(0x100, 0x2FF),
+        length=st.integers(1, 0x80),
+        prot=st.sampled_from([0, abi.FLAG_READ, abi.FLAG_WRITE, RW]),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    regions=_regions,
+    default_allow=st.booleans(),
+    interval=st.booleans(),
+    lo=st.integers(0xF0, 0x310),
+    span=st.integers(0, 0x60),
+    size=st.sampled_from([1, 2, 4, 8]),
+    flags=st.sampled_from([abi.FLAG_READ, abi.FLAG_WRITE, RW]),
+)
+def test_check_range_matches_pointwise_check_property(
+    regions, default_allow, interval, lo, span, size, flags
+):
+    """``check_range`` equals a brute-force pointwise ``check`` over every
+    start address, on random tables of either index structure."""
+    table = (IntervalRegionTable if interval else RegionTable)(
+        default_allow=default_allow
+    )
+    for r in regions:
+        table.add(r)
+    hi = lo + span
+    want = all(table.check(a, size, flags)[0] for a in range(lo, hi + 1))
+    assert table.check_range(lo, hi, size, flags) == want
 
 
 def test_check_range_first_match_deny_counterexample():
@@ -220,3 +261,29 @@ def test_verifier_is_deterministic():
     _, r2 = _verify(_SIMPLE, table)
     assert r1.verdicts == r2.verdicts
     assert r1.contracts_digest == r2.contracts_digest
+
+
+_ALLOC = """
+extern void *kmalloc(long size, int flags);
+long mk(long n) {
+    long *p = (long *)kmalloc(n, 0);
+    return p[500];
+}
+__export long run(long seed) {
+    return mk(64) + mk(8192);
+}
+"""
+
+
+def test_kmalloc_reserve_uses_smallest_size():
+    """An allocation of 64 or 8192 bytes may sit in the heap window's
+    last 64 bytes, so ``p[500]`` (4000 bytes in) cannot be proven inside
+    the window: the reserved size is the smallest one, not the largest."""
+    table = RegionTable(default_allow=False)
+    lo, hi = AREAS["heap"]
+    table.add(Region(lo, hi - lo + 1, RW))
+    compiled, report = _verify(_ALLOC, table)
+    assert dict(report.verdicts)["mk"] == (0,)
+    # Sizes that are all at least the access's reach still prove.
+    compiled, report = _verify(_ALLOC.replace("mk(64)", "mk(4096)"), table)
+    assert dict(report.verdicts)["mk"] == (1,)
