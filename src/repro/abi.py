@@ -52,6 +52,15 @@ def to_signed64(value: int) -> int:
     return value - (1 << 64) if value > 0x7FFFFFFFFFFFFFFF else value
 
 
+def to_signed32(value: int) -> int:
+    """Reinterpret an unsigned 32-bit pattern as signed two's complement.
+
+    Driver entry points return ``int``: the VM hands back the unsigned
+    i32 bit pattern, and a negative errno must be re-signed.
+    """
+    return value - (1 << 32) if value > 0x7FFFFFFF else value
+
+
 def flags_name(flags: int) -> str:
     """Human-readable rendering of an access-flag bitmap."""
     parts = []
@@ -85,5 +94,6 @@ __all__ = [
     "META_OPT_LEVEL",
     "flags_name",
     "guard_function_type",
+    "to_signed32",
     "to_signed64",
 ]

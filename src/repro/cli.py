@@ -222,34 +222,8 @@ def pktblast_main(argv: list[str] | None = None) -> int:
     _add_system_args(ap)
     ap.add_argument("--size", type=int, default=128, help="frame bytes")
     ap.add_argument("--count", type=int, default=1000, help="packets to send")
-    ap.add_argument(
-        "--workers", type=int, default=0,
-        help="partition the blast across N OS processes (real parallelism)",
-    )
     args = ap.parse_args(argv)
     config = _system_config(args, "e1000e")
-
-    if args.workers > 1:
-        from dataclasses import asdict
-
-        from .net.pool import pool_blast
-
-        pool = pool_blast(args.workers, size=args.size, count=args.count,
-                          config_kwargs=asdict(config))
-        technique = "baseline" if args.baseline else "carat"
-        print(
-            f"{technique}: {pool.packets_sent}/{pool.packets_requested} "
-            f"packets across {pool.workers} workers, "
-            f"{pool.wall_pps:,.0f} wall pps "
-            f"(pool wall time {pool.wall_elapsed_s:.3f}s), "
-            f"{pool.errors} errors, {pool.stalls} stalls"
-        )
-        stats = pool.guard_stats
-        print(
-            f"guards (merged): {stats['checks']:,} checks, "
-            f"{stats['denied']} denied"
-        )
-        return 0
     return _blast(config, args, count=args.count, size=args.size)
 
 

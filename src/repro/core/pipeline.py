@@ -58,16 +58,10 @@ class CompileOptions:
     #: coalescing, 3 = adds load-time static verification (prove guards
     #: in-policy and mint an elision certificate).
     opt_level: int = 0
-    #: Individual transform overrides; ``None`` follows ``opt_level``.
-    eliminate_guards: Optional[bool] = None
-    hoist_guards: Optional[bool] = None
-    coalesce_guards: Optional[bool] = None
-    #: Run the abstract-interpretation verifier (``None`` follows
-    #: ``opt_level >= 3``).  Requires ``verify_table``; without a table
-    #: the tier degrades to -O2 behaviour (no certificate minted).
-    verify: Optional[bool] = None
     #: The policy table (RegionTable/IntervalRegionTable) to prove guard
     #: ranges against — normally the live table the kernel will enforce.
+    #: ``-O3`` requires it; without a table the tier degrades to -O2
+    #: behaviour (no certificate minted).
     verify_table: Optional[object] = None
     #: Trusted contract set (``repro.passes.absint.ContractSet``); must
     #: match the kernel's registered contracts or insmod will demote.
@@ -82,7 +76,6 @@ class CompileOptions:
     optimize: bool = True
     #: Sign the result (required by kernels provisioned with a key).
     key: Optional[SigningKey] = None
-    verify_each_pass: bool = True
 
     def __post_init__(self) -> None:
         if self.opt_level not in (0, 1, 2, 3):
@@ -91,26 +84,13 @@ class CompileOptions:
             )
 
     def verify_enabled(self) -> bool:
-        """Static verification tier (``-O3``) after overrides."""
-        if self.verify is not None:
-            return self.verify
+        """The static verification tier (``-O3``)."""
         return self.opt_level >= 3
 
     def guard_opt_toggles(self) -> tuple[bool, bool, bool]:
-        """``(eliminate, hoist, coalesce)`` after per-transform overrides."""
+        """``(eliminate, hoist, coalesce)`` for this ``opt_level``."""
         level = self.opt_level
-        eliminate = (
-            self.eliminate_guards if self.eliminate_guards is not None
-            else level >= 1
-        )
-        hoist = (
-            self.hoist_guards if self.hoist_guards is not None else level >= 1
-        )
-        coalesce = (
-            self.coalesce_guards if self.coalesce_guards is not None
-            else level >= 2
-        )
-        return eliminate, hoist, coalesce
+        return level >= 1, level >= 1, level >= 2
 
 
 @dataclass
@@ -163,7 +143,7 @@ def compile_module(
             ir.name = opts.module_name
     verify_module(ir)
 
-    pm = PassManager(verify_each=opts.verify_each_pass)
+    pm = PassManager()
     if opts.optimize:
         pm.add(Mem2RegPass()).add(PeepholePass()).add(DCEPass())
     pm.run(ir)
@@ -171,7 +151,7 @@ def compile_module(
 
     eliminate, hoist, coalesce = opts.guard_opt_toggles()
     guard_opt: Optional[GuardOptPass] = None
-    pm2 = PassManager(verify_each=opts.verify_each_pass)
+    pm2 = PassManager()
     pm2.add(AttestationPass())
     if opts.protect:
         pm2.add(GuardInjectionPass())

@@ -13,7 +13,9 @@ from __future__ import annotations
 import struct
 from typing import Union
 
+from ..abi import to_signed32, to_signed64
 from ..kernel import layout
+from ..kernel.chardev import EBUSY
 from ..kernel.kernel import Kernel
 from ..kernel.module_loader import LoadedModule
 from ..net.frame import ETH_ZLEN, EthernetFrame
@@ -22,7 +24,6 @@ from .device import E1000EDevice
 
 # errno values the driver returns (negative).
 ENETDOWN = 100
-EBUSY = 16
 
 STAT_NAMES = (
     "tx_packets",
@@ -137,7 +138,7 @@ class E1000ENetDev:
             )
             # The VM returns the unsigned i32 bit pattern; errnos are
             # negative, so re-sign it.
-            return rc - (1 << 32) if rc >= 1 << 31 else rc
+            return to_signed32(rc)
         finally:
             # The DMA engine consumed the payload synchronously at the
             # doorbell, so the skb can be freed as soon as xmit returns.
@@ -304,14 +305,12 @@ class E1000ENetDev:
     def stats(self) -> dict[str, int]:
         out = {}
         for i, name in enumerate(STAT_NAMES):
-            v = self.kernel.run_function(self.module, "e1000e_get_stat", [i])
-            if v >= 1 << 63:
-                v -= 1 << 64
-            out[name] = v
+            out[name] = to_signed64(self.kernel.run_function(
+                self.module, "e1000e_get_stat", [i]))
         return out
 
     def read_reg(self, reg: int) -> int:
         return self.kernel.run_function(self.module, "e1000e_read_reg", [reg])
 
 
-__all__ = ["EBUSY", "ENETDOWN", "E1000ENetDev", "STAT_NAMES"]
+__all__ = ["ENETDOWN", "E1000ENetDev", "STAT_NAMES"]

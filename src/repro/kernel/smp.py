@@ -15,19 +15,21 @@ simulated kernel:
   TCG.  With the default seed the interleave of a sharded workload is
   byte-identical to the single-CPU ordering, which is what lets the CI
   smoke job diff simulated state across ``--cpus 1/2/4``.
+  :meth:`SmpTopology.run_sharded` is the one sharding loop both load
+  tools run their streams through.
 - :class:`RcuDomain` — ``rcu_read()`` read-side critical sections,
   ``synchronize()`` grace periods, and ``call_rcu()`` epoch-based
   reclamation, the read-path pattern the eBPF runtime uses for map
   access and the policy module uses here for its region-table replicas.
 
-True parallelism (separate OS processes per worker) lives in
-:mod:`repro.net.pool`; nothing here spawns a thread.
+Nothing here spawns a thread or a process: the model buys determinism,
+not host parallelism.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -102,37 +104,23 @@ class SmpTopology:
         self._rr_next = (cpu + 1) % self.ncpus
         return cpu
 
-    def run_round_robin(self, tasks: Iterable[Iterator]) -> int:
-        """Drive one iterator per CPU cooperatively, one step per turn.
+    def run_sharded(self, count: int, step: Callable[[int], object]) -> None:
+        """Run ``step(seq)`` for every ``seq`` in ``range(count)``.
 
-        ``tasks[k]`` runs with ``current == k``; turns rotate starting at
-        the seed CPU.  Round-robin sharding plus round-robin draining
-        reconstructs the unsharded global order exactly — the property
-        the ``--cpus 1/2/4`` bit-identity check rests on.  Returns the
-        total number of steps executed.
+        Seqs run in order, ``seq`` on CPU ``(seed + seq) % ncpus``: the
+        stream is sharded round-robin across the CPUs starting at the
+        seed CPU, and the global order is the unsharded one for any CPU
+        count, the property the ``--cpus 1/2/4`` bit-identity check
+        rests on.  ``current`` is restored after every step, also when
+        ``step`` raises.
         """
-        pending = {cpu: task for cpu, task in enumerate(tasks)}
-        if len(pending) > self.ncpus:
-            raise ValueError(
-                f"{len(pending)} tasks for {self.ncpus} CPUs"
-            )
-        steps = 0
-        start = self.seed % self.ncpus
-        order = [(start + i) % self.ncpus for i in range(self.ncpus)]
-        while pending:
-            for cpu in order:
-                task = pending.get(cpu)
-                if task is None:
-                    continue
-                previous = self.switch_to(cpu)
-                try:
-                    next(task)
-                    steps += 1
-                except StopIteration:
-                    del pending[cpu]
-                finally:
-                    self.switch_to(previous)
-        return steps
+        ncpus, seed = self.ncpus, self.seed
+        for seq in range(count):
+            previous = self.switch_to((seed + seq) % ncpus)
+            try:
+                step(seq)
+            finally:
+                self.switch_to(previous)
 
 
 class RcuError(RuntimeError):

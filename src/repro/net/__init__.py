@@ -10,9 +10,8 @@ from .frame import (
     EthernetFrame,
     make_test_frame,
 )
-from .pool import PoolResult, partition, pool_blast
 from .sink import PacketSink
-from .syscalls import RawPacketSocket, SendResult
+from .syscalls import RawPacketSocket
 
 __all__ = [
     "BlastResult",
@@ -24,10 +23,6 @@ __all__ = [
     "EthernetFrame",
     "PacketBlaster",
     "PacketSink",
-    "PoolResult",
     "RawPacketSocket",
-    "SendResult",
     "make_test_frame",
-    "partition",
-    "pool_blast",
 ]

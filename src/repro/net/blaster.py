@@ -61,40 +61,27 @@ class PacketBlaster:
         machine = self.machine
         kernel = self.socket.kernel
         timing = kernel.vm.timing
-        smp = kernel.smp
         errors = 0
         stalls_before = self.socket.stalls
         latencies: list[float] = [] if capture_latency else None  # type: ignore[assignment]
         start_cycles = timing.cycles if timing is not None else 0.0
 
-        def shard(seqs: range):
-            """One CPU's slice of the stream, one packet per turn."""
+        def send(seq: int) -> None:
             nonlocal errors
-            for seq in seqs:
-                frame = make_test_frame(size, seq)
-                # The tool's own per-iteration work happens on the same
-                # clock the device drains against — without it the
-                # producer would look impossibly fast and the TX ring
-                # would always be full.
-                if timing is not None and machine is not None:
-                    timing.add_cycles(machine.userspace_per_packet_cycles)
-                result = self.socket.sendmsg(frame)
-                if result.rc != 0:
-                    errors += 1
-                if capture_latency:
-                    latencies.append(result.latency_cycles)
-                yield
+            frame = make_test_frame(size, seq)
+            # The tool's own per-iteration work happens on the same
+            # clock the device drains against — without it the
+            # producer would look impossibly fast and the TX ring
+            # would always be full.
+            if timing is not None and machine is not None:
+                timing.add_cycles(machine.userspace_per_packet_cycles)
+            result = self.socket.sendmsg(frame)
+            if result.rc != 0:
+                errors += 1
+            if capture_latency:
+                latencies.append(result.latency_cycles)
 
-        # Shard the stream round-robin across the simulated CPUs and
-        # drain it round-robin: CPU k sends the seqs congruent to its
-        # turn offset, so the cooperative scheduler reconstructs the
-        # exact single-CPU global order for any CPU count.
-        start = smp.seed % smp.ncpus
-        tasks = [
-            shard(range((cpu - start) % smp.ncpus, count, smp.ncpus))
-            for cpu in range(smp.ncpus)
-        ]
-        smp.run_round_robin(tasks)
+        kernel.smp.run_sharded(count, send)
         total = (timing.cycles - start_cycles) if timing is not None else 0.0
         if machine is not None and total > 0:
             pps = count / machine.seconds(total)

@@ -1,109 +1,38 @@
-"""The user/kernel syscall boundary for raw packet sockets.
+"""The raw packet socket: the NIC stack's side of the syscall boundary.
 
-``RawPacketSocket.sendmsg`` is the measured section of Figure 7: "The
-latency is measured, in cycles using the cycle counter, as the time spent
-in the sendmsg() call from the user-space test application's point of
-view" (§4.2).  Per call it charges syscall entry/exit, the core network
-stack traversal (socket lookup, qdisc, skb setup — all core-kernel code,
-unguarded), the payload copy, and then runs the driver's xmit path on the
-VM, where guard costs accrue.
-
-Ring-full handling models the paper's outliers: when the driver returns
-EBUSY the application is descheduled (~10⁷ cycles), after which the wire
-has drained and the retry succeeds.
+``RawPacketSocket.sendmsg`` is the measured section of Figure 7.  Per
+call, :class:`~repro.kernel.syscall.SyscallBoundary` charges syscall
+entry/exit, the core network stack traversal and the payload copy, then
+runs the driver's xmit path on the VM, where guard costs accrue; a full
+TX ring (EBUSY) deschedules the sender until the wire drains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 from ..kernel.kernel import Kernel
+from ..kernel.syscall import SyscallBoundary, SyscallResult
 from ..net.frame import EthernetFrame
 from ..vm.machine import MachineModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..e1000e.netdev import E1000ENetDev
 
-EBUSY = 16
 
-
-@dataclass(slots=True)
-class SendResult:
-    rc: int
-    latency_cycles: float
-    stalled: bool = False
-
-
-class RawPacketSocket:
+class RawPacketSocket(SyscallBoundary):
     """An AF_PACKET-style raw socket bound to one interface."""
 
     def __init__(self, kernel: Kernel, netdev: "E1000ENetDev",
                  machine: Optional[MachineModel] = None,
                  max_retries: int = 1):
-        self.kernel = kernel
+        super().__init__(kernel, netdev.device, machine, max_retries)
         self.netdev = netdev
-        self.machine = machine
-        #: Bounded EBUSY retries per sendmsg.  The default (1) is the
-        #: paper's behaviour: one deschedule, one retry.  Fault-injection
-        #: runs raise it so transient driver-path errors are ridden out
-        #: with linear backoff instead of surfacing to the caller.
-        self.max_retries = max_retries
-        self.sent = 0
-        self.stalls = 0
-        points = kernel.trace.points
-        self._tp_enter = points["syscall:enter"]
-        self._tp_exit = points["syscall:exit"]
 
-    def sendmsg(self, frame: Union[EthernetFrame, bytes]) -> SendResult:
+    def sendmsg(self, frame: Union[EthernetFrame, bytes]) -> SyscallResult:
         raw = frame.encode() if isinstance(frame, EthernetFrame) else bytes(frame)
-        tp = self._tp_enter
-        if tp.enabled:
-            tp.emit(name="sendmsg", bytes=len(raw))
-        timing = self.kernel.vm.timing
-        machine = self.machine
-        if timing is None or machine is None:
-            rc = self._xmit_with_retry(raw)
-            self.sent += 1
-            tp = self._tp_exit
-            if tp.enabled:
-                tp.emit(name="sendmsg", rc=rc, cycles=0.0, stalled=False)
-            return SendResult(rc, 0.0)
-        start = timing.cycles
-        timing.add_cycles(machine.syscall_cycles)
-        timing.add_cycles(machine.netstack_base_cycles)
-        timing.add_cycles(machine.per_byte_cycles * len(raw))
-        rc = self.netdev.xmit(raw)
-        stalled = False
-        attempt = 0
-        while rc == -EBUSY and attempt < self.max_retries:
-            # Descheduled until the NIC drains (paper: outliers "in excess
-            # of 10 million cycles ... when the ring is full and the test
-            # application is descheduled").  Repeated EBUSY backs off
-            # linearly — the scheduler keeps the starved sender off-CPU
-            # longer each time.
-            attempt += 1
-            stalled = True
-            self.stalls += 1
-            timing.add_cycles(machine.deschedule_cycles * attempt)
-            # While the sender slept, the NIC drained the wire and wrote
-            # descriptor status back.
-            self.netdev.device.sync()
-            rc = self.netdev.xmit(raw)
-        self.sent += 1
-        latency = timing.cycles - start
-        tp = self._tp_exit
-        if tp.enabled:
-            tp.emit(name="sendmsg", rc=rc, cycles=latency, stalled=stalled)
-        return SendResult(rc, latency, stalled)
-
-    def _xmit_with_retry(self, raw: bytes) -> int:
-        rc = self.netdev.xmit(raw)
-        attempt = 0
-        while rc == -EBUSY and attempt < self.max_retries:
-            attempt += 1
-            rc = self.netdev.xmit(raw)
-        return rc
+        xmit = self.netdev.xmit
+        return self._call("sendmsg", len(raw), lambda: (xmit(raw), b""))
 
 
-__all__ = ["RawPacketSocket", "SendResult"]
+__all__ = ["RawPacketSocket"]

@@ -7,8 +7,9 @@ faithful paper pipeline.  The individual transforms are selectable so the
 ``-O`` levels of :mod:`repro.core.pipeline` can compose them:
 
 1. **Dominating-guard elimination** (``-O1``) — a guard is redundant if a
-   structurally identical guard (same address computation, same flags,
-   covering size) executes on every path to it.
+   guard on the same address root with the same flags, whose byte range
+   covers it, executes on every path to it (so a guard that block
+   coalescing widened still retires the narrow guards it dominates).
 2. **Loop-invariant guard hoisting** (``-O1``) — a guard whose address is
    computed outside the loop moves to the preheader and executes once
    instead of once per iteration.  (Speculative: the hoisted guard fires
@@ -42,7 +43,7 @@ compare equal anyway.  The numbering pins every visited value, so no
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from .. import abi
 from ..ir import BasicBlock, Function, Module
@@ -175,15 +176,6 @@ def _resolve_pointer_root(value: Value) -> Value:
     return value
 
 
-def _guard_key(call: Call, vn: _ValueNumber) -> Optional[tuple[object, int, int]]:
-    """(address structure, size, flags) for a guard call, if extractable."""
-    addr, size, flags = call.args
-    if not isinstance(size, ConstantInt) or not isinstance(flags, ConstantInt):
-        return None
-    root = _resolve_pointer_root(addr)
-    return (vn.key(root), size.value, flags.value)
-
-
 def _addr_root_offset(value: Value) -> tuple[Value, int]:
     """Decompose an address into ``(root, constant byte offset)``.
 
@@ -213,6 +205,26 @@ def _addr_root_offset(value: Value) -> tuple[Value, int]:
             continue
         break
     return v, offset
+
+
+def _guards_by_root(
+    insts: Iterable[Instruction], vn: _ValueNumber
+) -> dict[tuple[object, int], list[tuple[Call, int, int]]]:
+    """Group the guards among ``insts`` that have a constant size and
+    flags by ``(address root, flags)``.  Each entry is ``(guard, byte
+    offset off the root, size)``, in ``insts`` order."""
+    groups: dict[tuple[object, int], list[tuple[Call, int, int]]] = {}
+    for inst in insts:
+        if not (isinstance(inst, Call) and inst.is_guard):
+            continue
+        addr, size, flags = inst.args
+        if not (isinstance(size, ConstantInt) and isinstance(flags, ConstantInt)):
+            continue
+        root, off = _addr_root_offset(addr)
+        groups.setdefault((vn.key(root), flags.value), []).append(
+            (inst, off, size.value)
+        )
+    return groups
 
 
 class GuardOptPass:
@@ -263,36 +275,24 @@ class GuardOptPass:
     # -- dominance-based elimination ------------------------------------------
 
     def _eliminate_dominated(self, fn: Function) -> bool:
+        """Drop a guard that a kept guard on the same root with the same
+        flags dominates and whose byte range that guard covers."""
         dom = DominatorTree(fn)
-        vn = _ValueNumber()
-        guards: list[Call] = [
-            inst
-            for inst in fn.instructions()
-            if isinstance(inst, Call) and inst.is_guard
-        ]
-        by_key: dict[tuple[object, int, int], list[Call]] = {}
-        for g in guards:
-            key = _guard_key(g, vn)
-            if key is not None:
-                by_key.setdefault(key, []).append(g)
         removed = False
-        for key, group in by_key.items():
-            if len(group) < 2:
-                continue
-            kept: list[Call] = []
-            for g in group:
-                dominated = False
-                for k in kept:
-                    if self._guard_dominates(k, g, dom):
-                        dominated = True
-                        break
-                if dominated:
+        for group in _guards_by_root(fn.instructions(), _ValueNumber()).values():
+            kept: list[tuple[Call, int, int]] = []
+            for g, off, size in group:
+                if any(
+                    k_off <= off and off + size <= k_off + k_size
+                    and self._guard_dominates(k, g, dom)
+                    for k, k_off, k_size in kept
+                ):
                     assert g.parent is not None
                     g.parent.remove(g)
                     self.guards_removed += 1
                     removed = True
                 else:
-                    kept.append(g)
+                    kept.append((g, off, size))
         return removed
 
     @staticmethod
@@ -315,25 +315,7 @@ class GuardOptPass:
         changed = False
         vn = _ValueNumber()
         for block in fn.blocks:
-            groups: dict[tuple[object, int], list[tuple[Call, int, int]]] = {}
-            order: list[tuple[object, int]] = []
-            for inst in block.instructions:
-                if not (isinstance(inst, Call) and inst.is_guard):
-                    continue
-                addr, size, flags = inst.args
-                if not (
-                    isinstance(size, ConstantInt)
-                    and isinstance(flags, ConstantInt)
-                ):
-                    continue
-                root, off = _addr_root_offset(addr)
-                key = (vn.key(root), flags.value)
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append((inst, off, size.value))
-            for key in order:
-                group = groups[key]
+            for group in _guards_by_root(block.instructions, vn).values():
                 if len(group) < 2:
                     continue
                 lo = min(off for _, off, _ in group)

@@ -3,9 +3,9 @@
 Mirrors the paper's setup where the CARAT KOP transform is "a compiler
 pass that lives within the LLVM framework ... invoked by a script that
 wraps the underlying clang compiler" (§3.3).  Each pass is a callable
-object; the manager runs them in order and (optionally) verifies the
-module after each one, which is how the compiler "certifies" its own
-output before signing.
+object; the manager runs them in order and verifies the module after
+every one, which is how the compiler "certifies" its own output before
+signing.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ class ModulePass(Protocol):
 class PassManager:
     """Runs a pipeline of module passes, verifying in between."""
 
-    def __init__(self, passes: Iterable[ModulePass] = (), verify_each: bool = True):
+    def __init__(self, passes: Iterable[ModulePass] = ()):
         self.passes: list[ModulePass] = list(passes)
-        self.verify_each = verify_each
         self.log: list[tuple[str, bool]] = []
 
     def add(self, p: ModulePass) -> "PassManager":
@@ -47,8 +46,7 @@ class PassManager:
             changed |= did
             if did:
                 module.bump_generation()
-            if self.verify_each:
-                verify_module(module)
+            verify_module(module)
         return changed
 
 

@@ -9,7 +9,6 @@ from .blkdev import (
     OP_READ,
     OP_WRITE,
     STAT_NAMES,
-    SubmitResult,
     VblkBlockDev,
 )
 from .contracts import VBLK_CONTRACTS
@@ -28,7 +27,6 @@ __all__ = [
     "OP_WRITE",
     "PATTERNS",
     "STAT_NAMES",
-    "SubmitResult",
     "VBLK_CONTRACTS",
     "VblkBlockDev",
     "VblkDevice",

@@ -110,7 +110,6 @@ class BlockBlaster:
         queue = self.queue
         kernel = queue.kernel
         timing = kernel.vm.timing
-        smp = kernel.smp
         capacity = queue.blkdev.device.capacity_sectors
         span = max(capacity - nsect, 1)
         hot_window = max(span // 32, 1)
@@ -143,44 +142,32 @@ class BlockBlaster:
                     sector = (bits >> 16) % span
             return op, sector
 
-        def shard(seqs: range):
-            """One CPU's slice of the stream, one request per turn."""
+        def issue(seq: int) -> None:
             nonlocal errors, reads, writes, flushes, bytes_read, bytes_written
-            for seq in seqs:
-                op, sector = plan(seq)
-                # The tool's own per-iteration work happens on the same
-                # clock the device drains against.
-                if timing is not None and machine is not None:
-                    timing.add_cycles(machine.userspace_per_packet_cycles)
-                if op == regs.VDESC_TYPE_FLUSH:
-                    result = queue.fsync()
-                    flushes += 1
-                elif op == regs.VDESC_TYPE_READ:
-                    result = queue.pread(sector, nsect)
-                    reads += 1
-                    if result.rc == 0:
-                        bytes_read += length
-                else:
-                    result = queue.pwrite(sector, make_test_block(length, seq))
-                    writes += 1
-                    if result.rc == 0:
-                        bytes_written += length
-                if result.rc != 0:
-                    errors += 1
-                if capture_latency:
-                    latencies.append(result.latency_cycles)
-                yield
+            op, sector = plan(seq)
+            # The tool's own per-iteration work happens on the same
+            # clock the device drains against.
+            if timing is not None and machine is not None:
+                timing.add_cycles(machine.userspace_per_packet_cycles)
+            if op == regs.VDESC_TYPE_FLUSH:
+                result = queue.fsync()
+                flushes += 1
+            elif op == regs.VDESC_TYPE_READ:
+                result = queue.pread(sector, nsect)
+                reads += 1
+                if result.rc == 0:
+                    bytes_read += length
+            else:
+                result = queue.pwrite(sector, make_test_block(length, seq))
+                writes += 1
+                if result.rc == 0:
+                    bytes_written += length
+            if result.rc != 0:
+                errors += 1
+            if capture_latency:
+                latencies.append(result.latency_cycles)
 
-        # Shard the stream round-robin across the simulated CPUs and
-        # drain it round-robin: CPU k issues the seqs congruent to its
-        # turn offset, so the cooperative scheduler reconstructs the
-        # exact single-CPU global order for any CPU count.
-        start = smp.seed % smp.ncpus
-        tasks = [
-            shard(range((cpu - start) % smp.ncpus, count, smp.ncpus))
-            for cpu in range(smp.ncpus)
-        ]
-        smp.run_round_robin(tasks)
+        kernel.smp.run_sharded(count, issue)
         total = (timing.cycles - start_cycles) if timing is not None else 0.0
         if machine is not None and total > 0:
             iops = count / machine.seconds(total)

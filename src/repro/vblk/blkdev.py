@@ -6,9 +6,11 @@ exercises: bio buffer allocation (kmalloc), payload copy into the
 request buffer (core-kernel memcpy — *not* guarded, because it is not
 module code), and the call into the driver's submit path, which *is*
 module code and runs under the guards.  ``BlockRequestQueue`` is the
-user/kernel boundary on top: per request it charges syscall entry/exit,
-block-layer traversal, and the payload copy, then runs the guarded
-submit — the storage twin of ``RawPacketSocket.sendmsg``.
+block stack's side of the one user/kernel boundary
+(:class:`~repro.kernel.syscall.SyscallBoundary`, which the packet
+socket crosses too): per request the boundary charges syscall
+entry/exit, block-layer traversal and the payload copy, rides out a
+full queue, and runs the guarded submit.
 
 Multi-queue dispatch happens here, blk-mq style: the blkdev is probed
 with ``queues`` I/O pairs and every submission runs on the *calling
@@ -21,17 +23,17 @@ stalls (and therefore cycles) change with the mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ..abi import to_signed32, to_signed64
 from ..kernel.kernel import Kernel
 from ..kernel.module_loader import LoadedModule
+from ..kernel.syscall import SyscallBoundary, SyscallResult
 from ..vm.machine import MachineModel
 from . import regs
 from .device import VblkDevice
 
 # errno values the driver returns (negative).
-EBUSY = 16
 ENODEV = 19
 
 STAT_NAMES = (
@@ -131,7 +133,7 @@ class VblkBlockDev:
         )
         # The VM returns the unsigned i32 bit pattern; errnos are
         # negative, so re-sign it.
-        return rc - (1 << 32) if rc >= 1 << 31 else rc
+        return to_signed32(rc)
 
     def submit_read(self, sector: int, nsect: int = 1) -> tuple[int, bytes]:
         """Read ``nsect`` sectors; returns ``(rc, data)``.
@@ -195,7 +197,7 @@ class VblkBlockDev:
                 [qi, self.device.irq_lines[qi]],
             )
             if rc != 0:
-                return rc - (1 << 32) if rc >= 1 << 31 else rc
+                return to_signed32(rc)
         return 0
 
     def disable_interrupts(self) -> int:
@@ -209,10 +211,8 @@ class VblkBlockDev:
     def stats(self) -> dict[str, int]:
         out = {}
         for i, name in enumerate(STAT_NAMES):
-            v = self.kernel.run_function(self.module, "vblk_get_stat", [i])
-            if v >= 1 << 63:
-                v -= 1 << 64
-            out[name] = v
+            out[name] = to_signed64(self.kernel.run_function(
+                self.module, "vblk_get_stat", [i]))
         return out
 
     def queue_io_stats(self) -> list[dict[str, int]]:
@@ -235,91 +235,38 @@ class VblkBlockDev:
         return self.kernel.run_function(self.module, "vblk_read_reg", [reg])
 
 
-@dataclass(slots=True)
-class SubmitResult:
-    rc: int
-    latency_cycles: float
-    stalled: bool = False
-    data: bytes = b""
+class BlockRequestQueue(SyscallBoundary):
+    """The block stack's side of the syscall boundary
+    (pread/pwrite/fsync-style).
 
-
-class BlockRequestQueue:
-    """The user/kernel boundary for block I/O (pread/pwrite/fsync-style).
-
-    Charges the same boundary costs the packet socket charges — syscall
-    entry/exit, stack traversal, per-byte copy — then runs the guarded
-    driver submit on the calling CPU's own queue.  Queue-full handling
-    mirrors the paper's outliers: on EBUSY the caller is descheduled,
-    the device drains, and the retry goes through.
+    Each call crosses :class:`~repro.kernel.syscall.SyscallBoundary`,
+    which charges what the packet socket charges and rides out a full
+    queue the same way, then runs the guarded driver submit on the
+    calling CPU's own queue.
     """
 
     def __init__(self, kernel: Kernel, blkdev: VblkBlockDev,
                  machine: Optional[MachineModel] = None,
                  max_retries: int = 1):
-        self.kernel = kernel
+        super().__init__(kernel, blkdev.device, machine, max_retries)
         self.blkdev = blkdev
-        self.machine = machine
-        self.max_retries = max_retries
-        self.submitted = 0
-        self.stalls = 0
-        points = kernel.trace.points
-        self._tp_enter = points["syscall:enter"]
-        self._tp_exit = points["syscall:exit"]
 
-    def _charge_entry(self, nbytes: int) -> None:
-        timing = self.kernel.vm.timing
-        machine = self.machine
-        if timing is None or machine is None:
-            return
-        timing.add_cycles(machine.syscall_cycles)
-        timing.add_cycles(machine.netstack_base_cycles)
-        timing.add_cycles(machine.per_byte_cycles * nbytes)
+    def pread(self, sector: int, nsect: int = 1) -> SyscallResult:
+        blkdev = self.blkdev
+        return self._call("pread", nsect * regs.SECTOR_SIZE,
+                          lambda: blkdev.submit_read(sector, nsect))
 
-    def _run(self, name: str, nbytes: int, op) -> SubmitResult:
-        tp = self._tp_enter
-        if tp.enabled:
-            tp.emit(name=name, bytes=nbytes)
-        timing = self.kernel.vm.timing
-        start = timing.cycles if timing is not None else 0.0
-        self._charge_entry(nbytes)
-        rc, data = op()
-        stalled = False
-        attempt = 0
-        while rc == -EBUSY and attempt < self.max_retries:
-            attempt += 1
-            stalled = True
-            self.stalls += 1
-            if timing is not None and self.machine is not None:
-                timing.add_cycles(self.machine.deschedule_cycles * attempt)
-            # While the caller slept, the device drained its queues and
-            # wrote completions back.
-            self.blkdev.device.sync()
-            rc, data = op()
-        self.submitted += 1
-        latency = (timing.cycles - start) if timing is not None else 0.0
-        tp = self._tp_exit
-        if tp.enabled:
-            tp.emit(name=name, rc=rc, cycles=latency, stalled=stalled)
-        return SubmitResult(rc, latency, stalled, data)
+    def pwrite(self, sector: int, payload: bytes) -> SyscallResult:
+        blkdev = self.blkdev
+        return self._call("pwrite", len(payload),
+                          lambda: (blkdev.submit_write(sector, payload), b""))
 
-    def pread(self, sector: int, nsect: int = 1) -> SubmitResult:
-        def op():
-            return self.blkdev.submit_read(sector, nsect)
-        return self._run("pread", nsect * regs.SECTOR_SIZE, op)
-
-    def pwrite(self, sector: int, payload: bytes) -> SubmitResult:
-        def op():
-            return self.blkdev.submit_write(sector, payload), b""
-        return self._run("pwrite", len(payload), op)
-
-    def fsync(self) -> SubmitResult:
-        def op():
-            return self.blkdev.flush(), b""
-        return self._run("fsync", 0, op)
+    def fsync(self) -> SyscallResult:
+        blkdev = self.blkdev
+        return self._call("fsync", 0, lambda: (blkdev.flush(), b""))
 
 
 __all__ = [
-    "EBUSY",
     "ENODEV",
     "OP_FLUSH",
     "OP_READ",
@@ -329,6 +276,5 @@ __all__ = [
     "STAT_NQ",
     "STAT_Q_COMPLETED",
     "STAT_Q_SUBMITTED",
-    "SubmitResult",
     "VblkBlockDev",
 ]

@@ -57,51 +57,46 @@ class TestSmpTopology:
         assert [smp.next_cpu() for _ in range(5)] == [2, 0, 1, 2, 0]
 
     def test_round_robin_reconstructs_global_order(self):
-        # CPU k gets the seqs congruent to its turn offset; draining
-        # round-robin must visit 0, 1, 2, ... in order — the property
-        # the --cpus bit-identity check rests on.
+        # Seq s runs on CPU s % ncpus and seqs run in order 0, 1, 2, ...
+        # at every CPU count — the property the --cpus bit-identity
+        # check rests on.  11 is a multiple of none of 2, 3 and 4.
         for ncpus in (1, 2, 3, 4):
             smp = SmpTopology(ncpus)
             seen = []
-
-            def shard(seqs):
-                for seq in seqs:
-                    seen.append((smp.current, seq))
-                    yield
-
-            tasks = [shard(range(cpu, 10, ncpus)) for cpu in range(ncpus)]
-            steps = smp.run_round_robin(tasks)
-            assert steps == 10
-            assert [seq for _, seq in seen] == list(range(10))
+            smp.run_sharded(11, lambda seq: seen.append((smp.current, seq)))
+            assert [seq for _, seq in seen] == list(range(11))
             assert all(cpu == seq % ncpus for cpu, seq in seen)
+            assert smp.current == 0
 
     def test_round_robin_uneven_tasks(self):
+        # 7 steps on 3 CPUs: CPU 0 takes one more than the others, and
+        # every step off the current CPU costs one switch there and back.
         smp = SmpTopology(3)
-        out = []
-
-        def shard(n, tag):
-            for i in range(n):
-                out.append(tag)
-                yield
-
-        smp.run_round_robin([shard(4, "a"), shard(1, "b"), shard(2, "c")])
-        assert out == ["a", "b", "c", "a", "c", "a", "a"]
-
-    def test_round_robin_rejects_too_many_tasks(self):
-        smp = SmpTopology(2)
-        with pytest.raises(ValueError):
-            smp.run_round_robin([iter(()), iter(()), iter(())])
+        cpus = []
+        smp.run_sharded(7, lambda seq: cpus.append(smp.current))
+        assert cpus == [0, 1, 2, 0, 1, 2, 0]
+        assert smp.switches == 2 * 4
 
     def test_seed_rotates_turn_order(self):
-        smp = SmpTopology(2, seed=1)
-        order = []
+        smp = SmpTopology(3, seed=2)
+        seen = []
+        smp.run_sharded(5, lambda seq: seen.append((smp.current, seq)))
+        assert seen == [(2, 0), (0, 1), (1, 2), (2, 3), (0, 4)]
+        assert smp.current == 2
 
-        def shard(tag):
-            order.append(tag)
-            yield
+    def test_sharded_restores_current_when_step_raises(self):
+        smp = SmpTopology(4)
+        seen = []
 
-        smp.run_round_robin([shard("cpu0"), shard("cpu1")])
-        assert order == ["cpu1", "cpu0"]
+        def step(seq):
+            seen.append(seq)
+            if seq == 2:
+                raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            smp.run_sharded(8, step)
+        assert seen == [0, 1, 2]
+        assert smp.current == 0
 
 
 class TestRcu:
