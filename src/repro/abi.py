@@ -15,6 +15,12 @@ from .ir import FunctionType, I8PTR, I32, I64, VOID
 
 #: The single symbol a protected module is linked against at insertion.
 GUARD_SYMBOL = "carat_guard"
+#: The paper §5 guards: privileged intrinsics and module->kernel calls,
+#: each ``void (i8* name)``.
+INTRINSIC_GUARD_SYMBOL = "carat_intrinsic_guard"
+CALL_GUARD_SYMBOL = "carat_call_guard"
+#: Every guard the policy module exports (memory guard first).
+GUARD_SYMBOLS = (GUARD_SYMBOL, INTRINSIC_GUARD_SYMBOL, CALL_GUARD_SYMBOL)
 
 #: Access-intent flags passed as the guard's third argument.
 FLAG_READ = 0x1
@@ -76,12 +82,15 @@ def flags_name(flags: int) -> str:
 
 
 __all__ = [
+    "CALL_GUARD_SYMBOL",
     "COMPILER_ID",
     "FLAG_EXEC",
     "FLAG_INTRINSIC",
     "FLAG_READ",
     "FLAG_WRITE",
     "GUARD_SYMBOL",
+    "GUARD_SYMBOLS",
+    "INTRINSIC_GUARD_SYMBOL",
     "META_COMPILER",
     "META_GUARDED",
     "META_GUARDS_COALESCED",

@@ -230,12 +230,8 @@ class FigureResult:
     def medians(self) -> dict[str, float]:
         return {k: float(np.median(v)) for k, v in self.series.items()}
 
-    def means(self) -> dict[str, float]:
-        return {k: float(np.mean(v)) for k, v in self.series.items()}
-
 
 def run_fig3(trials: int = 41, seed: int = 2023,
-             fidelity: str = "calibrated",
              opt_level: int = 0,
              policy_index: Optional[str] = None,
              regions: int = 2) -> FigureResult:
@@ -247,22 +243,21 @@ def run_fig3(trials: int = 41, seed: int = 2023,
     """
     return _throughput_figure(
         "fig3", "CARAT KOP effect on packet launch throughput (R415)",
-        machine="r415", trials=trials, seed=seed, fidelity=fidelity,
+        machine="r415", trials=trials, seed=seed,
         opt_level=opt_level, policy_index=policy_index, regions=regions,
     )
 
 
-def run_fig4(trials: int = 41, seed: int = 2023,
-             fidelity: str = "calibrated") -> FigureResult:
+def run_fig4(trials: int = 41, seed: int = 2023) -> FigureResult:
     """Fig. 4: throughput CDF, fast R350, 128 B packets, 2 regions."""
     return _throughput_figure(
         "fig4", "CARAT KOP effect on packet launch throughput (R350)",
-        machine="r350", trials=trials, seed=seed, fidelity=fidelity,
+        machine="r350", trials=trials, seed=seed,
     )
 
 
 def _throughput_figure(fid: str, title: str, machine: str, trials: int,
-                       seed: int, fidelity: str,
+                       seed: int,
                        opt_level: int = 0,
                        policy_index: Optional[str] = None,
                        regions: int = 2) -> FigureResult:
@@ -274,37 +269,31 @@ def _throughput_figure(fid: str, title: str, machine: str, trials: int,
     for protect in (False, True):
         cfg = WorkloadConfig(
             machine=machine, protect=protect, trials=trials, seed=seed,
-            fidelity=fidelity, regions=regions,
-            opt_level=opt_level if protect else 0,
+            regions=regions, opt_level=opt_level if protect else 0,
             policy_index=policy_index,
         )
-        cal = calibrate(cfg) if fidelity == "calibrated" else None
+        cal = calibrate(cfg)
         series[cfg.technique] = throughput_samples(cfg, cal)
-        if cal is not None:
-            meta[f"{cfg.technique}_cycles_per_packet"] = cal.cycles_per_packet
-            meta[f"{cfg.technique}_guards_per_packet"] = cal.guards_per_packet
-            meta[f"{cfg.technique}_guard_cache_hits"] = cal.guard_cache_hits
-            meta[f"{cfg.technique}_guard_cache_misses"] = cal.guard_cache_misses
+        meta[f"{cfg.technique}_cycles_per_packet"] = cal.cycles_per_packet
+        meta[f"{cfg.technique}_guards_per_packet"] = cal.guards_per_packet
+        meta[f"{cfg.technique}_guard_cache_hits"] = cal.guard_cache_hits
+        meta[f"{cfg.technique}_guard_cache_misses"] = cal.guard_cache_misses
     return FigureResult(fid, title, series, meta)
 
 
-def run_fig5(trials: int = 41, seed: int = 2023,
-             fidelity: str = "calibrated") -> FigureResult:
+def run_fig5(trials: int = 41, seed: int = 2023) -> FigureResult:
     """Fig. 5: throughput vs number of policy regions (R350, 128 B)."""
     series = {}
     meta: dict[str, object] = {"machine": "r350", "size": 128}
     base_cfg = WorkloadConfig(machine="r350", protect=False, trials=trials,
-                              seed=seed, fidelity=fidelity)
-    series["baseline"] = throughput_samples(
-        base_cfg, calibrate(base_cfg) if fidelity == "calibrated" else None
-    )
+                              seed=seed)
+    series["baseline"] = throughput_samples(base_cfg, calibrate(base_cfg))
     for n, label in ((2, "carat"), (16, "carat16"), (64, "carat64")):
         cfg = WorkloadConfig(machine="r350", protect=True, regions=n,
-                             trials=trials, seed=seed, fidelity=fidelity)
-        cal = calibrate(cfg) if fidelity == "calibrated" else None
+                             trials=trials, seed=seed)
+        cal = calibrate(cfg)
         series[label] = throughput_samples(cfg, cal)
-        if cal is not None:
-            meta[f"{label}_entries_per_guard"] = cal.entries_per_guard
+        meta[f"{label}_entries_per_guard"] = cal.entries_per_guard
     return FigureResult(
         "fig5", "Effect of the number of policy regions (R350)", series, meta
     )
@@ -313,8 +302,7 @@ def run_fig5(trials: int = 41, seed: int = 2023,
 FIG6_SIZES = (64, 128, 256, 512, 1024, 1500)
 
 
-def run_fig6(trials: int = 41, seed: int = 2023,
-             fidelity: str = "calibrated") -> FigureResult:
+def run_fig6(trials: int = 41, seed: int = 2023) -> FigureResult:
     """Fig. 6: mean throughput slowdown vs packet size (R350, 2 regions).
 
     Uses the burst stall model (means, not medians — see EXPERIMENTS.md).
@@ -327,10 +315,11 @@ def run_fig6(trials: int = 41, seed: int = 2023,
         for protect in (False, True):
             cfg = WorkloadConfig(
                 machine="r350", protect=protect, size=size, trials=trials,
-                seed=seed, fidelity=fidelity, burst_model=True,
+                seed=seed, burst_model=True,
             )
-            cal = calibrate(cfg) if fidelity == "calibrated" else None
-            per_technique[cfg.technique] = throughput_samples(cfg, cal)
+            per_technique[cfg.technique] = throughput_samples(
+                cfg, calibrate(cfg)
+            )
         slowdown = float(
             np.mean(per_technique["baseline"]) / np.mean(per_technique["carat"])
         )

@@ -36,7 +36,7 @@ from ..passes import (
     PeepholePass,
 )
 from ..passes.absint import ModuleVerifier
-from ..passes.intrinsic_guard import IntrinsicGuardPass
+from ..passes.intrinsic_guard import CallGuardPass, IntrinsicGuardPass
 from ..signing import (
     SigningKey,
     VerificationCertificate,
@@ -158,8 +158,6 @@ def compile_module(
         if opts.guard_intrinsics:
             pm2.add(IntrinsicGuardPass())
         if opts.guard_calls:
-            from ..passes.call_guard import CallGuardPass
-
             pm2.add(CallGuardPass())
         if eliminate or hoist or coalesce:
             guard_opt = GuardOptPass(

@@ -183,10 +183,8 @@ class CaratKopSystem:
         # Cache warmth depends on what ran earlier in the process, so
         # cross-system comparisons strip the ``translation_`` keys.
         vm = self.kernel.vm
-        stats["translation_cache_hits"] = getattr(
-            vm, "translation_cache_hits", 0)
-        stats["translation_cache_misses"] = getattr(
-            vm, "translation_cache_misses", 0)
+        stats["translation_cache_hits"] = vm.translation_cache_hits
+        stats["translation_cache_misses"] = vm.translation_cache_misses
         stats["guards_proven"] = self.driver_compiled.guards_proven
         stats["guards_elided"] = len(self.driver.elided_guards)
         stats["verify_demotions"] = self.kernel.verify_demotions

@@ -69,10 +69,6 @@ class TransactionJournal:
     def modules(self) -> list[str]:
         return sorted(m for m, r in self._records.items() if r)
 
-    def entries(self, module: str) -> list[tuple[str, object, dict]]:
-        records = self._records.get(module, {})
-        return [(kind, key, dict(info)) for (kind, key), info in records.items()]
-
     def depth(self, module: str) -> int:
         return len(self._records.get(module, ()))
 

@@ -113,6 +113,8 @@ class Kernel:
         self.module_verify_contracts: dict[str, object] = {}
         self.carat_policy = None
         self.verify_demotions = 0
+        #: /proc feed set by the vblk glue: per-queue device telemetry.
+        self.blk_queue_stats: Optional[Callable[[], list[dict]]] = None
         self._vm: Optional["Interpreter"] = None
         self._ioremap_next = layout.VMALLOC_BASE
         # Kernel stack backing for interpreter frames.
@@ -134,13 +136,18 @@ class Kernel:
         """The retained tail of the log, oldest line first."""
         return list(self._dmesg)
 
-    def panic(self, reason: str) -> "NoReturn":  # type: ignore[name-defined]  # noqa: F821
+    def panic(self, cause: "str | KernelPanic") -> "NoReturn":  # type: ignore[name-defined]  # noqa: F821
+        """Halt the machine: the one panic path.  ``cause`` is a reason,
+        or the :class:`KernelPanic` to raise (a guard's
+        ``GuardViolation``), whose ``reason`` is logged and traced."""
+        exc = cause if isinstance(cause, KernelPanic) else KernelPanic(cause)
+        reason = exc.reason
         self.panicked = reason
         self.dmesg(f"Kernel panic - not syncing: {reason}")
         tp = self.trace.points["kernel:panic"]
         if tp.enabled:
             tp.emit(reason=reason)
-        raise KernelPanic(reason)
+        raise exc
 
     # -- the VM ---------------------------------------------------------------------
 

@@ -557,7 +557,6 @@ class ModuleLoader:
         self.loaded.pop(name, None)
         loaded.ejected = True
         loaded.translations.clear()
-        kernel.vm.forget_module(loaded)
         kernel.dmesg(
             f"module {name}: ejected — rolled back "
             f"{summary['kmalloc_allocations']} allocations "
@@ -566,12 +565,5 @@ class ModuleLoader:
             f"{summary['chardevs']} chardevs"
         )
         return summary
-
-    def find_module_for_function(self, fn: Function) -> Optional[LoadedModule]:
-        for m in self.loaded.values():
-            if fn.name in m.ir.functions and m.ir.functions[fn.name] is fn:
-                return m
-        return None
-
 
 __all__ = ["CompiledModule", "LoadError", "LoadedModule", "ModuleLoader"]

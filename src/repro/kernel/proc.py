@@ -105,49 +105,42 @@ class ProcFS:
         ]
         # Per-CPU breakdown of the merged counters above (the totals are
         # sums over these rows); single-CPU output stays byte-identical.
-        per_cpu = getattr(policy, "stats_per_cpu", None)
-        if per_cpu is not None:
-            rows = per_cpu()
-            if len(rows) > 1:
-                for cpu, row in enumerate(rows):
-                    lines.append(
-                        f"cpu{cpu}: checks={row['checks']} "
-                        f"allowed={row['allowed']} denied={row['denied']} "
-                        f"entries_scanned={row['entries_scanned']} "
-                        f"comparisons={row['comparisons']} "
-                        f"structure_checks={row['structure_checks']} "
-                        f"cache_hits={row['guard_cache_hits']} "
-                        f"cache_misses={row['guard_cache_misses']}"
-                    )
-        calls = getattr(policy, "allowed_calls", None)
+        rows = policy.stats_per_cpu()
+        if len(rows) > 1:
+            for cpu, row in enumerate(rows):
+                lines.append(
+                    f"cpu{cpu}: checks={row['checks']} "
+                    f"allowed={row['allowed']} denied={row['denied']} "
+                    f"entries_scanned={row['entries_scanned']} "
+                    f"comparisons={row['comparisons']} "
+                    f"structure_checks={row['structure_checks']} "
+                    f"cache_hits={row['guard_cache_hits']} "
+                    f"cache_misses={row['guard_cache_misses']}"
+                )
+        calls = policy.allowed_calls
         lines.append(
             "call_policy: allow-all" if calls is None
             else f"call_policy: allowlist({len(calls)})"
         )
-        mode = getattr(policy, "mode", None)
-        if mode is not None:
-            lines.append(f"mode: {mode}")
-            for name, override in sorted(policy.module_modes.items()):
-                lines.append(f"mode[{name}]: {override}")
-            for name, count in sorted(policy.violations.items()):
-                lines.append(f"violations[{name}]: {count}")
+        lines.append(f"mode: {policy.mode}")
+        for name, override in sorted(policy.module_modes.items()):
+            lines.append(f"mode[{name}]: {override}")
+        for name, count in sorted(policy.violations.items()):
+            lines.append(f"violations[{name}]: {count}")
         # Per-driver guard traffic: which module's accesses the guards
         # actually checked (and denied), merged across CPUs.
-        driver_stats = getattr(policy, "driver_stats", None)
-        if driver_stats is not None:
-            for name, row in driver_stats().items():
-                lines.append(
-                    f"driver[{name}]: checks={row['checks']} "
-                    f"denied={row['denied']}"
-                )
+        for name, row in policy.driver_stats().items():
+            lines.append(
+                f"driver[{name}]: checks={row['checks']} "
+                f"denied={row['denied']}"
+            )
         kernel = self.kernel
         # Per-queue block-device accounting (NVMe-style multi-queue vblk):
         # one row per created queue, admin queue first.  The provider is
         # pure host-side device state, so rendering never runs module
         # code or advances the simulated clock.
-        blk_queues = getattr(kernel, "blk_queue_stats", None)
-        if blk_queues is not None:
-            for row in blk_queues():
+        if kernel.blk_queue_stats is not None:
+            for row in kernel.blk_queue_stats():
                 if not row["created"]:
                     continue
                 kind = "admin" if row["queue"] == 0 else "io"

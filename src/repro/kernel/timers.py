@@ -100,11 +100,6 @@ class TimerWheel:
     def pending(self) -> int:
         return len(self._timers)
 
-    def next_expiry_us(self) -> Optional[float]:
-        while self._heap and self._heap[0].timer.cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].expires_us if self._heap else None
-
     def run_due(self) -> int:
         """Fire every timer whose expiry has passed.  Handlers may re-arm
         (heartbeats do); re-arms past 'now' wait for the next advance."""

@@ -10,10 +10,10 @@ from .absint import (
 )
 from .analysis import DominatorTree, Loop, find_loops, unreachable_blocks
 from .attestation import AttestationPass
-from .call_guard import CallGuardPass
 from .dce import DCEPass
 from .guard_injection import GuardInjectionPass
 from .guard_opt import GuardOptPass
+from .intrinsic_guard import CallGuardPass
 from .manager import ModulePass, PassManager
 from .mem2reg import Mem2RegPass
 from .peephole import PeepholePass

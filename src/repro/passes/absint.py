@@ -255,10 +255,6 @@ def av_sext(a: tuple, src_bits: int, dst_bits: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def area_interval(name: str) -> tuple[int, int]:
-    return AREAS[name]
-
-
 def _area_pointer(area: str, reserve: int) -> tuple[int, int]:
     """Possible values of a pointer into ``area`` with ``reserve`` bytes
     of object guaranteed to fit above it (allocators place whole objects
@@ -1038,7 +1034,6 @@ __all__ = [
     "FieldContract",
     "ModuleVerifier",
     "VerificationReport",
-    "area_interval",
     "av_join",
     "elidable_guard_ids",
 ]

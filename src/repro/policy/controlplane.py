@@ -90,9 +90,6 @@ class TenantQuota:
         self.max_mutations_per_window = max_mutations_per_window
         self.violation_budget = violation_budget
 
-    def as_dict(self) -> dict[str, int]:
-        return {s: getattr(self, s) for s in self.__slots__}
-
 
 class Tenant:
     """One policy namespace: a private region table plus usage counters.

@@ -118,34 +118,6 @@ class PolicyManager:
             raise ValueError(f"unknown enforcement mode {mode!r}")
         self._ioctl(pm.CMD_SET_MODE, struct.pack("<I", code))
 
-    def set_module_mode(self, module_name: str, mode: str) -> None:
-        """Per-module override; wins over the global mode."""
-        code = pm.MODE_WIRE.get(mode)
-        if code is None:
-            raise ValueError(f"unknown enforcement mode {mode!r}")
-        self._ioctl(
-            pm.CMD_SET_MODE_FOR,
-            self._packed_name(module_name) + struct.pack("<I", code),
-        )
-
-    def clear_module_mode(self, module_name: str) -> None:
-        self._ioctl(
-            pm.CMD_SET_MODE_FOR,
-            self._packed_name(module_name) + struct.pack("<I", 4),
-        )
-
-    def get_mode(self, module_name: str | None = None) -> str:
-        """The global mode, or the effective mode for ``module_name``."""
-        arg = b"" if module_name is None else self._packed_name(module_name)
-        out = self._ioctl(pm.CMD_GET_MODE, arg)
-        return pm.MODE_CODES[struct.unpack("<I", out)[0]]
-
-    def violations_for(self, module_name: str) -> int:
-        out = self._ioctl(
-            pm.CMD_GET_VIOLATIONS, self._packed_name(module_name)
-        )
-        return struct.unpack("<Q", out)[0]
-
     def unquarantine(self, module_name: str) -> bool:
         """Lift the re-insmod quarantine on an ejected module."""
         out = self._ioctl(

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import abi
 from .manager import PolicyManager
-from .module import MODE_AUDIT, CaratPolicyModule
+from .module import MODE_AUDIT, MODULE_NAME, CaratPolicyModule
 from .region import Region
 from .table import MAX_REGIONS
 
@@ -121,20 +120,8 @@ class PolicyMiner:
     def _rebind_guards(self, kernel, memory_guard) -> None:
         """Re-export the policy module's symbols with ``memory_guard`` as
         the carat_guard implementation."""
-        from .module import MODULE_NAME
-
         kernel.retire_symbols(MODULE_NAME)
-        kernel.symbols.export_native(
-            abi.GUARD_SYMBOL, memory_guard, owner=MODULE_NAME, private=True
-        )
-        kernel.symbols.export_native(
-            "carat_intrinsic_guard", self.policy._intrinsic_guard,
-            owner=MODULE_NAME, private=True,
-        )
-        kernel.symbols.export_native(
-            "carat_call_guard", self.policy._call_guard,
-            owner=MODULE_NAME, private=True,
-        )
+        self.policy._export_guards(memory_guard)
 
     # -- coalescing ------------------------------------------------------------
 

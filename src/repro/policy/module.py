@@ -14,8 +14,10 @@ A native "kernel module" that:
 - on a forbidden access: logs and panics the kernel (§3.1), optionally
   audit-only for research runs.
 
-It also exports ``carat_intrinsic_guard`` for the §5 privileged-intrinsic
-extension.
+It also exports ``carat_intrinsic_guard`` and ``carat_call_guard`` for
+the §5 privileged-intrinsic and kernel-call extensions.  All three guards
+end a denial in one deny tail (:meth:`CaratPolicyModule._deny`), whose
+panic goes through :meth:`repro.kernel.kernel.Kernel.panic`.
 """
 
 from __future__ import annotations
@@ -99,6 +101,15 @@ _STATS_FMT = "<QQQQQ"  # checks, allowed, denied, entries_scanned, regions
 
 DEVICE_PATH = "/dev/carat"
 MODULE_NAME = "carat_kop_policy"
+
+#: The §5 name guards, by kind: the flag a denial carries, its DENY
+#: dmesg line after the module prefix, and what the module attempted.
+_NAME_GUARDS = {
+    "intrinsic": (abi.FLAG_INTRINSIC, "DENY-INTRINSIC module={module} {name}",
+                  "intrinsic {name}"),
+    "call": (abi.FLAG_EXEC, "DENY-CALL module={module} -> {name}",
+             "call to {name}"),
+}
 
 
 class PolicyStats:
@@ -353,21 +364,7 @@ class CaratPolicyModule:
     def install(self) -> "CaratPolicyModule":
         if self._installed:
             raise RuntimeError("policy module already installed")
-        self.kernel.symbols.export_native(
-            abi.GUARD_SYMBOL, self._guard, owner=MODULE_NAME, private=True
-        )
-        self.kernel.symbols.export_native(
-            "carat_intrinsic_guard",
-            self._intrinsic_guard,
-            owner=MODULE_NAME,
-            private=True,
-        )
-        self.kernel.symbols.export_native(
-            "carat_call_guard",
-            self._call_guard,
-            owner=MODULE_NAME,
-            private=True,
-        )
+        self._export_guards(self._guard)
         self.kernel.devices.register(DEVICE_PATH, self)
         self.kernel.carat_policy = self
         self.kernel.dmesg(
@@ -376,6 +373,15 @@ class CaratPolicyModule:
         )
         self._installed = True
         return self
+
+    def _export_guards(self, memory_guard) -> None:
+        """Privately export the three guard natives, ``memory_guard`` as
+        ``carat_guard`` (the policy miner swaps in its audit tap)."""
+        natives = (memory_guard, self._intrinsic_guard, self._call_guard)
+        for symbol, native in zip(abi.GUARD_SYMBOLS, natives):
+            self.kernel.symbols.export_native(
+                symbol, native, owner=MODULE_NAME, private=True
+            )
 
     def uninstall(self) -> None:
         """Swap-out path (§3.2: guard implementations are swappable)."""
@@ -485,25 +491,30 @@ class CaratPolicyModule:
             return scanned
         stats.denied += 1
         mstats[1] += 1
-        self._record_violation(
-            module_name, kind="memory", addr=addr, size=size, flags=flags
+        self._deny(
+            module_name, "memory",
+            f"DENY module={module_name} "
+            f"{abi.flags_name(flags)} {addr:#018x} size={size}",
+            addr=addr, size=size, flags=flags,
         )
-        self.kernel.dmesg(
-            f"{MODULE_NAME}: DENY module={module_name} "
-            f"{abi.flags_name(flags)} {addr:#018x} size={size}"
-        )
-        mode = self.mode_for(module_name)
-        if mode == MODE_PANIC:
-            violation = GuardViolation(addr, size, flags, f"module {module_name}")
-            self.kernel.panicked = violation.reason
-            self.kernel.dmesg(f"Kernel panic - not syncing: {violation.reason}")
-            raise violation
-        if mode != MODE_AUDIT:
-            raise ViolationFault(addr, size, flags, module_name, mode)
         return scanned
 
     def _intrinsic_guard(self, ctx, name_ptr: int) -> int:
         """Guard for privileged intrinsics (paper §5 extension)."""
+        return self._name_guard(ctx, name_ptr, "intrinsic",
+                                self.allowed_intrinsics)
+
+    def _call_guard(self, ctx, name_ptr: int) -> int:
+        """Guard for module->kernel calls (paper §5 control-flow extension)."""
+        if self.allowed_calls is None:
+            return 1  # allow-all mode
+        return self._name_guard(ctx, name_ptr, "call", self.allowed_calls)
+
+    def _name_guard(self, ctx, name_ptr: int, kind: str,
+                    allowed: set[str]) -> int:
+        """The body both §5 guards share: read the guarded name, resolve
+        the calling module, allow a name in ``allowed``, deny the rest.
+        Only intrinsic guards are counted in :class:`PolicyStats`."""
         name = self.kernel.address_space.read_cstring(int(name_ptr)).decode()
         module_name = (
             ctx.current_module.name
@@ -511,64 +522,44 @@ class CaratPolicyModule:
             else "?"
         )
         stats = self._cpu_stats[self.kernel.smp.current]
-        stats.intrinsic_checks += 1
-        if name in self.allowed_intrinsics:
+        if kind == "intrinsic":
+            stats.intrinsic_checks += 1
+        if name in allowed:
             return 1
-        stats.intrinsic_denied += 1
-        self._record_violation(
-            module_name, kind="intrinsic", flags=abi.FLAG_INTRINSIC,
-            detail=name,
+        if kind == "intrinsic":
+            stats.intrinsic_denied += 1
+        flags, line, what = _NAME_GUARDS[kind]
+        self._deny(
+            module_name, kind,
+            line.format(module=module_name, name=name),
+            flags=flags, name=name, what=what.format(name=name),
         )
-        self.kernel.dmesg(
-            f"{MODULE_NAME}: DENY-INTRINSIC module={module_name} {name}"
-        )
-        mode = self.mode_for(module_name)
-        if mode == MODE_PANIC:
-            violation = GuardViolation(
-                0, 0, abi.FLAG_INTRINSIC, f"intrinsic {name} by {module_name}"
-            )
-            self.kernel.panicked = violation.reason
-            self.kernel.dmesg(f"Kernel panic - not syncing: {violation.reason}")
-            raise violation
-        if mode != MODE_AUDIT:
-            raise ViolationFault(
-                0, 0, abi.FLAG_INTRINSIC, module_name, mode,
-                detail=f"forbidden intrinsic {name} by module {module_name}",
-            )
         return 1
 
-    def _call_guard(self, ctx, name_ptr: int) -> int:
-        """Guard for module->kernel calls (paper §5 control-flow extension)."""
-        if self.allowed_calls is None:
-            return 1  # allow-all mode
-        name = self.kernel.address_space.read_cstring(int(name_ptr)).decode()
-        if name in self.allowed_calls:
-            return 1
-        module_name = (
-            ctx.current_module.name
-            if ctx is not None and ctx.current_module is not None
-            else "?"
-        )
+    def _deny(self, module_name: str, kind: str, line: str, *,
+              addr: int = 0, size: int = 0, flags: int = 0,
+              name: str = "", what: str = "") -> None:
+        """The deny tail of every guard flavour: count and trace the
+        violation, log ``line``, then enforce the module's mode.  Returns
+        only in audit mode.  ``what`` names a §5 name-guard denial (the
+        memory guard's reason and fault message describe the access)."""
         self._record_violation(
-            module_name, kind="call", flags=abi.FLAG_EXEC, detail=name
+            module_name, kind=kind, addr=addr, size=size, flags=flags,
+            detail=name,
         )
-        self.kernel.dmesg(
-            f"{MODULE_NAME}: DENY-CALL module={module_name} -> {name}"
-        )
+        self.kernel.dmesg(f"{MODULE_NAME}: {line}")
         mode = self.mode_for(module_name)
         if mode == MODE_PANIC:
-            violation = GuardViolation(
-                0, 0, abi.FLAG_EXEC, f"call to {name} by {module_name}"
-            )
-            self.kernel.panicked = violation.reason
-            self.kernel.dmesg(f"Kernel panic - not syncing: {violation.reason}")
-            raise violation
+            self.kernel.panic(GuardViolation(
+                addr, size, flags,
+                f"{what} by {module_name}" if what else f"module {module_name}",
+            ))
         if mode != MODE_AUDIT:
             raise ViolationFault(
-                0, 0, abi.FLAG_EXEC, module_name, mode,
-                detail=f"forbidden call to {name} by module {module_name}",
+                addr, size, flags, module_name, mode,
+                detail=(f"forbidden {what} by module {module_name}"
+                        if what else ""),
             )
-        return 1
 
     # -- ioctl interface ------------------------------------------------------
 

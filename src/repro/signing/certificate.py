@@ -26,7 +26,6 @@ parsing and serialising again gives the same bytes.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 
@@ -143,12 +142,6 @@ class VerificationCertificate:
             )
         except (KeyError, ValueError, UnicodeDecodeError) as e:
             raise CertificateError(f"malformed certificate: {e}") from e
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.payload()).hexdigest()
-
-    def verdict_map(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.verdicts)
 
 
 __all__ = ["CertificateError", "VerificationCertificate"]

@@ -170,16 +170,6 @@ class TraceSubsystem:
             "total": sum(r.total for r in self.rings),
         }
 
-    def stats(self) -> dict[str, object]:
-        return {
-            "enabled": self.enabled,
-            "ring": self.ring_stats(),
-            "events": self.counters.as_dict(),
-            "guard_checks": self.guard_hist.count,
-            "guard_cycles": self.guard_hist.total,
-            "guard_sites": len(self.guard_sites),
-        }
-
     @property
     def freq_hz(self) -> Optional[float]:
         machine = self.kernel.machine
@@ -219,8 +209,8 @@ class TraceSubsystem:
         lines.append(counters if counters else "(none)")
         lines += ["", "[guard cycle cost]", self.guard_hist.render()]
         lines += ["", "[guard sites]", self.guard_sites.render()]
-        policy = getattr(self.kernel, "carat_policy", None)
-        if policy is not None and getattr(policy, "driver_stats", None):
+        policy = self.kernel.carat_policy
+        if policy is not None:
             rows = policy.driver_stats()
             if rows:
                 # Runtime guard traffic attributed to each module (the
@@ -231,9 +221,8 @@ class TraceSubsystem:
                         f"{name:<12} checks={row['checks']} "
                         f"denied={row['denied']}"
                     )
-        blk_queues = getattr(self.kernel, "blk_queue_stats", None)
-        if blk_queues is not None:
-            rows = blk_queues()
+        if self.kernel.blk_queue_stats is not None:
+            rows = self.kernel.blk_queue_stats()
             if rows:
                 # Per-queue device-side accounting (NVMe-style multi
                 # queue): one row per queue block, admin queue first.

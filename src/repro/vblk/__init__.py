@@ -13,7 +13,7 @@ from .blkdev import (
 )
 from .contracts import VBLK_CONTRACTS
 from .device import VblkDevice
-from .driver_source import DRIVER_NAME, DRIVER_SOURCE, driver_source_lines
+from .driver_source import DRIVER_NAME, DRIVER_SOURCE
 from . import regs
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "VBLK_CONTRACTS",
     "VblkBlockDev",
     "VblkDevice",
-    "driver_source_lines",
     "make_test_block",
     "regs",
 ]

@@ -807,9 +807,4 @@ __export int cleanup_module(void) {
 """
 
 
-def driver_source_lines() -> int:
-    """Non-blank source lines of the driver (for the bench metadata)."""
-    return sum(1 for line in DRIVER_SOURCE.splitlines() if line.strip())
-
-
-__all__ = ["DRIVER_NAME", "DRIVER_SOURCE", "driver_source_lines"]
+__all__ = ["DRIVER_NAME", "DRIVER_SOURCE"]

@@ -129,36 +129,20 @@ class _SharedCodeCache:
     every ``exec``, so a key hit is always safe to rehydrate against a
     different engine, tracer, or system instance."""
 
-    __slots__ = ("codes", "hits", "misses")
+    __slots__ = ("codes",)
 
     def __init__(self):
         self.codes: dict = {}
-        self.hits = 0
-        self.misses = 0
 
     def fetch(self, filename: str, src: str):
         """Return ``(code, was_hit)`` for the generated source."""
         key = (filename, src)
         code = self.codes.get(key)
         if code is not None:
-            self.hits += 1
             return code, True
-        self.misses += 1
         code = compile(src, filename, "exec")
         self.codes[key] = code
         return code, False
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self.codes),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def clear(self) -> None:
-        self.codes.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 #: The process-global translation code cache (see module docstring).
@@ -174,19 +158,13 @@ def _policy_guard():
     return CaratPolicyModule._guard
 
 
-def translation_cache_stats() -> dict:
-    """Snapshot of the process-global code cache counters."""
-    return TRANSLATION_CACHE.stats()
-
-
 class _CompiledFunction:
     """A function's generated ``entry``, tagged with its validity keys."""
 
-    __slots__ = ("entry", "module", "generation", "profiler", "tracer")
+    __slots__ = ("entry", "generation", "profiler", "tracer")
 
-    def __init__(self, entry, module, generation, profiler, tracer):
+    def __init__(self, entry, generation, profiler, tracer):
         self.entry = entry
-        self.module = module
         self.generation = generation
         self.profiler = profiler
         self.tracer = tracer
@@ -199,19 +177,6 @@ class CompiledEngine(Interpreter):
     same code path."""
 
     name = "compiled"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # L1 translation memo keyed by IR function object; entries
-        # re-validate module identity, IR generation, and profiler, so
-        # re-insmod (new addresses, same IR) and invalidate_translations
-        # (generation bump) both force re-translation.
-        self._tcache: dict = {}
-        # This engine's traffic against the process-global code cache
-        # (the cache's own counters aggregate every engine in the
-        # process; these attribute the hits to one system).
-        self.translation_cache_hits = 0
-        self.translation_cache_misses = 0
 
     def _exec_function(self, module: LoadedModule, fn, args: list):
         # The declaration check lives in the translator, so every call
@@ -227,15 +192,6 @@ class CompiledEngine(Interpreter):
     # -- translation cache -------------------------------------------------
 
     def _translation(self, module: LoadedModule, fn) -> _CompiledFunction:
-        entry = self._tcache.get(fn)
-        if (
-            entry is not None
-            and entry.module is module
-            and entry.generation == module.ir.generation
-            and entry.profiler is self.profiler
-            and entry.tracer is self.tracer
-        ):
-            return entry
         store = module.translations.get(self)
         if store is None:
             store = {}
@@ -250,17 +206,7 @@ class CompiledEngine(Interpreter):
         ):
             entry = _Translator(self, module, fn).translate(generation)
             store[fn] = entry
-        self._tcache[fn] = entry
         return entry
-
-    def forget_module(self, module: LoadedModule) -> None:
-        """Purge an ejected module's translations from the L1 memo, so
-        long eject/re-insmod soaks don't accumulate dead entries (the
-        per-module store dies with the LoadedModule itself)."""
-        self._tcache = {
-            fn: entry for fn, entry in self._tcache.items()
-            if entry.module is not module
-        }
 
 
 class _Translator:
@@ -323,7 +269,7 @@ class _Translator:
             self.engine.translation_cache_misses += 1
         self.ns["RP"] = self._replayer()
         exec(code, self.ns)
-        return _CompiledFunction(self.ns["_f"], self.module, generation,
+        return _CompiledFunction(self.ns["_f"], generation,
                                  self.profiler, self.tracer)
 
     def _emit_function(self) -> None:
@@ -1239,4 +1185,4 @@ class _Translator:
         return lines
 
 
-__all__ = ["CompiledEngine", "TRANSLATION_CACHE", "translation_cache_stats"]
+__all__ = ["CompiledEngine", "TRANSLATION_CACHE"]

@@ -82,6 +82,12 @@ class GuardViolation(KernelPanic):
 class Interpreter:
     """Executes IR functions of loaded modules against the kernel."""
 
+    #: This engine's traffic against the process-global translation code
+    #: cache (the compiled engine counts; the interpreter never
+    #: translates, so it reads 0).
+    translation_cache_hits = 0
+    translation_cache_misses = 0
+
     def __init__(self, kernel, machine: Optional[MachineModel] = None):
         self.kernel = kernel
         self.timing: Optional[CycleCounter] = (
@@ -116,14 +122,6 @@ class Interpreter:
             # faulted (first catch wins — the innermost kernel entry).
             fault.note_entry(module.name, name)
             raise
-
-    def forget_module(self, module: LoadedModule) -> None:
-        """Drop engine-side state for an ejected module (no-op here; the
-        compiled engine purges its translation cache)."""
-
-    def call_function(self, module: LoadedModule, fn: Function,
-                      args: Sequence[int | float]):
-        return self._exec_function(module, fn, list(args))
 
     # -- execution ------------------------------------------------------------------
 

@@ -5,11 +5,12 @@ import pytest
 from repro.core.pipeline import CompileOptions, compile_module
 from repro.core.system import CaratKopSystem, SystemConfig
 from repro.ir import verify_module
-from repro.ir.instructions import Call
+from repro.ir.instructions import Call, Cast
+from repro.ir.values import ConstantString, GlobalVariable
 from repro.kernel import KernelPanic
 from repro.minicc import compile_source
 from repro.passes import AttestationPass, CallGuardPass, Mem2RegPass, PassManager
-from repro.passes.call_guard import CALL_GUARD_SYMBOL, META_CALL_GUARDED
+from repro.passes.intrinsic_guard import CALL_GUARD_SYMBOL, META_CALL_GUARDED
 
 SRC = """
 extern void *kmalloc(long size, int flags);
@@ -28,9 +29,11 @@ __export long f(void) {
 """
 
 
-def build():
+def build(prepare=None):
     m = compile_source(SRC, "cg")
     PassManager([Mem2RegPass(), AttestationPass()]).run(m)
+    if prepare is not None:
+        prepare(m)
     p = CallGuardPass()
     p.run(m)
     verify_module(m)
@@ -70,6 +73,47 @@ class TestPass:
         assert m.metadata[META_CALL_GUARDED] is True
         again = CallGuardPass()
         assert again.run(m) is False
+
+    def test_guard_reads_its_callee_name_global(self):
+        m, _ = build()
+        assert {g for g in m.globals if g.startswith(".callee.")} == {
+            ".callee.kmalloc", ".callee.printk", ".callee.kfree"
+        }
+        assert m.functions[CALL_GUARD_SYMBOL].is_declaration
+        insts = list(m.get_function("f").instructions())
+        for i, inst in enumerate(insts):
+            if isinstance(inst, Call) and inst.callee.name in (
+                "kmalloc", "kfree", "printk"
+            ):
+                cast, guard = insts[i - 2], insts[i - 1]
+                assert isinstance(cast, Cast) and cast.name.startswith("cname.")
+                assert guard.args == [cast]
+                assert cast.value is m.globals[f".callee.{inst.callee.name}"]
+
+    def test_existing_callee_global_reused(self):
+        existing = []
+
+        def prepare(m):
+            data = ConstantString(b"kfree\x00")
+            g = GlobalVariable(data.type, ".callee.kfree", data, "internal", True)
+            existing.append(m.add_global(g))
+
+        m, p = build(prepare)
+        assert p.guards_inserted == 3
+        assert m.globals[".callee.kfree"] is existing[0]
+        casts = [
+            i for i in m.get_function("f").instructions()
+            if isinstance(i, Cast) and i.value is existing[0]
+        ]
+        assert len(casts) == 1
+
+    def test_no_sites_declares_nothing_but_marks_module(self):
+        m = compile_source("__export long f(long a) { return a + 1; }", "ns")
+        p = CallGuardPass()
+        assert p.run(m) is False
+        assert CALL_GUARD_SYMBOL not in m.functions
+        assert not any(g.startswith(".callee.") for g in m.globals)
+        assert m.metadata[META_CALL_GUARDED] is True
 
     def test_memory_guards_exempt(self):
         src = "long g; __export void f(void) { g = 1; }"

@@ -1,7 +1,7 @@
 """Intrinsic-guard pass tests (paper §5 extension)."""
 
 from repro.ir import verify_module
-from repro.ir.instructions import Call
+from repro.ir.instructions import Call, Cast
 from repro.minicc import compile_source
 from repro.passes import AttestationPass, GuardInjectionPass, Mem2RegPass, PassManager
 from repro.passes.intrinsic_guard import (
@@ -67,6 +67,22 @@ def test_name_strings_deduplicated():
     assert len(wrmsr_strings) == 1
 
 
+def test_guard_reads_its_intr_name_global():
+    m, _ = build()
+    assert {g for g in m.globals if g.startswith(".intr.")} == {
+        ".intr.rdmsr", ".intr.wrmsr", ".intr.cli"
+    }
+    assert m.functions[INTRINSIC_GUARD_SYMBOL].is_declaration
+    insts = list(m.get_function("poke_msrs").instructions())
+    for i, inst in enumerate(insts):
+        if isinstance(inst, Call) and inst.callee.name in PRIVILEGED_INTRINSICS:
+            cast, guard = insts[i - 2], insts[i - 1]
+            assert isinstance(cast, Cast) and cast.name.startswith("iname.")
+            assert guard.args == [cast]
+            assert cast.value is m.globals[f".intr.{inst.callee.name}"]
+            assert cast.value.initializer.data == inst.callee.name.encode() + b"\x00"
+
+
 def test_metadata_and_idempotence():
     m, _ = build()
     assert m.metadata[META_INTRINSIC_GUARDED] is True
@@ -83,6 +99,7 @@ def test_module_without_intrinsics_unchanged():
     changed = p.run(m)
     assert changed is False
     assert INTRINSIC_GUARD_SYMBOL not in m.functions
+    assert m.metadata[META_INTRINSIC_GUARDED] is True
 
 
 def test_composes_with_memory_guards():

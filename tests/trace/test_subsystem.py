@@ -139,6 +139,48 @@ class TestGuardDeny:
         assert kernel.trace.ring.total == 0
 
 
+_DENIED = {
+    "memory": ("__export long f(void) { return *(long *)0xdead0000; }",
+               {}, "f"),
+    "intrinsic": ("extern void cli(void); __export void f(void) { cli(); }",
+                  {"guard_intrinsics": True}, "f"),
+    "call": ("extern int printk(char *fmt, ...); "
+             "__export void f(void) { printk(\"hi\"); }",
+             {"guard_calls": True}, "f"),
+}
+
+
+class TestGuardPanic:
+    @pytest.mark.parametrize("kind", sorted(_DENIED))
+    def test_guard_panic_goes_through_kernel_panic(self, kind):
+        """A guard denial in panic mode halts through ``Kernel.panic``:
+        the ring holds ``kernel:panic`` after the ``guard:deny``, with
+        the raised violation's reason."""
+        from repro import CompileOptions, compile_module
+        from repro.vm.interp import GuardViolation
+
+        system = CaratKopSystem(SystemConfig(machine=None, protect=True))
+        kernel = system.kernel
+        source, opts, fn = _DENIED[kind]
+        loaded = kernel.insmod(compile_module(source, CompileOptions(
+            module_name="rogue", key=system.signing_key, **opts)))
+        if kind == "call":
+            system.policy_manager.set_call_allowlist(True)
+        kernel.trace.enable()
+        with pytest.raises(GuardViolation) as info:
+            kernel.run_function(loaded, fn, [])
+        reason = info.value.reason
+        events = kernel.trace.snapshot()
+        names = [e.name for e in events]
+        assert "guard:deny" in names
+        panics = [e for e in events if e.name == "kernel:panic"]
+        assert [e.args["reason"] for e in panics] == [reason]
+        assert names.index("guard:deny") < names.index("kernel:panic")
+        assert kernel.panicked == reason
+        assert kernel.dmesg_log[-1] == f"Kernel panic - not syncing: {reason}"
+        assert sum("Kernel panic" in line for line in kernel.dmesg_log) == 1
+
+
 class TestOperatorSurfaces:
     def test_proc_trace_stat_renders(self, system):
         trace = system.kernel.trace
