@@ -65,7 +65,9 @@ from .values import (
     UndefValue,
     Value,
 )
-from .verifier import VerificationError, verify_function, verify_module
+from .verifier import (
+    VerificationError, verify_function, verify_functions, verify_module,
+)
 
 __all__ = [
     "Alloca", "ArrayType", "Argument", "BasicBlock", "BinOp", "Br", "Call",
@@ -78,5 +80,5 @@ __all__ = [
     "UndefValue", "Unreachable", "VOID", "Value", "VerificationError",
     "VoidType", "instructions", "parse_module", "print_function",
     "print_instruction", "print_module", "ptr", "types", "values",
-    "verify_function", "verify_module",
+    "verify_function", "verify_functions", "verify_module",
 ]

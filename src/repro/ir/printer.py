@@ -9,6 +9,8 @@ is covered by property tests.
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from .instructions import (
     Alloca,
     BinOp,
@@ -29,6 +31,7 @@ from .instructions import (
     Unreachable,
 )
 from .module import BasicBlock, Function, Module
+from .types import VOID, IRType
 from .values import (
     Argument,
     ConstantFloat,
@@ -41,23 +44,46 @@ from .values import (
 )
 
 
+# The printer runs twice per protected build (the signer's canonical
+# print and insmod's), so it dispatches on ``type()`` through per-class
+# memos, like the verifier, and renders each interned type once.
+_TYPE_TEXT: dict[IRType, str] = {}
+
+
+def _type_text(t: IRType) -> str:
+    text = _TYPE_TEXT.get(t)
+    if text is None:
+        text = _TYPE_TEXT[t] = str(t)
+    return text
+
+
+def _formatter(formats: dict, obj, what: str) -> Callable:
+    """The format of the first class in ``formats`` that ``obj`` is an
+    instance of, memoised under ``type(obj)``."""
+    for base, fmt in list(formats.items()):
+        if isinstance(obj, base):
+            formats[type(obj)] = fmt
+            return fmt
+    raise TypeError(f"cannot print {what} {obj!r}")
+
+
+#: ``class -> format(operand)``, in the order a subclass is matched.
+_OPERAND_FORMAT: dict[type, Callable[[Any], str]] = {
+    ConstantInt: lambda v: f"{_type_text(v.type)} {v.signed}",
+    ConstantFloat: lambda v: f"{_type_text(v.type)} {v.value!r}",
+    ConstantNull: lambda v: f"{_type_text(v.type)} null",
+    UndefValue: lambda v: f"{_type_text(v.type)} undef",
+    ConstantString: lambda v: v.ref(),
+    GlobalValue: lambda v: f"{_type_text(v.type)} @{v.name}",
+    Argument: lambda v: f"{_type_text(v.type)} %{v.name}",
+    Instruction: lambda v: f"{_type_text(v.type)} %{v.name}",
+}
+
+
 def _operand(v: Value) -> str:
     """Render an operand as ``<type> <ref>``."""
-    if isinstance(v, ConstantInt):
-        return f"{v.type} {v.signed}"
-    if isinstance(v, ConstantFloat):
-        return f"{v.type} {v.value!r}"
-    if isinstance(v, ConstantNull):
-        return f"{v.type} null"
-    if isinstance(v, UndefValue):
-        return f"{v.type} undef"
-    if isinstance(v, ConstantString):
-        return v.ref()
-    if isinstance(v, GlobalValue):
-        return f"{v.type} @{v.name}"
-    if isinstance(v, (Argument, Instruction)):
-        return f"{v.type} %{v.name}"
-    raise TypeError(f"cannot print operand {v!r}")
+    fmt = _OPERAND_FORMAT.get(type(v)) or _formatter(_OPERAND_FORMAT, v, "operand")
+    return fmt(v)
 
 
 def _escape_bytes(data: bytes) -> str:
@@ -67,65 +93,72 @@ def _escape_bytes(data: bytes) -> str:
     )
 
 
+def _br(inst: Br, lhs: str) -> str:
+    if inst.is_conditional:
+        return (
+            f"br {_operand(inst.condition)}, "  # type: ignore[arg-type]
+            f"label %{inst.targets[0].name}, label %{inst.targets[1].name}"
+        )
+    return f"br label %{inst.targets[0].name}"
+
+
+def _switch(inst: Switch, lhs: str) -> str:
+    cases = ", ".join(f"{c}: label %{b.name}" for c, b in inst.cases)
+    return (
+        f"switch {_operand(inst.operands[0])}, "
+        f"default label %{inst.default.name} [ {cases} ]"
+    )
+
+
+def _phi(inst: Phi, lhs: str) -> str:
+    arms = ", ".join(f"[ {_operand(v)}, %{b.name} ]" for v, b in inst.incoming)
+    return f"{lhs}phi {_type_text(inst.type)} {arms}"
+
+
+def _call(inst: Call, lhs: str) -> str:
+    args = ", ".join(_operand(a) for a in inst.args)
+    op = "call.guard" if inst.is_guard else "call"
+    if inst.type is VOID:
+        return f"{op} void @{inst.callee.name}({args})"
+    return f"{lhs}{op} {_type_text(inst.type)} @{inst.callee.name}({args})"
+
+
+#: ``class -> format(inst, lhs)``, in the order a subclass is matched.
+_INSTRUCTION_FORMAT: dict[type, Callable[[Any, str], str]] = {
+    Alloca: lambda i, lhs: (
+        f"{lhs}alloca {_type_text(i.allocated_type)}, count {i.count}"),
+    Load: lambda i, lhs: f"{lhs}load {_operand(i.pointer)}",
+    Store: lambda i, lhs: f"store {_operand(i.value)}, {_operand(i.pointer)}",
+    Gep: lambda i, lhs: (
+        f"{lhs}gep {_type_text(i.type)} : {_operand(i.base)}, "
+        f"{_operand(i.index)}, scale {i.scale}, disp {i.displacement}"),
+    BinOp: lambda i, lhs: f"{lhs}{i.op} {_operand(i.lhs)}, {_operand(i.rhs)}",
+    ICmp: lambda i, lhs: (
+        f"{lhs}icmp {i.pred} {_operand(i.lhs)}, {_operand(i.rhs)}"),
+    FCmp: lambda i, lhs: (
+        f"{lhs}fcmp {i.pred} {_operand(i.operands[0])}, "
+        f"{_operand(i.operands[1])}"),
+    Cast: lambda i, lhs: (
+        f"{lhs}{i.op} {_operand(i.value)} to {_type_text(i.type)}"),
+    Select: lambda i, lhs: (
+        f"{lhs}select {', '.join(_operand(o) for o in i.operands)}"),
+    Br: _br,
+    Switch: _switch,
+    Ret: lambda i, lhs: (
+        f"ret {_operand(i.value)}" if i.value is not None else "ret void"),
+    Unreachable: lambda i, lhs: "unreachable",
+    Phi: _phi,
+    Call: _call,
+    InlineAsm: lambda i, lhs: f'asm "{_escape_bytes(i.asm_text.encode())}"',
+}
+
+
 def print_instruction(inst: Instruction) -> str:
     """Render a single instruction (without indentation)."""
-    lhs = f"%{inst.name} = " if inst.name and not inst.type.is_void else ""
-    if isinstance(inst, Alloca):
-        return f"{lhs}alloca {inst.allocated_type}, count {inst.count}"
-    if isinstance(inst, Load):
-        return f"{lhs}load {_operand(inst.pointer)}"
-    if isinstance(inst, Store):
-        return f"store {_operand(inst.value)}, {_operand(inst.pointer)}"
-    if isinstance(inst, Gep):
-        return (
-            f"{lhs}gep {inst.type} : {_operand(inst.base)}, "
-            f"{_operand(inst.index)}, scale {inst.scale}, disp {inst.displacement}"
-        )
-    if isinstance(inst, BinOp):
-        return f"{lhs}{inst.op} {_operand(inst.lhs)}, {_operand(inst.rhs)}"
-    if isinstance(inst, ICmp):
-        return f"{lhs}icmp {inst.pred} {_operand(inst.lhs)}, {_operand(inst.rhs)}"
-    if isinstance(inst, FCmp):
-        return (
-            f"{lhs}fcmp {inst.pred} {_operand(inst.operands[0])}, "
-            f"{_operand(inst.operands[1])}"
-        )
-    if isinstance(inst, Cast):
-        return f"{lhs}{inst.op} {_operand(inst.value)} to {inst.type}"
-    if isinstance(inst, Select):
-        ops = ", ".join(_operand(o) for o in inst.operands)
-        return f"{lhs}select {ops}"
-    if isinstance(inst, Br):
-        if inst.is_conditional:
-            return (
-                f"br {_operand(inst.condition)}, "  # type: ignore[arg-type]
-                f"label %{inst.targets[0].name}, label %{inst.targets[1].name}"
-            )
-        return f"br label %{inst.targets[0].name}"
-    if isinstance(inst, Switch):
-        cases = ", ".join(f"{c}: label %{b.name}" for c, b in inst.cases)
-        return (
-            f"switch {_operand(inst.operands[0])}, "
-            f"default label %{inst.default.name} [ {cases} ]"
-        )
-    if isinstance(inst, Ret):
-        return f"ret {_operand(inst.value)}" if inst.value is not None else "ret void"
-    if isinstance(inst, Unreachable):
-        return "unreachable"
-    if isinstance(inst, Phi):
-        arms = ", ".join(
-            f"[ {_operand(v)}, %{b.name} ]" for v, b in inst.incoming
-        )
-        return f"{lhs}phi {inst.type} {arms}"
-    if isinstance(inst, Call):
-        args = ", ".join(_operand(a) for a in inst.args)
-        op = "call.guard" if inst.is_guard else "call"
-        if inst.type.is_void:
-            return f"{op} void @{inst.callee.name}({args})"
-        return f"{lhs}{op} {inst.type} @{inst.callee.name}({args})"
-    if isinstance(inst, InlineAsm):
-        return f'asm "{_escape_bytes(inst.asm_text.encode())}"'
-    raise TypeError(f"cannot print instruction {inst!r}")
+    fmt = _INSTRUCTION_FORMAT.get(type(inst)) or _formatter(
+        _INSTRUCTION_FORMAT, inst, "instruction")
+    name = inst.name
+    return fmt(inst, f"%{name} = " if name and inst.type is not VOID else "")
 
 
 def print_block(block: BasicBlock) -> str:

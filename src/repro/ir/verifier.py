@@ -2,11 +2,14 @@
 
 The kernel-side loader runs this on every module before insertion
 (paper §3.2: modules are validated at insmod time); the compiler pipeline
-runs it after every pass.  A verification failure raises
+runs it on the front end's output and, after every pass, on each
+function that pass changed.  A verification failure raises
 :class:`VerificationError` listing every violation found.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .instructions import (
     Br,
@@ -45,10 +48,16 @@ def verify_module(module: Module) -> None:
         raise VerificationError(errors)
 
 
-def verify_function(fn: Function, module: Module | None = None) -> None:
-    errors = _verify_function(fn, module)
+def verify_functions(fns: Iterable[Function], module: Module | None = None) -> None:
+    """Verify just ``fns``: the pass manager's check of the functions a
+    pass reports it changed."""
+    errors = [e for fn in fns for e in _verify_function(fn, module)]
     if errors:
         raise VerificationError(errors)
+
+
+def verify_function(fn: Function, module: Module | None = None) -> None:
+    verify_functions((fn,), module)
 
 
 # Operand and instruction classes are dispatched by ``type()`` through
@@ -137,7 +146,7 @@ def _verify_function(fn: Function, module: Module | None) -> list[str]:
                     err("phi after non-phi instruction")
             name = inst.name
             if name:
-                if inst.type.is_void:
+                if inst.type is VOID:
                     err("void instruction has a name")
                 elif name in names_seen:
                     err(f"duplicate value name %{name}")
@@ -154,9 +163,9 @@ def _verify_function(fn: Function, module: Module | None) -> list[str]:
                     if oid not in all_insts:
                         err(f"operand %{op.name} from another function")
                     elif (
-                        oid not in local_defined
+                        op.parent is block
                         and kind != _PHI
-                        and op.parent is block
+                        and oid not in local_defined
                         and _comes_after(op, inst, block)
                     ):
                         late.append(
@@ -231,4 +240,6 @@ def _comes_after(a: Instruction, b: Instruction, block: BasicBlock) -> bool:
     return False
 
 
-__all__ = ["VerificationError", "verify_function", "verify_module"]
+__all__ = [
+    "VerificationError", "verify_function", "verify_functions", "verify_module",
+]

@@ -25,7 +25,7 @@ from ..ir import (
     I32,
     I64,
 )
-from ..ir.types import FloatType, IntType
+from ..ir.types import FloatType, IntType, trunc_divmod
 from ..ir.values import (
     ConstantFloat,
     ConstantInt,
@@ -39,6 +39,20 @@ class CompileError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _const_div(x, y):
+    """Constant ``x / y``: C's truncating quotient for integers."""
+    if isinstance(x, int) and isinstance(y, int):
+        return trunc_divmod(x, y)[0]
+    return int(x / y) if isinstance(x, int) else x / y
+
+
+def _const_rem(x, y):
+    """Constant ``x % y``: the remainder takes the dividend's sign."""
+    if isinstance(x, int) and isinstance(y, int):
+        return trunc_divmod(x, y)[1]
+    return x - int(x / y) * y
 
 
 class _FunctionInfo:
@@ -233,8 +247,8 @@ class CodeGenerator:
             ops = {
                 "+": lambda x, y: x + y, "-": lambda x, y: x - y,
                 "*": lambda x, y: x * y,
-                "/": lambda x, y: int(x / y) if isinstance(x, int) else x / y,
-                "%": lambda x, y: x - int(x / y) * y,
+                "/": _const_div,
+                "%": _const_rem,
                 "<<": lambda x, y: int(x) << int(y),
                 ">>": lambda x, y: int(x) >> int(y),
                 "&": lambda x, y: int(x) & int(y),
@@ -244,6 +258,10 @@ class CodeGenerator:
             fn = ops.get(expr.op)
             if fn is None:
                 raise CompileError(f"bad constant operator {expr.op}", expr.line)
+            if expr.op in ("/", "%") and b == 0:
+                raise CompileError(
+                    "division by zero in constant expression", expr.line
+                )
             return fn(a, b)
         if isinstance(expr, A.SizeofType):
             return self.resolve_type(expr.target).sizeof()

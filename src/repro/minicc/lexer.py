@@ -31,12 +31,27 @@ PUNCTUATION = (
     "(", ")", "{", "}", "[", "]", ";", ",", ".", "?", ":",
 )
 
-_PUNCT_RE = re.compile("|".join(re.escape(p) for p in PUNCTUATION))
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")
-_FLOAT_RE = re.compile(r"\d+\.\d+([eE][-+]?\d+)?[fF]?|\d+[eE][-+]?\d+[fF]?")
-_INT_RE = re.compile(r"\d+")
-_SUFFIX_RE = re.compile(r"[uUlL]*")
+# One master pattern: each ``match`` consumes one token (with the blanks
+# that follow it on its line), whitespace run or comment.  Alternatives
+# are tried in order (first match wins), so hex precedes float precedes
+# decimal, as maximal munch needs.  Quotes only select the hand-written
+# literal scanners below.
+_TOKEN_RE = re.compile(
+    "(?:" + "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("ws", r"[ \t\r\n]+"),
+            ("line_comment", r"//[^\n]*"),
+            ("block_comment", r"/\*"),
+            ("quote", r"['\"]"),
+            ("hex", r"0[xX][0-9a-fA-F]+[uUlL]*"),
+            ("float", r"\d+\.\d+(?:[eE][-+]?\d+)?[fF]?|\d+[eE][-+]?\d+[fF]?"),
+            ("int", r"\d+[uUlL]*"),
+            ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+            ("punct", "|".join(re.escape(p) for p in PUNCTUATION)),
+        )
+    ) + r")[ \t\r]*"
+)
 
 
 class Token:
@@ -93,104 +108,88 @@ def _scan_escape(src: str, i: int, line: int, col: int) -> tuple[int, int]:
 def tokenize(source: str) -> list[Token]:
     """Tokenize mini-C source; raises :class:`LexError` on bad input."""
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
+    keywords = KEYWORDS
     i = 0
     line = 1
     line_start = 0
     n = len(source)
     while i < n:
-        c = source[i]
+        m = match(source, i)
         col = i - line_start + 1
-        if c == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if c in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
+        if m is None:
+            raise LexError(f"unexpected character {source[i]!r}", line, col)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "ident":
+            text = m.group(kind)
+            append(Token("kw" if text in keywords else "ident", text, line, col))
+        elif kind == "punct":
+            append(Token("punct", m.group(kind), line, col))
+        elif kind == "ws":
+            nl = source.rfind("\n", i, end)
+            if nl >= 0:
+                line += source.count("\n", i, end)
+                line_start = nl + 1
+        elif kind == "int":
+            text = m.group(kind)
+            append(Token("int", text, line, col, int(text.rstrip("uUlL"))))
+        elif kind == "hex":
+            text = m.group(kind)
+            append(Token("int", text, line, col, int(text.rstrip("uUlL"), 16)))
+        elif kind == "float":
+            text = m.group(kind)
+            append(Token("float", text, line, col, float(text.rstrip("fF"))))
+        elif kind == "block_comment":
+            j = source.find("*/", end)
             if j < 0:
                 raise LexError("unterminated block comment", line, col)
-            line += source.count("\n", i, j)
-            # Recompute line_start so columns stay sane after the comment.
             nl = source.rfind("\n", i, j)
             if nl >= 0:
+                line += source.count("\n", i, j)
+                # Recompute line_start so columns stay sane after the comment.
                 line_start = nl + 1
-            i = j + 2
-            continue
-        if c == "'":
-            j = i + 1
-            if j < n and source[j] == "\\":
-                value, j = _scan_escape(source, j + 1, line, col)
-            elif j < n:
-                value = ord(source[j])
-                j += 1
-            else:
-                raise LexError("unterminated char literal", line, col)
-            if j >= n or source[j] != "'":
-                raise LexError("unterminated char literal", line, col)
-            tokens.append(Token("char", source[i : j + 1], line, col, value))
-            i = j + 1
-            continue
-        if c == '"':
-            j = i + 1
-            data = bytearray()
-            while j < n and source[j] != '"':
-                if source[j] == "\\":
-                    b, j = _scan_escape(source, j + 1, line, col)
-                    data.append(b)
-                elif source[j] == "\n":
-                    raise LexError("newline in string literal", line, col)
-                else:
-                    data.append(ord(source[j]))
-                    j += 1
-            if j >= n:
-                raise LexError("unterminated string literal", line, col)
-            tokens.append(Token("string", source[i : j + 1], line, col, bytes(data)))
-            i = j + 1
-            continue
-        m = _HEX_RE.match(source, i)
-        if m:
-            end = _SUFFIX_RE.match(source, m.end()).end()  # type: ignore[union-attr]
-            tokens.append(
-                Token("int", source[i:end], line, col, int(m.group(), 16))
-            )
-            i = end
-            continue
-        m = _FLOAT_RE.match(source, i)
-        if m:
-            text = m.group()
-            tokens.append(
-                Token("float", text, line, col, float(text.rstrip("fF")))
-            )
-            i = m.end()
-            continue
-        m = _INT_RE.match(source, i)
-        if m:
-            end = _SUFFIX_RE.match(source, m.end()).end()  # type: ignore[union-attr]
-            tokens.append(Token("int", source[i:end], line, col, int(m.group())))
-            i = end
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            text = m.group()
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            i = m.end()
-            continue
-        m = _PUNCT_RE.match(source, i)
-        if m:
-            tokens.append(Token("punct", m.group(), line, col))
-            i = m.end()
-            continue
-        raise LexError(f"unexpected character {c!r}", line, col)
+            end = j + 2
+        elif kind == "quote":
+            end = _scan_literal(source, i, line, col, append)
+        # line_comment: skip to (not past) the newline.
+        i = end
     tokens.append(Token("eof", "", line, i - line_start + 1))
     return tokens
+
+
+def _scan_literal(source: str, i: int, line: int, col: int, append) -> int:
+    """Scan the char or string literal opening at ``source[i]``; append
+    its token and return the index after it."""
+    n = len(source)
+    j = i + 1
+    if source[i] == "'":
+        if j < n and source[j] == "\\":
+            value, j = _scan_escape(source, j + 1, line, col)
+        elif j < n:
+            value = ord(source[j])
+            j += 1
+        else:
+            raise LexError("unterminated char literal", line, col)
+        if j >= n or source[j] != "'":
+            raise LexError("unterminated char literal", line, col)
+        append(Token("char", source[i : j + 1], line, col, value))
+        return j + 1
+    data = bytearray()
+    while j < n and source[j] != '"':
+        if source[j] == "\\":
+            b, j = _scan_escape(source, j + 1, line, col)
+            data.append(b)
+        elif source[j] == "\n":
+            raise LexError("newline in string literal", line, col)
+        else:
+            data.append(ord(source[j]))
+            j += 1
+    if j >= n:
+        raise LexError("unterminated string literal", line, col)
+    append(Token("string", source[i : j + 1], line, col, bytes(data)))
+    return j + 1
 
 
 __all__ = ["KEYWORDS", "LexError", "Token", "tokenize"]

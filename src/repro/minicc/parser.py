@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import cast as A
+from ..ir.types import trunc_divmod
 from .lexer import Token, tokenize
 
 
@@ -185,14 +186,17 @@ class Parser:
     def _const_mul(self) -> int:
         v = self._const_unary()
         while self.cur.kind == "punct" and self.cur.text in ("*", "/", "%"):
-            op = self.advance().text
+            tok = self.advance()
             rhs = self._const_unary()
-            if op == "*":
+            if tok.text == "*":
                 v *= rhs
-            elif op == "/":
-                v = int(v / rhs)
+            elif rhs == 0:
+                raise CParseError(
+                    "division by zero in constant expression", tok.line
+                )
             else:
-                v = v - int(v / rhs) * rhs
+                quotient, remainder = trunc_divmod(v, rhs)
+                v = quotient if tok.text == "/" else remainder
         return v
 
     def _const_unary(self) -> int:
@@ -516,6 +520,7 @@ class Parser:
             return A.Conditional(cond, then, other, cond.line)
         return cond
 
+    #: Binary operators by precedence level, loosest first.
     _PRECEDENCE = [
         ("||",),
         ("&&",),
@@ -528,17 +533,22 @@ class Parser:
         ("+", "-"),
         ("*", "/", "%"),
     ]
+    _LEVEL = {op: level for level, ops in enumerate(_PRECEDENCE) for op in ops}
 
     def parse_binary(self, level: int) -> A.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self.parse_unary()
-        ops = self._PRECEDENCE[level]
-        lhs = self.parse_binary(level + 1)
-        while self.cur.kind == "punct" and self.cur.text in ops:
-            op = self.advance()
-            rhs = self.parse_binary(level + 1)
+        """Operators of precedence ``level`` or tighter, left-associative
+        (precedence climbing: one call per operand).  Only punctuation
+        tokens can carry an operator's text, so the text alone decides."""
+        lhs = self.parse_unary()
+        levels = self._LEVEL
+        while True:
+            op = self.cur
+            op_level = levels.get(op.text, -1)
+            if op_level < level:
+                return lhs
+            self.advance()
+            rhs = self.parse_binary(op_level + 1)
             lhs = A.Binary(op.text, lhs, rhs, op.line)
-        return lhs
 
     def parse_unary(self) -> A.Expr:
         tok = self.cur

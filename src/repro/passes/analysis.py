@@ -9,6 +9,7 @@ kernel-module-sized functions.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from ..ir import BasicBlock, Function
@@ -24,7 +25,6 @@ class DominatorTree:
         self.idom: dict[int, BasicBlock] = {}
         self._preds = fn.predecessors()
         self._compute_idoms()
-        self.frontiers: dict[int, list[BasicBlock]] = self._compute_frontiers()
         self.children: dict[int, list[BasicBlock]] = {}
         for b in self.rpo:
             d = self.idom.get(id(b))
@@ -64,7 +64,10 @@ class DominatorTree:
                 fb = idom[id(fb)]
         return fa
 
-    def _compute_frontiers(self) -> dict[int, list[BasicBlock]]:
+    @cached_property
+    def frontiers(self) -> dict[int, list[BasicBlock]]:
+        """Dominance frontiers, computed on first use (only SSA
+        construction needs them, not the guard optimizer)."""
         frontiers: dict[int, list[BasicBlock]] = {id(b): [] for b in self.rpo}
         for b in self.rpo:
             preds = [p for p in self._preds[b] if id(p) in self._index]

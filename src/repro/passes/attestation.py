@@ -17,6 +17,7 @@ from ..ir.instructions import InlineAsm
 
 class AttestationPass:
     name = "kop-attest"
+    changed_functions: tuple = ()  # analysis only; never changes code
 
     def run(self, module: Module) -> bool:
         has_asm = any(
@@ -26,7 +27,7 @@ class AttestationPass:
         )
         module.metadata[abi.META_HAS_ASM] = has_asm
         module.metadata[abi.META_COMPILER] = abi.COMPILER_ID
-        return False  # analysis only; never changes code
+        return False
 
 
 __all__ = ["AttestationPass"]

@@ -19,7 +19,7 @@ of comparable size and shape.
 from __future__ import annotations
 
 from .. import abi
-from ..ir import Module, PointerType, I8
+from ..ir import Function, Module, PointerType, I8
 from ..ir.instructions import Call, Cast, Instruction, Load, Store
 from ..ir.values import ConstantInt, Value
 from ..ir.types import I32 as _I32, I64 as _I64
@@ -32,8 +32,10 @@ class GuardInjectionPass:
 
     def __init__(self) -> None:
         self.guards_inserted = 0
+        self.changed_functions: list[Function] = []
 
     def run(self, module: Module) -> bool:
+        self.changed_functions = []
         if module.metadata.get(abi.META_GUARDED):
             return False  # already transformed; the pass is idempotent
         guard = module.declare_function(
@@ -41,6 +43,7 @@ class GuardInjectionPass:
         )
         inserted = 0
         for fn in module.defined_functions():
+            before = inserted
             for block in fn.blocks:
                 # Snapshot: we mutate the instruction list as we walk it.
                 for inst in list(block.instructions):
@@ -66,6 +69,8 @@ class GuardInjectionPass:
                     call.is_guard = True
                     block.insert_before(call, inst)
                     inserted += 1
+            if inserted > before:
+                self.changed_functions.append(fn)
         module.metadata[abi.META_GUARDED] = True
         module.metadata[abi.META_GUARD_COUNT] = inserted
         self.guards_inserted += inserted

@@ -249,12 +249,14 @@ class GuardOptPass:
         self.guards_removed = 0
         self.guards_hoisted = 0
         self.guards_coalesced = 0
+        self.changed_functions: list[Function] = []
 
     def run(self, module: Module) -> bool:
+        self.changed_functions = []
         if not module.metadata.get(abi.META_GUARDED):
             return False  # nothing to optimize until guards exist
-        changed = False
         for fn in module.defined_functions():
+            changed = False
             if self.hoist_loops:
                 changed |= self._hoist_loop_guards(fn)
             if self.coalesce:
@@ -262,6 +264,9 @@ class GuardOptPass:
                 changed |= self._coalesce_block_guards(fn)
             if self.eliminate:
                 changed |= self._eliminate_dominated(fn)
+            if changed:
+                self.changed_functions.append(fn)
+        changed = bool(self.changed_functions)
         if changed:
             remaining = sum(
                 1

@@ -35,7 +35,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from ..abi import CALL_GUARD_SYMBOL, GUARD_SYMBOLS, INTRINSIC_GUARD_SYMBOL
-from ..ir import FunctionType, Module, PointerType, I8, I8PTR, VOID
+from ..ir import Function, FunctionType, Module, PointerType, I8, I8PTR, VOID
 from ..ir.instructions import Call, Cast
 from ..ir.values import ConstantString, GlobalVariable
 
@@ -92,9 +92,11 @@ class NameGuardPass:
         self.spec = spec
         self.name = spec.pass_name
         self.guards_inserted = 0
+        self.changed_functions: list[Function] = []
 
     def run(self, module: Module) -> bool:
         spec = self.spec
+        self.changed_functions = []
         if module.metadata.get(spec.meta):
             return False
         sites = [
@@ -107,6 +109,10 @@ class NameGuardPass:
         module.metadata[spec.meta] = True
         if not sites:
             return False
+        # Sites come in function order: one entry per changed function.
+        self.changed_functions = list(
+            {id(b.parent): b.parent for b, _ in sites}.values()
+        )
         guard = module.declare_function(
             spec.symbol, FunctionType(VOID, [I8PTR]), "external"
         )

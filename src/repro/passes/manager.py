@@ -3,22 +3,31 @@
 Mirrors the paper's setup where the CARAT KOP transform is "a compiler
 pass that lives within the LLVM framework ... invoked by a script that
 wraps the underlying clang compiler" (§3.3).  Each pass is a callable
-object; the manager runs them in order and verifies the module after
-every one, which is how the compiler "certifies" its own output before
-signing.
+object; the manager runs them in order and, after every pass, verifies
+each function that pass reports it changed, which is how the compiler
+"certifies" its own output before signing.  The whole module is
+verified where the IR enters the pipeline (``compile_module``) and again
+at insmod, the kernel's trust boundary.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
-from ..ir import Module, verify_module
+from ..ir import Function, Module, VerificationError, verify_functions
 
 
 class ModulePass(Protocol):
-    """A transformation or analysis over a whole module."""
+    """A transformation or analysis over a whole module.
+
+    The contract: ``run`` returns True iff it changed the IR, and
+    ``changed_functions`` then names every function whose printed text
+    it changed.  Those are the only functions re-verified, so a pass
+    that changes the module's symbols must also report every function
+    that refers to them."""
 
     name: str
+    changed_functions: Sequence[Function]
 
     def run(self, module: Module) -> bool:
         """Apply to ``module``; return True if the IR was changed."""
@@ -26,7 +35,7 @@ class ModulePass(Protocol):
 
 
 class PassManager:
-    """Runs a pipeline of module passes, verifying in between."""
+    """Runs a pipeline of module passes, verifying what each changed."""
 
     def __init__(self, passes: Iterable[ModulePass] = ()):
         self.passes: list[ModulePass] = list(passes)
@@ -37,16 +46,24 @@ class PassManager:
         return self
 
     def run(self, module: Module) -> bool:
-        """Run all passes in order; returns True if anything changed."""
+        """Run all passes in order; returns True if anything changed.
+
+        A :class:`VerificationError` names the pass that broke the IR."""
         changed = False
         self.log.clear()
         for p in self.passes:
             did = p.run(module)
             self.log.append((p.name, did))
-            changed |= did
-            if did:
-                module.bump_generation()
-            verify_module(module)
+            if not did:
+                continue
+            changed = True
+            module.bump_generation()
+            try:
+                verify_functions(p.changed_functions, module)
+            except VerificationError as e:
+                raise VerificationError(
+                    [f"pass {p.name}: {msg}" for msg in e.errors]
+                ) from None
         return changed
 
 

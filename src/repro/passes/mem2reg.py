@@ -12,42 +12,53 @@ iterated dominance frontiers for phi placement.
 from __future__ import annotations
 
 from ..ir import BasicBlock, Function, Module
-from ..ir.instructions import Alloca, Load, Phi, Store
+from ..ir.instructions import Alloca, Instruction, Load, Phi, Store
 from ..ir.values import UndefValue, Value
 from .analysis import DominatorTree, unreachable_blocks
 
 
 class Mem2RegPass:
-    """Module pass: SSA promotion of non-escaping allocas."""
+    """Module pass: SSA promotion of non-escaping allocas.
+
+    All of a function's allocas are promoted together: phis are placed
+    alloca by alloca (so ``unique_name`` hands out names in a fixed
+    order), one dominator-tree walk carries every alloca's reaching
+    definition, and one trivial-phi fixpoint runs over a replacement
+    map.  Every step is linear in the size of the function.
+    """
 
     name = "mem2reg"
 
     def __init__(self) -> None:
         self.promoted = 0
+        #: Functions the last :meth:`run` changed (the pass-manager
+        #: contract: only these are re-verified).
+        self.changed_functions: list[Function] = []
 
     def run(self, module: Module) -> bool:
-        changed = False
-        for fn in module.defined_functions():
-            changed |= self._run_on_function(fn)
-        return changed
+        self.changed_functions = [
+            fn for fn in module.defined_functions() if self._run_on_function(fn)
+        ]
+        return bool(self.changed_functions)
 
     # -- per function -----------------------------------------------------
 
     def _run_on_function(self, fn: Function) -> bool:
-        self._remove_unreachable(fn)
+        pruned = self._remove_unreachable(fn)
         allocas = self._promotable_allocas(fn)
         if not allocas:
-            return False
+            return pruned
         dom = DominatorTree(fn)
-        for alloca in allocas:
-            self._promote(fn, alloca, dom)
-            self.promoted += 1
+        block_phis = self._place_phis(fn, allocas, dom)
+        replacements = self._rename(fn, allocas, block_phis, dom)
+        self._simplify_phis(fn, replacements)
+        self.promoted += len(allocas)
         return True
 
-    def _remove_unreachable(self, fn: Function) -> None:
+    def _remove_unreachable(self, fn: Function) -> bool:
         dead = unreachable_blocks(fn)
         if not dead:
-            return
+            return False
         dead_ids = {id(b) for b in dead}
         for b in fn.blocks:
             if id(b) in dead_ids:
@@ -58,6 +69,7 @@ class Mem2RegPass:
                     phi.incoming = kept
                     phi.operands = [v for v, _ in kept]
         fn.blocks = [b for b in fn.blocks if id(b) not in dead_ids]
+        return True
 
     def _promotable_allocas(self, fn: Function) -> list[Alloca]:
         """Allocas used only by direct scalar loads and stores of the value."""
@@ -87,133 +99,161 @@ class Mem2RegPass:
             # (covered above since they aren't Load/Store in the right slot).
         return [a for a in allocas if candidate[id(a)]]
 
-    def _promote(self, fn: Function, alloca: Alloca, dom: DominatorTree) -> None:
-        loads: list[Load] = []
-        stores: list[Store] = []
-        for inst in fn.instructions():
-            if isinstance(inst, Load) and inst.pointer is alloca:
-                loads.append(inst)
-            elif isinstance(inst, Store) and inst.pointer is alloca:
-                stores.append(inst)
+    @staticmethod
+    def _place_phis(
+        fn: Function, allocas: list[Alloca], dom: DominatorTree
+    ) -> dict[int, list[tuple[int, Phi]]]:
+        """Phis at the iterated dominance frontier of each alloca's
+        stores, placed alloca by alloca.  Returns ``id(block) ->
+        [(alloca index, phi)]``."""
+        index = {id(a): k for k, a in enumerate(allocas)}
+        def_blocks: list[dict[int, BasicBlock]] = [{} for _ in allocas]
+        for block in fn.blocks:
+            for inst in block.instructions:
+                if isinstance(inst, Store):
+                    k = index.get(id(inst.pointer))
+                    if k is not None:
+                        def_blocks[k].setdefault(id(block), block)
+        block_phis: dict[int, list[tuple[int, Phi]]] = {}
+        for k, alloca in enumerate(allocas):
+            placed: set[int] = set()
+            work = list(def_blocks[k].values())
+            seen = set(def_blocks[k])
+            while work:
+                b = work.pop()
+                for df in dom.frontiers.get(id(b), []):
+                    if id(df) in placed:
+                        continue
+                    phi = Phi(
+                        alloca.allocated_type,
+                        fn.unique_name(f"{alloca.name or 'mem'}.phi"),
+                    )
+                    phi.parent = df
+                    df.instructions.insert(0, phi)
+                    placed.add(id(df))
+                    block_phis.setdefault(id(df), []).append((k, phi))
+                    if id(df) not in seen:
+                        seen.add(id(df))
+                        work.append(df)
+        return block_phis
 
-        ty = alloca.allocated_type
-        def_blocks = {id(s.parent): s.parent for s in stores if s.parent}
-
-        # Phi placement at the iterated dominance frontier of the defs.
-        phi_blocks: dict[int, Phi] = {}
-        work = list(def_blocks.values())
-        seen = set(def_blocks)
-        while work:
-            b = work.pop()
-            for df in dom.frontiers.get(id(b), []):
-                if id(df) in phi_blocks:
+    @staticmethod
+    def _rename(
+        fn: Function,
+        allocas: list[Alloca],
+        block_phis: dict[int, list[tuple[int, Phi]]],
+        dom: DominatorTree,
+    ) -> dict[int, tuple[Instruction, Value]]:
+        """One dominator-tree walk carrying every alloca's reaching
+        definition.  Drops the promoted loads, stores and allocas (each
+        block's list is rebuilt once) and returns ``id(load) -> (load,
+        value)``; holding the load keeps its id from being reused."""
+        index = {id(a): k for k, a in enumerate(allocas)}
+        current: list[Value] = [UndefValue(a.allocated_type) for a in allocas]
+        replacements: dict[int, tuple[Instruction, Value]] = {}
+        # Preorder walk, children in reverse order; an ``undo`` entry
+        # restores the definitions a subtree overwrote.
+        stack: list[tuple[BasicBlock | None, list[tuple[int, Value]]]] = [
+            (fn.entry, [])
+        ]
+        while stack:
+            blk, undo = stack.pop()
+            if blk is None:
+                for k, value in undo:
+                    current[k] = value
+                continue
+            saved: list[tuple[int, Value]] = []
+            for k, phi in block_phis.get(id(blk), ()):
+                saved.append((k, current[k]))
+                current[k] = phi
+            kept = []
+            for inst in blk.instructions:
+                if isinstance(inst, Load):
+                    k = index.get(id(inst.pointer))
+                    if k is not None:
+                        replacements[id(inst)] = (inst, current[k])
+                        inst.parent = None
+                        continue
+                elif isinstance(inst, Store):
+                    k = index.get(id(inst.pointer))
+                    if k is not None:
+                        saved.append((k, current[k]))
+                        current[k] = inst.value
+                        inst.parent = None
+                        continue
+                elif id(inst) in index:
+                    inst.parent = None
                     continue
-                phi = Phi(ty, fn.unique_name(f"{alloca.name or 'mem'}.phi"))
-                phi.parent = df
-                df.instructions.insert(0, phi)
-                phi_blocks[id(df)] = phi
-                if id(df) not in seen:
-                    seen.add(id(df))
-                    work.append(df)
+                kept.append(inst)
+            blk.instructions = kept
+            for succ in blk.successors:
+                for k, phi in block_phis.get(id(succ), ()):
+                    phi.add_incoming(current[k], blk)
+            saved.reverse()
+            stack.append((None, saved))
+            for child in dom.children.get(id(blk), []):
+                stack.append((child, []))
+        return replacements
 
-        # Rename: walk the dominator tree carrying the reaching definition.
-        undef = UndefValue(ty)
-        replacements: dict[int, Value] = {}
+    @staticmethod
+    def _simplify_phis(
+        fn: Function, replacements: dict[int, tuple[Instruction, Value]]
+    ) -> None:
+        """Fill missing phi edges with undef, fold trivial phis (one
+        distinct non-self, non-undef incoming value) to a fixpoint, then
+        rewrite every operand through ``replacements`` once."""
 
-        def rename(block: BasicBlock, incoming: Value) -> None:
-            stack = [(block, incoming)]
-            visited: set[int] = set()
-            while stack:
-                blk, value = stack.pop()
-                if id(blk) in visited:
-                    continue
-                visited.add(id(blk))
-                phi = phi_blocks.get(id(blk))
-                if phi is not None:
-                    value = phi
-                for inst in list(blk.instructions):
-                    if isinstance(inst, Load) and inst.pointer is alloca:
-                        replacements[id(inst)] = value
-                        blk.remove(inst)
-                    elif isinstance(inst, Store) and inst.pointer is alloca:
-                        value = inst.value
-                        blk.remove(inst)
-                for succ in blk.successors:
-                    sphi = phi_blocks.get(id(succ))
-                    if sphi is not None:
-                        sphi.add_incoming(
-                            replacements.get(id(value), value), blk
-                        )
-                for child in dom.children.get(id(blk), []):
-                    stack.append((child, value))
-
-        rename(fn.entry, undef)
-
-        # Apply load replacements everywhere (transitively through chains).
         def resolve(v: Value) -> Value:
-            while id(v) in replacements:
-                nv = replacements[id(v)]
-                if nv is v:
-                    break
-                v = nv
-            return v
+            while True:
+                entry = replacements.get(id(v))
+                if entry is None or entry[1] is v:
+                    return v
+                v = entry[1]
 
-        for inst in fn.instructions():
-            for i, op in enumerate(inst.operands):
-                inst.operands[i] = resolve(op)
-            if isinstance(inst, Phi):
-                inst.incoming = [
-                    (resolve(v), b) for v, b in inst.incoming
-                ]
-                inst.operands = [v for v, _ in inst.incoming]
-
-        # Remove the alloca itself.
-        if alloca.parent is not None:
-            alloca.parent.remove(alloca)
-
-        # Prune phis whose incoming edges were never completed (blocks whose
-        # predecessor never executed a rename because it is unreachable) and
-        # phis that are trivially redundant (all incoming identical).
-        self._simplify_phis(fn)
-
-    def _simplify_phis(self, fn: Function) -> None:
+        preds = fn.predecessors()
+        removed: set[int] = set()
         changed = True
         while changed:
             changed = False
-            preds = fn.predecessors()
             for block in fn.blocks:
-                for phi in list(block.phis()):
-                    # Fill any missing predecessor edges with undef.
+                for phi in block.phis():
+                    if id(phi) in removed:
+                        continue
                     have = {id(b) for _, b in phi.incoming}
                     for p in preds[block]:
                         if id(p) not in have:
                             phi.add_incoming(UndefValue(phi.type), p)
-                    distinct = {
-                        id(v) for v, _ in phi.incoming if v is not phi
-                        and not isinstance(v, UndefValue)
-                    }
-                    values = [
-                        v for v, _ in phi.incoming
-                        if v is not phi and not isinstance(v, UndefValue)
-                    ]
-                    if len(distinct) == 1:
-                        replacement = values[0]
-                        self._replace_everywhere(fn, phi, replacement)
-                        block.remove(phi)
-                        changed = True
-                    elif len(distinct) == 0:
-                        self._replace_everywhere(fn, phi, UndefValue(phi.type))
-                        block.remove(phi)
+                    first: Value | None = None
+                    trivial = True
+                    for v, _ in phi.incoming:
+                        v = resolve(v)
+                        if v is phi or isinstance(v, UndefValue):
+                            continue
+                        if first is None:
+                            first = v
+                        elif v is not first:
+                            trivial = False
+                            break
+                    if trivial:
+                        replacements[id(phi)] = (
+                            phi,
+                            first if first is not None else UndefValue(phi.type),
+                        )
+                        removed.add(id(phi))
                         changed = True
 
-    @staticmethod
-    def _replace_everywhere(fn: Function, old: Value, new: Value) -> None:
-        for inst in fn.instructions():
-            inst.replace_operand(old, new)
-            if isinstance(inst, Phi):
-                inst.incoming = [
-                    (new if v is old else v, b) for v, b in inst.incoming
+        for block in fn.blocks:
+            if removed:
+                block.instructions = [
+                    i for i in block.instructions if id(i) not in removed
                 ]
+            for inst in block.instructions:
+                operands = inst.operands
+                for i, op in enumerate(operands):
+                    if id(op) in replacements:
+                        operands[i] = resolve(op)
+                if isinstance(inst, Phi):
+                    inst.incoming = [(resolve(v), b) for v, b in inst.incoming]
 
 
 __all__ = ["Mem2RegPass"]

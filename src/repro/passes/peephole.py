@@ -16,7 +16,7 @@ from typing import Optional
 
 from ..ir import Function, Module
 from ..ir.instructions import BinOp, Cast, ICmp, Phi, Select
-from ..ir.types import IntType
+from ..ir.types import IntType, trunc_divmod
 from ..ir.values import ConstantInt, Value
 
 
@@ -90,11 +90,11 @@ def _fold_binop(inst: BinOp) -> Optional[Value]:
         if op == "ashr":
             return ConstantInt(t, sa >> (ub % t.bits))
         if op == "sdiv" and sb != 0:
-            return ConstantInt(t, int(sa / sb))
+            return ConstantInt(t, trunc_divmod(sa, sb)[0])
         if op == "udiv" and ub != 0:
             return ConstantInt(t, ua // ub)
         if op == "srem" and sb != 0:
-            return ConstantInt(t, sa - int(sa / sb) * sb)
+            return ConstantInt(t, trunc_divmod(sa, sb)[1])
         if op == "urem" and ub != 0:
             return ConstantInt(t, ua % ub)
     except (ZeroDivisionError, OverflowError):  # pragma: no cover
@@ -143,12 +143,13 @@ class PeepholePass:
 
     def __init__(self) -> None:
         self.folded = 0
+        self.changed_functions: list[Function] = []
 
     def run(self, module: Module) -> bool:
-        changed = False
-        for fn in module.defined_functions():
-            changed |= self._run_on_function(fn)
-        return changed
+        self.changed_functions = [
+            fn for fn in module.defined_functions() if self._run_on_function(fn)
+        ]
+        return bool(self.changed_functions)
 
     def _run_on_function(self, fn: Function) -> bool:
         any_change = False

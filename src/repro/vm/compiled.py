@@ -99,7 +99,7 @@ from ..ir.instructions import (
     Switch,
     Unreachable,
 )
-from ..ir.types import FloatType, IntType, PointerType
+from ..ir.types import FloatType, IntType, PointerType, trunc_divmod
 from ..ir.values import (
     ConstantFloat,
     ConstantInt,
@@ -659,7 +659,7 @@ class _Translator:
                 sa, sb = _ts(a), _ts(b)
                 if sb == 0:
                     _e.kernel.panic(_m)
-                return _w(int(sa / sb))
+                return _w(trunc_divmod(sa, sb)[0])
         elif op == "udiv":
             def core(a, b, _e=eng, _m=msg):
                 if b == 0:
@@ -670,7 +670,7 @@ class _Translator:
                 sa, sb = _ts(a), _ts(b)
                 if sb == 0:
                     _e.kernel.panic(_m)
-                return _w(sa - int(sa / sb) * sb)
+                return _w(trunc_divmod(sa, sb)[1])
         else:  # urem
             def core(a, b, _e=eng, _m=msg):
                 if b == 0:

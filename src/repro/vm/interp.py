@@ -36,7 +36,7 @@ from ..ir.instructions import (
     Switch,
     Unreachable,
 )
-from ..ir.types import FloatType, IntType, PointerType
+from ..ir.types import FloatType, IntType, PointerType, trunc_divmod
 from ..ir.values import (
     ConstantFloat,
     ConstantInt,
@@ -380,7 +380,7 @@ class Interpreter:
         if op == "sdiv":
             if sb == 0:
                 self.kernel.panic(f"module {module.name}: divide error (sdiv by zero)")
-            return t.wrap(int(sa / sb))
+            return t.wrap(trunc_divmod(sa, sb)[0])
         if op == "udiv":
             if b == 0:
                 self.kernel.panic(f"module {module.name}: divide error (udiv by zero)")
@@ -388,7 +388,7 @@ class Interpreter:
         if op == "srem":
             if sb == 0:
                 self.kernel.panic(f"module {module.name}: divide error (srem by zero)")
-            return t.wrap(sa - int(sa / sb) * sb)
+            return t.wrap(trunc_divmod(sa, sb)[1])
         if op == "urem":
             if b == 0:
                 self.kernel.panic(f"module {module.name}: divide error (urem by zero)")

@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.core.pipeline import CompileOptions, compile_module
 from repro.kernel import Kernel
 from repro.policy import CaratPolicyModule, PolicyManager
 from repro.signing import SigningKey
+
+
+@pytest.fixture(scope="session")
+def program_bank() -> list:
+    """The engine-differential program bank (``PROGRAMS`` of
+    ``tests/vm/test_compiled_vs_interp.py``): ``[(source, calls)]``."""
+    path = Path(__file__).parent / "vm" / "test_compiled_vs_interp.py"
+    spec = importlib.util.spec_from_file_location("_program_bank", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PROGRAMS
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.minicc import CompileError, compile_source
+from repro.minicc import CParseError, CompileError, compile_source
 
 
 def reject(src, match=None):
@@ -178,3 +178,36 @@ class TestExpressions:
 
     def test_pointer_global_nonzero_init(self):
         reject("int *p = 5;", "null")
+
+
+class TestConstantDivision:
+    """A constant division or remainder by zero is a diagnostic with a
+    line, never a bare ZeroDivisionError."""
+
+    @pytest.mark.parametrize("src, error, line", [
+        ("enum { A = 1 / 0 };", CParseError, 1),
+        ("int a[1/0];", CParseError, 1),
+        ("enum {\n A = 7,\n B = A % (A - 7)\n};", CParseError, 3),
+        ("static const long K = 1 / 0;", CompileError, 1),
+        ("long x;\nint g = 5 % 0;", CompileError, 2),
+    ])
+    def test_division_by_zero(self, src, error, line):
+        with pytest.raises(error, match="division by zero") as info:
+            compile_source(src)
+        assert info.value.line == line
+
+    def test_enum_division_truncates_exactly(self):
+        m = compile_source(
+            "enum { A = -7 / 2, B = 7 % -2, C = 9223372036854775807 / 3,"
+            " D = 9223372036854775807 % 3 };"
+            "long a = A; long b = B; long c = C; long d = D;"
+        )
+        values = {n: m.globals[n].initializer.signed for n in "abcd"}
+        assert values == {"a": -3, "b": 1, "c": 3074457345618258602, "d": 1}
+
+    def test_global_initializer_division_truncates_exactly(self):
+        m = compile_source(
+            "long q = 9223372036854775807 / 3; long r = -9223372036854775807 % 10;"
+        )
+        assert m.globals["q"].initializer.signed == 3074457345618258602
+        assert m.globals["r"].initializer.signed == -7
