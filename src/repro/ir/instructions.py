@@ -44,18 +44,6 @@ class Instruction(Value):
     def ref(self) -> str:
         return f"{self.type} %{self.name}"
 
-    def replace_operand(self, old: Value, new: Value) -> int:
-        """Replace every occurrence of ``old`` in the operand list.
-
-        Returns the number of replacements.
-        """
-        n = 0
-        for i, op in enumerate(self.operands):
-            if op is old:
-                self.operands[i] = new
-                n += 1
-        return n
-
     @property
     def function(self) -> "Function | None":
         return self.parent.parent if self.parent is not None else None

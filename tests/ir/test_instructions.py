@@ -281,11 +281,3 @@ class TestMisc:
         a = InlineAsm("nop")
         assert a.asm_text == "nop"
         assert a.has_side_effects
-
-    def test_replace_operand(self):
-        b = BinOp("add", iv(1), iv(1))
-        old = b.operands[0]
-        n = b.replace_operand(old, iv(9))
-        # Both operands are the same interned-equal constant object only if
-        # identical; replace is by identity.
-        assert n >= 1
