@@ -131,7 +131,8 @@ def _add_system_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--latency", action="store_true", help="report latencies")
     ap.add_argument(
         "--profile", action="store_true",
-        help="per-function execution profile (instructions, guards, cycles)",
+        help="per-function self profile (instructions, guards, cycles), "
+             "built by the trace subsystem",
     )
     ap.add_argument(
         "--enforce-mode", default="panic",
@@ -186,12 +187,8 @@ def _blast(config: SystemConfig, args: argparse.Namespace,
     """Assemble a system, run one trial of its stack's load tool, and
     report it the same way for every stack."""
     system = CaratKopSystem(config)
-    profiler = None
     if args.profile:
-        from .vm import Profiler
-
-        profiler = Profiler()
-        system.kernel.vm.profiler = profiler
+        system.kernel.trace.enable()
     stack = system.stack
     result = stack.workload(capture_latency=args.latency, **workload)
     first, *rest = stack.describe(result)
@@ -207,9 +204,9 @@ def _blast(config: SystemConfig, args: argparse.Namespace,
     print(f"guards: {stats['checks']:,} checks, {stats['denied']} denied, "
           f"decision cache {stats['guard_cache_hits']:,} hits / "
           f"{stats['guard_cache_misses']:,} misses")
-    if profiler is not None:
+    if args.profile:
         print()
-        print(profiler.report())
+        print(system.kernel.trace.functions.render())
     return 0
 
 

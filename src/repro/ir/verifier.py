@@ -41,9 +41,6 @@ def verify_module(module: Module) -> None:
     errors: list[str] = []
     for fn in module.defined_functions():
         errors.extend(_verify_function(fn, module))
-    for fn in module.declarations():
-        if fn.blocks:
-            errors.append(f"@{fn.name}: declaration has a body")
     if errors:
         raise VerificationError(errors)
 

@@ -42,10 +42,11 @@ class CompileError(ValueError):
 
 
 def _const_div(x, y):
-    """Constant ``x / y``: C's truncating quotient for integers."""
+    """Constant ``x / y``: C's truncating quotient for integers, the
+    floating quotient when either side is floating."""
     if isinstance(x, int) and isinstance(y, int):
         return trunc_divmod(x, y)[0]
-    return int(x / y) if isinstance(x, int) else x / y
+    return x / y
 
 
 def _const_rem(x, y):

@@ -51,7 +51,7 @@ class Mem2RegPass:
         dom = DominatorTree(fn)
         block_phis = self._place_phis(fn, allocas, dom)
         replacements = self._rename(fn, allocas, block_phis, dom)
-        self._simplify_phis(fn, replacements)
+        self._simplify_phis(fn, replacements, dom)
         self.promoted += len(allocas)
         return True
 
@@ -197,11 +197,25 @@ class Mem2RegPass:
 
     @staticmethod
     def _simplify_phis(
-        fn: Function, replacements: dict[int, tuple[Instruction, Value]]
+        fn: Function,
+        replacements: dict[int, tuple[Instruction, Value]],
+        dom: DominatorTree,
     ) -> None:
         """Fill missing phi edges with undef, fold trivial phis (one
         distinct non-self, non-undef incoming value) to a fixpoint, then
-        rewrite every operand through ``replacements`` once."""
+        rewrite every operand through ``replacements`` once.
+
+        A phi that also has undef edges folds only into a value that
+        dominates it: ``x = phi [undef, entry], [v, body]`` with ``v``
+        defined in the loop body must stay a phi, or the phi's uses
+        would read ``v`` before its definition."""
+
+        def dominates_phi(v: Value, block: BasicBlock) -> bool:
+            if not isinstance(v, Instruction):
+                return True
+            if v.parent is block:
+                return isinstance(v, Phi)
+            return dom.dominates(v.parent, block)
 
         def resolve(v: Value) -> Value:
             while True:
@@ -225,15 +239,20 @@ class Mem2RegPass:
                             phi.add_incoming(UndefValue(phi.type), p)
                     first: Value | None = None
                     trivial = True
+                    undef = False
                     for v, _ in phi.incoming:
                         v = resolve(v)
-                        if v is phi or isinstance(v, UndefValue):
+                        if v is phi:
                             continue
-                        if first is None:
+                        if isinstance(v, UndefValue):
+                            undef = True
+                        elif first is None:
                             first = v
                         elif v is not first:
                             trivial = False
                             break
+                    if trivial and undef and first is not None:
+                        trivial = dominates_phi(first, block)
                     if trivial:
                         replacements[id(phi)] = (
                             phi,

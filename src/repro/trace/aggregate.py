@@ -1,4 +1,5 @@
-"""The aggregation layer: counters, log2 histograms, guard-site profiles.
+"""The aggregation layer: counters, log2 histograms, guard-site and
+per-function profiles.
 
 Aggregates are cheap enough to update on every event even when the ring
 is tiny, so ``/proc/trace_stat`` stays truthful after the ring has
@@ -6,6 +7,8 @@ wrapped — the counters saw everything the ring lost.
 """
 
 from __future__ import annotations
+
+from ..kernel import layout
 
 
 class CounterSet:
@@ -154,4 +157,90 @@ class GuardSiteStats:
         return "\n".join(lines)
 
 
-__all__ = ["CounterSet", "GuardSiteStats", "Log2Histogram"]
+class FunctionRow:
+    """One IR function's accumulated *self* profile."""
+
+    __slots__ = ("name", "calls", "instructions", "guards", "loads",
+                 "stores", "cycles")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.calls = 0
+        self.instructions = 0
+        self.guards = 0
+        self.loads = 0
+        self.stores = 0
+        self.cycles = 0.0
+
+
+class FunctionStats:
+    """Per-function execution profile plus the guard-hot-page histogram:
+    where do a module's cycles and guards go?
+
+    :class:`repro.trace.vmhook.VMTracer` fills the rows from counters
+    the engines already keep (``instructions_executed`` and the timing
+    ``loads``/``stores``/``cycles``), snapshotted at frame entry and
+    exit.  Every column is *self*: a frame's delta minus its callees',
+    so ``cycles`` includes the MMIO and native work the frame caused
+    and the rows of one call sum to its ``timing.cycles`` delta.
+    ``instructions`` excludes the guard calls that ran, which are
+    counted in ``guards`` (a guard site elided at ``-O3`` still counts
+    as an instruction, as in ``instructions_executed``).  Untimed runs
+    read 0 loads, stores and cycles.
+    """
+
+    __slots__ = ("rows", "pages")
+
+    def __init__(self) -> None:
+        self.rows: dict[str, FunctionRow] = {}
+        #: page number -> guard checks that targeted it
+        self.pages: dict[int, int] = {}
+
+    def row(self, name: str) -> FunctionRow:
+        row = self.rows.get(name)
+        if row is None:
+            row = self.rows[name] = FunctionRow(name)
+        return row
+
+    def record_page(self, addr: int) -> None:
+        page = addr >> layout.PAGE_SHIFT
+        self.pages[page] = self.pages.get(page, 0) + 1
+
+    def reset(self) -> None:
+        self.rows.clear()
+        self.pages.clear()
+
+    def hottest(self, top: int = 10) -> list[FunctionRow]:
+        """Rows with the most self instructions first."""
+        return sorted(
+            self.rows.values(), key=lambda r: r.instructions, reverse=True
+        )[:top]
+
+    def hottest_pages(self, top: int = 10) -> list[tuple[int, int]]:
+        """(page number, guard count) pairs, most-guarded first."""
+        return sorted(
+            self.pages.items(), key=lambda kv: kv[1], reverse=True
+        )[:top]
+
+    def render(self, top: int = 10) -> str:
+        lines = [
+            f"{'function':<28}{'calls':>8}{'instrs':>10}{'guards':>8}"
+            f"{'loads':>7}{'stores':>7}{'cycles':>14}"
+        ]
+        for r in self.hottest(top=top):
+            lines.append(
+                f"{r.name:<28}{r.calls:>8}{r.instructions:>10}{r.guards:>8}"
+                f"{r.loads:>7}{r.stores:>7}{r.cycles:>14.1f}"
+            )
+        if self.pages:
+            lines.append("")
+            lines.append("guard-hot pages:")
+            for page, count in self.hottest_pages(5):
+                lines.append(
+                    f"  {page << layout.PAGE_SHIFT:#018x}  {count:>8} checks"
+                )
+        return "\n".join(lines)
+
+
+__all__ = ["CounterSet", "FunctionRow", "FunctionStats", "GuardSiteStats",
+           "Log2Histogram"]

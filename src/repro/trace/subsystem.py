@@ -8,7 +8,7 @@ at construction time.  It owns:
   from :data:`~repro.trace.events.EVENT_SCHEMA`;
 - the per-CPU-model event :class:`~repro.trace.ring.RingBuffer`;
 - the aggregation layer (named counters, the guard cycle-cost log2
-  histogram, per-guard-callsite profiles);
+  histogram, per-guard-callsite profiles, the per-function table);
 - the :class:`~repro.trace.vmhook.VMTracer` both execution engines
   attach while tracing is enabled.
 
@@ -16,16 +16,16 @@ Control flows through :meth:`enable` / :meth:`disable` /
 :meth:`snapshot` / :meth:`reset` — reachable from the ``/dev/carat``
 TRACE_* ioctls, the ``caratkop-trace`` CLI, and ``repro.bench``.
 
-Tracing is observability only: nothing here reads or writes ``timing``
-counters, so simulated results are bit-identical with tracing enabled,
-disabled, or absent.
+Tracing is observability only: nothing here ever writes ``timing``
+counters (the VM tracer only reads them), so simulated results are
+bit-identical with tracing enabled, disabled, or absent.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .aggregate import CounterSet, GuardSiteStats, Log2Histogram
+from .aggregate import CounterSet, FunctionStats, GuardSiteStats, Log2Histogram
 from .events import EVENT_SCHEMA, TraceEvent
 from .ring import RingBuffer
 from .tracepoint import Tracepoint
@@ -54,6 +54,8 @@ class TraceSubsystem:
         self.counters = CounterSet()
         self.guard_hist = Log2Histogram("guard cycles")
         self.guard_sites = GuardSiteStats()
+        #: Per-function self profile and guard-hot pages (``--profile``).
+        self.functions = FunctionStats()
         #: The persistent VM hook object.  Persistent on purpose: the
         #: compiled engine keys translations on tracer *identity*, so an
         #: enable -> disable -> enable cycle re-attaches the same object
@@ -158,6 +160,7 @@ class TraceSubsystem:
         self.counters.reset()
         self.guard_hist.reset()
         self.guard_sites.reset()
+        self.functions.reset()
         self._seq = 0
 
     def ring_stats(self) -> dict[str, object]:

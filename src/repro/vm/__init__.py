@@ -4,7 +4,6 @@ from .compiled import CompiledEngine
 from .interp import GuardViolation, Interpreter, InterpreterError
 from .machine import MACHINES, MachineModel, get_machine, r350, r415
 from .timing import CycleCounter
-from .trace import FunctionProfile, Profiler
 
 #: Selectable execution engines.  ``interp`` is the reference
 #: tree-walking interpreter; ``compiled`` translates each function once
@@ -33,8 +32,6 @@ __all__ = [
     "CycleCounter",
     "DEFAULT_ENGINE",
     "ENGINES",
-    "FunctionProfile",
-    "Profiler",
     "GuardViolation",
     "Interpreter",
     "InterpreterError",

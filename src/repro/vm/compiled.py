@@ -43,37 +43,36 @@ devices, guards, panics) sees exactly the interpreter's values.  If an
 inline step raises (a read of an SSA value whose definition did not
 run), the exception handler replays the charges not yet flushed, from a
 table built at translate time and keyed by the generated source line.
-``instructions_executed`` has no mid-run observers and is counted in a
-local flushed when the function exits.  With a profiler attached every
-instruction is charged on its own, as ``P.on_instruction`` needs.  The
+``instructions_executed`` is counted in a local flushed when the
+function exits, before the tracer's exit hook reads it.  The
 differential test (``tests/vm/test_compiled_vs_interp.py``) pins this
 down.
 
 The generated function owns the call bookkeeping (depth limit, kernel
-stack, profiler and tracer enter/exit).  Its prologue checks the
-module's IR ``generation`` and the engine's profiler and tracer against
-the values it was translated for and, on any difference, falls back to
+stack, tracer enter/exit).  Its prologue checks the module's IR
+``generation`` and the engine's tracer against the values it was
+translated for and, on any difference, falls back to
 :meth:`CompiledEngine._exec_function`, which re-translates.  So a
 certificate demotion (which bumps the generation) in the middle of a
 call still re-emits the guards on every later call, also on calls made
 from the stale frame through its direct-bound slots.
 
 Translations are cached on the :class:`LoadedModule` (keyed by engine
-instance, then by function) and revalidated against the same three
-keys.  Profiler and tracer presence is specialized into the code and
-the closures, so a disabled tracer costs literally nothing in generated
-code, the compiled-engine analog of a patched-out static key.
+instance, then by function) and revalidated against the same two
+keys.  Tracer presence is specialized into the code and the closures,
+so a disabled tracer costs literally nothing in generated code, the
+compiled-engine analog of a patched-out static key.
 
 Below both of those sits a **process-global code cache**
 (:data:`TRANSLATION_CACHE`): the ``compile()`` of the generated source
 is shared across engines and :class:`~repro.core.system.CaratKopSystem`
 instances.  The generated source is itself a faithful content hash of
 everything the bytecode depends on (the instruction stream, resolved
-global addresses, per-opcode machine costs, profiler and tracer
-presence), while everything engine-specific (per-site closures, callee
-slots, hoisted constants, the engine/timing/profiler references, the
-IR generation) is bound into a fresh namespace at ``exec`` time, so two
-translations with identical source can always share one code object.
+global addresses, per-opcode machine costs, tracer presence), while
+everything engine-specific (per-site closures, callee slots, hoisted
+constants, the engine/timing/tracer references, the IR generation) is
+bound into a fresh namespace at ``exec`` time, so two translations
+with identical source can always share one code object.
 """
 
 from __future__ import annotations
@@ -123,7 +122,7 @@ class _SharedCodeCache:
 
     Keyed by ``(filename, source)``.  The source embeds every input the
     bytecode depends on (module content, IR-generation-visible edits,
-    load addresses, machine cost model, profiler charge lines), and the
+    load addresses, machine cost model, tracer hooks), and the
     variant state it does *not* embed — per-site closures, hoisted
     constants, engine references — is rebound into a fresh namespace on
     every ``exec``, so a key hit is always safe to rehydrate against a
@@ -161,12 +160,11 @@ def _policy_guard():
 class _CompiledFunction:
     """A function's generated ``entry``, tagged with its validity keys."""
 
-    __slots__ = ("entry", "generation", "profiler", "tracer")
+    __slots__ = ("entry", "generation", "tracer")
 
-    def __init__(self, entry, generation, profiler, tracer):
+    def __init__(self, entry, generation, tracer):
         self.entry = entry
         self.generation = generation
-        self.profiler = profiler
         self.tracer = tracer
 
 
@@ -181,7 +179,7 @@ class CompiledEngine(Interpreter):
     def _exec_function(self, module: LoadedModule, fn, args: list):
         # The declaration check lives in the translator, so every call
         # raises the same error as the interpreter.  Depth, stack, and
-        # profiler/tracer bookkeeping live in the generated function.
+        # tracer bookkeeping live in the generated function.
         entry = self._translation(module, fn).entry
         if len(args) != len(fn.args):
             raise InterpreterError(
@@ -201,7 +199,6 @@ class CompiledEngine(Interpreter):
         if (
             entry is None
             or entry.generation != generation
-            or entry.profiler is not self.profiler
             or entry.tracer is not self.tracer
         ):
             entry = _Translator(self, module, fn).translate(generation)
@@ -213,7 +210,7 @@ class _Translator:
     """Translates one function into a :class:`_CompiledFunction`.
 
     One instance per translation; holds the local-name map, the pending
-    (not yet emitted) charges, and the engine/timing/profiler the
+    (not yet emitted) charges, and the engine/timing/tracer the
     closures specialize against."""
 
     def __init__(self, engine: CompiledEngine, module: LoadedModule, fn):
@@ -223,7 +220,6 @@ class _Translator:
         self.module = module
         self.fn = fn
         self.timing = engine.timing
-        self.profiler = engine.profiler
         self.tracer = engine.tracer
         # Guard call sites numbered in translation order; the same walk
         # (blocks in order, stopping at terminators) backs the
@@ -240,14 +236,14 @@ class _Translator:
 
     def translate(self, generation: int) -> _CompiledFunction:
         fn = self.fn
-        # The generated module's namespace: engine/timing/profiler/tracer
+        # The generated module's namespace: engine/timing/tracer
         # under fixed short names, plus per-site closures (``C<n>``),
         # callee slots (``F<n>``), hoisted non-int constants (``K<n>``),
         # and switch tables (``TBL<n>``).
         self.ns: dict = {
-            "E": self.engine, "T": self.timing, "P": self.profiler,
-            "TR": self.tracer, "M": self.module, "IR": self.module.ir,
-            "FN": fn, "GEN": generation, "IE": InterpreterError,
+            "E": self.engine, "T": self.timing, "TR": self.tracer,
+            "M": self.module, "IR": self.module.ir, "FN": fn,
+            "GEN": generation, "IE": InterpreterError,
         }
         self._nsym = 0
         self._callees: dict = {}
@@ -269,26 +265,22 @@ class _Translator:
             self.engine.translation_cache_misses += 1
         self.ns["RP"] = self._replayer()
         exec(code, self.ns)
-        return _CompiledFunction(self.ns["_f"], generation,
-                                 self.profiler, self.tracer)
+        return _CompiledFunction(self.ns["_f"], generation, self.tracer)
 
     def _emit_function(self) -> None:
         fn = self.fn
         params = ", ".join(self.names[a] for a in fn.args)
         emit = self._emit
         emit(0, f"def _f({params}):")
-        emit(1, "if (IR.generation != GEN or E.profiler is not P"
-                " or E.tracer is not TR):")
+        emit(1, "if IR.generation != GEN or E.tracer is not TR:")
         emit(2, f"return E._exec_function(M, FN, [{params}])")
         emit(1, "d = E._depth + 1")
         emit(1, "if d > E.max_call_depth:")
         emit(2, f"E.kernel.panic({f'kernel stack overflow in @{fn.name}'!r})")
         emit(1, "E._depth = d")
         emit(1, "sp = E._stack_top")
-        if self.profiler is not None:
-            emit(1, f"P.enter_function({fn.name!r})")
         if self.tracer is not None:
-            emit(1, f"TR.enter_function({fn.name!r})")
+            emit(1, f"TR.enter_function(E, {fn.name!r})")
         emit(1, "n = 0")
         emit(1, "b = 0")
         emit(1, "try:")
@@ -307,10 +299,8 @@ class _Translator:
         emit(2, "E.instructions_executed += n")
         emit(2, "E._stack_top = sp")
         emit(2, "E._depth -= 1")
-        if self.profiler is not None:
-            emit(2, f"P.exit_function({fn.name!r})")
         if self.tracer is not None:
-            emit(2, f"TR.exit_function({fn.name!r})")
+            emit(2, f"TR.exit_function(E, {fn.name!r})")
 
     def _replayer(self):
         """The exception handler's helper: apply the charges pending at
@@ -393,19 +383,12 @@ class _Translator:
 
     def _charge(self, opcode: str) -> None:
         """Charge one instruction, in the interpreter's order (before it
-        executes).  Without a profiler the timing charge stays pending
-        until the next :meth:`_flush`."""
+        executes).  The timing charge stays pending until the next
+        :meth:`_flush`."""
         self._pe += 1
-        timing = self.timing
-        cost = timing.machine.op_cost(opcode) if timing is not None else 0.0
-        if self.profiler is not None:
-            if timing is not None:
-                self._emit(4, "T.instructions += 1")
-                self._emit(4, f"T.cycles += {cost!r}")
-            self._emit(4, f"P.on_instruction({opcode!r}, {cost!r})")
-        elif timing is not None:
+        if self.timing is not None:
             self._pi += 1
-            self._pc.append(cost)
+            self._pc.append(self.timing.machine.op_cost(opcode))
 
     def _flush(self) -> None:
         """Emit the pending timing charges: the instruction count as one
@@ -987,8 +970,8 @@ class _Translator:
         place, so the captured reference observes them.
 
         When the linked native is the policy module's own ``_guard``, the
-        untraced, unprofiled, timed closure also serves an allowed
-        decision-cache hit itself, with no call into the policy: the
+        untraced, timed closure also serves an allowed decision-cache hit
+        itself, with no call into the policy: the
         validity rule and the counter updates are the ones documented on
         :class:`repro.policy.module._GuardCache`, re-checked on every
         call.  A hit then costs one Python call (this closure) instead of
@@ -996,12 +979,10 @@ class _Translator:
         the source (and with it :data:`TRANSLATION_CACHE` and
         ``compile()`` time) is unchanged.
 
-        Profiled, traced, or untimed translations get the general
-        closure, with the callsite id baked in at translate time (no
-        per-hit walk)."""
+        Traced or untimed translations get the general closure, with the
+        callsite id baked in at translate time (no per-hit walk)."""
         module = self.module
         timing = self.timing
-        prof = self.profiler
         tracer = self.tracer
         ordinal = self._guard_ordinal
         self._guard_ordinal += 1
@@ -1009,7 +990,7 @@ class _Translator:
         imports = module.imports
         mname = module.name
         gsym = abi.GUARD_SYMBOL
-        if prof is None and tracer is None and timing is not None:
+        if tracer is None and timing is not None:
             gb = timing.machine.guard_base_cycles
             ge = timing.machine.guard_entry_cycles
 
@@ -1033,7 +1014,7 @@ class _Translator:
                 if tracer is not None else None)
 
         def core(a, s, f, _e=eng, _m=module, _imp=imports, _n=mname,
-                 _g=gsym, _i=inst, _t=timing, _p=prof, _tr=tracer, _site=site,
+                 _g=gsym, _i=inst, _t=timing, _tr=tracer, _site=site,
                  _gb=machine.guard_base_cycles if machine else 0.0,
                  _ge=machine.guard_entry_cycles if machine else 0.0):
             sym = _imp.get(_g)
@@ -1047,8 +1028,6 @@ class _Translator:
                 _t.guards += 1
                 _t.guard_entries_scanned += n
                 _t.cycles += cost
-            if _p is not None:
-                _p.on_guard(a, s, f, cost)
             if _tr is not None:
                 _tr.on_guard(_site, a, s, f, n, cost)
 

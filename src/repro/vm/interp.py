@@ -102,8 +102,6 @@ class Interpreter:
         #: The module whose code is currently executing (natives may read
         #: this to attribute an action, e.g. the intrinsic guard).
         self.current_module: Optional[LoadedModule] = None
-        #: Optional execution profiler (see :mod:`repro.vm.trace`).
-        self.profiler = None
         #: Optional VM tracer (see :mod:`repro.trace.vmhook`), attached by
         #: the kernel's trace subsystem while tracing is enabled.
         self.tracer = None
@@ -142,12 +140,9 @@ class Interpreter:
             env[id(a)] = v
         timing = self.timing
         mem = self.kernel.address_space
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter_function(fn.name)
         tracer = self.tracer
         if tracer is not None:
-            tracer.enter_function(fn.name)
+            tracer.enter_function(self, fn.name)
         try:
             block = fn.entry
             prev = None
@@ -182,14 +177,6 @@ class Interpreter:
                         # the machine's guard_base_cycles already covers the
                         # (perfectly predicted) call itself.
                         timing.add_op(inst.opcode)
-                    if profiler is not None and not (
-                        kind is Call and inst.is_guard
-                    ):
-                        profiler.on_instruction(
-                            inst.opcode,
-                            timing.machine.op_cost(inst.opcode)
-                            if timing is not None else 0.0,
-                        )
                     if kind is BinOp:
                         env[id(inst)] = self._binop(inst, env, module)
                     elif kind is Load:
@@ -268,10 +255,8 @@ class Interpreter:
         finally:
             self._stack_top = saved_stack
             self._depth -= 1
-            if profiler is not None:
-                profiler.exit_function(fn.name)
             if tracer is not None:
-                tracer.exit_function(fn.name)
+                tracer.exit_function(self, fn.name)
 
     # -- operand evaluation ---------------------------------------------------------
 
@@ -546,8 +531,6 @@ class Interpreter:
             )
             if self.timing is not None:
                 self.timing.add_guard(n)
-            if self.profiler is not None:
-                self.profiler.on_guard(addr, size, flags, cost)
             tracer = self.tracer
             if tracer is not None:
                 site = (

@@ -4,8 +4,6 @@ One corrupted-IR case per message the IR verifier can emit.  Each case
 pins the *whole* error list — text and order — so a rewrite of the
 verifier must report the same violations, in the same words and the
 same sequence (def-before-use errors come last in each function).
-``@f: declaration has a body`` has no case: a function is a declaration
-exactly when it has no blocks, so ``verify_module`` cannot reach it.
 """
 
 import pytest

@@ -211,3 +211,11 @@ class TestConstantDivision:
         )
         assert m.globals["q"].initializer.signed == 3074457345618258602
         assert m.globals["r"].initializer.signed == -7
+
+    def test_mixed_int_float_division_is_floating(self):
+        m = compile_source(
+            "double g = 7 / 2.0; double h = 7.0 / 2; long i = 7 / 2;"
+        )
+        assert m.globals["g"].initializer.value == 3.5
+        assert m.globals["h"].initializer.value == 3.5
+        assert m.globals["i"].initializer.signed == 3

@@ -1,5 +1,7 @@
 """mem2reg + DCE + peephole tests: structure and semantics preservation."""
 
+import signal
+
 import pytest
 
 from repro.core.pipeline import CompileOptions, compile_module
@@ -125,6 +127,34 @@ class TestMem2Reg:
         """
         assert run_c(src, "f", 1) == 7
         assert run_c(src, "f", 0) == 0
+
+    def test_undef_edge_phi_is_not_folded_past_its_definition(self, run_c):
+        # ``b`` shadows nothing and reads itself: its loop-header phi is
+        # [undef, entry], [b * d, body].  Folding that phi into ``b * d``
+        # (which does not dominate the header) made the multiply use
+        # itself, and the peephole pass then spun forever.
+        src = """
+        __export long f(long a) { long d = 1; long e = 2;
+            while (a < 20) { if (3) { { long b = (b * d); e = b + 1; }
+                a = a + 1; } }
+            return e; }
+        """
+
+        def timeout(signum, frame):
+            raise TimeoutError("compile_module did not finish in 10 s")
+
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            compiled = compile_module(
+                src, CompileOptions(module_name="selfinit", protect=False)
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        verify_module(compiled.ir)
+        assert run_c(src, "f", 25) == 2
+        assert run_c(src, "f", 0) == 1  # undef reads as 0: b = 0, e = 1
 
 
 class TestDCE:
