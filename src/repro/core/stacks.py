@@ -17,6 +17,8 @@ on which driver is in use:
   the device actually completed, so callers can check a trial end to
   end;
 - ``stranded()`` lists requests left on the device after it drains;
+- ``fault_hosts`` are the stack's objects that consult a fault
+  injector (:meth:`repro.faults.FaultInjector.attach` wires them);
 - ``unit`` and ``latency_label`` name one op and its syscall in reports.
 """
 
@@ -69,6 +71,10 @@ class NetStack:
             self.kernel, self.netdev, self.machine, max_retries=retries
         )
         self.blaster = PacketBlaster(self.socket)
+
+    @property
+    def fault_hosts(self) -> tuple:
+        return (self.device, self.netdev)
 
     def teardown(self) -> None:
         self.netdev.remove()
@@ -124,6 +130,10 @@ class BlkStack:
             self.kernel, self.blkdev, self.machine, max_retries=retries
         )
         self.blkblaster = vblk.BlockBlaster(self.blkqueue)
+
+    @property
+    def fault_hosts(self) -> tuple:
+        return (self.device,)
 
     def teardown(self) -> None:
         self.blkdev.remove()

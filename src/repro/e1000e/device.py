@@ -385,7 +385,7 @@ class E1000EDevice:
                 return
             wire_at += self._cycles_for_frame(length)
             if self.fault_injector is not None:
-                wire_at += self.fault_injector.dma_stall_cycles(length)
+                wire_at += self.fault_injector.dma_stall_cycles()
             tp = self._tp_fetch
             if tp.enabled:
                 tp.emit(index=next_fetch, addr=buf_addr, len=length)

@@ -1,62 +1,65 @@
-"""Deterministic device- and driver-path fault injection.
+"""Deterministic device-, driver- and control-plane fault injection.
 
 Faults are *period-based*, not probabilistic: every Nth eligible event
-faults (period 0 = never).  Runs are therefore exactly reproducible —
-the property every differential test in this repo is built on — while
-still interleaving faults with normal traffic.
+of a kind faults (period 0 = never).  Runs are therefore exactly
+reproducible — the property every differential test in this repo is
+built on — while still interleaving faults with normal traffic.
 
-Injection points (all hooks default to ``None`` on the host objects, so
-a system without an attached injector pays nothing):
+One schedule per kind (:data:`KINDS`), one decision path
+(:meth:`FaultInjector.fires`): a host holding an injector in its
+``fault_injector`` attribute (``None`` = no injection) faults an
+eligible event when ``fires(kind)`` answers True.  The kinds, by host:
 
-- :meth:`mmio_garble` — reads of telemetry-class NIC registers (packet
-  and octet counters) return all-ones, the classic value a PCIe master
+NIC (:class:`repro.e1000e.device.E1000EDevice`,
+:class:`repro.e1000e.netdev.E1000ENetDev`) and IRQ path:
+
+- ``mmio_garble`` — reads of telemetry-class NIC registers (packet and
+  octet counters) return all-ones, the classic value a PCIe master
   abort feeds the CPU.  Control/ring registers are never garbled: a
   flaky *counter* models a marginal link without breaking the TX/RX
   protocol the soak's invariants depend on.
-- :meth:`dma_stall_cycles` — extra wire-drain latency per DMA'd frame
-  (a congested or retraining link), which is also how TX-ring-full
-  storms are provoked: stalled drains back the ring up at line rate.
-- :meth:`drop_irq` — swallow every Nth interrupt (lost edge).
-- :meth:`xmit_transient` — the netdev layer reports EBUSY before even
+- ``dma_stall`` — extra wire-drain latency per DMA'd frame (a
+  congested or retraining link), which is also how TX-ring-full storms
+  are provoked: stalled drains back the ring up at line rate.
+- ``irq_drop`` — swallow the interrupt (lost edge).
+- ``xmit_transient`` — the netdev layer reports EBUSY before even
   reaching the driver (qdisc backpressure).
 
-vblk hooks (consumed by :class:`repro.vblk.device.VblkDevice`):
+vblk (:class:`repro.vblk.device.VblkDevice`):
 
-- :meth:`vblk_desc_garble` — every Nth descriptor fetch is torn: the
-  device sees an inconsistent snapshot, rejects the request with an
-  error status, and the driver's harvest path counts the error.  The
-  request still completes, so the functional model never hangs.
-- :meth:`vblk_completion_stall_cycles` — extra media-service latency
-  per request (a device doing background garbage collection).
-- :meth:`vblk_writeback_drop` — every Nth used-ring write-back is lost
-  on the bus; the device's retry engine replays it once a beat later,
+- ``vblk_desc_garble`` — the descriptor fetch is torn: the device sees
+  an inconsistent snapshot, rejects the request with an error status,
+  and the driver's harvest path counts the error.  The request still
+  completes, so the functional model never hangs.
+- ``vblk_stall`` — extra media-service latency per request (a device
+  doing background garbage collection).
+- ``vblk_writeback_drop`` — the used-ring write-back is lost on the
+  bus; the device's retry engine replays it once a beat later,
   preserving completion order.
-- :meth:`vblk_doorbell_drop` — every Nth submission doorbell latches
-  the new tail in the register file but the kick event is swallowed on
-  the bus; the device's ring scan (any later sync, cause read, or
-  doorbell) picks the posted work up, so no request is ever lost.
-- :meth:`vblk_cq_stall_cycles` — every Nth completion-queue drain with
-  matured entries hiccups: everything matured on that queue is
-  deferred together (per-queue FIFO order preserved).  Untimed runs
-  count the event but complete on the same pass, so the functional
-  model never hangs.
+- ``vblk_doorbell_drop`` — the submission doorbell latches the new tail
+  in the register file but the kick event is swallowed on the bus; the
+  device's ring scan (any later sync, cause read, or doorbell) picks
+  the posted work up — a lost *event*, never a lost *request*.
+- ``vblk_cq_stall`` — a completion-queue drain with matured entries
+  hiccups: everything matured on that queue is deferred together
+  (per-queue FIFO order preserved).  Untimed runs count the event but
+  complete on the same pass, so the model never hangs.
 
-Control-plane hooks (consumed by
-:class:`repro.policy.controlplane.PolicyControlPlane`):
+Control plane (:class:`repro.policy.controlplane.PolicyControlPlane`):
 
-- :meth:`drop_publish` — every Nth per-CPU replica install silently
-  fails (the slot keeps its old generation), forcing the publish
-  watchdog to detect the partial publish and retry.
-- :meth:`publish_stall` — every Nth grace-period wait stalls (the
+- ``publish_drop`` — a per-CPU replica install silently fails (the slot
+  keeps its old generation), forcing the publish watchdog to detect the
+  partial publish and retry.
+- ``publish_stall`` — a grace-period wait stalls (the
   ``synchronize_rcu`` analog never completes for that attempt).
-- :meth:`corrupt_replica` — every Nth successfully installed slot holds
-  a torn payload under a valid generation stamp; the guard-side read
-  path must detect and repair it before serving any decision.
-- :meth:`torn_batch` — every Nth batch op dies mid-apply, exercising the
-  journal's all-or-nothing rollback.
-- :meth:`quota_race` — every Nth applied batch is immediately replayed
-  by a simulated racing writer that must lose cleanly (quota/overlap
-  errno) without perturbing state.
+- ``replica_corrupt`` — a successfully installed slot holds a torn
+  payload under a valid generation stamp; the guard-side read path
+  must detect and repair it before serving any decision.
+- ``torn_batch`` — a batch op dies mid-apply, exercising the journal's
+  all-or-nothing rollback.
+- ``quota_race`` — an applied batch is immediately replayed by a
+  simulated racing writer that must lose cleanly (quota/overlap errno)
+  without perturbing state.
 """
 
 from __future__ import annotations
@@ -72,311 +75,129 @@ _TELEMETRY_OFFSETS = frozenset(
 
 _ALL_ONES = 0xFFFF_FFFF
 
+#: Extra cycles one stalled DMA'd frame, media request and completion
+#: queue drain cost.
+DMA_STALL_CYCLES = 50_000.0
+VBLK_STALL_CYCLES = 30_000.0
+VBLK_CQ_STALL_CYCLES = 45_000.0
+
+#: kind -> (constructor keyword that sets its period, report key that
+#: tallies its faults).  Also the ``kind`` field of ``fault:inject``.
+KINDS = {
+    "mmio_garble": ("mmio_garble_period", "garbled_reads"),
+    "dma_stall": ("dma_stall_period", "stalled_frames"),
+    "irq_drop": ("irq_drop_period", "dropped_irqs"),
+    "xmit_transient": ("xmit_fail_period", "failed_xmits"),
+    "vblk_desc_garble": ("vblk_desc_garble_period", "garbled_descriptors"),
+    "vblk_stall": ("vblk_stall_period", "stalled_completions"),
+    "vblk_writeback_drop": ("vblk_writeback_drop_period",
+                            "dropped_writebacks"),
+    "vblk_doorbell_drop": ("vblk_doorbell_drop_period", "dropped_doorbells"),
+    "vblk_cq_stall": ("vblk_cq_stall_period", "stalled_cqs"),
+    "publish_drop": ("publish_drop_period", "dropped_publishes"),
+    "publish_stall": ("publish_stall_period", "stalled_publishes"),
+    "replica_corrupt": ("replica_corrupt_period", "corrupted_replicas"),
+    "torn_batch": ("torn_batch_period", "torn_batches"),
+    "quota_race": ("quota_race_period", "quota_race_storms"),
+}
+
+
+class _Schedule:
+    """One kind's schedule: fault every ``period``th of ``events``."""
+
+    __slots__ = ("period", "events", "fired")
+
+    def __init__(self, period: int):
+        self.period = period
+        self.events = 0
+        self.fired = 0
+
 
 class FaultInjector:
-    """Deterministic fault schedules for the NIC, IRQ path, and netdev."""
+    """Deterministic fault schedules, one per kind in :data:`KINDS`,
+    set by ``<kind's keyword>=N`` (every Nth eligible event faults)."""
 
-    def __init__(
-        self,
-        *,
-        mmio_garble_period: int = 0,
-        dma_stall_period: int = 0,
-        dma_stall_cycles: float = 50_000.0,
-        irq_drop_period: int = 0,
-        xmit_fail_period: int = 0,
-        vblk_desc_garble_period: int = 0,
-        vblk_stall_period: int = 0,
-        vblk_stall_cycles: float = 30_000.0,
-        vblk_writeback_drop_period: int = 0,
-        vblk_doorbell_drop_period: int = 0,
-        vblk_cq_stall_period: int = 0,
-        vblk_cq_stall_cycles: float = 45_000.0,
-        publish_drop_period: int = 0,
-        publish_stall_period: int = 0,
-        replica_corrupt_period: int = 0,
-        torn_batch_period: int = 0,
-        quota_race_period: int = 0,
-    ):
-        for name, period in (
-            ("mmio_garble_period", mmio_garble_period),
-            ("dma_stall_period", dma_stall_period),
-            ("irq_drop_period", irq_drop_period),
-            ("xmit_fail_period", xmit_fail_period),
-            ("vblk_desc_garble_period", vblk_desc_garble_period),
-            ("vblk_stall_period", vblk_stall_period),
-            ("vblk_writeback_drop_period", vblk_writeback_drop_period),
-            ("vblk_doorbell_drop_period", vblk_doorbell_drop_period),
-            ("vblk_cq_stall_period", vblk_cq_stall_period),
-            ("publish_drop_period", publish_drop_period),
-            ("publish_stall_period", publish_stall_period),
-            ("replica_corrupt_period", replica_corrupt_period),
-            ("torn_batch_period", torn_batch_period),
-            ("quota_race_period", quota_race_period),
-        ):
+    def __init__(self, **periods: int):
+        options = {option for option, _ in KINDS.values()}
+        for option, period in periods.items():
+            if option not in options:
+                raise TypeError(f"unknown fault schedule {option!r}")
             if period < 0:
-                raise ValueError(f"{name} must be >= 0")
-        self.mmio_garble_period = mmio_garble_period
-        self.dma_stall_period = dma_stall_period
-        self._dma_stall_cycles = float(dma_stall_cycles)
-        self.irq_drop_period = irq_drop_period
-        self.xmit_fail_period = xmit_fail_period
-        self.vblk_desc_garble_period = vblk_desc_garble_period
-        self.vblk_stall_period = vblk_stall_period
-        self._vblk_stall_cycles = float(vblk_stall_cycles)
-        self.vblk_writeback_drop_period = vblk_writeback_drop_period
-        self.vblk_doorbell_drop_period = vblk_doorbell_drop_period
-        self.vblk_cq_stall_period = vblk_cq_stall_period
-        self._vblk_cq_stall_cycles = float(vblk_cq_stall_cycles)
-        self.publish_drop_period = publish_drop_period
-        self.publish_stall_period = publish_stall_period
-        self.replica_corrupt_period = replica_corrupt_period
-        self.torn_batch_period = torn_batch_period
-        self.quota_race_period = quota_race_period
-        # Eligible-event counters (the deterministic schedules).
-        self._telemetry_reads = 0
-        self._dma_frames = 0
-        self._irqs = 0
-        self._xmits = 0
-        self._vblk_descs = 0
-        self._vblk_completions = 0
-        self._vblk_writebacks = 0
-        self._vblk_doorbells = 0
-        self._vblk_cq_drains = 0
-        self._publish_installs = 0
-        self._grace_waits = 0
-        self._replica_installs = 0
-        self._batch_ops = 0
-        self._batches_applied = 0
-        # Injected-fault counters for the report.
-        self.garbled_reads = 0
-        self.stalled_frames = 0
-        self.dropped_irqs = 0
-        self.failed_xmits = 0
-        self.garbled_descriptors = 0
-        self.stalled_completions = 0
-        self.dropped_writebacks = 0
-        self.dropped_doorbells = 0
-        self.stalled_cqs = 0
-        self.dropped_publishes = 0
-        self.stalled_publishes = 0
-        self.corrupted_replicas = 0
-        self.torn_batches = 0
-        self.quota_race_storms = 0
+                raise ValueError(f"{option} must be >= 0")
+        self._schedules = {kind: _Schedule(periods.get(option, 0))
+                           for kind, (option, _) in KINDS.items()}
         # fault:inject tracepoint, bound by attach() (None while detached).
         self._tp = None
 
-    def _emit(self, kind: str, **args) -> None:
+    def fires(self, kind: str, **trace_args) -> bool:
+        """Count one eligible ``kind`` event; True = fault it.  Every
+        fault is tallied for :meth:`report` and emitted on
+        ``fault:inject`` with ``trace_args``."""
+        schedule = self._schedules[kind]
+        if schedule.period == 0:
+            return False
+        schedule.events += 1
+        if schedule.events % schedule.period:
+            return False
+        schedule.fired += 1
         tp = self._tp
         if tp is not None and tp.enabled:
-            tp.emit(kind=kind, **args)
+            tp.emit(kind=kind, **trace_args)
+        return True
 
-    # -- hook implementations (called by the instrumented subsystems) -------
+    # -- hooks that answer more than yes or no -------------------------------
 
     def mmio_garble(self, offset: int) -> Optional[int]:
         """All-ones for every Nth telemetry read; None = read normally."""
-        if self.mmio_garble_period == 0 or offset not in _TELEMETRY_OFFSETS:
-            return None
-        self._telemetry_reads += 1
-        if self._telemetry_reads % self.mmio_garble_period == 0:
-            self.garbled_reads += 1
-            self._emit("mmio_garble", offset=offset)
+        if offset in _TELEMETRY_OFFSETS and self.fires("mmio_garble",
+                                                       offset=offset):
             return _ALL_ONES
         return None
 
-    def dma_stall_cycles(self, length: int) -> float:
+    def dma_stall_cycles(self) -> float:
         """Extra wire cycles for every Nth DMA'd frame."""
-        if self.dma_stall_period == 0:
-            return 0.0
-        self._dma_frames += 1
-        if self._dma_frames % self.dma_stall_period == 0:
-            self.stalled_frames += 1
-            self._emit("dma_stall", cycles=self._dma_stall_cycles)
-            return self._dma_stall_cycles
-        return 0.0
-
-    def drop_irq(self, line: int) -> bool:
-        """True = swallow this interrupt delivery."""
-        if self.irq_drop_period == 0:
-            return False
-        self._irqs += 1
-        if self._irqs % self.irq_drop_period == 0:
-            self.dropped_irqs += 1
-            self._emit("irq_drop", line=line)
-            return True
-        return False
-
-    def xmit_transient(self) -> bool:
-        """True = the stack reports a transient EBUSY for this frame."""
-        if self.xmit_fail_period == 0:
-            return False
-        self._xmits += 1
-        if self._xmits % self.xmit_fail_period == 0:
-            self.failed_xmits += 1
-            self._emit("xmit_transient")
-            return True
-        return False
-
-    # -- vblk hooks ----------------------------------------------------------
-
-    def vblk_desc_garble(self) -> bool:
-        """True = this descriptor fetch observes a torn snapshot."""
-        if self.vblk_desc_garble_period == 0:
-            return False
-        self._vblk_descs += 1
-        if self._vblk_descs % self.vblk_desc_garble_period == 0:
-            self.garbled_descriptors += 1
-            self._emit("vblk_desc_garble")
-            return True
-        return False
+        return (DMA_STALL_CYCLES
+                if self.fires("dma_stall", cycles=DMA_STALL_CYCLES) else 0.0)
 
     def vblk_completion_stall_cycles(self) -> float:
         """Extra media-service cycles for every Nth request."""
-        if self.vblk_stall_period == 0:
-            return 0.0
-        self._vblk_completions += 1
-        if self._vblk_completions % self.vblk_stall_period == 0:
-            self.stalled_completions += 1
-            self._emit("vblk_stall", cycles=self._vblk_stall_cycles)
-            return self._vblk_stall_cycles
-        return 0.0
-
-    def vblk_writeback_drop(self) -> bool:
-        """True = this used-ring write-back is lost and must be retried."""
-        if self.vblk_writeback_drop_period == 0:
-            return False
-        self._vblk_writebacks += 1
-        if self._vblk_writebacks % self.vblk_writeback_drop_period == 0:
-            self.dropped_writebacks += 1
-            self._emit("vblk_writeback_drop")
-            return True
-        return False
-
-    def vblk_doorbell_drop(self) -> bool:
-        """True = this submission doorbell's kick event is swallowed.
-
-        The tail value still latches in the register file, so the
-        device's next ring scan recovers the posted work — a lost
-        *event*, never a lost *request*."""
-        if self.vblk_doorbell_drop_period == 0:
-            return False
-        self._vblk_doorbells += 1
-        if self._vblk_doorbells % self.vblk_doorbell_drop_period == 0:
-            self.dropped_doorbells += 1
-            self._emit("vblk_doorbell_drop")
-            return True
-        return False
+        return (VBLK_STALL_CYCLES
+                if self.fires("vblk_stall", cycles=VBLK_STALL_CYCLES) else 0.0)
 
     def vblk_cq_stall_cycles(self) -> float:
         """Extra write-back deferral for every Nth CQ drain that has
         matured completions pending (0.0 = drain normally)."""
-        if self.vblk_cq_stall_period == 0:
-            return 0.0
-        self._vblk_cq_drains += 1
-        if self._vblk_cq_drains % self.vblk_cq_stall_period == 0:
-            self.stalled_cqs += 1
-            self._emit("vblk_cq_stall", cycles=self._vblk_cq_stall_cycles)
-            return self._vblk_cq_stall_cycles
-        return 0.0
-
-    # -- control-plane hooks -------------------------------------------------
-
-    def drop_publish(self, cpu: int) -> bool:
-        """True = this per-CPU replica install is silently lost."""
-        if self.publish_drop_period == 0:
-            return False
-        self._publish_installs += 1
-        if self._publish_installs % self.publish_drop_period == 0:
-            self.dropped_publishes += 1
-            self._emit("publish_drop", cpu=cpu)
-            return True
-        return False
-
-    def publish_stall(self) -> bool:
-        """True = this grace-period wait stalls (watchdog must retry)."""
-        if self.publish_stall_period == 0:
-            return False
-        self._grace_waits += 1
-        if self._grace_waits % self.publish_stall_period == 0:
-            self.stalled_publishes += 1
-            self._emit("publish_stall")
-            return True
-        return False
-
-    def corrupt_replica(self, cpu: int) -> bool:
-        """True = tear this freshly installed replica's payload."""
-        if self.replica_corrupt_period == 0:
-            return False
-        self._replica_installs += 1
-        if self._replica_installs % self.replica_corrupt_period == 0:
-            self.corrupted_replicas += 1
-            self._emit("replica_corrupt", cpu=cpu)
-            return True
-        return False
-
-    def torn_batch(self) -> bool:
-        """True = fail the batch at this op (mid-transaction tear)."""
-        if self.torn_batch_period == 0:
-            return False
-        self._batch_ops += 1
-        if self._batch_ops % self.torn_batch_period == 0:
-            self.torn_batches += 1
-            self._emit("torn_batch")
-            return True
-        return False
-
-    def quota_race(self) -> bool:
-        """True = replay this applied batch as a racing duplicate."""
-        if self.quota_race_period == 0:
-            return False
-        self._batches_applied += 1
-        if self._batches_applied % self.quota_race_period == 0:
-            self.quota_race_storms += 1
-            self._emit("quota_race")
-            return True
-        return False
+        return (VBLK_CQ_STALL_CYCLES
+                if self.fires("vblk_cq_stall", cycles=VBLK_CQ_STALL_CYCLES)
+                else 0.0)
 
     # -- wiring --------------------------------------------------------------
 
-    def attach(self, system) -> "FaultInjector":
-        """Hook into a :class:`~repro.core.system.CaratKopSystem`.
+    @staticmethod
+    def _hosts(system) -> tuple:
+        """Every object of a system that consults a fault injector."""
+        return (*system.stack.fault_hosts, system.kernel.irq,
+                system.policy.controlplane)
 
-        Works for either driver stack: the NIC system exposes ``device``
-        + ``netdev``, the vblk system ``device`` + ``blkdev``; whichever
-        hosts exist get the injector."""
-        for host in (system.device, getattr(system, "netdev", None)):
-            if host is not None:
-                host.fault_injector = self
-        system.kernel.irq.fault_injector = self
+    def attach(self, system) -> "FaultInjector":
+        """Hook every fault host of ``system`` (either driver stack)."""
+        for host in self._hosts(system):
+            host.fault_injector = self
         self._tp = system.kernel.trace.points["fault:inject"]
         return self
 
     def detach(self, system) -> None:
-        for host in (
-            system.device,
-            getattr(system, "netdev", None),
-            system.kernel.irq,
-        ):
-            if host is not None and host.fault_injector is self:
+        """Unhook the hosts this injector holds (another's stay wired)."""
+        for host in self._hosts(system):
+            if host.fault_injector is self:
                 host.fault_injector = None
         self._tp = None
 
     def report(self) -> dict[str, int]:
-        return {
-            "garbled_reads": self.garbled_reads,
-            "stalled_frames": self.stalled_frames,
-            "dropped_irqs": self.dropped_irqs,
-            "failed_xmits": self.failed_xmits,
-            "garbled_descriptors": self.garbled_descriptors,
-            "stalled_completions": self.stalled_completions,
-            "dropped_writebacks": self.dropped_writebacks,
-            "dropped_doorbells": self.dropped_doorbells,
-            "stalled_cqs": self.stalled_cqs,
-            "dropped_publishes": self.dropped_publishes,
-            "stalled_publishes": self.stalled_publishes,
-            "corrupted_replicas": self.corrupted_replicas,
-            "torn_batches": self.torn_batches,
-            "quota_race_storms": self.quota_race_storms,
-        }
+        """Faults injected so far, by report key."""
+        return {key: self._schedules[kind].fired
+                for kind, (_, key) in KINDS.items()}
 
 
-__all__ = ["FaultInjector"]
+__all__ = ["DMA_STALL_CYCLES", "FaultInjector", "KINDS",
+           "VBLK_CQ_STALL_CYCLES", "VBLK_STALL_CYCLES"]

@@ -45,12 +45,10 @@ class IrqController:
         self._actions: dict[int, IrqAction] = {}
         self._servicing: set[int] = set()
         self._next_line = 16  # low lines "reserved" for legacy devices
-        #: Fault-injection hook (see :mod:`repro.faults`): called with the
-        #: line before dispatch; returning True swallows the interrupt,
-        #: modelling a lost/level-glitched IRQ.  None = no injection.
+        #: Fault injector (see :mod:`repro.faults`): its ``irq_drop``
+        #: schedule may swallow an interrupt before dispatch, modelling a
+        #: lost/level-glitched IRQ.  None = no injection.
         self.fault_injector = None
-        #: Interrupts swallowed by the injector.
-        self.dropped = 0
         self._tp_raise = kernel.trace.points["irq:raise"]
         self._tp_dispatch = kernel.trace.points["irq:dispatch"]
         self._tp_coalesce = kernel.trace.points["irq:coalesce"]
@@ -117,8 +115,8 @@ class IrqController:
             tp.emit(line=line)
         if not self.kernel.interrupts_enabled:
             return False
-        if self.fault_injector is not None and self.fault_injector.drop_irq(line):
-            self.dropped += 1
+        if (self.fault_injector is not None
+                and self.fault_injector.fires("irq_drop", line=line)):
             return False
         action = self._actions.get(line)
         if action is None:

@@ -101,11 +101,9 @@ class Kernel:
         self.entry_refusals = 0
         # Static-verification tier (-O3) state: how insmod treats
         # certificates ("strict" rejects invalid ones, "demote" loads
-        # with full dynamic guarding, "off" ignores them entirely), the
-        # kernel-registered trusted contract set, and the policy module
-        # backref the verifier proves ranges against.
+        # with full dynamic guarding, "off" ignores them entirely) and
+        # the policy module backref the verifier proves ranges against.
         self.verify_policy = verify_policy
-        self.verify_contracts = None
         # Per-driver trusted contract sets, keyed by module name.  Each
         # guarded driver registers only its own invariants, keeping the
         # -O3 verifier's TCB per-driver (certifying one driver never
@@ -226,24 +224,17 @@ class Kernel:
 
     # -- static verification (hybrid static+dynamic guarding) --------------------------
 
-    def register_verify_contracts(self, contracts, module: Optional[str] = None) -> None:
-        """Install a trusted contract set (the -O3 verifier's TCB).
-
-        With ``module`` the set applies to that module name alone —
-        the per-driver registry.  Without it, the set is the kernel-wide
-        fallback (legacy single-driver behaviour).  Certificates minted
-        against a different set are demoted or rejected at insmod."""
-        if module is None:
-            self.verify_contracts = contracts
-        else:
-            self.module_verify_contracts[module] = contracts
+    def register_verify_contracts(self, contracts, *, module: str) -> None:
+        """Install ``module``'s trusted contract set (its share of the
+        -O3 verifier's TCB; no other module name sees it).  Certificates
+        minted against a different set are demoted or rejected at
+        insmod."""
+        self.module_verify_contracts[module] = contracts
 
     def contracts_for(self, module_name: str):
         """The trusted contract set insmod verifies ``module_name``
-        against: the per-driver registration if one exists, else the
-        kernel-wide fallback."""
-        contracts = self.module_verify_contracts.get(module_name)
-        return contracts if contracts is not None else self.verify_contracts
+        against (None when it registered none)."""
+        return self.module_verify_contracts.get(module_name)
 
     def _verify_token_stale(self, module: LoadedModule) -> bool:
         policy = self.carat_policy

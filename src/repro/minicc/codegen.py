@@ -51,9 +51,7 @@ def _const_div(x, y):
 
 def _const_rem(x, y):
     """Constant ``x % y``: the remainder takes the dividend's sign."""
-    if isinstance(x, int) and isinstance(y, int):
-        return trunc_divmod(x, y)[1]
-    return x - int(x / y) * y
+    return trunc_divmod(x, y)[1]
 
 
 class _FunctionInfo:
@@ -238,7 +236,9 @@ class CodeGenerator:
             if expr.op == "-":
                 return -v
             if expr.op == "~":
-                return ~int(v)
+                if isinstance(v, float):
+                    raise CompileError("cannot complement double", expr.line)
+                return ~v
             return int(not v)
         if isinstance(expr, A.Binary):
             a = self._const_eval(expr.lhs)
@@ -250,15 +250,19 @@ class CodeGenerator:
                 "*": lambda x, y: x * y,
                 "/": _const_div,
                 "%": _const_rem,
-                "<<": lambda x, y: int(x) << int(y),
-                ">>": lambda x, y: int(x) >> int(y),
-                "&": lambda x, y: int(x) & int(y),
-                "|": lambda x, y: int(x) | int(y),
-                "^": lambda x, y: int(x) ^ int(y),
+                "<<": lambda x, y: x << y,
+                ">>": lambda x, y: x >> y,
+                "&": lambda x, y: x & y,
+                "|": lambda x, y: x | y,
+                "^": lambda x, y: x ^ y,
             }
             fn = ops.get(expr.op)
             if fn is None:
                 raise CompileError(f"bad constant operator {expr.op}", expr.line)
+            if expr.op not in ("+", "-", "*", "/") and (
+                    isinstance(a, float) or isinstance(b, float)):
+                raise CompileError(f"bad float operator {expr.op!r}",
+                                   expr.line)
             if expr.op in ("/", "%") and b == 0:
                 raise CompileError(
                     "division by zero in constant expression", expr.line

@@ -203,18 +203,19 @@ class PolicyControlPlane:
     changes to the system namespace (the master table); the
     batch/stage/promote/rollback surface is reachable both directly and
     through the ``CMD_TENANT_*``/``CMD_BATCH_MUTATE``/``CMD_CP_*``
-    ioctls.  Set :attr:`config` and :attr:`injector` before the first
-    tenant exists to tune or fault the plane.
+    ioctls.  Set :attr:`config` before the first tenant exists to tune
+    the plane; ``FaultInjector.attach`` faults it.
     """
 
     def __init__(self, kernel: "Kernel", policy: "CaratPolicyModule"):
         self.kernel = kernel
         self.policy = policy
         self.config = ControlPlaneConfig()
-        #: Fault injector with control-plane hooks (``drop_publish``,
-        #: ``publish_stall``, ``corrupt_replica``, ``torn_batch``,
-        #: ``quota_race``); ``None`` = fault-free.
-        self.injector = None
+        #: Fault injector (see :mod:`repro.faults`) whose control-plane
+        #: schedules (``publish_drop``, ``publish_stall``,
+        #: ``replica_corrupt``, ``torn_batch``, ``quota_race``) this
+        #: plane consults; ``None`` = fault-free.
+        self.fault_injector = None
         self.tenants: dict[str, Tenant] = {}
         #: Per-CPU ``(generation_stamp, snapshot)`` slots — the replica
         #: surface the guard reads through :meth:`replica_for`.
@@ -336,8 +337,8 @@ class PolicyControlPlane:
         if self._tp_batch.enabled:
             self._tp_batch.emit(tenant=name, ops=len(ops),
                                 regions=len(tenant.table))
-        inj = self.injector
-        if inj is not None and inj.quota_race():
+        inj = self.fault_injector
+        if inj is not None and inj.fires("quota_race"):
             # Quota-race storm: a racing duplicate of the same batch must
             # fail cleanly against the state the batch just created and
             # leave nothing behind.
@@ -357,13 +358,13 @@ class PolicyControlPlane:
         rolls back)."""
         journal = self.kernel.journal
         table = tenant.table
-        inj = self.injector
+        inj = self.fault_injector
         for seq, op in enumerate(ops):
             try:
                 kind, base, length, prot = op
             except (TypeError, ValueError) as e:
                 raise ControlPlaneError(EINVAL, f"malformed op {seq}") from e
-            if inj is not None and inj.torn_batch():
+            if inj is not None and inj.fires("torn_batch"):
                 self.torn_batches += 1
                 raise ControlPlaneError(
                     EIO, f"batch torn at op {seq} (injected fault)")
@@ -621,24 +622,24 @@ class PolicyControlPlane:
         with bounded exponential backoff.  Backoff is modeled in the
         counters (total/max simulated µs) rather than the kernel clock so
         a watchdog wait never fires unrelated timers."""
-        inj = self.injector
+        inj = self.fault_injector
         cpus = list(cpus)
         backoff = self.config.backoff_base_us
         for attempt in range(1, self.config.publish_max_retries + 1):
             dropped = []
             for cpu in cpus:
-                if inj is not None and inj.drop_publish(cpu):
+                if inj is not None and inj.fires("publish_drop", cpu=cpu):
                     dropped.append(cpu)
                     continue
                 self._slots[cpu] = (gen, snapshot)
-            stalled = inj is not None and inj.publish_stall()
+            stalled = inj is not None and inj.fires("publish_stall")
             if not stalled:
                 self.kernel.rcu.synchronize()
             if not dropped and not stalled:
                 self.publishes += 1
                 if inj is not None:
                     for cpu in cpus:
-                        if inj.corrupt_replica(cpu):
+                        if inj.fires("replica_corrupt", cpu=cpu):
                             # Torn write: the stamp lands, the payload
                             # doesn't.  The read path repairs it.
                             self._slots[cpu] = (gen, _TornReplica())

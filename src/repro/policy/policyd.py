@@ -117,7 +117,8 @@ def run_policyd(
         canary_window=64, canary_tick_limit=4,
         max_total_regions=max(8192, regions + 64),
     )
-    cp.injector = injector
+    if injector is not None:
+        injector.attach(system)
 
     # The -O3 module loads while the composition equals the system
     # namespace (no tenant regions yet), so its certificate holds; the
@@ -125,7 +126,6 @@ def run_policyd(
     probe_mod = compile_module(PROBE_MODULE, CompileOptions(
         module_name=PROBE_MODULE_NAME, key=system.signing_key,
         opt_level=3, verify_table=policy.index,
-        contracts=kernel.verify_contracts,
     ))
     loaded_probe = kernel.insmod(probe_mod)
     elided_at_load = len(loaded_probe.elided_guards)

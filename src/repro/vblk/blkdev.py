@@ -79,10 +79,6 @@ class VblkBlockDev:
         #: CPU k land on queue ``1 + k % queues``.
         self.queues = queues
         self._probed = False
-        #: Fault-injection hook (see :mod:`repro.faults`).  The device
-        #: model carries the vblk hooks; the glue keeps the attribute so
-        #: ``FaultInjector.attach`` treats both stacks uniformly.
-        self.fault_injector = None
         # Slot-keyed: re-probing after an eject replaces the hook instead
         # of stacking a stale one per recovery cycle.
         kernel.register_eject_hook(module.name, self._on_eject, slot="blkdev")

@@ -332,7 +332,7 @@ class VblkDevice:
                 tp.emit(queue=qi, tail=q.avt)
             if (
                 self.fault_injector is not None
-                and self.fault_injector.vblk_doorbell_drop()
+                and self.fault_injector.fires("vblk_doorbell_drop")
             ):
                 # The doorbell write latched the new tail in the
                 # register file but the kick event was swallowed on the
@@ -393,7 +393,7 @@ class VblkDevice:
                 return
             garbled = (
                 self.fault_injector is not None
-                and self.fault_injector.vblk_desc_garble()
+                and self.fault_injector.fires("vblk_desc_garble")
             )
             if garbled:
                 # A torn descriptor fetch: the device saw an inconsistent
@@ -537,7 +537,7 @@ class VblkDevice:
             if (
                 not retried
                 and self.fault_injector is not None
-                and self.fault_injector.vblk_writeback_drop()
+                and self.fault_injector.fires("vblk_writeback_drop")
             ):
                 # The used-ring write-back was dropped on the bus; the
                 # device's retry engine replays it (once) a beat later.

@@ -219,3 +219,20 @@ class TestConstantDivision:
         assert m.globals["g"].initializer.value == 3.5
         assert m.globals["h"].initializer.value == 3.5
         assert m.globals["i"].initializer.signed == 3
+
+
+class TestConstantFloatOperands:
+    """Integer-only operators refuse a floating constant operand, with
+    the messages a function body gives."""
+
+    @pytest.mark.parametrize("src, match", [
+        ("double g = 7.5 % 2;", "bad float operator '%'"),
+        ("long g = 7.5 << 1;", "bad float operator '<<'"),
+        ("long g = 1 >> 0.5;", "bad float operator '>>'"),
+        ("long g = 7.5 & 1;", "bad float operator '&'"),
+        ("long g = 2 | 7.5;", r"bad float operator '\|'"),
+        ("long g = 7.5 ^ 1;", r"bad float operator '\^'"),
+        ("long g = ~7.5;", "cannot complement double"),
+    ])
+    def test_integer_operator_on_float_constant(self, src, match):
+        reject(src, match)

@@ -43,7 +43,7 @@ def _plane(ncpus=1, injector=None, **cfg):
     manager = PolicyManager(kernel)
     cp = policy.controlplane
     cp.config = ControlPlaneConfig(**cfg)
-    cp.injector = injector
+    cp.fault_injector = injector
     return kernel, policy, manager, cp
 
 
@@ -320,7 +320,7 @@ class TestPublishWatchdog:
             backoff_base_us=100.0, backoff_cap_us=400.0,
         )
         cp.create_tenant("a")
-        cp.injector = FaultInjector(publish_drop_period=1)
+        cp.fault_injector = FaultInjector(publish_drop_period=1)
         with pytest.raises(OSError):
             cp.submit_batch("a", _adds(0))
         # Each exhausted loop backs off 100 + 200 + 400 + 400 + 400 + 400
@@ -339,10 +339,10 @@ class TestPublishWatchdog:
             canary_tick_limit=1,
         )
         # Staging needs one clean canary publish; arm the injector after.
-        cp.injector = None
+        cp.fault_injector = None
         cp.create_tenant("a")
         gen = cp.submit_batch("a", _adds(0))
-        cp.injector = inj
+        cp.fault_injector = inj
         assert cp.tick() == 1
         assert cp.forced_publishes >= 1
         assert [slot[0] for slot in cp._slots] == [gen, gen]
