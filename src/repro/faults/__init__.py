@@ -1,8 +1,8 @@
 """Fault injection and recovery soaking for the graceful-enforcement work.
 
-:class:`FaultInjector` deterministically degrades the simulated hardware
-and driver path (garbled telemetry MMIO reads, DMA wire stalls, dropped
-IRQs, transient xmit failures); :func:`run_soak` drives repeated
+:class:`FaultInjector` deterministically degrades the simulated hardware,
+driver path and policy control plane (one period schedule per fault
+kind, wired by ``attach``); :func:`run_soak` drives repeated
 violation -> eject -> rollback -> re-insmod cycles under that noise and
 audits the kernel for leaks after every recovery.
 """
