@@ -80,7 +80,7 @@ EVENT_SCHEMA: dict[str, tuple[str, tuple[str, ...]]] = {
     "syscall:exit": ("syscall", ("name", "rc", "cycles", "stalled")),
     # Catastrophes and injected faults.
     "kernel:panic": ("kernel", ("reason",)),
-    "fault:inject": ("fault", ("kind", "line", "offset", "cycles")),
+    "fault:inject": ("fault", ("kind", "line", "offset", "cycles", "cpu")),
     # Policy control plane (multi-tenant staged rollout).
     "cp:batch": ("cp", ("tenant", "ops", "regions")),
     "cp:stage": ("cp", ("generation", "tenant", "canary_cpus", "regions")),
