@@ -87,11 +87,6 @@ class CompileOptions:
         """The static verification tier (``-O3``)."""
         return self.opt_level >= 3
 
-    def guard_opt_toggles(self) -> tuple[bool, bool, bool]:
-        """``(eliminate, hoist, coalesce)`` for this ``opt_level``."""
-        level = self.opt_level
-        return level >= 1, level >= 1, level >= 2
-
 
 @dataclass
 class CompileStats:
@@ -149,7 +144,6 @@ def compile_module(
     pm.run(ir)
     stats.instructions_before_guards = ir.instruction_count()
 
-    eliminate, hoist, coalesce = opts.guard_opt_toggles()
     guard_opt: Optional[GuardOptPass] = None
     pm2 = PassManager()
     pm2.add(AttestationPass())
@@ -159,10 +153,8 @@ def compile_module(
             pm2.add(IntrinsicGuardPass())
         if opts.guard_calls:
             pm2.add(CallGuardPass())
-        if eliminate or hoist or coalesce:
-            guard_opt = GuardOptPass(
-                hoist_loops=hoist, eliminate=eliminate, coalesce=coalesce
-            )
+        if opts.opt_level >= 1:
+            guard_opt = GuardOptPass(level=min(opts.opt_level, 2))
             pm2.add(guard_opt)
             pm2.add(DCEPass())  # sweep dead address casts left behind
     pm2.run(ir)

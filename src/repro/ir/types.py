@@ -126,17 +126,6 @@ class IntType(IRType):
         return f"i{self.bits}"
 
 
-def trunc_divmod(a: int, b: int) -> tuple[int, int]:
-    """C's signed ``a / b`` and ``a % b``: the quotient truncates toward
-    zero and the remainder takes the dividend's sign.  Exact for any
-    width (float division is not: it rounds above 2**53).  ``b`` must be
-    nonzero; the caller wraps the results to its width."""
-    q = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        q = -q
-    return q, a - q * b
-
-
 class FloatType(IRType):
     """IEEE floating point (``f32`` or ``f64``)."""
 

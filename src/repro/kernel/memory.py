@@ -19,6 +19,7 @@ import bisect
 import struct
 from typing import Optional, Protocol
 
+from ..ir.arith import pack_f32
 from . import layout
 from .panic import MemoryFault
 
@@ -204,7 +205,7 @@ class KernelAddressSpace:
         return struct.unpack("<f", self.read_bytes(addr, 4))[0]
 
     def write_f32(self, addr: int, value: float) -> None:
-        self.write_bytes(addr, struct.pack("<f", value))
+        self.write_bytes(addr, pack_f32(value))
 
     def read_f64(self, addr: int) -> float:
         return struct.unpack("<d", self.read_bytes(addr, 8))[0]

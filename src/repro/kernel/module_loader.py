@@ -10,7 +10,6 @@ unattested module is refused — the operator's deployment story from §1.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -471,8 +470,10 @@ class ModuleLoader:
         elif isinstance(init, ConstantInt):
             mem.write_int(addr, size, init.value)
         elif isinstance(init, ConstantFloat):
-            packed = struct.pack("<f" if size == 4 else "<d", init.value)
-            mem.write_bytes(addr, packed)
+            if size == 4:
+                mem.write_f32(addr, init.value)
+            else:
+                mem.write_f64(addr, init.value)
         else:
             raise LoadError(f"unsupported initializer for @{g.name}")
 

@@ -3,8 +3,8 @@
 CARAT KOP deliberately ships *without* guard optimization; CARAT CAKE
 "hoists guards and amortizes them across many references" using NOELLE.
 This pass implements the production optimizing tier layered on the
-faithful paper pipeline.  The individual transforms are selectable so the
-``-O`` levels of :mod:`repro.core.pipeline` can compose them:
+faithful paper pipeline.  ``GuardOptPass(level)`` runs the transforms of
+one ``-O`` level of :mod:`repro.core.pipeline`:
 
 1. **Dominating-guard elimination** (``-O1``) — a guard is redundant if a
    guard on the same address root with the same flags, whose byte range
@@ -237,15 +237,12 @@ class GuardOptPass:
     #: guard into a region-sized probe.
     MAX_COALESCE_SPAN = 1 << 16
 
-    def __init__(
-        self,
-        hoist_loops: bool = True,
-        eliminate: bool = True,
-        coalesce: bool = False,
-    ) -> None:
-        self.hoist_loops = hoist_loops
-        self.eliminate = eliminate
-        self.coalesce = coalesce
+    def __init__(self, level: int = 1) -> None:
+        """``level`` is the ``-O`` tier: 1 hoists loop-invariant guards
+        and drops dominated ones; 2 also coalesces guard ranges."""
+        if level not in (1, 2):
+            raise ValueError(f"guard-opt level must be 1 or 2: {level}")
+        self.level = level
         self.guards_removed = 0
         self.guards_hoisted = 0
         self.guards_coalesced = 0
@@ -256,14 +253,11 @@ class GuardOptPass:
         if not module.metadata.get(abi.META_GUARDED):
             return False  # nothing to optimize until guards exist
         for fn in module.defined_functions():
-            changed = False
-            if self.hoist_loops:
-                changed |= self._hoist_loop_guards(fn)
-            if self.coalesce:
+            changed = self._hoist_loop_guards(fn)
+            if self.level >= 2:
                 changed |= self._coalesce_loop_sweeps(fn)
                 changed |= self._coalesce_block_guards(fn)
-            if self.eliminate:
-                changed |= self._eliminate_dominated(fn)
+            changed |= self._eliminate_dominated(fn)
             if changed:
                 self.changed_functions.append(fn)
         changed = bool(self.changed_functions)
@@ -345,7 +339,7 @@ class GuardOptPass:
             progress = False
             dom = DominatorTree(fn)
             for loop in find_loops(fn, dom):
-                iv = self._counted_induction(loop)
+                iv = counted_induction(loop)
                 if iv is None:
                     continue
                 phi, init, step, last = iv
@@ -432,11 +426,6 @@ class GuardOptPass:
         )
         wide.is_guard = True
         block.insert_before(wide, before)
-
-    def _counted_induction(
-        self, loop: Loop
-    ) -> Optional[tuple[Phi, int, int, int]]:
-        return counted_induction(loop)
 
     def _sweep_guards(
         self, loop: Loop, phi: Phi

@@ -6,6 +6,10 @@ and guard counts reflect what an optimizing compiler would hand the CARAT
 KOP pass — the paper applies its transform to normally-optimized kernel
 builds (§4.1: "the same compiler was used, with the same flags").
 
+Constants fold through :mod:`repro.ir.arith`, the functions the VM
+executes, so a folded value is the value the instruction would have
+computed at run time; a constant division by zero is left to panic there.
+
 Run *before* guard injection: it never touches loads/stores, but fewer
 dead instructions means a cleaner timing signal in the VM.
 """
@@ -14,9 +18,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ir import Function, Module
+from ..ir import Function, Module, arith
 from ..ir.instructions import BinOp, Cast, ICmp, Phi, Select
-from ..ir.types import IntType, trunc_divmod
+from ..ir.types import I1, IntType
 from ..ir.values import ConstantInt, Value
 
 
@@ -41,12 +45,14 @@ def _fold_cast(inst: Cast) -> Optional[Value]:
             return v.value
         if inst.op == "bitcast" and v.op == "bitcast" and v.value.type is inst.type:
             return v.value
-    if not isinstance(v, ConstantInt):
-        return None
-    if inst.op in ("zext", "trunc") and isinstance(inst.type, IntType):
-        return ConstantInt(inst.type, v.value)
-    if inst.op == "sext" and isinstance(inst.type, IntType):
-        return ConstantInt(inst.type, v.signed)
+    if (
+        isinstance(v, ConstantInt)
+        and inst.op in ("zext", "trunc", "sext")
+        and isinstance(inst.type, IntType)
+    ):
+        return ConstantInt(
+            inst.type, arith.cast(inst.op, v.type, inst.type)(v.value)
+        )
     return None
 
 
@@ -65,62 +71,18 @@ def _fold_binop(inst: BinOp) -> Optional[Value]:
             if inst.op == "mul" and a.value == 1:
                 return b
         return None
-    t = a.type
-    assert isinstance(t, IntType)
-    ua, ub = a.value, b.value
-    sa, sb = a.signed, b.signed
-    op = inst.op
     try:
-        if op == "add":
-            return ConstantInt(t, ua + ub)
-        if op == "sub":
-            return ConstantInt(t, ua - ub)
-        if op == "mul":
-            return ConstantInt(t, ua * ub)
-        if op == "and":
-            return ConstantInt(t, ua & ub)
-        if op == "or":
-            return ConstantInt(t, ua | ub)
-        if op == "xor":
-            return ConstantInt(t, ua ^ ub)
-        if op == "shl":
-            return ConstantInt(t, ua << (ub % t.bits))
-        if op == "lshr":
-            return ConstantInt(t, ua >> (ub % t.bits))
-        if op == "ashr":
-            return ConstantInt(t, sa >> (ub % t.bits))
-        if op == "sdiv" and sb != 0:
-            return ConstantInt(t, trunc_divmod(sa, sb)[0])
-        if op == "udiv" and ub != 0:
-            return ConstantInt(t, ua // ub)
-        if op == "srem" and sb != 0:
-            return ConstantInt(t, trunc_divmod(sa, sb)[1])
-        if op == "urem" and ub != 0:
-            return ConstantInt(t, ua % ub)
-    except (ZeroDivisionError, OverflowError):  # pragma: no cover
-        return None
-    return None
-
-
-_ICMP_FN = {
-    "eq": lambda a, b, sa, sb: a == b,
-    "ne": lambda a, b, sa, sb: a != b,
-    "ult": lambda a, b, sa, sb: a < b,
-    "ule": lambda a, b, sa, sb: a <= b,
-    "ugt": lambda a, b, sa, sb: a > b,
-    "uge": lambda a, b, sa, sb: a >= b,
-    "slt": lambda a, b, sa, sb: sa < sb,
-    "sle": lambda a, b, sa, sb: sa <= sb,
-    "sgt": lambda a, b, sa, sb: sa > sb,
-    "sge": lambda a, b, sa, sb: sa >= sb,
-}
+        return ConstantInt(a.type, arith.binop(inst.op, a.type)(a.value, b.value))
+    except ZeroDivisionError:
+        return None  # the division panics at run time; leave it there
 
 
 def _fold_icmp(inst: ICmp) -> Optional[Value]:
     a, b = inst.lhs, inst.rhs
     if isinstance(a, ConstantInt) and isinstance(b, ConstantInt):
-        result = _ICMP_FN[inst.pred](a.value, b.value, a.signed, b.signed)
-        return ConstantInt(IntType(1), int(result))
+        return ConstantInt(
+            I1, arith.icmp(inst.pred, a.type)(a.value, b.value)
+        )
     # icmp ne (zext i1 %c to iN), 0  ->  %c      (the bool-recheck pattern)
     # icmp eq (zext i1 %c to iN), 0  ->  xor %c, 1 is not cheaper; skip.
     if (

@@ -77,9 +77,8 @@ with identical source can always share one code object.
 
 from __future__ import annotations
 
-import struct
-
 from .. import abi
+from ..ir import arith
 from ..ir.instructions import (
     Alloca,
     BinOp,
@@ -98,7 +97,7 @@ from ..ir.instructions import (
     Switch,
     Unreachable,
 )
-from ..ir.types import FloatType, IntType, PointerType, trunc_divmod
+from ..ir.types import FloatType, IntType, PointerType
 from ..ir.values import (
     ConstantFloat,
     ConstantInt,
@@ -114,7 +113,6 @@ from ..trace.vmhook import guard_site_id
 from .interp import Interpreter, InterpreterError
 
 _MASK64 = (1 << 64) - 1
-_F32 = struct.Struct("<f")
 
 
 class _SharedCodeCache:
@@ -466,8 +464,9 @@ class _Translator:
             return
         if kind is Cast:
             if inst.op in ("sitofp", "fptosi", "fptrunc"):
-                # Float conversions (f32 narrowing via struct) stay closures.
-                c = self._bind("C", self._cast_core(inst))
+                # Float conversions stay closures from ``repro.ir.arith``.
+                c = self._bind(
+                    "C", arith.cast(inst.op, inst.value.type, inst.type))
                 self._observed(inst.opcode,
                                f"{s} = {c}({self._v(inst.value)})")
                 return
@@ -501,7 +500,7 @@ class _Translator:
             self._observed(inst.opcode, f"{s} = {c}()")
             return
         if kind is FCmp:
-            c = self._bind("C", self._fcmp_core(inst))
+            c = self._bind("C", arith.fcmp(inst.pred))
             self._observed(inst.opcode,
                            f"{s} = {c}({self._args(inst.operands[:2])})")
             return
@@ -608,99 +607,12 @@ class _Translator:
     def _binop_core(self, inst: BinOp):
         """Closure for the binops codegen doesn't inline: division
         (panic-on-zero path) and float arithmetic."""
-        op = inst.op
-        t = inst.type
-        if isinstance(t, FloatType):
-            if op not in ("fadd", "fsub", "fmul", "fdiv"):  # pragma: no cover
-                raise InterpreterError(f"bad float op {op}")
+        msg = f"module {self.module.name}: divide error ({inst.op} by zero)"
 
-            def core(a, b, _op=op, _n=t.bits == 32):
-                if _op == "fadd":
-                    r = a + b
-                elif _op == "fsub":
-                    r = a - b
-                elif _op == "fmul":
-                    r = a * b
-                elif b == 0.0:
-                    r = (float("inf") if a > 0
-                         else float("-inf") if a < 0 else float("nan"))
-                else:
-                    r = a / b
-                if _n:
-                    r = _F32.unpack(_F32.pack(r))[0]
-                return r
+        def on_zero(_e=self.engine, _m=msg):
+            _e.kernel.panic(_m)
 
-            return core
-        assert isinstance(t, IntType)
-        if op not in ("sdiv", "udiv", "srem", "urem"):  # pragma: no cover
-            raise InterpreterError(f"bad int op {op}")
-        eng = self.engine
-        ts, wrap = t.to_signed, t.wrap
-        msg = f"module {self.module.name}: divide error ({op} by zero)"
-        if op == "sdiv":
-            def core(a, b, _ts=ts, _w=wrap, _e=eng, _m=msg):
-                sa, sb = _ts(a), _ts(b)
-                if sb == 0:
-                    _e.kernel.panic(_m)
-                return _w(trunc_divmod(sa, sb)[0])
-        elif op == "udiv":
-            def core(a, b, _e=eng, _m=msg):
-                if b == 0:
-                    _e.kernel.panic(_m)
-                return a // b
-        elif op == "srem":
-            def core(a, b, _ts=ts, _w=wrap, _e=eng, _m=msg):
-                sa, sb = _ts(a), _ts(b)
-                if sb == 0:
-                    _e.kernel.panic(_m)
-                return _w(trunc_divmod(sa, sb)[1])
-        else:  # urem
-            def core(a, b, _e=eng, _m=msg):
-                if b == 0:
-                    _e.kernel.panic(_m)
-                return a % b
-        return core
-
-    def _fcmp_core(self, inst: FCmp):
-        import operator as _op
-
-        cmp_fn = {
-            "oeq": _op.eq, "one": _op.ne, "olt": _op.lt,
-            "ole": _op.le, "ogt": _op.gt, "oge": _op.ge,
-        }[inst.pred]
-
-        def core(a, b, _c=cmp_fn):
-            if a != a or b != b:  # NaN: ordered predicates are all false
-                return 0
-            return 1 if _c(a, b) else 0
-
-        return core
-
-    def _cast_core(self, inst: Cast):
-        """Closure for the float conversions codegen doesn't inline."""
-        op = inst.op
-        t = inst.type
-        if op == "sitofp":
-            src = inst.value.type
-            assert isinstance(src, IntType)
-
-            def core(v, _ts=src.to_signed,
-                     _n=isinstance(t, FloatType) and t.bits == 32):
-                r = float(_ts(v))
-                if _n:
-                    r = _F32.unpack(_F32.pack(r))[0]
-                return r
-        elif op == "fptosi":
-            assert isinstance(t, IntType)
-
-            def core(v, _w=t.wrap):
-                return _w(int(v))
-        elif op == "fptrunc":
-            def core(v):
-                return _F32.unpack(_F32.pack(v))[0]
-        else:  # pragma: no cover - verifier rejects other casts
-            raise InterpreterError(f"bad cast {op}")
-        return core
+        return arith.make_binop(inst.op, inst.type, on_zero)
 
     def _alloca_core(self, inst: Alloca):
         def core(_sz=inst.size_bytes,

@@ -8,16 +8,17 @@ Module IR runs here; core-kernel services are native Python (see
 
 Value representation: integers are Python ints holding the *unsigned*
 bit pattern of their IR type; pointers are addresses; floats are Python
-floats.  All wrapping happens at operation boundaries.
+floats.  All wrapping happens at operation boundaries.  What each
+arithmetic instruction computes is defined once, in
+:mod:`repro.ir.arith`, which this interpreter evaluates through.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Optional, Sequence
 
 from .. import abi
-from ..ir import Function
+from ..ir import Function, arith
 from ..ir.instructions import (
     Alloca,
     BinOp,
@@ -36,7 +37,7 @@ from ..ir.instructions import (
     Switch,
     Unreachable,
 )
-from ..ir.types import FloatType, IntType, PointerType, trunc_divmod
+from ..ir.types import FloatType, IntType
 from ..ir.values import (
     ConstantFloat,
     ConstantInt,
@@ -321,135 +322,26 @@ class Interpreter:
     def _binop(self, inst: BinOp, env, module):
         a = self._eval(inst.lhs, env, module)
         b = self._eval(inst.rhs, env, module)
-        op = inst.op
-        t = inst.type
-        if isinstance(t, FloatType):
-            if op == "fadd":
-                r = a + b
-            elif op == "fsub":
-                r = a - b
-            elif op == "fmul":
-                r = a * b
-            elif op == "fdiv":
-                if b == 0.0:
-                    r = float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
-                else:
-                    r = a / b
-            else:  # pragma: no cover
-                raise InterpreterError(f"bad float op {op}")
-            if t.bits == 32:
-                r = struct.unpack("<f", struct.pack("<f", r))[0]
-            return r
-        assert isinstance(t, IntType)
-        bits = t.bits
-        mask = t.max_unsigned
-        if op == "add":
-            return (a + b) & mask
-        if op == "sub":
-            return (a - b) & mask
-        if op == "mul":
-            return (a * b) & mask
-        if op == "and":
-            return a & b
-        if op == "or":
-            return a | b
-        if op == "xor":
-            return a ^ b
-        if op == "shl":
-            return (a << (b % bits)) & mask
-        if op == "lshr":
-            return a >> (b % bits)
-        if op == "ashr":
-            return t.wrap(t.to_signed(a) >> (b % bits))
-        sa, sb = t.to_signed(a), t.to_signed(b)
-        if op == "sdiv":
-            if sb == 0:
-                self.kernel.panic(f"module {module.name}: divide error (sdiv by zero)")
-            return t.wrap(trunc_divmod(sa, sb)[0])
-        if op == "udiv":
-            if b == 0:
-                self.kernel.panic(f"module {module.name}: divide error (udiv by zero)")
-            return a // b
-        if op == "srem":
-            if sb == 0:
-                self.kernel.panic(f"module {module.name}: divide error (srem by zero)")
-            return t.wrap(trunc_divmod(sa, sb)[1])
-        if op == "urem":
-            if b == 0:
-                self.kernel.panic(f"module {module.name}: divide error (urem by zero)")
-            return a % b
-        raise InterpreterError(f"bad int op {op}")  # pragma: no cover
-
-    _ICMP = {
-        "eq": lambda a, b, sa, sb: a == b,
-        "ne": lambda a, b, sa, sb: a != b,
-        "ult": lambda a, b, sa, sb: a < b,
-        "ule": lambda a, b, sa, sb: a <= b,
-        "ugt": lambda a, b, sa, sb: a > b,
-        "uge": lambda a, b, sa, sb: a >= b,
-        "slt": lambda a, b, sa, sb: sa < sb,
-        "sle": lambda a, b, sa, sb: sa <= sb,
-        "sgt": lambda a, b, sa, sb: sa > sb,
-        "sge": lambda a, b, sa, sb: sa >= sb,
-    }
+        try:
+            return arith.binop(inst.op, inst.type)(a, b)
+        except ZeroDivisionError:
+            pass  # panic outside the handler, so nothing chains onto it
+        self.kernel.panic(
+            f"module {module.name}: divide error ({inst.op} by zero)")
 
     def _icmp(self, inst: ICmp, env, module):
         a = self._eval(inst.lhs, env, module)
         b = self._eval(inst.rhs, env, module)
-        t = inst.lhs.type
-        if isinstance(t, PointerType):
-            sa, sb = a, b
-        else:
-            assert isinstance(t, IntType)
-            sa, sb = t.to_signed(a), t.to_signed(b)
-        return 1 if self._ICMP[inst.pred](a, b, sa, sb) else 0
-
-    _FCMP = {
-        "oeq": lambda a, b: a == b,
-        "one": lambda a, b: a != b,
-        "olt": lambda a, b: a < b,
-        "ole": lambda a, b: a <= b,
-        "ogt": lambda a, b: a > b,
-        "oge": lambda a, b: a >= b,
-    }
+        return arith.icmp(inst.pred, inst.lhs.type)(a, b)
 
     def _fcmp(self, inst: FCmp, env, module):
         a = self._eval(inst.operands[0], env, module)
         b = self._eval(inst.operands[1], env, module)
-        if a != a or b != b:  # NaN: ordered predicates are all false
-            return 0
-        return 1 if self._FCMP[inst.pred](a, b) else 0
+        return arith.fcmp(inst.pred)(a, b)
 
     def _cast(self, inst: Cast, env, module):
         v = self._eval(inst.value, env, module)
-        op = inst.op
-        t = inst.type
-        if op in ("bitcast", "inttoptr", "ptrtoint"):
-            return v
-        if op == "trunc":
-            assert isinstance(t, IntType)
-            return v & t.max_unsigned
-        if op == "zext":
-            return v
-        if op == "sext":
-            src = inst.value.type
-            assert isinstance(src, IntType) and isinstance(t, IntType)
-            return t.wrap(src.to_signed(v))
-        if op == "sitofp":
-            src = inst.value.type
-            assert isinstance(src, IntType)
-            r = float(src.to_signed(v))
-            if isinstance(t, FloatType) and t.bits == 32:
-                r = struct.unpack("<f", struct.pack("<f", r))[0]
-            return r
-        if op == "fptosi":
-            assert isinstance(t, IntType)
-            return t.wrap(int(v))
-        if op == "fpext":
-            return v
-        if op == "fptrunc":
-            return struct.unpack("<f", struct.pack("<f", v))[0]
-        raise InterpreterError(f"bad cast {op}")  # pragma: no cover
+        return arith.cast(inst.op, inst.value.type, inst.type)(v)
 
     # -- calls --------------------------------------------------------------------------
 

@@ -22,13 +22,13 @@ from repro.passes import (
 from repro.passes.guard_opt import _ValueNumber
 
 
-def build(src: str, **opt_kwargs):
+def build(src: str, level: int = 1):
     m = compile_source(src, "cm")
     PassManager(
         [Mem2RegPass(), PeepholePass(), DCEPass(), AttestationPass(),
          GuardInjectionPass()]
     ).run(m)
-    opt = GuardOptPass(**opt_kwargs)
+    opt = GuardOptPass(level)
     opt.run(m)
     DCEPass().run(m)
     verify_module(m)
@@ -56,7 +56,7 @@ class TestBlockCoalescing:
     """
 
     def test_consecutive_stores_merge_to_one_wide_guard(self):
-        m, opt = build(self.RING, coalesce=True)
+        m, opt = build(self.RING, level=2)
         assert opt.guards_coalesced == 3
         gs = guards(m)
         assert len(gs) == 1
@@ -76,7 +76,7 @@ class TestBlockCoalescing:
             return ring[1];       /* read: different flags */
         }
         """
-        m, opt = build(src, coalesce=True)
+        m, opt = build(src, level=2)
         assert opt.guards_coalesced == 0
         assert len(guards(m)) == 2
 
@@ -89,7 +89,7 @@ class TestBlockCoalescing:
             b[0] = 2;
         }
         """
-        m, opt = build(src, coalesce=True)
+        m, opt = build(src, level=2)
         assert opt.guards_coalesced == 0
         assert len(guards(m)) == 2
 
@@ -133,7 +133,7 @@ class TestSweepCoalescing:
     """
 
     def test_counted_sweep_becomes_one_range_guard(self):
-        m, opt = build(self.SWEEP, coalesce=True)
+        m, opt = build(self.SWEEP, level=2)
         assert opt.guards_coalesced >= 1
         gs = guards(m)
         assert len(gs) == 1
@@ -174,7 +174,7 @@ class TestSweepCoalescing:
             }
         }
         """
-        m, opt = build(src, coalesce=True)
+        m, opt = build(src, level=2)
         assert opt.guards_coalesced == 0
 
 
@@ -193,7 +193,7 @@ class TestValueNumberKey:
             return a + b;
         }
         """
-        m, opt = build(src, hoist_loops=False)
+        m, opt = build(src, level=1)
         assert opt.guards_removed >= 1
         assert len(guards(m)) == 1
 
@@ -207,7 +207,7 @@ class TestValueNumberKey:
             return a + b;
         }
         """
-        m, opt = build(src, hoist_loops=False)
+        m, opt = build(src, level=1)
         # Outer *pp guards dedup (same argument root); inner guards on
         # the two loaded pointers must not.
         inner = [

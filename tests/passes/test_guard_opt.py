@@ -14,13 +14,13 @@ from repro.passes import (
 )
 
 
-def build(src: str, hoist=True):
+def build(src: str):
     m = compile_source(src, "go")
     PassManager(
         [Mem2RegPass(), PeepholePass(), DCEPass(), AttestationPass(),
          GuardInjectionPass()]
     ).run(m)
-    opt = GuardOptPass(hoist_loops=hoist)
+    opt = GuardOptPass(level=1)
     opt.run(m)
     DCEPass().run(m)
     verify_module(m)
@@ -46,7 +46,7 @@ class TestDominatedElimination:
             return a + b + c;
         }
         """
-        m, opt = build(src, hoist=False)
+        m, opt = build(src)
         assert opt.guards_removed == 2
         assert guard_count(m) == 1
 
@@ -57,7 +57,7 @@ class TestDominatedElimination:
             *p = a + 1;    /* write: different flags, guard kept */
         }
         """
-        m, opt = build(src, hoist=False)
+        m, opt = build(src)
         assert guard_count(m) == 2
 
     def test_different_pointers_not_merged(self):
@@ -66,7 +66,7 @@ class TestDominatedElimination:
             return *p + *q;
         }
         """
-        m, opt = build(src, hoist=False)
+        m, opt = build(src)
         assert guard_count(m) == 2
 
     def test_cross_block_domination(self):
@@ -77,7 +77,7 @@ class TestDominatedElimination:
             return *p;            /* redundant */
         }
         """
-        m, opt = build(src, hoist=False)
+        m, opt = build(src)
         assert guard_count(m) == 1
 
     def test_branch_guards_not_merged_across_siblings(self):
@@ -87,7 +87,7 @@ class TestDominatedElimination:
             return *p;   /* neither branch dominates the other */
         }
         """
-        m, opt = build(src, hoist=False)
+        m, opt = build(src)
         assert guard_count(m) == 2
 
 
@@ -103,7 +103,7 @@ class TestLoopHoisting:
     """
 
     def test_invariant_guard_hoisted(self):
-        m, opt = build(self.LOOP, hoist=True)
+        m, opt = build(self.LOOP)
         assert opt.guards_hoisted >= 1
         # After hoist + dedup, the loop body holds no guards.
         fn = m.get_function("f")
@@ -126,7 +126,7 @@ class TestLoopHoisting:
             return s;
         }
         """
-        m, opt = build(src, hoist=True)
+        m, opt = build(src)
         assert opt.guards_hoisted == 0
 
     def test_semantics_preserved_after_hoisting(self):
@@ -162,7 +162,7 @@ class TestLoopHoisting:
     def test_guard_count_metadata_updated(self):
         from repro import abi
 
-        m, opt = build(self.LOOP, hoist=True)
+        m, opt = build(self.LOOP)
         assert m.metadata[abi.META_GUARD_COUNT] == guard_count(m)
 
     def test_optimized_has_fewer_runtime_guards(self):

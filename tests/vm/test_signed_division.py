@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.pipeline import CompileOptions, compile_module
 from repro.ir.instructions import Ret
-from repro.ir.types import trunc_divmod
+from repro.ir.arith import trunc_divmod
 from repro.kernel import Kernel
 
 INT64_MAX = (1 << 63) - 1
