@@ -11,8 +11,9 @@ receives ``(addr, size, flags)``).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
+from . import cast as A
 from ..ir import types as irt
 
 
@@ -206,6 +207,30 @@ def named_type(name: str, unsigned: bool) -> CType:
         return _NAMED[(name, unsigned)]
     except KeyError:
         raise TypeError(f"unknown type {'unsigned ' if unsigned else ''}{name}")
+
+
+def resolve(
+    te: "A.TypeExpr",
+    struct: Callable[[str, int], CType],
+    error: Callable[[str, int], Exception],
+) -> CType:
+    """The C type a type expression names.  ``struct(name, line)`` looks
+    a struct up (raising for an unknown one), and ``error(message,
+    line)`` builds the diagnostic for a bad type."""
+    if isinstance(te, A.NamedType):
+        try:
+            return named_type(te.name, te.unsigned)
+        except TypeError as e:
+            raise error(str(e), te.line) from None
+    if isinstance(te, A.StructRef):
+        return struct(te.name, te.line)
+    if isinstance(te, A.PointerTo):
+        return pointer_to(resolve(te.inner, struct, error))
+    if isinstance(te, A.ArrayOf):
+        if te.count <= 0:
+            raise error("array size must be positive", te.line)
+        return array_of(resolve(te.inner, struct, error), te.count)
+    raise error(f"bad type expression {te!r}", te.line)
 
 
 def promote(ct: CType) -> CType:
