@@ -1,16 +1,21 @@
-"""Alternating parent/change pairs of the e2e ``setup_s`` metric.
+"""Alternating parent/change pairs of one e2e metric.
 
 Runs ``benchmarks/e2e/run.py`` from two checkouts, one after the other,
 ``--pairs`` times per seed (the order inside a pair alternates, so a
 slow spell on a shared host hits both sides), and reports each side's
-``setup_s`` (the median of that invocation's repeats) per pair::
+``--metric`` (the median of that invocation's repeats) per pair::
 
     python benchmarks/setup_pairs.py --parent ../parent --change . \\
         --workload blk-mq --pairs 10 --seeds 1 2 --write
+    python benchmarks/setup_pairs.py --parent ../parent \\
+        --workload net-verified --metric ops_per_s \\
+        --results BENCH_engine.json --seconds 8 --write
 
-``--write`` stores the result under ``setup_pairs.<workload>`` in
-``benchmarks/results/BENCH_static_verify.json``.  Host timings are
-recorded, never asserted.
+Whether higher or lower is better comes from the metric's entry in
+``BENCHMARK.json``.  ``--write`` stores the result in
+``benchmarks/results/<--results>``: ``setup_s`` pairs under
+``setup_pairs.<workload>``, any other metric under
+``e2e_pairs.<workload>``.  Host timings are recorded, never asserted.
 """
 
 from __future__ import annotations
@@ -24,22 +29,32 @@ import subprocess
 import sys
 from pathlib import Path
 
-RESULTS = Path(__file__).parent / "results" / "BENCH_static_verify.json"
+ROOT = Path(__file__).resolve().parents[1]
+RESULTS_DIR = ROOT / "benchmarks" / "results"
 
 
-def setup_s(tree: Path, workload: str, seed: int, seconds: float) -> float:
-    """One e2e invocation in ``tree``; its ``setup_s``."""
+def end_to_end_metrics() -> dict:
+    """``BENCHMARK.json``'s end-to-end metrics by name."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m for m in spec["end_to_end"]}
+
+
+def metric_value(tree: Path, workload: str, seed: int, seconds: float,
+                 metric: str) -> float:
+    """One e2e invocation in ``tree``; its value of ``metric``."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/e2e/run.py", "--seed", str(seed),
          "--workload", workload, "--seconds", repr(seconds)],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     line = json.loads(proc.stdout.strip().splitlines()[-1])
-    return line["metrics"]["setup_s"]["value"]
+    return line["metrics"][metric]["value"]
 
 
 def measure(parent: Path, change: Path, workload: str, pairs: int,
-            seeds: list[int], seconds: float) -> dict:
+            seeds: list[int], seconds: float, metric: str = "setup_s") -> dict:
+    spec = end_to_end_metrics()[metric]
+    higher = spec["better"] == "higher"
     rows = []
     for seed in seeds:
         for i in range(pairs):
@@ -48,23 +63,29 @@ def measure(parent: Path, change: Path, workload: str, pairs: int,
                 order.reverse()
             row = {"seed": seed}
             for side, tree in order:
-                row[side] = round(setup_s(tree, workload, seed, seconds), 5)
+                row[side] = round(
+                    metric_value(tree, workload, seed, seconds, metric), 5)
             rows.append(row)
             print(json.dumps(row), flush=True)
-    parent_s = [r["parent"] for r in rows]
-    change_s = [r["change"] for r in rows]
-    q1, median, q3 = statistics.quantiles(parent_s, n=4)
-    change_median = statistics.median(change_s)
+    parent_v = [r["parent"] for r in rows]
+    change_v = [r["change"] for r in rows]
+    q1, median, q3 = statistics.quantiles(parent_v, n=4)
+    change_median = statistics.median(change_v)
+    improved = sum((r["change"] > r["parent"]) if higher
+                   else (r["change"] < r["parent"]) for r in rows)
     return {
         "host": f"{os.cpu_count()}-vCPU {platform.machine()}, "
                 f"CPython {platform.python_version()}",
+        "metric": metric,
+        "unit": spec["unit"],
+        "better": spec["better"],
         "seconds": seconds,
         "pairs": rows,
-        "parent_median_s": round(median, 5),
-        "parent_iqr_s": round(q3 - q1, 5),
-        "change_median_s": round(change_median, 5),
+        "parent_median": round(median, 5),
+        "parent_iqr": round(q3 - q1, 5),
+        "change_median": round(change_median, 5),
         "change_vs_parent_pct": round(100 * (change_median / median - 1), 2),
-        "pairs_improved": sum(r["change"] < r["parent"] for r in rows),
+        "pairs_improved": improved,
     }
 
 
@@ -73,20 +94,27 @@ def main() -> None:
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, default=Path("."))
     p.add_argument("--workload", default="blk-mq")
+    p.add_argument("--metric", default="setup_s",
+                   choices=sorted(end_to_end_metrics()))
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     p.add_argument("--seconds", type=float, default=2.0)
+    p.add_argument("--results", default="BENCH_static_verify.json",
+                   help="file under benchmarks/results that --write updates")
     p.add_argument("--write", action="store_true",
-                   help="store under setup_pairs.<workload> in "
-                        "BENCH_static_verify.json")
+                   help="store under setup_pairs.<workload> (setup_s) or "
+                        "e2e_pairs.<workload> (any other metric)")
     args = p.parse_args()
     result = measure(args.parent.resolve(), args.change.resolve(),
-                     args.workload, args.pairs, args.seeds, args.seconds)
+                     args.workload, args.pairs, args.seeds, args.seconds,
+                     args.metric)
     print(json.dumps({args.workload: result}, indent=2))
     if args.write:
-        report = json.loads(RESULTS.read_text())
-        report.setdefault("setup_pairs", {})[args.workload] = result
-        RESULTS.write_text(json.dumps(report, indent=2) + "\n")
+        path = RESULTS_DIR / args.results
+        report = json.loads(path.read_text())
+        key = "setup_pairs" if args.metric == "setup_s" else "e2e_pairs"
+        report.setdefault(key, {})[args.workload] = result
+        path.write_text(json.dumps(report, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -96,9 +96,13 @@ def test_compiled_engine_speedup(results_dir):
         "speedup": speedup,
         "required_speedup": REQUIRED_SPEEDUP,
     }
-    (results_dir / "BENCH_engine.json").write_text(
-        json.dumps(report, indent=2) + "\n"
-    )
+    path = results_dir / "BENCH_engine.json"
+    if path.exists():
+        # Keep the e2e pairs ``benchmarks/setup_pairs.py`` records here.
+        pairs = json.loads(path.read_text()).get("e2e_pairs")
+        if pairs is not None:
+            report["e2e_pairs"] = pairs
+    path.write_text(json.dumps(report, indent=2) + "\n")
     assert speedup >= REQUIRED_SPEEDUP, (
         f"compiled engine only {speedup:.2f}x faster than interp "
         f"(need >= {REQUIRED_SPEEDUP}x); see BENCH_engine.json"

@@ -10,6 +10,16 @@ space routes:
   driver's register I/O performs),
 - extra linear mappings (module area, kernel stacks) backed by RAM.
 
+The address space also keeps a **software TLB** for the compiled
+engine's load/store fast paths: ``rtlb`` and ``wtlb`` map a virtual page
+number straight to the RAM page ``bytearray`` that a whole-page RAM
+mapping routes it to (``wtlb`` only for writable mappings).  Entries
+are filled on a miss by :meth:`KernelAddressSpace.tlb_fill` and dropped
+on every map/unmap.  An entry stays valid between those because
+:class:`PhysicalMemory` never replaces or drops a page ``bytearray``
+once it exists: every RAM write, the DMA path included, mutates the
+same object the TLB holds.  The interpreter never consults the TLB.
+
 Integers are stored little-endian, matching x86.
 """
 
@@ -25,7 +35,11 @@ from .panic import MemoryFault
 
 
 class PhysicalMemory:
-    """Sparse byte-addressable RAM."""
+    """Sparse byte-addressable RAM.
+
+    A page's ``bytearray`` is created by the first write that touches it
+    and is never replaced or dropped afterwards; the address space's TLB
+    relies on that identity."""
 
     def __init__(self, size: int):
         if size <= 0 or size % layout.PAGE_SIZE:
@@ -118,9 +132,12 @@ class KernelAddressSpace:
         self.ram = ram
         self._mappings: list[_Mapping] = []
         self._bases: list[int] = []
-        #: Bumped on every map/unmap; lets callers (the compiled engine's
-        #: load/store sites) memoize a ``find`` result safely.
-        self.version = 0
+        #: Software TLB: virtual page number -> RAM page ``bytearray``
+        #: for loads (``rtlb``) and stores (``wtlb``).  Emptied in place
+        #: on every map/unmap, never rebound: compiled closures hold
+        #: these dicts.
+        self.rtlb: dict[int, bytearray] = {}
+        self.wtlb: dict[int, bytearray] = {}
         self.map_linear(
             layout.DIRECT_MAP_BASE, ram.size, phys_base=0, name="direct-map"
         )
@@ -146,7 +163,7 @@ class KernelAddressSpace:
             raise KeyError(f"no mapping at {base:#x}")
         del self._mappings[idx]
         del self._bases[idx]
-        self.version += 1
+        self._tlb_flush()
 
     def _insert(self, m: _Mapping) -> None:
         idx = bisect.bisect_left(self._bases, m.base)
@@ -156,7 +173,33 @@ class KernelAddressSpace:
             raise ValueError(f"mapping {m.name} overlaps {self._mappings[idx].name}")
         self._mappings.insert(idx, m)
         self._bases.insert(idx, m.base)
-        self.version += 1
+        self._tlb_flush()
+
+    def _tlb_flush(self) -> None:
+        self.rtlb.clear()
+        self.wtlb.clear()
+
+    def tlb_fill(self, m: _Mapping, addr: int) -> None:
+        """Enter ``addr``'s page in the TLB after an access through the
+        RAM mapping ``m`` succeeded, if ``m`` covers the whole page, the
+        physical page is page-aligned and inside RAM, and it already
+        exists.  A page no write has touched stays out, so a load never
+        materializes one (``Resident`` in ``/proc/meminfo`` would show
+        it); such a page keeps reading 0 through the miss path."""
+        shift = layout.PAGE_SHIFT
+        vpn = addr >> shift
+        va = vpn << shift
+        if va < m.base or va + layout.PAGE_SIZE > m.base + m.size:
+            return
+        phys = m.phys_base + (va - m.base)
+        if phys & (layout.PAGE_SIZE - 1) or phys + layout.PAGE_SIZE > self.ram.size:
+            return
+        page = self.ram._pages.get(phys >> shift)
+        if page is None:
+            return
+        self.rtlb[vpn] = page
+        if m.writable:
+            self.wtlb[vpn] = page
 
     def find(self, addr: int) -> Optional[_Mapping]:
         idx = bisect.bisect_right(self._bases, addr) - 1

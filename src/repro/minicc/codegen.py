@@ -13,6 +13,7 @@ from typing import Optional
 from . import cast as A
 from . import ctypes_ as C
 from .constexpr import fold
+from ..ir import arith
 from ..ir import (
     Function,
     FunctionType,
@@ -193,6 +194,14 @@ class CodeGenerator:
                         expr.line,
                     )
                 return ConstantInt(I64, 0)
+            if ct.is_float:
+                # C assignment converts the integer, rounding once.
+                try:
+                    f = arith.int_to_f32(value) if ct.bits == 32 else float(value)
+                except OverflowError:
+                    raise CompileError("constant expression overflows",
+                                       expr.line) from None
+                return ConstantFloat(FloatType(ct.bits), f)
             if not ct.is_int:
                 raise CompileError("integer initializer for non-integer", expr.line)
             return ConstantInt(IntType(ct.bits), value)
@@ -527,12 +536,13 @@ class CodeGenerator:
             op = "sext" if src.signed else "zext"
             return self.b.cast(op, value, IntType(dst.bits))
         if src.is_int and dst.is_float:
-            if not src.signed:
+            ft = FloatType(dst.bits)
+            if src.signed:
+                return self.b.cast("sitofp", value, ft)
+            if src.bits < 64:
                 # Widen first so the sitofp sees a non-negative value.
-                if src.bits < 64:
-                    value = self.b.cast("zext", value, I64)
-                return self.b.cast("sitofp", value, FloatType(dst.bits))
-            return self.b.cast("sitofp", value, FloatType(dst.bits))
+                return self.b.cast("sitofp", self.b.cast("zext", value, I64), ft)
+            return self._unsigned_long_to_float(value, ft)
         if src.is_float and dst.is_int:
             if dst.signed:
                 return self.b.cast("fptosi", value, IntType(dst.bits))
@@ -551,6 +561,23 @@ class CodeGenerator:
                 return ConstantNull(dst.value_type())  # type: ignore[arg-type]
             raise CompileError(f"implicit int-to-pointer ({src} -> {dst})", line)
         raise CompileError(f"cannot convert {src} to {dst}", line)
+
+    def _unsigned_long_to_float(self, value: Value, ft: FloatType) -> Value:
+        """``unsigned long`` to float, correctly rounded for every value.
+
+        ``sitofp`` reads the signed view, so this lowers the way x86
+        compilers do: with the sign bit clear, a plain ``sitofp``;
+        otherwise halve keeping the dropped bit sticky,
+        ``sitofp((x >> 1) | (x & 1))``, which rounds as ``x`` would (the
+        sticky bit sits below either float's precision), and double the
+        result with one exact ``fadd``."""
+        one = ConstantInt(I64, 1)
+        low = self.b.cast("sitofp", value, ft)
+        half = self.b.or_(self.b.lshr(value, one), self.b.and_(value, one))
+        halved = self.b.cast("sitofp", half, ft)
+        high = self.b.binop("fadd", halved, halved)
+        negative = self.b.icmp("slt", value, ConstantInt(I64, 0))
+        return self.b.select(negative, high, low)
 
     def _float_to_unsigned(self, value: Value, dst: C.CType) -> Value:
         """Float to unsigned ``dst``, exact for every value in its range.

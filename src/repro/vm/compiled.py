@@ -19,11 +19,13 @@ compiled with :func:`compile`/``exec``:
 - a call to another function of the same module is ``v7 = F3(v1, v2)``,
   where ``F3`` is a namespace slot bound lazily to the callee's
   generated function, so no per-call translation lookup remains;
-- loads and stores fuse the mapping lookup the interpreter performs
-  twice (once for MMIO accounting, once inside ``read_bytes``) into a
-  single ``find`` plus a direct page-bytearray access for intra-page RAM
-  accesses, with a per-site mapping memo keyed on the address space's
-  map/unmap version;
+- loads and stores serve an intra-page RAM access from the address
+  space's software TLB (:mod:`repro.kernel.memory`): one ``dict.get``
+  from virtual page number to the page ``bytearray``, an offset check
+  and a ``struct`` read or write at that offset.  A miss fuses the
+  mapping lookup the interpreter performs twice (once for MMIO
+  accounting, once inside ``read_bytes``) into a single ``find`` and
+  refills the TLB;
 - a guard site linked to the policy module's own ``carat_guard`` serves
   an allowed decision-cache hit inside its closure, re-checking the
   validity rule documented on :class:`repro.policy.module._GuardCache`
@@ -77,6 +79,8 @@ with identical source can always share one code object.
 
 from __future__ import annotations
 
+import struct
+
 from .. import abi
 from ..ir import arith
 from ..ir.instructions import (
@@ -113,6 +117,13 @@ from ..trace.vmhook import guard_site_id
 from .interp import Interpreter, InterpreterError
 
 _MASK64 = (1 << 64) - 1
+#: ``struct`` codecs of scalar memory accesses: an IR integer or pointer
+#: is 1, 2, 4 or 8 bytes, little-endian and unsigned.
+_INT_CODECS = {
+    n: struct.Struct(f"<{c}") for n, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+}
+_F32 = struct.Struct("<f")
+_F64 = struct.Struct("<d")
 
 
 class _SharedCodeCache:
@@ -627,77 +638,61 @@ class _Translator:
         return core
 
     # -- memory ------------------------------------------------------------
+    #
+    # A load or store site first probes the address space's software TLB
+    # (see :mod:`repro.kernel.memory`): an intra-page scalar access to a
+    # page it holds is one ``dict.get``, an offset check and a ``struct``
+    # access to the page.  All else (a TLB miss, an MMIO window, a
+    # page-straddling access) takes the site's ``miss``: the interpreter's
+    # path (one ``find``, the MMIO charge, the same faults in the same
+    # order) plus a TLB fill.  An aggregate access (no front end emits
+    # one) has no codec and always misses.
 
     def _load_core(self, inst: Load):
         t = inst.type
         timing = self.timing
         mem = self.engine.kernel.address_space
-        find = mem.find
         mrc = timing.machine.mmio_read_cycles if timing is not None else 0
-        if isinstance(t, FloatType):
-            reader = mem.read_f32 if t.bits == 32 else mem.read_f64
-
-            def core(addr, _t=timing, _f=find, _r=reader, _mrc=mrc):
-                if _t is not None:
-                    _t.loads += 1
-                    m = _f(addr)
-                    if m is not None and m.device is not None:
-                        _t.mmio_reads += 1
-                        _t.cycles += _mrc
-                return _r(addr)
-
-            return core
         size = t.size_bytes()
-        ram = mem.ram
-        ram_read = ram.read
-        ram_size = ram.size
-        # Per-site memo of the last RAM mapping hit, guarded by the address
-        # space's map/unmap version — a load site almost always touches the
-        # same region, so the steady state skips the bisect ``find``.
-        # ``find`` is side-effect free and mappings never overlap, so a
-        # memo hit returns exactly what ``find`` would.
-        memo = [None, -1]
+        if isinstance(t, FloatType):
+            codec = _F32 if t.bits == 32 else _F64
 
-        def miss(addr, _z=size, _t=timing, _f=find, _mrc=mrc, _memo=memo,
-                 _a=mem, _rr=ram_read, _rs=ram_size):
+            def decode(b, _u=codec.unpack):
+                return _u(b)[0]
+        else:
+            codec = _INT_CODECS.get(size)
+
+            def decode(b):
+                return int.from_bytes(b, "little")
+
+        def miss(addr, _z=size, _t=timing, _f=mem.find, _mrc=mrc,
+                 _rr=mem.ram.read, _fill=mem.tlb_fill, _dec=decode):
             m = _f(addr)
             if m is not None:
                 dev = m.device
-                if dev is not None:
-                    if _t is not None:
-                        _t.mmio_reads += 1
-                        _t.cycles += _mrc
-                    if addr + _z > m.base + m.size:
-                        raise MemoryFault(addr, _z, False, "no mapping")
-                    return int.from_bytes(
-                        dev.mmio_read(addr - m.base, _z)
-                        .to_bytes(_z, "little"), "little")
+                if dev is not None and _t is not None:
+                    _t.mmio_reads += 1
+                    _t.cycles += _mrc
                 if addr + _z <= m.base + m.size:
-                    _memo[0] = m
-                    _memo[1] = _a.version
-                    phys = m.phys_base + (addr - m.base)
-                    if phys + _z > _rs:
-                        raise MemoryFault(phys, _z, False, "beyond end of RAM")
-                    return int.from_bytes(_rr(phys, _z), "little")
+                    if dev is not None:
+                        return _dec(dev.mmio_read(addr - m.base, _z)
+                                    .to_bytes(_z, "little"))
+                    data = _rr(m.phys_base + (addr - m.base), _z)
+                    _fill(m, addr)
+                    return _dec(data)
             raise MemoryFault(addr, _z, False, "no mapping")
 
-        def core(addr, _z=size, _t=timing, _p=ram._pages, _rr=ram_read,
-                 _rs=ram_size, _ps=layout.PAGE_SIZE, _sh=layout.PAGE_SHIFT,
-                 _om=layout.PAGE_SIZE - 1, _memo=memo, _a=mem, _miss=miss):
+        def core(addr, _t=timing, _tlb=mem.rtlb, _sh=layout.PAGE_SHIFT,
+                 _om=layout.PAGE_SIZE - 1,
+                 _last=layout.PAGE_SIZE - size if codec else -1,
+                 _u=codec and codec.unpack_from, _miss=miss):
             if _t is not None:
                 _t.loads += 1
-            m = _memo[0]
-            if (m is not None and _memo[1] == _a.version
-                    and m.base <= addr and addr + _z <= m.base + m.size):
-                phys = m.phys_base + (addr - m.base)
-                if phys + _z > _rs:
-                    raise MemoryFault(phys, _z, False, "beyond end of RAM")
-                off = phys & _om
-                if off + _z <= _ps:
-                    page = _p.get(phys >> _sh)
-                    return (0 if page is None else
-                            int.from_bytes(page[off:off + _z], "little"))
-                return int.from_bytes(_rr(phys, _z), "little")
+            page = _tlb.get(addr >> _sh)
+            if page is not None:
+                off = addr & _om
+                if off <= _last:
+                    return _u(page, off)[0]
             return _miss(addr)
 
         return core
@@ -706,75 +701,53 @@ class _Translator:
         t = inst.value.type
         timing = self.timing
         mem = self.engine.kernel.address_space
-        find = mem.find
         mwc = timing.machine.mmio_write_cycles if timing is not None else 0
-        if isinstance(t, FloatType):
-            writer = mem.write_f32 if t.bits == 32 else mem.write_f64
-
-            def core(addr, value, _t=timing, _f=find, _w=writer, _mwc=mwc):
-                if _t is not None:
-                    _t.stores += 1
-                    m = _f(addr)
-                    if m is not None and m.device is not None:
-                        _t.mmio_writes += 1
-                        _t.cycles += _mwc
-                _w(addr, value)
-
-            return core
         size = t.size_bytes()
-        ram = mem.ram
-        ram_write = ram.write
-        ram_size = ram.size
-        # Same per-site mapping memo as loads; only writable RAM mappings
-        # are memoized, so the fast path needs no writability re-check.
-        memo = [None, -1]
+        if isinstance(t, FloatType):
+            codec = _F32 if t.bits == 32 else _F64
+            conv = arith.round_f32 if t.bits == 32 else float
 
-        def miss(addr, value, _z=size, _k=(1 << (8 * size)) - 1, _t=timing,
-                 _f=find, _mwc=mwc, _memo=memo, _a=mem, _rw=ram_write,
-                 _rs=ram_size):
+            def encode(value, _p=codec.pack, _c=conv):
+                return _p(_c(value))
+        else:
+            codec = _INT_CODECS.get(size)
+
+            def conv(value, _k=(1 << (8 * size)) - 1):
+                return int(value) & _k
+
+            def encode(value, _z=size, _c=conv):
+                return _c(value).to_bytes(_z, "little")
+
+        def miss(addr, value, _z=size, _t=timing, _f=mem.find, _mwc=mwc,
+                 _enc=encode, _rw=mem.ram.write, _fill=mem.tlb_fill):
             m = _f(addr)
             if _t is not None and m is not None and m.device is not None:
                 _t.mmio_writes += 1
                 _t.cycles += _mwc
+            data = _enc(value)
             if m is None or addr + _z > m.base + m.size:
                 raise MemoryFault(addr, _z, True, "no mapping")
             if not m.writable:
                 raise MemoryFault(addr, _z, True, f"{m.name} is read-only")
-            v = int(value) & _k
             if m.device is not None:
-                m.device.mmio_write(addr - m.base, _z, v)
+                m.device.mmio_write(addr - m.base, _z,
+                                    int.from_bytes(data, "little"))
                 return
-            _memo[0] = m
-            _memo[1] = _a.version
-            phys = m.phys_base + (addr - m.base)
-            if phys + _z > _rs:
-                raise MemoryFault(phys, _z, False, "beyond end of RAM")
-            _rw(phys, v.to_bytes(_z, "little"))
+            _rw(m.phys_base + (addr - m.base), data)
+            _fill(m, addr)
 
-        def core(addr, value, _z=size, _k=(1 << (8 * size)) - 1, _t=timing,
-                 _p=ram._pages, _rw=ram_write, _rs=ram_size,
-                 _ps=layout.PAGE_SIZE, _sh=layout.PAGE_SHIFT,
-                 _om=layout.PAGE_SIZE - 1, _memo=memo, _a=mem, _miss=miss):
+        def core(addr, value, _t=timing, _tlb=mem.wtlb, _sh=layout.PAGE_SHIFT,
+                 _om=layout.PAGE_SIZE - 1,
+                 _last=layout.PAGE_SIZE - size if codec else -1,
+                 _p=codec and codec.pack_into, _c=conv, _miss=miss):
             if _t is not None:
                 _t.stores += 1
-            m = _memo[0]
-            if (m is not None and _memo[1] == _a.version
-                    and m.base <= addr and addr + _z <= m.base + m.size):
-                phys = m.phys_base + (addr - m.base)
-                if phys + _z > _rs:
-                    raise MemoryFault(phys, _z, False, "beyond end of RAM")
-                v = int(value) & _k
-                off = phys & _om
-                if off + _z <= _ps:
-                    pfn = phys >> _sh
-                    page = _p.get(pfn)
-                    if page is None:
-                        page = bytearray(_ps)
-                        _p[pfn] = page
-                    page[off:off + _z] = v.to_bytes(_z, "little")
-                else:
-                    _rw(phys, v.to_bytes(_z, "little"))
-                return
+            page = _tlb.get(addr >> _sh)
+            if page is not None:
+                off = addr & _om
+                if off <= _last:
+                    _p(page, off, _c(value))
+                    return
             _miss(addr, value)
 
         return core

@@ -8,7 +8,10 @@ the target's signed range gives the target's minimum signed value, x86
 ``cvttsd2si``'s "integer indefinite".  Both rules are defined once, in
 ``repro.ir.arith``.  A C conversion to an unsigned type is exact for
 every value in that type's range: codegen lowers it around ``fptosi``'s
-signed range, as x86 compilers do.
+signed range, as x86 compilers do; so is a conversion from
+``unsigned long`` (``sitofp`` of the halved value with its low bit kept
+sticky, doubled, when the sign bit is set).  An integer constant
+initializes a floating global as C assignment converts it.
 """
 
 import math
@@ -40,6 +43,9 @@ __export unsigned long to_uint(double z) { return (unsigned int)z; }
 __export unsigned long to_ulong(double z) { return (unsigned long)z; }
 __export unsigned long f32_to_ulong(double z) { float f = z; return (unsigned long)f; }
 __export unsigned long const_to_ulong(void) { return (unsigned long)1e19; }
+__export double from_ulong(unsigned long x) { return (double)x; }
+__export double f32_from_ulong(unsigned long x) { float f = x; return f; }
+__export double from_uint(unsigned int x) { return x; }
 """
 
 ENGINES = ["interp", "compiled"]
@@ -150,3 +156,63 @@ class TestUnsignedTargets:
 
     def test_constant_operand(self, run):
         assert run("const_to_ulong") == 10 ** 19
+
+
+#: ``unsigned long`` values around the sign bit, the top of the range,
+#: and rounding ties (and their neighbours) for f64 (spacing 2**11 above
+#: 2**63) and f32 (spacing 2**40 there, 2**39 just below).
+ULONG_VALUES = [
+    0, 1, 5, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1,
+    2 ** 63 + 1024, 2 ** 63 + 1025, 2 ** 63 + 3072, 2 ** 63 + 1023,
+    2 ** 64 - 1024, 2 ** 64 - 3072, 2 ** 64 - 3073,
+    2 ** 63 + 2 ** 39, 2 ** 63 + 2 ** 39 + 1, 2 ** 63 + 3 * 2 ** 39,
+    2 ** 63 - 2 ** 38, 2 ** 63 - 2 ** 38 - 1,
+]
+
+
+class TestUnsignedSources:
+    """An unsigned integer converts to float correctly rounded, like
+    Python's ``float`` and ``arith.int_to_f32`` of the same value."""
+
+    @pytest.mark.parametrize("x", ULONG_VALUES)
+    def test_ulong_to_double(self, run, x):
+        assert run("from_ulong", x) == float(x)
+
+    @pytest.mark.parametrize("x", ULONG_VALUES)
+    def test_ulong_to_float(self, run, x):
+        assert run("f32_from_ulong", x) == arith.int_to_f32(x)
+
+    def test_top_of_range_is_positive(self, run):
+        assert run("from_ulong", 2 ** 64 - 1) == 2.0 ** 64
+        assert run("from_ulong", 2 ** 63) == 2.0 ** 63
+
+    def test_uint_source(self, run):
+        assert run("from_uint", 2 ** 32 - 1) == 4294967295.0
+
+
+class TestIntegerInitializerForFloatGlobal:
+    SOURCE = """
+    double g = 4;
+    float h = 16777217;
+    double u = 18446744073709551615UL;
+    double n = -3;
+    __export double get_g(void) { return g; }
+    __export double get_h(void) { return h; }
+    __export double get_u(void) { return u; }
+    __export double get_n(void) { return n; }
+    """
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_converted_as_by_assignment(self, engine):
+        run = load(engine, self.SOURCE)
+        assert run("get_g") == 4.0
+        assert run("get_h") == 16777216.0
+        assert run("get_u") == 2.0 ** 64
+        assert run("get_n") == -3.0
+
+    def test_initializers_are_float_constants(self):
+        ir = compile_module(self.SOURCE, CompileOptions(
+            module_name="floats", protect=False)).ir
+        values = {n: ir.globals[n].initializer.value for n in "ghun"}
+        assert values == {"g": 4.0, "h": 16777216.0, "u": 2.0 ** 64,
+                          "n": -3.0}
