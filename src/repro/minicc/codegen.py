@@ -196,11 +196,7 @@ class CodeGenerator:
                 return ConstantInt(I64, 0)
             if ct.is_float:
                 # C assignment converts the integer, rounding once.
-                try:
-                    f = arith.int_to_f32(value) if ct.bits == 32 else float(value)
-                except OverflowError:
-                    raise CompileError("constant expression overflows",
-                                       expr.line) from None
+                f = arith.int_to_f32(value) if ct.bits == 32 else float(value)
                 return ConstantFloat(FloatType(ct.bits), f)
             if not ct.is_int:
                 raise CompileError("integer initializer for non-integer", expr.line)
@@ -681,10 +677,7 @@ class CodeGenerator:
 
     def gen_expr(self, expr: A.Expr) -> tuple[Value, C.CType]:
         if isinstance(expr, A.IntLit):
-            if expr.is_long or expr.value > 0x7FFFFFFF or expr.value < -0x80000000:
-                ct = C.ULONG if expr.is_unsigned else C.LONG
-            else:
-                ct = C.UINT if expr.is_unsigned else C.INT
+            ct = C.int_literal_type(expr)
             return ConstantInt(IntType(ct.bits), expr.value), ct
         if isinstance(expr, A.FloatLit):
             return ConstantFloat(FloatType(64), expr.value), C.DOUBLE

@@ -6,41 +6,42 @@ soon as they are parsed (later declarations refer to the values), and
 codegen folds global initializers with it.  Both hand it the same AST
 that ``Parser.parse_conditional`` builds, so every site accepts the same
 operators: literals, ``sizeof(type)``, unary ``- ~ !``, binary
-``+ - * / % << >> & | ^`` and ``?:``.  Integer arithmetic is exact
-(the site wraps the result to its type); ``/`` and ``%`` truncate as C
-does.
+``+ - * / % << >> & | ^`` and ``?:``.  Each subexpression has its C
+type: a literal's is the one codegen gives it, the operands of a binary
+operator and of ``?:`` meet in the usual arithmetic conversions, and a
+shift takes its promoted left operand's type.  Integer arithmetic wraps
+at that type through :mod:`repro.ir.arith`, as the same expression
+computes at run time, so ``-1UL`` is 2**64 - 1 and ``0xFFFFFFFFu + 1``
+is 0.  The result is the C value: negative only for a signed type.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Union
 
 from . import cast as A
-from ..ir.arith import trunc_divmod
+from . import ctypes_ as C
+from ..ir import arith
+from ..ir.types import F64, IntType
 
 Constant = Union[int, float, bytes]
 
-
-def _div(x, y):
-    """C's truncating quotient for integers, the floating quotient when
-    either side is floating."""
-    if isinstance(x, int) and isinstance(y, int):
-        return trunc_divmod(x, y)[0]
-    return x / y
-
-
-_BINARY = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": _div, "%": lambda x, y: trunc_divmod(x, y)[1],
-    "<<": operator.lshift, ">>": operator.rshift,
-    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+#: IR integer op per C operator, as (signed, unsigned).
+_INT_OPS = {
+    "+": ("add", "add"), "-": ("sub", "sub"), "*": ("mul", "mul"),
+    "/": ("sdiv", "udiv"), "%": ("srem", "urem"),
+    "<<": ("shl", "shl"), ">>": ("ashr", "lshr"),
+    "&": ("and", "and"), "|": ("or", "or"), "^": ("xor", "xor"),
 }
-_FLOAT_BINARY = frozenset(("+", "-", "*", "/"))
+_FLOAT_OPS = {"+": "fadd", "-": "fsub", "*": "fmul", "/": "fdiv"}
 
-#: Widest shift a constant may make: the widest type is 64 bits, and an
-#: unbounded count would let one line of source allocate without limit.
-_MAX_SHIFT = 64
+
+def _to(v: Union[int, float], ct: C.CType) -> Union[int, float]:
+    """Arithmetic value ``v`` converted to arithmetic type ``ct``."""
+    if ct.is_float:
+        return float(v)
+    t = IntType(ct.bits)
+    return t.to_signed(v) if ct.signed else t.wrap(v)
 
 
 def fold(
@@ -53,59 +54,69 @@ def fold(
     ``error(message, line)`` builds the diagnostic to raise, and
     ``sizeof(type_expr)`` sizes a type the caller can lay out."""
 
-    def number(e: A.Expr) -> Union[int, float]:
-        v = value(e)
-        if isinstance(v, bytes):
+    def number(e: A.Expr) -> tuple[Union[int, float], C.CType]:
+        v, ct = value(e)
+        if ct is None:
             raise error("bad constant expression", e.line)
-        return v
+        return v, ct
 
-    def value(e: A.Expr) -> Constant:
-        if isinstance(e, (A.IntLit, A.FloatLit)):
-            return e.value
+    def value(e: A.Expr):
+        if isinstance(e, A.IntLit):
+            ct = C.int_literal_type(e)
+            return _to(e.value, ct), ct
+        if isinstance(e, A.FloatLit):
+            return e.value, C.DOUBLE
         if isinstance(e, A.StringLit):
-            return e.data
+            return e.data, None
         if isinstance(e, A.NullLit):
-            return 0
+            return 0, C.INT
         if isinstance(e, A.SizeofType):
             try:
-                return sizeof(e.target)
+                return sizeof(e.target), C.ULONG
             except TypeError as exc:  # e.g. sizeof(void)
                 raise error(str(exc), e.line) from None
         if isinstance(e, A.Unary) and e.op in ("-", "~", "!"):
-            v = number(e.operand)
-            if e.op == "-":
-                return -v
-            if e.op == "~":
-                if isinstance(v, float):
+            v, ct = number(e.operand)
+            if e.op == "!":
+                return int(not v), C.INT
+            if ct.is_float:
+                if e.op == "~":
                     raise error("cannot complement double", e.line)
-                return ~v
-            return int(not v)
+                return -v, ct
+            ct = C.promote(ct)
+            t = IntType(ct.bits)
+            ir_op = "sub" if e.op == "-" else "xor"
+            ones = 0 if e.op == "-" else t.max_unsigned
+            return _to(arith.binop(ir_op, t)(ones, t.wrap(v)), ct), ct
         if isinstance(e, A.Conditional):
-            cond, then, other = number(e.cond), number(e.then), number(e.other)
-            v = then if cond else other
-            if isinstance(then, float) or isinstance(other, float):
-                return float(v)
-            return v
+            cond, _ = number(e.cond)
+            (then, tct), (other, oct_) = number(e.then), number(e.other)
+            ct = C.usual_arithmetic(tct, oct_)
+            return _to(then if cond else other, ct), ct
         if isinstance(e, A.Binary):
-            a, b = number(e.lhs), number(e.rhs)
-            fn = _BINARY.get(e.op)
-            if fn is None:
+            (a, act), (b, bct) = number(e.lhs), number(e.rhs)
+            if e.op not in _INT_OPS:
                 raise error(f"bad constant operator {e.op}", e.line)
-            if e.op not in _FLOAT_BINARY and (
-                    isinstance(a, float) or isinstance(b, float)):
+            if e.op not in _FLOAT_OPS and (act.is_float or bct.is_float):
                 raise error(f"bad float operator {e.op!r}", e.line)
             if e.op in ("/", "%") and b == 0:
                 raise error("division by zero in constant expression", e.line)
-            if e.op in ("<<", ">>") and not 0 <= b < _MAX_SHIFT:
-                raise error("shift count out of range in constant expression",
-                            e.line)
-            try:
-                return fn(a, b)
-            except OverflowError:  # an int too large to convert to float
-                raise error("constant expression overflows", e.line) from None
+            if e.op in ("<<", ">>"):
+                ct = C.promote(act)
+                if not 0 <= b < ct.bits:
+                    raise error("shift count out of range in constant "
+                                "expression", e.line)
+            else:
+                ct = C.usual_arithmetic(act, bct)
+            if ct.is_float:
+                return arith.binop(_FLOAT_OPS[e.op], F64)(_to(a, ct),
+                                                          _to(b, ct)), ct
+            t = IntType(ct.bits)
+            fn = arith.binop(_INT_OPS[e.op][not ct.signed], t)
+            return _to(fn(t.wrap(a), t.wrap(b)), ct), ct
         raise error("expression is not a compile-time constant", e.line)
 
-    return value(expr)
+    return value(expr)[0]
 
 
 __all__ = ["Constant", "fold"]

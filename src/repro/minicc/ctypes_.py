@@ -233,6 +233,17 @@ def resolve(
     raise error(f"bad type expression {te!r}", te.line)
 
 
+def int_literal_type(lit: A.IntLit) -> CType:
+    """An integer literal's type: ``int``, or ``long`` when an ``l``
+    suffix or the value needs it; unsigned with a ``u`` suffix, so
+    ``0xFFFFFFFFu`` is ``unsigned int``.  (An unsuffixed hexadecimal
+    literal takes the decimal rule: ``0xFFFFFFFF`` is ``long``.)"""
+    top = 0xFFFFFFFF if lit.is_unsigned else 0x7FFFFFFF
+    if lit.is_long or not -0x80000000 <= lit.value <= top:
+        return ULONG if lit.is_unsigned else LONG
+    return UINT if lit.is_unsigned else INT
+
+
 def promote(ct: CType) -> CType:
     """C integer promotion: anything narrower than int becomes int."""
     if ct.is_int and ct.bits < 32:
@@ -261,5 +272,6 @@ def usual_arithmetic(a: CType, b: CType) -> CType:
 __all__ = [
     "BOOL_RESULT", "CHAR", "CHAR_PTR", "CType", "DOUBLE", "FLOAT", "INT",
     "LONG", "SHORT", "UCHAR", "UINT", "ULONG", "USHORT", "VOID", "VOID_PTR",
-    "array_of", "named_type", "pointer_to", "promote", "usual_arithmetic",
+    "array_of", "int_literal_type", "named_type", "pointer_to", "promote",
+    "usual_arithmetic",
 ]

@@ -1,8 +1,8 @@
 """CFG analyses: dominator tree, dominance frontiers, and natural loops.
 
 These feed ``mem2reg`` (SSA construction needs iterated dominance
-frontiers) and the guard-hoisting ablation pass (loop-invariant guard
-motion needs loop membership and preheaders).  The dominator algorithm is
+frontiers) and ``-O1``'s loop-invariant guard hoisting (which needs loop
+membership and preheaders).  The dominator algorithm is
 the Cooper-Harvey-Kennedy iterative scheme — simple, and fast enough for
 kernel-module-sized functions.
 """

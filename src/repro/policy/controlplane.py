@@ -513,7 +513,7 @@ class PolicyControlPlane:
             gen, tenant, snapshot, canary,
             window=self.config.canary_window,
             tick_limit=self.config.canary_tick_limit,
-            violations_base=self._total_violations(),
+            violations_base=self.policy.stats.violations,
             owner=owner,
         )
         # Canary CPUs now read gen; invalidate their cached decisions.
@@ -529,9 +529,6 @@ class PolicyControlPlane:
         )
         return gen
 
-    def _total_violations(self) -> int:
-        return sum(self.policy.violations.values())
-
     def tick(self) -> int:
         """Advance control-plane time: close rate windows and drive the
         staged generation's canary window.  Returns 0 (no transition),
@@ -544,7 +541,7 @@ class PolicyControlPlane:
         if staged is None:
             return 0
         staged.ticks += 1
-        denies = self._total_violations() - staged.violations_base
+        denies = self.policy.stats.violations - staged.violations_base
         if denies > staged.tenant.quota.violation_budget:
             self._staged = None
             self._rollback(

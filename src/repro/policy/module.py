@@ -112,32 +112,56 @@ _NAME_GUARDS = {
 }
 
 
+#: The ledger field that counts each guard kind's denials.
+_DENIED = {"memory": "denied", "intrinsic": "intrinsic_denied",
+           "call": "call_denied"}
+
+
 class PolicyStats:
-    __slots__ = ("checks", "allowed", "denied", "entries_scanned",
-                 "comparisons", "structure_checks",
-                 "intrinsic_checks", "intrinsic_denied",
-                 "guard_cache_hits", "guard_cache_misses")
+    """One module's guard traffic on one CPU (a row of the policy's
+    ledger), or a sum of rows.  A row stores only independent facts;
+    ``checks``, ``allowed`` and ``structure_checks`` (one index walk per
+    decision-cache miss) are derived on read."""
+
+    __slots__ = ("guard_cache_hits", "guard_cache_misses", "entries_scanned",
+                 "comparisons", "intrinsic_checks", "denied",
+                 "intrinsic_denied", "call_denied")
+
+    #: The reported counters, in ``/proc`` and ``as_dict`` order.
+    FIELDS = ("checks", "allowed", "denied", "entries_scanned",
+              "comparisons", "structure_checks", "intrinsic_checks",
+              "intrinsic_denied", "guard_cache_hits", "guard_cache_misses")
 
     def __init__(self) -> None:
-        self.checks = 0
-        self.allowed = 0
-        self.denied = 0
-        self.entries_scanned = 0
-        # Comparisons actually performed by the policy index:
-        # decision-cache hits charge scanned entries for timing but
-        # perform no index comparisons, so ``comparisons /
-        # structure_checks`` is the operator-visible mean cost of one
-        # real index walk (~n/2 linear, ~log2 n interval).
-        self.comparisons = 0
-        self.structure_checks = 0
-        self.intrinsic_checks = 0
-        self.intrinsic_denied = 0
-        # Decision-cache traffic.
-        self.guard_cache_hits = 0
-        self.guard_cache_misses = 0
+        for field in self.__slots__:
+            setattr(self, field, 0)
+
+    @property
+    def checks(self) -> int:
+        return self.guard_cache_hits + self.guard_cache_misses
+
+    @property
+    def allowed(self) -> int:
+        return self.checks - self.denied
+
+    @property
+    def structure_checks(self) -> int:
+        return self.guard_cache_misses
+
+    @property
+    def violations(self) -> int:
+        return self.denied + self.intrinsic_denied + self.call_denied
+
+    @classmethod
+    def total(cls, rows) -> "PolicyStats":
+        total = cls()
+        for row in rows:
+            for field in cls.__slots__:
+                setattr(total, field, getattr(total, field) + getattr(row, field))
+        return total
 
     def as_dict(self) -> dict[str, int]:
-        return {s: getattr(self, s) for s in self.__slots__}
+        return {field: getattr(self, field) for field in self.FIELDS}
 
 
 class _GuardCache:
@@ -166,16 +190,15 @@ class _GuardCache:
     - the cache's ``epoch``, ``default_allow`` and ``enforce_epoch``
       equal the live values;
     - ``(addr, size, flags)`` is cached and its decision is *allowed*;
-    - the module's per-CPU ``[checks, denied]`` row already exists.
+    - the module's ledger row exists on this CPU.
 
     It then makes, in place, exactly the updates ``_guard``'s hit branch
-    and the engine's guard accounting make: ``guard_checks`` on the
-    engine; ``guard_cache_hits``, ``checks``, ``entries_scanned`` and
-    ``allowed`` on the CPU's :class:`PolicyStats`; ``checks`` in the
-    module row; and ``guards``, ``guard_entries_scanned`` and ``cycles
-    += base + entry * scanned`` on the timing model.  Every other case
-    (miss, stale token, denial, first guard of a module on a CPU) calls
-    the native, so ``_guard`` stays the one place that decides.
+    and the engine's guard accounting make: ``guard_cache_hits`` and
+    ``entries_scanned`` on the ledger row, ``guard_checks`` on the
+    engine, and ``cycles += base + entry * scanned`` on the timing model.
+    Every other case (miss, stale token, denial, first guard of a module
+    on a CPU) calls the native, so ``_guard`` stays the one place that
+    decides.
     """
 
     __slots__ = ("index", "epoch", "default_allow", "enforce_epoch",
@@ -211,21 +234,15 @@ class CaratPolicyModule:
         #: Global enforcement mode; per-module overrides win over it.
         self.mode = mode
         self.module_modes: dict[str, str] = {}
-        #: Per-module denied-access counts (every guard flavour, every
-        #: mode — audit runs use this for the would-have-denied tally).
-        self.violations: dict[str, int] = {}
         #: Bumped on any mode change; part of the guard cache's validity
         #: token, so stale decisions never outlive an enforcement switch.
         self._enforce_epoch = 0
         ncpus = kernel.smp.ncpus
-        #: Per-CPU counters (DEFINE_PER_CPU style): each simulated CPU
-        #: bumps only its own slot; :attr:`stats` merges on read.
-        self._cpu_stats: PerCpu = PerCpu(ncpus, lambda cpu: PolicyStats())
-        #: Per-CPU per-module guard traffic (name -> [checks, denied]).
-        #: Separate from :class:`PolicyStats` so the SMP merge identity
-        #: and the GET_STATS wire format are untouched; merged on read by
-        #: :meth:`driver_stats` for the /proc views.
-        self._cpu_module_stats: PerCpu = PerCpu(ncpus, lambda cpu: {})
+        #: The guard ledger (DEFINE_PER_CPU style): one
+        #: :class:`PolicyStats` row per module on each simulated CPU,
+        #: bumped only by that CPU.  Totals, per-CPU and per-driver rows
+        #: and :attr:`violations` are sums taken on read.
+        self._ledger: PerCpu = PerCpu(ncpus, lambda cpu: {})
         self.allowed_intrinsics: set[str] = set()
         #: Kernel symbols a module may call (paper §5 control-flow
         #: extension).  ``None`` = allow-all (the default, like stock
@@ -260,52 +277,54 @@ class CaratPolicyModule:
 
     @property
     def stats(self) -> PolicyStats:
-        """Merged counters across CPUs (the CPU-0 object itself on
-        single-CPU kernels, so exact-count tests see the same object
-        semantics as before the per-CPU split)."""
-        cpu_stats = self._cpu_stats
-        if len(cpu_stats) == 1:
-            return cpu_stats[0]
-        merged = PolicyStats()
-        for s in cpu_stats:
-            for field in PolicyStats.__slots__:
-                setattr(merged, field, getattr(merged, field) + getattr(s, field))
-        return merged
+        """The ledger's totals over every CPU and module."""
+        return PolicyStats.total(
+            row for rows in self._ledger for row in rows.values())
 
     def stats_per_cpu(self) -> list[dict[str, int]]:
-        """Per-CPU counter breakdown (the /proc/carat per-CPU view)."""
-        return [s.as_dict() for s in self._cpu_stats]
+        """Per-CPU totals (the /proc/carat per-CPU view)."""
+        return [PolicyStats.total(rows.values()).as_dict()
+                for rows in self._ledger]
+
+    def _module_totals(self) -> list[tuple[str, PolicyStats]]:
+        """Each module's rows summed over CPUs, by module name."""
+        names = sorted({name for rows in self._ledger for name in rows})
+        return [(name, PolicyStats.total(
+            rows[name] for rows in self._ledger if name in rows))
+            for name in names]
 
     def driver_stats(self) -> dict[str, dict[str, int]]:
-        """Per-module guard traffic, merged across CPUs: which driver's
-        loads/stores the guards are actually checking (and denying)."""
-        merged: dict[str, list[int]] = {}
-        for shard in self._cpu_module_stats:
-            for name, counts in shard.items():
-                m = merged.setdefault(name, [0, 0])
-                m[0] += counts[0]
-                m[1] += counts[1]
-        return {
-            name: {"checks": checks, "denied": denied}
-            for name, (checks, denied) in sorted(merged.items())
-        }
+        """Per-module memory-guard traffic: which driver's loads/stores
+        the guards are actually checking (and denying)."""
+        return {name: {"checks": row.checks, "denied": row.denied}
+                for name, row in self._module_totals() if row.checks}
+
+    @property
+    def violations(self) -> dict[str, int]:
+        """Denials per module, every guard kind and mode (audit runs use
+        this for the would-have-denied tally)."""
+        return {name: row.violations
+                for name, row in self._module_totals() if row.violations}
+
+    def _row(self, module_name: str) -> PolicyStats:
+        """The current CPU's ledger row for ``module_name``."""
+        rows = self._ledger[self.kernel.smp.current]
+        row = rows.get(module_name)
+        if row is None:
+            row = rows[module_name] = PolicyStats()
+        return row
 
     def _record_violation(self, module_name: str, *, kind: str,
                           addr: int = 0, size: int = 0, flags: int = 0,
                           detail: str = "") -> None:
-        """The single deny bookkeeping point: every guard flavour funnels
-        its violation count (and the guard:deny tracepoint) through here."""
-        self.violations[module_name] = self.violations.get(module_name, 0) + 1
+        """The one place a denial is counted: every guard kind funnels its
+        denial (and the guard:deny tracepoint) through here."""
+        row = self._row(module_name)
+        setattr(row, _DENIED[kind], getattr(row, _DENIED[kind]) + 1)
         tp = self._tp_deny
         if tp.enabled:
-            tp.emit(
-                module=module_name,
-                kind=kind,
-                addr=addr,
-                size=size,
-                flags=flags,
-                detail=detail,
-            )
+            tp.emit(module=module_name, kind=kind, addr=addr, size=size,
+                    flags=flags, detail=detail)
 
     # -- enforcement modes ----------------------------------------------------
 
@@ -452,7 +471,10 @@ class CaratPolicyModule:
             if self.module_indexes else self.index
         )
         cpu = self.kernel.smp.current
-        stats = self._cpu_stats[cpu]
+        rows = self._ledger[cpu]
+        row = rows.get(module_name)
+        if row is None:
+            row = rows[module_name] = PolicyStats()
         if index is self._fast_index[cpu]:
             cache = self._fast_cache[cpu]
         else:
@@ -467,30 +489,20 @@ class CaratPolicyModule:
         key = (addr, size, flags)
         decision = cache.decisions.get(key)
         if decision is not None:
-            stats.guard_cache_hits += 1
+            row.guard_cache_hits += 1
             allowed, scanned = decision
         else:
-            stats.guard_cache_misses += 1
+            row.guard_cache_misses += 1
             allowed, scanned = self._replica_check(
                 index, cpu, addr, size, flags
             )
-            stats.structure_checks += 1
-            stats.comparisons += scanned
+            row.comparisons += scanned
             if len(cache.decisions) >= cache.MAX_ENTRIES:
                 cache.decisions.clear()
             cache.decisions[key] = (allowed, scanned)
-        stats.checks += 1
-        stats.entries_scanned += scanned
-        mshard = self._cpu_module_stats[cpu]
-        mstats = mshard.get(module_name)
-        if mstats is None:
-            mstats = mshard[module_name] = [0, 0]
-        mstats[0] += 1
+        row.entries_scanned += scanned
         if allowed:
-            stats.allowed += 1
             return scanned
-        stats.denied += 1
-        mstats[1] += 1
         self._deny(
             module_name, "memory",
             f"DENY module={module_name} "
@@ -514,20 +526,17 @@ class CaratPolicyModule:
                     allowed: set[str]) -> int:
         """The body both §5 guards share: read the guarded name, resolve
         the calling module, allow a name in ``allowed``, deny the rest.
-        Only intrinsic guards are counted in :class:`PolicyStats`."""
+        Only intrinsic guards count their checks."""
         name = self.kernel.address_space.read_cstring(int(name_ptr)).decode()
         module_name = (
             ctx.current_module.name
             if ctx is not None and ctx.current_module is not None
             else "?"
         )
-        stats = self._cpu_stats[self.kernel.smp.current]
         if kind == "intrinsic":
-            stats.intrinsic_checks += 1
+            self._row(module_name).intrinsic_checks += 1
         if name in allowed:
             return 1
-        if kind == "intrinsic":
-            stats.intrinsic_denied += 1
         flags, line, what = _NAME_GUARDS[kind]
         self._deny(
             module_name, kind,

@@ -886,8 +886,6 @@ class _Translator:
                     return _e._dispatch_guard(_m, a, s, f)
                 _e.guard_checks += 1
                 n = int(sym.native(_e, a, s, f, _n) or 0)
-                _t.guards += 1
-                _t.guard_entries_scanned += n
                 _t.cycles += _gb + _ge * n
 
             native = getattr(imports.get(gsym), "native", None)
@@ -910,8 +908,6 @@ class _Translator:
             cost = 0.0
             if _t is not None:
                 cost = _gb + _ge * n
-                _t.guards += 1
-                _t.guard_entries_scanned += n
                 _t.cycles += cost
             if _tr is not None:
                 _tr.on_guard(_site, a, s, f, n, cost)
@@ -931,8 +927,7 @@ class _Translator:
                  _n=self.module.name, _g=abi.GUARD_SYMBOL, _t=self.timing,
                  _gb=machine.guard_base_cycles, _ge=machine.guard_entry_cycles,
                  _gn=native, _p=policy, _smp=policy.kernel.smp,
-                 _fc=policy._fast_cache, _cs=policy._cpu_stats,
-                 _ms=policy._cpu_module_stats, _slow=slow):
+                 _fc=policy._fast_cache, _led=policy._ledger, _slow=slow):
             sym = _imp.get(_g)
             if sym is not None and sym.native is _gn \
                     and _n not in _p.module_indexes:
@@ -944,18 +939,12 @@ class _Translator:
                         and c.enforce_epoch == _p._enforce_epoch):
                     d = c.decisions.get((a, s, f))
                     if d is not None and d[0]:
-                        row = _ms[cpu].get(_n)
+                        row = _led[cpu].get(_n)
                         if row is not None:
                             n = d[1]
+                            row.guard_cache_hits += 1
+                            row.entries_scanned += n
                             _e.guard_checks += 1
-                            st = _cs[cpu]
-                            st.guard_cache_hits += 1
-                            st.checks += 1
-                            st.entries_scanned += n
-                            st.allowed += 1
-                            row[0] += 1
-                            _t.guards += 1
-                            _t.guard_entries_scanned += n
                             _t.cycles += _gb + _ge * n
                             return
             return _slow(a, s, f)

@@ -18,8 +18,6 @@ class CycleCounter:
         "machine",
         "cycles",
         "instructions",
-        "guards",
-        "guard_entries_scanned",
         "mmio_reads",
         "mmio_writes",
         "loads",
@@ -34,8 +32,6 @@ class CycleCounter:
     def reset(self) -> None:
         self.cycles = 0.0
         self.instructions = 0
-        self.guards = 0
-        self.guard_entries_scanned = 0
         self.mmio_reads = 0
         self.mmio_writes = 0
         self.loads = 0
@@ -49,8 +45,8 @@ class CycleCounter:
         self.cycles += self.machine.op_cost(opcode)
 
     def add_guard(self, entries_scanned: int) -> None:
-        self.guards += 1
-        self.guard_entries_scanned += entries_scanned
+        """Charge one guard's cycles.  The engine's ``guard_checks`` and
+        the policy's ledger count the guard; this counter does not."""
         self.cycles += self.machine.guard_cost(entries_scanned)
 
     def add_mmio_read(self) -> None:
@@ -71,8 +67,6 @@ class CycleCounter:
         return {
             "cycles": self.cycles,
             "instructions": self.instructions,
-            "guards": self.guards,
-            "guard_entries_scanned": self.guard_entries_scanned,
             "mmio_reads": self.mmio_reads,
             "mmio_writes": self.mmio_writes,
             "loads": self.loads,

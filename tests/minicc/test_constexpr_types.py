@@ -1,0 +1,60 @@
+"""Constant expressions compute at their C types.
+
+``minicc.constexpr.fold`` gives each subexpression its C type, meets
+operands in the usual arithmetic conversions, and wraps integer results
+at that type, so a global initializer holds what gcc 12.2
+(``-O0 -fwrapv``, x86-64) stores for the same line.  The two floating
+rows are the ones typeless folding got wrong (``-1.0`` and
+``4294967296.0``); each module is loaded and read back under both
+engines.
+"""
+
+import struct
+
+import pytest
+
+from repro.core.pipeline import CompileOptions, compile_module
+from repro.kernel import Kernel
+
+#: (global declaration, the value gcc stores for it).
+GCC_ROWS = [
+    ("double g = -1UL;", 18446744073709551615.0),
+    ("double g = 0xFFFFFFFFu + 1;", 0.0),
+    ("float g = -1UL;", 18446744073709551616.0),
+    ("long g = 1 ? -1 : 0u;", 4294967295),
+    ("unsigned g = -1;", 4294967295),
+    ("long g = ~0u;", 4294967295),
+    ("long g = -1u >> 1;", 2147483647),
+    ("long g = 7u / -2;", 0),
+    ("long g = (-7) % 3u;", 0),
+    ("long g = 1u << 31;", 2147483648),
+    ("long g = -1L >> 63;", -1),
+    ("long g = 0x80000000;", 2147483648),
+]
+
+_FORMATS = {"double": "<d", "float": "<f", "long": "<q", "unsigned": "<I"}
+
+
+@pytest.mark.parametrize("engine", ["interp", "compiled"])
+@pytest.mark.parametrize("decl, expected", GCC_ROWS)
+def test_initializer_matches_gcc(decl, expected, engine):
+    fmt = _FORMATS[decl.split()[0]]
+    size = struct.calcsize(fmt)
+    kernel = Kernel(engine=engine)
+    # ``get`` reads the global back through the engine: a floating one
+    # as its bit pattern, so no conversion can hide the value.
+    reader = {"<d": "long *p = (long *)&g; return *p;",
+              "<f": "unsigned *p = (unsigned *)&g; return *p;"}.get(
+                  fmt, "return (long)g;")
+    loaded = kernel.insmod(compile_module(
+        f"{decl}\n__export long get(void) {{ {reader} }}",
+        CompileOptions(module_name="cexpr", protect=False),
+    ))
+    raw = kernel.address_space.read_bytes(loaded.address_of("g"), size)
+    (stored,) = struct.unpack(fmt, raw)
+    assert stored == expected
+    got = kernel.run_function(loaded, "get", []) & (2**64 - 1)
+    if fmt in ("<d", "<f"):
+        assert got == int.from_bytes(raw, "little")
+    else:
+        assert got == expected & (2**64 - 1)

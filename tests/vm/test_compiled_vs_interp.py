@@ -806,8 +806,7 @@ def _fast_path_run(engine, event):
             "per_cpu": policy.stats_per_cpu(),
             "drivers": policy.driver_stats(),
             "guard_checks": vm.guard_checks,
-            "guards": vm.timing.guards,
-            "entries": vm.timing.guard_entries_scanned,
+            "entries": policy.stats.entries_scanned,
             "cycles": vm.timing.cycles,
             "dmesg": kernel.dmesg_log,
             "extra": dict(env["extra"]),
