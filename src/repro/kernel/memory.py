@@ -60,6 +60,10 @@ class PhysicalMemory:
 
     def read(self, phys: int, size: int) -> bytes:
         self.check_range(phys, size)
+        pfn, off = divmod(phys, layout.PAGE_SIZE)
+        if off + size <= layout.PAGE_SIZE:  # one page: the DMA common case
+            page = self._pages.get(pfn)
+            return bytes(size) if page is None else bytes(page[off : off + size])
         out = bytearray()
         while size > 0:
             pfn, off = divmod(phys, layout.PAGE_SIZE)
@@ -74,9 +78,13 @@ class PhysicalMemory:
         return bytes(out)
 
     def write(self, phys: int, data: bytes) -> None:
-        self.check_range(phys, len(data))
-        pos = 0
         size = len(data)
+        self.check_range(phys, size)
+        pfn, off = divmod(phys, layout.PAGE_SIZE)
+        if 0 < size <= layout.PAGE_SIZE - off:  # one page, as in ``read``
+            self._page(pfn)[off : off + size] = data
+            return
+        pos = 0
         while pos < size:
             pfn, off = divmod(phys + pos, layout.PAGE_SIZE)
             chunk = min(size - pos, layout.PAGE_SIZE - off)
@@ -134,8 +142,8 @@ class KernelAddressSpace:
         self._bases: list[int] = []
         #: Software TLB: virtual page number -> RAM page ``bytearray``
         #: for loads (``rtlb``) and stores (``wtlb``).  Emptied in place
-        #: on every map/unmap, never rebound: compiled closures hold
-        #: these dicts.
+        #: on every map/unmap, never rebound: compiled code's namespaces
+        #: hold these dicts.
         self.rtlb: dict[int, bytearray] = {}
         self.wtlb: dict[int, bytearray] = {}
         self.map_linear(

@@ -810,7 +810,8 @@ class CodeGenerator:
                 zero = ConstantInt(IntType(pct.bits), 0)
                 return self.b.sub(zero, value), pct
             if ct.is_float:
-                zero = ConstantFloat(FloatType(ct.bits), 0.0)
+                # -0.0 - x, so that -(+0.0) is -0.0 as in C.
+                zero = ConstantFloat(FloatType(ct.bits), -0.0)
                 return self.b.binop("fsub", zero, value), ct
             raise CompileError(f"cannot negate {ct}", expr.line)
         if op == "~":

@@ -13,19 +13,24 @@ compiled with :func:`compile`/``exec``:
   backward branch ``continue``\\ s.  Phis become parallel assignments on
   each incoming edge;
 - integer arithmetic (binops, compares, casts, geps, selects) is inline
-  expressions; stateful operations (loads, stores, native calls, guards,
-  allocas, division, float math) call per-site closures that take
-  operand values and return the result (``v5 = C0(v2)``);
+  expressions; a gep off a literal base with a constant index is one
+  literal.  Stateful operations (native calls, guards, allocas,
+  division, float math) call per-site closures that take operand values
+  and return the result (``v5 = C0(v2)``);
 - a call to another function of the same module is ``v7 = F3(v1, v2)``,
   where ``F3`` is a namespace slot bound lazily to the callee's
   generated function, so no per-call translation lookup remains;
-- loads and stores serve an intra-page RAM access from the address
-  space's software TLB (:mod:`repro.kernel.memory`): one ``dict.get``
-  from virtual page number to the page ``bytearray``, an offset check
-  and a ``struct`` read or write at that offset.  A miss fuses the
-  mapping lookup the interpreter performs twice (once for MMIO
-  accounting, once inside ``read_bytes``) into a single ``find`` and
-  refills the TLB;
+- a load or store is one generated expression that serves an
+  intra-page RAM access from the address space's software TLB
+  (:mod:`repro.kernel.memory`) with no Python call of its own:
+  ``RT.get(a >> 12)`` (``WT`` for a store) from virtual page number to
+  the page ``bytearray``, an offset check, then a shared ``struct``
+  codec at that offset (``U8(p, o)[0]``, ``P4(p, o, v & mask)``; a byte
+  load indexes the page).  A literal address has its page and offset
+  folded.  A miss, an MMIO window or a page-straddling access calls the
+  site's miss closure, which fuses the mapping lookup the interpreter
+  performs twice (once for MMIO accounting, once inside ``read_bytes``)
+  into a single ``find`` and refills the TLB;
 - a guard site linked to the policy module's own ``carat_guard`` serves
   an allowed decision-cache hit inside its closure, re-checking the
   validity rule documented on :class:`repro.policy.module._GuardCache`
@@ -35,23 +40,33 @@ compiled with :func:`compile`/``exec``:
   code, not generated text, so the source and its ``compile()`` cost
   are the same as without it.
 
-Accounting is **bit-identical** to the interpreter.  Between observable
-points (a closure, native, guard, call, or terminator) the charges of
-the inline steps are batched into ``T.instructions += k`` and
-``T.cycles = T.cycles + c1 + ... + ck``: the same left-to-right float
-additions the interpreter makes one instruction at a time, so no sum is
-reassociated, and everything that can observe ``timing`` (natives, MMIO
-devices, guards, panics) sees exactly the interpreter's values.  If an
-inline step raises (a read of an SSA value whose definition did not
-run), the exception handler replays the charges not yet flushed, from a
-table built at translate time and keyed by the generated source line.
-``instructions_executed`` is counted in a local flushed when the
-function exits, before the tracer's exit hook reads it.  The
-differential test (``tests/vm/test_compiled_vs_interp.py``) pins this
-down.
+Accounting is **bit-identical** to the interpreter.  The cycle charge
+is observable: between observable points (a load, store, closure,
+native, guard, call, or terminator) the charges of the inline steps are
+batched into ``T.cycles = T.cycles + c1 + ... + ck``, the same
+left-to-right float additions the interpreter makes one instruction at
+a time, so no sum is reassociated and everything that can observe
+``timing.cycles`` (natives, MMIO devices, guards, panics) sees exactly
+the interpreter's value.  The integer counters are not read while a
+frame is live, only by the tracer between a frame's own enter and exit
+and by code that runs after the outermost call, so they are frame
+locals: ``n`` (``instructions_executed``), ``ti``, ``tl``, ``ts`` and
+``tc`` (``T.instructions``, ``T.loads``, ``T.stores``, IR-call
+``T.calls``) take each block's counts, summed at translate time, in one
+line at its terminator (``n += 9; ti += 8; tl += 2``), and the
+``finally`` adds them to the engine before the tracer's exit hook.  If
+a step raises, the exception handler applies the charges and counts the
+raising line had pending, from a table built at translate time and
+keyed by the generated source line; a read of an SSA value whose
+definition did not run leaves that line's own load, store or call
+uncounted, since the interpreter reads operands before counting.  The
+differential tests (``tests/vm/test_compiled_vs_interp.py``,
+``tests/vm/test_frame_counters.py``) pin this down.
 
-The generated function owns the call bookkeeping (depth limit, kernel
-stack, tracer enter/exit).  Its prologue checks the module's IR
+The generated function owns the call bookkeeping: the depth limit, the
+kernel stack top (saved and restored only by a function with an
+``alloca``, since every callee restores its own), and the tracer's
+enter/exit.  Its prologue checks the module's IR
 ``generation`` and the engine's tracer against the values it was
 translated for and, on any difference, falls back to
 :meth:`CompiledEngine._exec_function`, which re-translates.  So a
@@ -72,9 +87,10 @@ instances.  The generated source is itself a faithful content hash of
 everything the bytecode depends on (the instruction stream, resolved
 global addresses, per-opcode machine costs, tracer presence), while
 everything engine-specific (per-site closures, callee slots, hoisted
-constants, the engine/timing/tracer references, the IR generation) is
-bound into a fresh namespace at ``exec`` time, so two translations
-with identical source can always share one code object.
+constants, the engine/timing/tracer references, the address space's TLB
+dicts, the IR generation) is bound into a fresh namespace at ``exec``
+time, so two translations with identical source can always share one
+code object.
 """
 
 from __future__ import annotations
@@ -124,6 +140,23 @@ _INT_CODECS = {
 }
 _F32 = struct.Struct("<f")
 _F64 = struct.Struct("<d")
+#: Namespace names shared by every inline load and store: ``U<size>``
+#: unpacks and ``P<size>`` packs an integer at a page offset (a byte load
+#: indexes the page instead), ``UF<size>`` and ``PF<size>`` a float;
+#: ``RF`` rounds a value stored to an f32.
+_CODEC_NAMES = {
+    **{f"U{n}": c.unpack_from for n, c in _INT_CODECS.items() if n > 1},
+    **{f"P{n}": c.pack_into for n, c in _INT_CODECS.items()},
+    "UF4": _F32.unpack_from, "UF8": _F64.unpack_from,
+    "PF4": _F32.pack_into, "PF8": _F64.pack_into,
+    "RF": arith.round_f32,
+}
+#: The frame-local integer counters, in the order of the translator's
+#: pending vector: the engine's executed count, then the locals added to
+#: ``T.instructions``, ``T.loads``, ``T.stores`` and ``T.calls``.
+_COUNTER_LOCALS = ("n", "ti", "tl", "ts", "tc")
+_TIMING_FIELDS = (None, "instructions", "loads", "stores", "calls")
+_N, _TI, _TL, _TS, _TC = range(5)
 
 
 class _SharedCodeCache:
@@ -245,10 +278,11 @@ class _Translator:
 
     def translate(self, generation: int) -> _CompiledFunction:
         fn = self.fn
-        # The generated module's namespace: engine/timing/tracer
-        # under fixed short names, plus per-site closures (``C<n>``),
-        # callee slots (``F<n>``), hoisted non-int constants (``K<n>``),
-        # and switch tables (``TBL<n>``).
+        # The generated module's namespace: engine/timing/tracer under
+        # fixed short names, plus per-site closures (``C<n>``), callee
+        # slots (``F<n>``), hoisted non-int constants (``K<n>``), switch
+        # tables (``TBL<n>``), and, once a load or store uses them, the
+        # TLB dicts (``RT``, ``WT``) and the shared codecs.
         self.ns: dict = {
             "E": self.engine, "T": self.timing, "TR": self.tracer,
             "M": self.module, "IR": self.module.ir, "FN": fn,
@@ -257,12 +291,16 @@ class _Translator:
         self._nsym = 0
         self._callees: dict = {}
         self.lines: list[str] = []
-        # Source line -> (instructions, cycle costs, executed count)
-        # charged by the interpreter but not yet emitted at that line.
+        # Source line -> (*counts, cycle costs, own counter): what the
+        # interpreter has charged but the frame has not yet applied at
+        # that line.  ``counts`` follow ``_COUNTER_LOCALS``; ``own`` is
+        # the index of the line's own load, store or call count (0 if
+        # none), which an undefined operand read keeps uncounted.
         self.replay: dict = {}
-        self._pi = 0
+        self._pend = [0] * len(_COUNTER_LOCALS)
         self._pc: list = []
-        self._pe = 0
+        self._own = 0
+        self._used = {_N}
         self._emit_function()
         src = "\n".join(self.lines)
         code, hit = TRANSLATION_CACHE.fetch(
@@ -287,10 +325,14 @@ class _Translator:
         emit(1, "if d > E.max_call_depth:")
         emit(2, f"E.kernel.panic({f'kernel stack overflow in @{fn.name}'!r})")
         emit(1, "E._depth = d")
-        emit(1, "sp = E._stack_top")
+        # Only an alloca moves the stack top; every callee restores it.
+        has_alloca = any(type(i) is Alloca for i in fn.instructions())
+        if has_alloca:
+            emit(1, "sp = E._stack_top")
         if self.tracer is not None:
             emit(1, f"TR.enter_function(E, {fn.name!r})")
-        emit(1, "n = 0")
+        emit(1, "")  # the counter locals' initialization, filled in below
+        init = len(self.lines) - 1
         emit(1, "b = 0")
         emit(1, "try:")
         if fn.blocks[0].instructions and isinstance(
@@ -306,15 +348,24 @@ class _Translator:
         emit(2, "raise")
         emit(1, "finally:")
         emit(2, "E.instructions_executed += n")
-        emit(2, "E._stack_top = sp")
+        used = sorted(self._used)
+        timed = [f"T.{_TIMING_FIELDS[k]} += {_COUNTER_LOCALS[k]}"
+                 for k in used if k != _N]
+        if timed:
+            emit(2, "; ".join(timed))
+        if has_alloca:
+            emit(2, "E._stack_top = sp")
         emit(2, "E._depth -= 1")
         if self.tracer is not None:
             emit(2, f"TR.exit_function(E, {fn.name!r})")
+        self.lines[init] = "    " + " = ".join(
+            _COUNTER_LOCALS[k] for k in used) + " = 0"
 
     def _replayer(self):
         """The exception handler's helper: apply the charges pending at
         the raising line, and report a read of an SSA local that was
-        never assigned as the interpreter's undefined-value error."""
+        never assigned as the interpreter's undefined-value error (the
+        interpreter reads an access's operands before counting it)."""
         table = self.replay
         eng = self.engine
         timing = self.timing
@@ -325,15 +376,19 @@ class _Translator:
 
         def replay(exc, _tab=table, _e=eng, _t=timing, _u=undefined):
             tb = exc.__traceback__
+            unbound = type(exc) is UnboundLocalError and tb.tb_next is None
             pending = _tab.get(tb.tb_lineno)
             if pending is not None:
-                pi, costs, pe = pending
+                pe, pi, pl, ps, pk, costs, own = pending
                 _e.instructions_executed += pe
                 if _t is not None:
                     _t.instructions += pi
+                    _t.loads += pl - (unbound and own == _TL)
+                    _t.stores += ps - (unbound and own == _TS)
+                    _t.calls += pk - (unbound and own == _TC)
                     for c in costs:
                         _t.cycles += c
-            if type(exc) is UnboundLocalError and tb.tb_next is None:
+            if unbound:
                 msg = _u.get(str(exc).split("'")[1])
                 if msg is not None:
                     raise InterpreterError(msg) from None
@@ -346,9 +401,9 @@ class _Translator:
         """Append one source line, recording the charges still pending
         at it for the exception handler's replay."""
         self.lines.append("    " * level + line)
-        if self._pi or self._pc or self._pe:
-            self.replay[len(self.lines)] = (self._pi, tuple(self._pc),
-                                            self._pe)
+        if self._pend[_N] or self._pc:
+            self.replay[len(self.lines)] = (*self._pend, tuple(self._pc),
+                                            self._own)
 
     def _bind(self, prefix: str, obj) -> str:
         """Bind ``obj`` into the generated module's namespace."""
@@ -385,37 +440,59 @@ class _Translator:
             )
         return name
 
+    def _literal(self, v):
+        """The int an operand's source literal stands for, or None if
+        :meth:`_v` gives it no int literal."""
+        k = type(v)
+        if k is ConstantInt:
+            return v.value
+        if k is ConstantNull or k is UndefValue:
+            return 0
+        if k is GlobalVariable:
+            return int(self._v(v))
+        return None
+
     def _args(self, values) -> str:
         return ", ".join(self._v(a) for a in values)
 
     # -- charging ----------------------------------------------------------
 
-    def _charge(self, opcode: str) -> None:
+    def _charge(self, opcode: str, counter: int = 0) -> None:
         """Charge one instruction, in the interpreter's order (before it
-        executes).  The timing charge stays pending until the next
-        :meth:`_flush`."""
-        self._pe += 1
+        executes), plus one ``counter`` (``_TL``, ``_TS`` or ``_TC``) if
+        given.  The counts stay pending until the block's terminator,
+        the cycles until the next :meth:`_flush`."""
+        self._pend[_N] += 1
         if self.timing is not None:
-            self._pi += 1
+            self._pend[_TI] += 1
+            if counter:
+                self._pend[counter] += 1
             self._pc.append(self.timing.machine.op_cost(opcode))
 
     def _flush(self) -> None:
-        """Emit the pending timing charges: the instruction count as one
-        int add, the cycles as one left-to-right float sum (``repr`` of a
-        float round-trips exactly)."""
-        pi, pc = self._pi, self._pc
-        self._pi, self._pc = 0, []
-        if pi:
-            self._emit(4, f"T.instructions += {pi}")
+        """Emit the pending cycle charges as one left-to-right float sum
+        (``repr`` of a float round-trips exactly)."""
+        pc = self._pc
+        self._pc = []
         if pc:
             self._emit(4, "T.cycles = T.cycles + "
                           + " + ".join(repr(c) for c in pc))
 
-    def _observed(self, opcode: str, line: str) -> None:
+    def _observed(self, opcode: str, line: str, counter: int = 0) -> None:
         """A charged step that may observe ``timing``: flush first."""
-        self._charge(opcode)
+        self._charge(opcode, counter)
         self._flush()
+        self._own = counter
         self._emit(4, line)
+        self._own = 0
+
+    def _count(self) -> str:
+        """The block's pending counts as frame-local adds, now applied."""
+        line = "; ".join(f"{_COUNTER_LOCALS[k]} += {c}"
+                         for k, c in enumerate(self._pend) if c)
+        self._used.update(k for k, c in enumerate(self._pend) if c)
+        self._pend = [0] * len(_COUNTER_LOCALS)
+        return line
 
     # -- blocks ------------------------------------------------------------
 
@@ -445,9 +522,9 @@ class _Translator:
             # instruction: nothing more is charged.
             msg = f"block {block.name} in @{self.fn.name} fell through"
             self._emit(4, f"raise IE({msg!r})")
-        # Nothing pending crosses into the next arm: a terminator flushed
+        # Nothing pending crosses into the next arm: a terminator applied
         # it, and a raise leaves it to the handler's replay.
-        self._pi, self._pc, self._pe = 0, [], 0
+        self._pend, self._pc = [0] * len(_COUNTER_LOCALS), []
 
     # -- straight-line steps -----------------------------------------------
 
@@ -494,14 +571,10 @@ class _Translator:
             self._emit(4, f"{s} = {t} if {c} else {f}")
             return
         if kind is Load:
-            c = self._bind("C", self._load_core(inst))
-            self._observed(inst.opcode, f"{s} = {c}({self._v(inst.pointer)})")
+            self._observed(inst.opcode, f"{s} = {self._load(inst)}", _TL)
             return
         if kind is Store:
-            c = self._bind("C", self._store_core(inst))
-            self._observed(
-                inst.opcode,
-                f"{c}({self._args((inst.pointer, inst.value))})")
+            self._observed(inst.opcode, self._store(inst), _TS)
             return
         if kind is Call:
             self._emit_call(inst, s)
@@ -603,9 +676,13 @@ class _Translator:
     def _gep(self, inst: Gep) -> str:
         base = self._v(inst.base)
         if type(inst.index) is ConstantInt:
-            # Constant index: fold the whole displacement.
+            # Constant index: fold the whole displacement, and with a
+            # literal base the whole address.
             delta = (abi.to_signed64(inst.index.value) * inst.scale
                      + inst.displacement)
+            lit = self._literal(inst.base)
+            if lit is not None:
+                return repr((lit + delta) & _MASK64)
             return f"({base} + ({delta})) & {_MASK64}"
         # ``abi.to_signed64`` as a sign-bit flip: exact modulo 2**64,
         # which the final mask makes exact outright.
@@ -639,16 +716,82 @@ class _Translator:
 
     # -- memory ------------------------------------------------------------
     #
-    # A load or store site first probes the address space's software TLB
-    # (see :mod:`repro.kernel.memory`): an intra-page scalar access to a
-    # page it holds is one ``dict.get``, an offset check and a ``struct``
-    # access to the page.  All else (a TLB miss, an MMIO window, a
-    # page-straddling access) takes the site's ``miss``: the interpreter's
-    # path (one ``find``, the MMIO charge, the same faults in the same
-    # order) plus a TLB fill.  An aggregate access (no front end emits
-    # one) has no codec and always misses.
+    # A load or store is generated text that probes the address space's
+    # software TLB (see :mod:`repro.kernel.memory`): an intra-page scalar
+    # access to a page it holds is one ``dict.get``, an offset check and
+    # a shared ``struct`` codec at the page offset (a byte load indexes
+    # the page), with no call of its own.  All else (a TLB miss, an MMIO
+    # window, a page-straddling access) calls the site's miss closure:
+    # the interpreter's path (one ``find``, the MMIO charge, the same
+    # faults in the same order) plus a TLB fill.  An aggregate access (no
+    # front end emits one) has no codec and always misses.
 
-    def _load_core(self, inst: Load):
+    def _probe(self, tlb: str, ptr, size: int, hit, miss: str,
+               shared=()) -> str:
+        """``hit(o)`` on the page ``p`` at offset ``o`` if ``ptr``'s page
+        is in the TLB ``tlb`` (``RT`` or ``WT``) and the access stays
+        inside it, else ``miss``.  A literal address has its page and
+        offset folded.  Binds ``tlb`` and the ``shared`` codec names the
+        hit uses."""
+        shift, om = layout.PAGE_SHIFT, layout.PAGE_SIZE - 1
+        last = layout.PAGE_SIZE - size
+        lit = self._literal(ptr)
+        if lit is not None and lit & om > last:
+            return miss
+        mem = self.engine.kernel.address_space
+        self.ns[tlb] = mem.rtlb if tlb == "RT" else mem.wtlb
+        for name in shared:
+            self.ns[name] = _CODEC_NAMES[name]
+        if lit is not None:
+            return (f"{hit(lit & om)} if (p := {tlb}.get({lit >> shift}))"
+                    f" is not None else {miss}")
+        a = self._v(ptr)
+        if size == 1:
+            return (f"{hit(f'{a} & {om}')} if (p := {tlb}.get({a} >> {shift}))"
+                    f" is not None else {miss}")
+        return (f"{hit('o')} if (p := {tlb}.get({a} >> {shift})) is not None"
+                f" and (o := {a} & {om}) <= {last} else {miss}")
+
+    def _load(self, inst: Load) -> str:
+        t = inst.type
+        size = t.size_bytes()
+        miss = (f"{self._bind('C', self._load_miss(inst))}"
+                f"({self._v(inst.pointer)})")
+        if isinstance(t, FloatType):
+            codec = "UF4" if t.bits == 32 else "UF8"
+        elif size == 1:
+            return self._probe("RT", inst.pointer, 1, lambda o: f"p[{o}]",
+                               miss)
+        elif size in _INT_CODECS:
+            codec = f"U{size}"
+        else:
+            return miss
+        return self._probe("RT", inst.pointer, size,
+                           lambda o: f"{codec}(p, {o})[0]", miss, (codec,))
+
+    def _store(self, inst: Store) -> str:
+        t = inst.value.type
+        size = t.size_bytes()
+        miss = (f"{self._bind('C', self._store_miss(inst))}"
+                f"({self._args((inst.pointer, inst.value))})")
+        v = self._v(inst.value)
+        if isinstance(t, FloatType):
+            if t.bits == 32:
+                pack, x, shared = "PF4", f"RF({v})", ("PF4", "RF")
+            else:
+                pack, x, shared = "PF8", v, ("PF8",)
+        elif size in _INT_CODECS:
+            # A constant is already its type's bit pattern; an argument
+            # may reach the VM unnormalized.
+            pack, shared = f"P{size}", (f"P{size}",)
+            lit = self._literal(inst.value)
+            x = repr(lit) if lit is not None else f"{v} & {(1 << 8 * size) - 1}"
+        else:
+            return miss
+        return self._probe("WT", inst.pointer, size,
+                           lambda o: f"{pack}(p, {o}, {x})", miss, shared)
+
+    def _load_miss(self, inst: Load):
         t = inst.type
         timing = self.timing
         mem = self.engine.kernel.address_space
@@ -660,8 +803,6 @@ class _Translator:
             def decode(b, _u=codec.unpack):
                 return _u(b)[0]
         else:
-            codec = _INT_CODECS.get(size)
-
             def decode(b):
                 return int.from_bytes(b, "little")
 
@@ -682,22 +823,9 @@ class _Translator:
                     return _dec(data)
             raise MemoryFault(addr, _z, False, "no mapping")
 
-        def core(addr, _t=timing, _tlb=mem.rtlb, _sh=layout.PAGE_SHIFT,
-                 _om=layout.PAGE_SIZE - 1,
-                 _last=layout.PAGE_SIZE - size if codec else -1,
-                 _u=codec and codec.unpack_from, _miss=miss):
-            if _t is not None:
-                _t.loads += 1
-            page = _tlb.get(addr >> _sh)
-            if page is not None:
-                off = addr & _om
-                if off <= _last:
-                    return _u(page, off)[0]
-            return _miss(addr)
+        return miss
 
-        return core
-
-    def _store_core(self, inst: Store):
+    def _store_miss(self, inst: Store):
         t = inst.value.type
         timing = self.timing
         mem = self.engine.kernel.address_space
@@ -710,13 +838,8 @@ class _Translator:
             def encode(value, _p=codec.pack, _c=conv):
                 return _p(_c(value))
         else:
-            codec = _INT_CODECS.get(size)
-
-            def conv(value, _k=(1 << (8 * size)) - 1):
-                return int(value) & _k
-
-            def encode(value, _z=size, _c=conv):
-                return _c(value).to_bytes(_z, "little")
+            def encode(value, _z=size, _k=(1 << (8 * size)) - 1):
+                return (int(value) & _k).to_bytes(_z, "little")
 
         def miss(addr, value, _z=size, _t=timing, _f=mem.find, _mwc=mwc,
                  _enc=encode, _rw=mem.ram.write, _fill=mem.tlb_fill):
@@ -736,21 +859,7 @@ class _Translator:
             _rw(m.phys_base + (addr - m.base), data)
             _fill(m, addr)
 
-        def core(addr, value, _t=timing, _tlb=mem.wtlb, _sh=layout.PAGE_SHIFT,
-                 _om=layout.PAGE_SIZE - 1,
-                 _last=layout.PAGE_SIZE - size if codec else -1,
-                 _p=codec and codec.pack_into, _c=conv, _miss=miss):
-            if _t is not None:
-                _t.stores += 1
-            page = _tlb.get(addr >> _sh)
-            if page is not None:
-                off = addr & _om
-                if off <= _last:
-                    _p(page, off, _c(value))
-                    return
-            _miss(addr, value)
-
-        return core
+        return miss
 
     # -- calls -------------------------------------------------------------
 
@@ -769,14 +878,14 @@ class _Translator:
                 # elided body to an unverified module.
                 self._guard_ordinal += 1
                 if inst.is_guard:
-                    self._pe += 1
+                    self._pend[_N] += 1
                 else:
                     self._charge(inst.opcode)
                 if not inst.type.is_void:
                     self._emit(4, f"{s} = 0")
                 return
             if inst.is_guard:
-                self._pe += 1
+                self._pend[_N] += 1
             else:
                 self._charge(inst.opcode)
             self._flush()
@@ -784,7 +893,6 @@ class _Translator:
             self._emit(4, f"{assign}{c}({self._args(inst.args[:3])})")
             return
         args = self._args(inst.args)
-        bump = "T.calls += 1; " if self.timing is not None else ""
         if callee.is_declaration:
             c = self._bind("C", self._native_core(inst))
             self._observed(inst.opcode, f"{assign}{c}({args})")
@@ -793,10 +901,10 @@ class _Translator:
             # error (after the call is counted, as the interpreter does).
             fn = self._bind("FN", callee)
             self._observed(inst.opcode,
-                           f"{bump}{assign}E._exec_function(M, {fn}, [{args}])")
+                           f"{assign}E._exec_function(M, {fn}, [{args}])", _TC)
         else:
             self._observed(inst.opcode,
-                           f"{bump}{assign}{self._callee(callee)}({args})")
+                           f"{assign}{self._callee(callee)}({args})", _TC)
 
     def _callee(self, callee) -> str:
         """The namespace slot for a same-module callee.  It starts as a
@@ -958,8 +1066,7 @@ class _Translator:
         block's executed count, then leave the arm."""
         self._charge(inst.opcode)
         self._flush()
-        self._emit(4, f"n += {self._pe}")
-        self._pe = 0
+        self._emit(4, self._count())
         kind = type(inst)
         if kind is Ret:
             self._emit(4, f"return {self._v(inst.value)}"
@@ -1034,7 +1141,8 @@ class _Translator:
             return []
         lines = [f"{', '.join(dests)} = {', '.join(srcs)}"]
         if self.timing is not None:
-            lines.append(f"T.instructions += {len(dests)}")
+            lines.append(f"ti += {len(dests)}")
+            self._used.add(_TI)
         return lines
 
 

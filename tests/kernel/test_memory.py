@@ -50,6 +50,77 @@ class TestPhysicalMemory:
             PhysicalMemory(0)
 
 
+class LoopModel:
+    """The page walk ``PhysicalMemory`` does for any span, one chunk per
+    page: the oracle its single-page fast paths must match."""
+
+    def __init__(self):
+        self.pages: dict[int, bytearray] = {}
+
+    def read(self, phys: int, size: int) -> bytes:
+        out = bytearray()
+        while size > 0:
+            pfn, off = divmod(phys, layout.PAGE_SIZE)
+            chunk = min(size, layout.PAGE_SIZE - off)
+            page = self.pages.get(pfn)
+            out += page[off:off + chunk] if page else bytes(chunk)
+            phys += chunk
+            size -= chunk
+        return bytes(out)
+
+    def write(self, phys: int, data: bytes) -> None:
+        pos = 0
+        while pos < len(data):
+            pfn, off = divmod(phys + pos, layout.PAGE_SIZE)
+            chunk = min(len(data) - pos, layout.PAGE_SIZE - off)
+            page = self.pages.setdefault(pfn, bytearray(layout.PAGE_SIZE))
+            page[off:off + chunk] = data[pos:pos + chunk]
+            pos += chunk
+
+
+class TestSpansAgainstThePageLoop:
+    """Reads and writes inside one page, across a page boundary and over
+    whole pages give the loop's bytes and materialize the loop's pages:
+    a read never materializes one, an empty write neither."""
+
+    P = layout.PAGE_SIZE
+    SPANS = [  # (offset from a page start, size)
+        (0, 0), (5, 0), (0, 1), (P - 1, 1), (P - 8, 8), (P - 3, 8),
+        (0, P), (1, P), (P - 1, 2), (17, 3 * P), (P // 2, 2 * P),
+    ]
+
+    @pytest.mark.parametrize("off, size", SPANS)
+    def test_read_of_never_written_pages(self, ram, off, size):
+        base = 8 * self.P + off
+        assert ram.read(base, size) == LoopModel().read(base, size)
+        assert ram.resident_bytes == 0
+
+    @pytest.mark.parametrize("off, size", SPANS)
+    def test_write_then_reads_match_the_loop(self, ram, off, size):
+        model = LoopModel()
+        # One page written beforehand, so spans mix written and
+        # never-written pages.
+        for mem in (ram, model):
+            mem.write(9 * self.P, bytes(range(256)) * (self.P // 256))
+        data = bytes((7 * i + 3) & 0xFF for i in range(size))
+        base = 8 * self.P + off
+        ram.write(base, data)
+        model.write(base, data)
+        assert sorted(ram._pages) == sorted(model.pages)
+        for a, n in [(base, size), (base - 1, size + 2), (8 * self.P, self.P),
+                     (9 * self.P - 4, 8), (10 * self.P + 1, 5)]:
+            assert ram.read(a, n) == model.read(a, n)
+
+    def test_fast_path_keeps_the_range_check(self, ram):
+        with pytest.raises(MemoryFault):
+            ram.read(-1, 1)
+        with pytest.raises(MemoryFault):
+            ram.write(ram.size - 1, b"xy")
+        with pytest.raises(MemoryFault):
+            ram.read(0, -1)
+        assert ram.resident_bytes == 0
+
+
 class TestDirectMap:
     def test_direct_map_aliases_ram(self, space, ram):
         ram.write(0x2000, b"paint")

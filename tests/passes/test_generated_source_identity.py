@@ -4,7 +4,7 @@ The generated Python source of each driver function is the key of the
 process-global translation cache and the input of its ``compile()``,
 so these digests pin both what the cache stores and what a cold build
 pays for.  A change that only touches the engine's per-site closures
-(the load/store fast paths, the guard probe) must keep every digest; a
+(the load/store miss paths, the guard probe) must keep every digest; a
 digest that moves on purpose is re-pinned in the same change, with the
 reason in CHANGES.md.
 """
@@ -21,14 +21,14 @@ from repro.vm import compiled
 #: systems ``test_build_identity`` pins (r415, interval index, 64
 #: regions; vblk on 4 CPUs with per-CPU queues).
 SOURCE_DIGESTS = {
-    ("e1000e", 0): "31ced2e4870027c07aaf8c8647ac02a978c572ba223192bb57c7e4710cc879c5",
-    ("e1000e", 1): "ac511bc4fcd4b83aa3ecff6ce7d43e51fbbedc1a0ca6e5915e7a431102c28d89",
-    ("e1000e", 2): "03acd62caaf3ca7b4834a233dd26578a3284caf1b14c31ce0ff42d7458c0f9fb",
-    ("e1000e", 3): "bc6d61053dc17473cc0a33207d15783eda7081021b1d477aef9041d2cd02cdae",
-    ("vblk", 0): "73f539a0ebaeb2d66b3e439cf19bdbe7dac722c8949ebd4db85dcb54a4f8fdea",
-    ("vblk", 1): "80f733b16066d1564e23c569e410517e63e043f873d15a7319bea7b0684ffd05",
-    ("vblk", 2): "0641f6432a96eee4c844270b552daf0224b6cf36921840a9dbd056a7611ef7e9",
-    ("vblk", 3): "e8787fe5f9b29e41f14950991db217bcd16d712b1e03fb74ace60e226cc106e2",
+    ("e1000e", 0): "d97acd4762720047baf1366535ee2034edc2d7eed89cc1017bb8b473e9446930",
+    ("e1000e", 1): "db6f4c5aeabb03096758dc8ebf123289db8187d760b28434866be374d5784082",
+    ("e1000e", 2): "e3886ce21818df605ae14ca468fb152187144e2728d756beb71751c2a6921fa7",
+    ("e1000e", 3): "7e327c1df57232640c148e56b91eb3fac588efb6b8227650e92026f028418d4b",
+    ("vblk", 0): "7d21026735e1c9a2db6302f26002eff3f5a58fecd335ae197bb4a95d26dd8bb9",
+    ("vblk", 1): "dc1a8a91465af16b2ab5b846385840a2f8f801915e56ba51997fa1ef1b09c21b",
+    ("vblk", 2): "9b29905253e2cceaee94c93f440c9a5e17179e53366b09cdadf07e803ba57ce7",
+    ("vblk", 3): "cf85242ed938cfca0c65df6fca5dc6b89e34236e085a58fb48c4b2296402bc81",
 }
 
 STACKS = {

@@ -216,3 +216,54 @@ class TestIntegerInitializerForFloatGlobal:
         values = {n: ir.globals[n].initializer.value for n in "ghun"}
         assert values == {"g": 4.0, "h": 16777216.0, "u": 2.0 ** 64,
                           "n": -3.0}
+
+
+class TestNegation:
+    """A floating ``-x`` flips the sign bit of every non-NaN value, as C
+    does: codegen lowers it as ``fsub -0.0, x``, so ``-(+0.0)`` is -0.0,
+    the value constant folding gives ``-0.0`` in an initializer."""
+
+    SOURCE = """
+    double folded = -0.0;
+    __export unsigned long neg(double z) {
+        double r = -z; return *(unsigned long *)&r; }
+    __export unsigned long negf(double z) {
+        float f = z; float r = -f; return *(unsigned int *)&r; }
+    __export unsigned long get_folded(void) {
+        return *(unsigned long *)&folded; }
+    """
+
+    CASES = [  # argument, f64 bits of -x, f32 bits of -(float)x
+        (0.0, 0x8000000000000000, 0x80000000),
+        (-0.0, 0x0, 0x0),
+        (INF, 0xFFF0000000000000, 0xFF800000),
+        (-INF, 0x7FF0000000000000, 0x7F800000),
+        (1.5, 0xBFF8000000000000, 0xBFC00000),
+    ]
+
+    @pytest.fixture(scope="class", params=ENGINES)
+    def neg_run(self, request):
+        return load(request.param, self.SOURCE)
+
+    @pytest.mark.parametrize("z, f64_bits, f32_bits", CASES)
+    def test_sign_bit_flips(self, neg_run, z, f64_bits, f32_bits):
+        assert neg_run("neg", z) == f64_bits
+        assert neg_run("negf", z) == f32_bits
+
+    def test_nan_stays_nan(self, neg_run):
+        # Unlike C's negation, ``fsub`` keeps a NaN's sign bit, so only
+        # NaN-ness is pinned here.
+        bits = neg_run("neg", math.nan)
+        assert bits & 0x7FF0000000000000 == 0x7FF0000000000000
+        assert bits & 0x000FFFFFFFFFFFFF
+        bits = neg_run("negf", math.nan)
+        assert bits & 0x7F800000 == 0x7F800000 and bits & 0x007FFFFF
+
+    def test_agrees_with_constant_folding(self, neg_run):
+        assert neg_run("get_folded") == neg_run("neg", 0.0)
+
+    def test_engines_agree_bit_for_bit(self):
+        runs = [load(engine, self.SOURCE) for engine in ENGINES]
+        for fn in ("neg", "negf"):
+            for z in (0.0, -0.0, INF, -INF, math.nan, 1.5):
+                assert len({run(fn, z) for run in runs}) == 1
