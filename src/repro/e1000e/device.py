@@ -20,7 +20,6 @@ immediate (functional mode).
 from __future__ import annotations
 
 import struct
-import zlib
 from collections import deque
 from typing import Callable, Optional
 
@@ -32,22 +31,6 @@ from . import regs
 _LINE_RATE_BITS_PER_SEC = 1_000_000_000
 #: Preamble + SFD + IFG + FCS per frame on the wire.
 _WIRE_OVERHEAD_BYTES = 24
-
-
-class RxQueueState:
-    """One RX queue's ring registers (hardware-side view)."""
-
-    __slots__ = ("rdba", "rdlen", "rdh", "rdt", "packets")
-
-    def __init__(self) -> None:
-        self.rdba = 0
-        self.rdlen = 0
-        self.rdh = 0
-        self.rdt = 0
-        self.packets = 0
-
-    def entries(self, desc_size: int) -> int:
-        return self.rdlen // desc_size if self.rdlen else 0
 
 
 class E1000EDevice:
@@ -78,10 +61,6 @@ class E1000EDevice:
         #: telemetry-register reads and stall the DMA wire model.  None =
         #: healthy hardware.
         self.fault_injector = None
-        #: NAPI notify callback ``(queue) -> None`` the netdev installs
-        #: for queues >= 1 (its MSI-X vector).  Queue 0 keeps the legacy
-        #: line interrupt through the guarded driver's ISR.
-        self.napi_notify: Optional[Callable[[int], None]] = None
         points = kernel.trace.points
         self._tp_fetch = points["dma:fetch"]
         self._tp_writeback = points["dma:writeback"]
@@ -106,13 +85,10 @@ class E1000EDevice:
         # In-flight frames: (completion_cycle, ring_index)
         self._in_flight: deque[tuple[float, int]] = deque()
         self._wire_free_at = 0.0
-        # RX ring state, one register block per queue.  Queue 0 is the
-        # legacy ring the guarded driver programs; the ``rdba``/``rdh``/
-        # ... properties proxy it so single-queue code never changes.
-        self.rx_queues = [
-            RxQueueState() for _ in range(regs.MAX_RX_QUEUES)
-        ]
-        self.mrqc = 0
+        self.rdba = 0
+        self.rdlen = 0
+        self.rdh = 0
+        self.rdt = 0
         self.gprc = 0
         self.mpc = 0  # missed packets: RX ring had no free descriptors
         #: DMA master aborts: the driver programmed a bogus bus address.
@@ -126,62 +102,7 @@ class E1000EDevice:
 
     @property
     def rx_ring_entries(self) -> int:
-        return self.rx_queues[0].entries(regs.RDESC_SIZE)
-
-    # Legacy single-queue register aliases (queue 0).
-
-    @property
-    def rdba(self) -> int:
-        return self.rx_queues[0].rdba
-
-    @rdba.setter
-    def rdba(self, value: int) -> None:
-        self.rx_queues[0].rdba = value
-
-    @property
-    def rdlen(self) -> int:
-        return self.rx_queues[0].rdlen
-
-    @rdlen.setter
-    def rdlen(self, value: int) -> None:
-        self.rx_queues[0].rdlen = value
-
-    @property
-    def rdh(self) -> int:
-        return self.rx_queues[0].rdh
-
-    @rdh.setter
-    def rdh(self, value: int) -> None:
-        self.rx_queues[0].rdh = value
-
-    @property
-    def rdt(self) -> int:
-        return self.rx_queues[0].rdt
-
-    @rdt.setter
-    def rdt(self, value: int) -> None:
-        self.rx_queues[0].rdt = value
-
-    def rx_queues_configured(self) -> int:
-        """Queues with a programmed ring (contiguous from queue 0)."""
-        n = 0
-        for q in self.rx_queues:
-            if not q.entries(regs.RDESC_SIZE):
-                break
-            n += 1
-        return n
-
-    def rss_queue(self, frame: bytes) -> int:
-        """RSS-style steering: a deterministic hash of the frame header
-        picks the RX queue.  Single-queue or RSS-disabled: queue 0."""
-        if not (self.mrqc & regs.MRQC_RSS_EN):
-            return 0
-        nq = self.rx_queues_configured()
-        if nq <= 1:
-            return 0
-        # Hash the Ethernet header plus the flow-identifying payload
-        # prefix (the spot real RSS hashes the IP/port tuple from).
-        return zlib.crc32(frame[:34]) % nq
+        return self.rdlen // regs.RDESC_SIZE if self.rdlen else 0
 
     def _now(self) -> float:
         return self.clock() if self.clock is not None else 0.0
@@ -193,22 +114,6 @@ class E1000EDevice:
         return seconds * self.freq_hz
 
     # -- MMIO interface -----------------------------------------------------------
-
-    @staticmethod
-    def _rxq_for_offset(offset: int) -> Optional[tuple[int, int]]:
-        """Map an offset inside a queue>=1 RX register block to
-        ``(queue, base_register)``; None for everything else."""
-        if not regs.RDBAL < offset < regs.RDT + (
-            regs.MAX_RX_QUEUES * regs.RXQ_STRIDE
-        ):
-            return None
-        queue, base = divmod(offset - regs.RDBAL, regs.RXQ_STRIDE)
-        base += regs.RDBAL
-        if (1 <= queue < regs.MAX_RX_QUEUES
-                and base in (regs.RDBAL, regs.RDBAH, regs.RDLEN,
-                             regs.RDH, regs.RDT)):
-            return queue, base
-        return None
 
     def mmio_read(self, offset: int, size: int) -> int:
         if self.fault_injector is not None:
@@ -265,21 +170,6 @@ class E1000EDevice:
             return value
         if offset in (regs.IMS, regs.IMC):
             return self.ims
-        if offset == regs.MRQC:
-            return self.mrqc
-        rxq = self._rxq_for_offset(offset)
-        if rxq is not None:
-            queue, base = rxq
-            state = self.rx_queues[queue]
-            if base == regs.RDBAL:
-                return state.rdba & 0xFFFFFFFF
-            if base == regs.RDBAH:
-                return state.rdba >> 32
-            if base == regs.RDLEN:
-                return state.rdlen
-            if base == regs.RDH:
-                return state.rdh
-            return state.rdt
         return 0
 
     def mmio_write(self, offset: int, size: int, value: int) -> None:
@@ -327,30 +217,6 @@ class E1000EDevice:
             self.rdh = value % max(self.rx_ring_entries, 1)
         elif offset == regs.RDT:
             self.rdt = value % max(self.rx_ring_entries, 1)
-        elif offset == regs.MRQC:
-            self.mrqc = value
-        else:
-            rxq = self._rxq_for_offset(offset)
-            if rxq is not None:
-                queue, base = rxq
-                state = self.rx_queues[queue]
-                if base == regs.RDBAL:
-                    state.rdba = (state.rdba & ~0xFFFFFFFF) | (value & 0xFFFFFFFF)
-                elif base == regs.RDBAH:
-                    state.rdba = (state.rdba & 0xFFFFFFFF) | (value << 32)
-                elif base == regs.RDLEN:
-                    if (value % regs.RDESC_SIZE
-                            or value // regs.RDESC_SIZE > self.ring_entries_max):
-                        self.kernel.dmesg(
-                            f"e1000e device: ignoring bad RDLEN {value:#x} "
-                            f"for queue {queue}"
-                        )
-                    else:
-                        state.rdlen = value
-                elif base == regs.RDH:
-                    state.rdh = value % max(state.entries(regs.RDESC_SIZE), 1)
-                elif base == regs.RDT:
-                    state.rdt = value % max(state.entries(regs.RDESC_SIZE), 1)
         # Stats registers and unknown offsets ignore writes, like hardware.
 
     # -- DMA engine -----------------------------------------------------------------
@@ -435,8 +301,7 @@ class E1000EDevice:
     # -- RX engine --------------------------------------------------------------------
 
     def receive(self, frame: bytes) -> bool:
-        """A frame arrives from the wire: DMA it into the next RX buffer
-        of the queue RSS steers it to (queue 0 without RSS).
+        """A frame arrives from the wire: DMA it into the next RX buffer.
 
         Returns True if delivered; False (and counts MPC) when receive is
         disabled or the driver has not replenished descriptors — exactly
@@ -445,18 +310,15 @@ class E1000EDevice:
         if not (self.rctl & regs.RCTL_EN) or not self.rx_ring_entries:
             self.mpc += 1
             return False
-        queue = self.rss_queue(frame)
-        state = self.rx_queues[queue]
-        n = state.entries(regs.RDESC_SIZE)
         # Hardware owns descriptors [rdh, rdt): empty ring when rdh == rdt.
-        if state.rdh == state.rdt:
+        if self.rdh == self.rdt:
             self.mpc += 1
             return False
         if len(frame) > regs.RX_BUFFER_SIZE:
             self.mpc += 1
             return False
         ram = self.kernel.ram
-        desc_phys = state.rdba + state.rdh * regs.RDESC_SIZE
+        desc_phys = self.rdba + self.rdh * regs.RDESC_SIZE
         try:
             raw = ram.read(desc_phys, regs.RDESC_SIZE)
             buf_addr = struct.unpack("<Q", raw[:8])[0]
@@ -468,27 +330,16 @@ class E1000EDevice:
                 bytes([regs.RDESC_STATUS_DD | regs.RDESC_STATUS_EOP]),
             )
         except MemoryFault:
-            self._master_abort(f"RX DMA at queue {queue} slot {state.rdh}")
+            self._master_abort(f"RX DMA at ring slot {self.rdh}")
             self.mpc += 1
             return False
         tp = self._tp_rx
         if tp.enabled:
-            tp.emit(index=state.rdh, len=len(frame))
-        state.rdh = (state.rdh + 1) % n
-        state.packets += 1
+            tp.emit(index=self.rdh, len=len(frame))
+        self.rdh = (self.rdh + 1) % self.rx_ring_entries
         self.gprc += 1
-        if queue == 0:
-            # Legacy cause + line interrupt through the driver's ISR.
-            self.icr |= regs.ICR_RXT0
-            self._maybe_interrupt()
-        else:
-            # Per-queue MSI-X-style vector: notify the netdev's NAPI
-            # context while the cause is unmasked; the poller masks it
-            # and drains in batches.
-            cause = regs.icr_rxq(queue)
-            self.icr |= cause
-            if (self.ims & cause) and self.napi_notify is not None:
-                self.napi_notify(queue)
+        self.icr |= regs.ICR_RXT0
+        self._maybe_interrupt()
         return True
 
     def _maybe_interrupt(self) -> None:
@@ -517,4 +368,4 @@ class E1000EDevice:
         }
 
 
-__all__ = ["E1000EDevice", "RxQueueState"]
+__all__ = ["E1000EDevice"]

@@ -10,11 +10,9 @@ under the guards.
 
 from __future__ import annotations
 
-import struct
 from typing import Union
 
 from ..abi import to_signed32, to_signed64
-from ..kernel import layout
 from ..kernel.chardev import EBUSY
 from ..kernel.kernel import Kernel
 from ..kernel.module_loader import LoadedModule
@@ -59,19 +57,6 @@ class E1000ENetDev:
         # Slot-keyed: re-probing after an eject replaces the hook instead
         # of stacking a stale one per recovery cycle.
         kernel.register_eject_hook(module.name, self._on_eject, slot="netdev")
-        # Multi-queue RX (queues >= 1, kernel-side): descriptor rings and
-        # buffers this netdev owns, plus the NAPI poller state.  Queue 0
-        # stays with the guarded driver and its line interrupt.
-        self._rx_rings: dict[int, tuple[int, list[int], int]] = {}
-        self._rxq_clean: dict[int, int] = {}
-        #: Queues whose vector fired and is masked, awaiting a poll pass
-        #: (FIFO arming order, like the softirq NAPI list).
-        self._napi_armed: list[int] = []
-        self.napi_budget = 64
-        self.napi_schedules = 0
-        self.napi_polls = 0
-        self.rxq_packets: dict[int, int] = {}
-        self._tp_napi = kernel.trace.point("napi:poll")
 
     def _on_eject(self, loaded: LoadedModule) -> None:
         """Quiesce the hardware before the journal frees the driver's
@@ -83,8 +68,6 @@ class E1000ENetDev:
         dev.ims = 0
         dev.icr = 0
         dev._in_flight.clear()
-        dev.napi_notify = None
-        self._napi_armed.clear()
         if self.kernel.netif_rx_handler is self._netif_rx:
             self.kernel.netif_rx_handler = None
         self._probed = False
@@ -112,8 +95,6 @@ class E1000ENetDev:
         if self._probed:
             self.kernel.run_function(self.module, "e1000e_remove", [])
             self._probed = False
-        self.device.napi_notify = None
-        self._napi_armed.clear()
 
     def up(self) -> int:
         return self.kernel.run_function(self.module, "e1000e_up", [])
@@ -168,142 +149,6 @@ class E1000ENetDev:
         return self.kernel.run_function(
             self.module, "e1000e_clean_rx_irq", [budget]
         )
-
-    # -- multi-queue RX + NAPI (queues >= 1, kernel-side) -----------------------
-
-    def setup_rx_queue(self, queue: int, entries: int = 64) -> None:
-        """Allocate and program RX queue ``queue`` (>= 1).
-
-        The ring and its buffers are kernel-side allocations (the netdev
-        layer owns scale-out queues, the way the stack owns RSS queues);
-        the guarded driver's queue-0 bring-up is untouched, so single-
-        queue runs stay byte-identical.
-        """
-        if not 1 <= queue < regs.MAX_RX_QUEUES:
-            raise ValueError(f"queue must be 1..{regs.MAX_RX_QUEUES - 1}")
-        alloc = self.kernel.kmalloc_allocator
-        aspace = self.kernel.address_space
-        ring = alloc.kmalloc(entries * regs.RDESC_SIZE)
-        bufs = []
-        for i in range(entries):
-            buf = alloc.kmalloc(regs.RX_BUFFER_SIZE)
-            bufs.append(buf)
-            # Descriptors carry bus (physical) buffer addresses — the
-            # device DMAs straight into RAM, like the driver's queue 0.
-            aspace.write_bytes(
-                ring + i * regs.RDESC_SIZE,
-                struct.pack(
-                    "<QHHBBH", layout.direct_map_to_phys(buf), 0, 0, 0, 0, 0
-                ),
-            )
-        dev = self.device
-        ring_phys = layout.direct_map_to_phys(ring)
-        dev.mmio_write(
-            regs.rxq_reg(regs.RDBAL, queue), 4, ring_phys & 0xFFFFFFFF
-        )
-        dev.mmio_write(regs.rxq_reg(regs.RDBAH, queue), 4, ring_phys >> 32)
-        dev.mmio_write(
-            regs.rxq_reg(regs.RDLEN, queue), 4, entries * regs.RDESC_SIZE
-        )
-        dev.mmio_write(regs.rxq_reg(regs.RDH, queue), 4, 0)
-        dev.mmio_write(regs.rxq_reg(regs.RDT, queue), 4, entries - 1)
-        self._rx_rings[queue] = (ring, bufs, entries)
-        self._rxq_clean[queue] = 0
-
-    def enable_rss(self, nqueues: int, entries: int = 64,
-                   budget: int = 64) -> None:
-        """Spread RX across ``nqueues`` queues with NAPI batch polling.
-
-        Queues 1..nqueues-1 are set up kernel-side; RSS steering and the
-        per-queue vectors are unmasked; one arriving frame on a quiet
-        queue arms its poller, which then drains up to ``budget``
-        descriptors per pass before re-enabling the vector.
-        """
-        for q in range(1, nqueues):
-            if q not in self._rx_rings:
-                self.setup_rx_queue(q, entries)
-        dev = self.device
-        self.napi_budget = budget
-        ims = 0
-        for q in range(1, nqueues):
-            ims |= regs.icr_rxq(q)
-        dev.mmio_write(regs.IMS, 4, ims)
-        dev.mmio_write(regs.MRQC, 4, regs.MRQC_RSS_EN)
-        dev.napi_notify = self._napi_schedule
-
-    def _napi_schedule(self, queue: int) -> None:
-        """The queue's vector fired: mask it and arm the poller (the
-        ISR half of NAPI — no frame work happens here)."""
-        self.device.mmio_write(regs.IMC, 4, regs.icr_rxq(queue))
-        if queue not in self._napi_armed:
-            self._napi_armed.append(queue)
-            self.napi_schedules += 1
-
-    def napi_poll(self, budget: int = 0) -> int:
-        """One softirq pass: drain every armed queue, up to ``budget``
-        frames each.  A queue that drains below budget completes NAPI
-        (vector re-enabled); a saturated queue stays armed for the next
-        pass.  Returns total frames handed up."""
-        budget = budget or self.napi_budget
-        total = 0
-        for queue in list(self._napi_armed):
-            work = self._clean_rx_queue(queue, budget)
-            total += work
-            self.napi_polls += 1
-            if work < budget:
-                self._napi_armed.remove(queue)
-                self.device.mmio_write(regs.IMS, 4, regs.icr_rxq(queue))
-        return total
-
-    def _clean_rx_queue(self, queue: int, budget: int) -> int:
-        """Harvest completed descriptors from one kernel-side queue.
-
-        Runs attributed to CPU ``queue % ncpus`` (the RSS queue<->CPU
-        affinity), so per-CPU trace rings and counters see the work
-        where a real flow-steered softirq would run it."""
-        ring, bufs, entries = self._rx_rings[queue]
-        aspace = self.kernel.address_space
-        smp = self.kernel.smp
-        ntc = self._rxq_clean[queue]
-        work = 0
-        with smp.on(queue % smp.ncpus):
-            while work < budget:
-                desc = ring + ntc * regs.RDESC_SIZE
-                status = aspace.read_bytes(desc + 12, 1)[0]
-                if not (status & regs.RDESC_STATUS_DD):
-                    break
-                (length,) = struct.unpack(
-                    "<H", aspace.read_bytes(desc + 8, 2)
-                )
-                self.rx_queue.append(aspace.read_bytes(bufs[ntc], length))
-                aspace.write_bytes(desc + 12, b"\x00")
-                ntc = (ntc + 1) % entries
-                work += 1
-            if work and self._tp_napi.enabled:
-                # Emitted on the queue's CPU, so per-CPU trace rings see
-                # the poll where the flow-steered softirq ran it.
-                self._tp_napi.emit(queue=queue, work=work)
-        if work:
-            self._rxq_clean[queue] = ntc
-            # Return the harvested descriptors in one batched tail write.
-            self.device.mmio_write(
-                regs.rxq_reg(regs.RDT, queue), 4, (ntc - 1) % entries
-            )
-            self.rxq_packets[queue] = self.rxq_packets.get(queue, 0) + work
-        return work
-
-    def napi_stats(self) -> dict[str, object]:
-        return {
-            "budget": self.napi_budget,
-            "schedules": self.napi_schedules,
-            "polls": self.napi_polls,
-            "armed": list(self._napi_armed),
-            "rxq_packets": dict(self.rxq_packets),
-            "rxq_hw_packets": {
-                q: s.packets for q, s in enumerate(self.device.rx_queues)
-                if s.packets
-            },
-        }
 
     def stats(self) -> dict[str, int]:
         out = {}

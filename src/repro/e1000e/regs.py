@@ -26,25 +26,6 @@ RDLEN = 0x2808
 RDH = 0x2810
 RDT = 0x2818
 
-# Multi-queue receive: queue q's register block sits at the queue-0
-# offset plus q * RXQ_STRIDE (the 82574 puts RDBAL1 at 0x2900).  The
-# guarded driver only ever programs queue 0; queues >= 1 are owned by
-# the kernel-side netdev (RSS scale-out).
-RXQ_STRIDE = 0x100
-MAX_RX_QUEUES = 4
-MRQC = 0x5818           # multiple receive queues command
-MRQC_RSS_EN = 1 << 0    # enable RSS hashing/steering
-
-
-def rxq_reg(base: int, queue: int) -> int:
-    """The per-queue offset of an RX ring register (RDBAL/RDH/...)."""
-    return base + queue * RXQ_STRIDE
-
-
-def icr_rxq(queue: int) -> int:
-    """The per-queue RX interrupt cause (82574 MSI-X style vectors)."""
-    return 1 << (20 + queue)
-
 # Transmit
 TCTL = 0x0400
 TIPG = 0x0410
@@ -111,4 +92,4 @@ TDESC_STATUS_DD = 0x01
 # Default ring geometry (256 descriptors, like the driver's default).
 DEFAULT_RING_ENTRIES = 256
 
-__all__ = [name for name in dir() if name.isupper()] + ["icr_rxq", "rxq_reg"]
+__all__ = [name for name in dir() if name.isupper()]

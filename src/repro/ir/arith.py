@@ -5,9 +5,11 @@ float binops, division by zero, ``icmp``/``fcmp`` predicates, casts,
 and rounding to f32.  The reference interpreter evaluates through it
 (so it stays the oracle), the peephole pass folds constants through
 it, and the compiled engine binds its functions as per-site closures.
-The compiled engine's inline integer templates are the only second
-copy; ``tests/ir/test_arith_spec.py`` checks this module, the folder
-and those templates against a spec written from scratch.
+The integer rules are written once, as expression text: the compiled
+engine inlines that text into the code it generates, and this module
+compiles its own integer functions from it, so there is no second
+copy.  ``tests/ir/test_arith_spec.py`` checks this module, the folder
+and the compiled engine against a spec written from scratch.
 
 Values follow the VM's representation: an integer is a Python int
 holding the *unsigned* bit pattern of its type, a pointer is its
@@ -25,7 +27,7 @@ import functools
 import math
 import operator
 import struct
-from typing import Callable
+from typing import Callable, Optional
 
 from .types import FloatType, IntType, IRType
 
@@ -106,15 +108,97 @@ _FLOAT_OPS = {
 }
 
 
+# -- the integer rules, as expression text ----------------------------------
+#
+# Each ``*_src`` function returns the Python expression computing one
+# operation on operand expressions, which must be atoms (a name or a
+# literal).  The compiled engine inlines it; the functions below are
+# compiled from it.
+
+
+#: Integer binops other than division; ``sign`` is the type's sign bit,
+#: so ``((x & mask) ^ sign) - sign`` is the signed view of ``x``.
+_BINOP_SRC = {
+    "add": "({a} + {b}) & {mask}",
+    "sub": "({a} - {b}) & {mask}",
+    "mul": "({a} * {b}) & {mask}",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "shl": "({a} << ({b} % {bits})) & {mask}",
+    "lshr": "{a} >> ({b} % {bits})",
+    "ashr": "(((({a} & {mask}) ^ {sign}) - {sign}) >> ({b} % {bits})) & {mask}",
+}
+
+
+def binop_src(op: str, t: IRType, a: str, b: str) -> Optional[str]:
+    """The expression for integer ``op`` on ``a`` and ``b`` of type
+    ``t``, or None for division (a zero divisor needs a handler) and
+    for anything not an integer.  Shift counts are taken modulo the
+    width."""
+    text = _BINOP_SRC.get(op) if isinstance(t, IntType) else None
+    if text is None:
+        return None
+    if op == "ashr" and t.bits == 1:
+        return f"({a} & 1) >> ({b} % 1)"  # i1 has no negative range
+    return text.format(a=a, b=b, mask=t.max_unsigned, bits=t.bits,
+                       sign=1 << (t.bits - 1))
+
+
+_CMP_SRC = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+
+
+def icmp_src(pred: str, t: IRType, a: str, b: str) -> str:
+    """The expression (0 or 1) for ``icmp pred`` on ``a`` and ``b`` of
+    type ``t``.  Signed predicates compare two's-complement values of
+    an integer type; pointers always compare as unsigned addresses."""
+    c = _CMP_SRC[pred[-2:]]
+    if pred[0] == "s" and isinstance(t, IntType):
+        if t.bits > 1:
+            # Flipping the sign bit of the masked pattern maps signed
+            # order onto unsigned order.
+            m, sign = t.max_unsigned, 1 << (t.bits - 1)
+            return f"1 if (({a} & {m}) ^ {sign}) {c} (({b} & {m}) ^ {sign}) else 0"
+        return f"1 if ({a} & 1) {c} ({b} & 1) else 0"  # i1: no negatives
+    return f"1 if {a} {c} {b} else 0"
+
+
+#: The casts that round or range-check a float: :func:`cast_src` has no
+#: expression for them, and :func:`cast` builds them as closures.
+FLOAT_CONVERSIONS = frozenset(("sitofp", "fptosi", "fptrunc"))
+
+
+def cast_src(op: str, src: IRType, dst: IRType, v: str) -> Optional[str]:
+    """The expression converting ``v`` from ``src`` to ``dst``, or None
+    for a float conversion (:data:`FLOAT_CONVERSIONS`)."""
+    if op in ("bitcast", "inttoptr", "ptrtoint", "zext", "fpext"):
+        return v
+    if op == "trunc":
+        return f"{v} & {dst.max_unsigned}"
+    if op == "sext":
+        if src.bits > 1:
+            sign = 1 << (src.bits - 1)
+            return f"((({v} & {src.max_unsigned}) ^ {sign}) - {sign}) & {dst.max_unsigned}"
+        return f"{v} & 1"  # i1 has no negative range: sext == zext
+    if op in FLOAT_CONVERSIONS:
+        return None
+    raise ValueError(f"bad cast {op}")
+
+
+def _function(params: str, src: str):
+    """``lambda params: src``, compiled from a rule's expression text."""
+    return eval(f"lambda {params}: {src}")
+
+
 def make_binop(op: str, t: IRType,
                on_zero: Callable[[], object] = _divide_by_zero):
     """The function ``f(a, b)`` computing ``op`` on values of type ``t``.
 
-    Shift counts are taken modulo the width.  A zero divisor of
-    ``sdiv``/``udiv``/``srem``/``urem`` returns ``on_zero()``, which by
-    default raises ``ZeroDivisionError``; ``fdiv`` by zero is an
-    infinity whose sign is the product of the operands' signs, or NaN
-    for ``0/0``."""
+    Integer operations other than division are :func:`binop_src`'s
+    text.  A zero divisor of ``sdiv``/``udiv``/``srem``/``urem`` returns
+    ``on_zero()``, which by default raises ``ZeroDivisionError``;
+    ``fdiv`` by zero is an infinity whose sign is the product of the
+    operands' signs, or NaN for ``0/0``."""
     if isinstance(t, FloatType):
         fn = _FLOAT_OPS.get(op)
         if fn is None:
@@ -124,25 +208,10 @@ def make_binop(op: str, t: IRType,
         return fn
     if not isinstance(t, IntType):
         raise ValueError(f"bad binop type {t}")
-    mask, bits, ts, wrap = t.max_unsigned, t.bits, t.to_signed, t.wrap
-    if op == "add":
-        return lambda a, b: (a + b) & mask
-    if op == "sub":
-        return lambda a, b: (a - b) & mask
-    if op == "mul":
-        return lambda a, b: (a * b) & mask
-    if op == "and":
-        return operator.and_
-    if op == "or":
-        return operator.or_
-    if op == "xor":
-        return operator.xor
-    if op == "shl":
-        return lambda a, b: (a << (b % bits)) & mask
-    if op == "lshr":
-        return lambda a, b: a >> (b % bits)
-    if op == "ashr":
-        return lambda a, b: wrap(ts(a) >> (b % bits))
+    src = binop_src(op, t, "a", "b")
+    if src is not None:
+        return _function("a, b", src)
+    ts, wrap = t.to_signed, t.wrap
     if op == "udiv":
         def udiv(a, b):
             if b == 0:
@@ -172,44 +241,28 @@ def make_binop(op: str, t: IRType,
     raise ValueError(f"bad int op {op}")
 
 
-_ORDER = {
-    "eq": operator.eq, "ne": operator.ne,
-    "lt": operator.lt, "le": operator.le,
-    "gt": operator.gt, "ge": operator.ge,
-}
-
-
 @functools.lru_cache(maxsize=None)
 def icmp(pred: str, t: IRType):
-    """The function ``f(a, b) -> 0 | 1`` for ``icmp pred`` on ``t``.
-    Signed predicates compare two's-complement values of an integer
-    type; pointers always compare as unsigned addresses."""
-    cmp = _ORDER[pred[-2:]]
-    if pred[0] == "s" and isinstance(t, IntType):
-        ts = t.to_signed
-        return lambda a, b: 1 if cmp(ts(a), ts(b)) else 0
-    return lambda a, b: 1 if cmp(a, b) else 0
+    """The function ``f(a, b) -> 0 | 1`` for ``icmp pred`` on ``t``:
+    :func:`icmp_src`'s text."""
+    return _function("a, b", icmp_src(pred, t, "a", "b"))
 
 
 @functools.lru_cache(maxsize=None)
 def fcmp(pred: str):
     """The function ``f(a, b) -> 0 | 1`` for ``fcmp pred``.  Every
     predicate is ordered, so a NaN operand makes it false."""
-    cmp = _ORDER[pred[1:]]
-    return lambda a, b: 0 if a != a or b != b else 1 if cmp(a, b) else 0
+    c = _CMP_SRC[pred[1:]]
+    return _function("a, b", f"0 if a != a or b != b else 1 if a {c} b else 0")
 
 
 @functools.lru_cache(maxsize=None)
 def cast(op: str, src: IRType, dst: IRType):
-    """The function ``f(v)`` converting a ``src`` value to ``dst``."""
-    if op in ("bitcast", "inttoptr", "ptrtoint", "zext", "fpext"):
-        return lambda v: v
-    if op == "trunc":
-        mask = dst.max_unsigned
-        return lambda v: v & mask
-    if op == "sext":
-        ts, wrap = src.to_signed, dst.wrap
-        return lambda v: wrap(ts(v))
+    """The function ``f(v)`` converting a ``src`` value to ``dst``:
+    :func:`cast_src`'s text, or a closure for a float conversion."""
+    text = cast_src(op, src, dst, "v")
+    if text is not None:
+        return _function("v", text)
     if op == "sitofp":
         ts = src.to_signed
         if dst.bits == 32:
@@ -217,9 +270,7 @@ def cast(op: str, src: IRType, dst: IRType):
         return lambda v: float(ts(v))
     if op == "fptosi":
         return lambda v: fptosi(v, dst)
-    if op == "fptrunc":
-        return round_f32
-    raise ValueError(f"bad cast {op}")
+    return round_f32  # fptrunc
 
 
 #: :func:`make_binop` with the default zero handler, memoised for
@@ -227,5 +278,6 @@ def cast(op: str, src: IRType, dst: IRType):
 binop = functools.lru_cache(maxsize=None)(make_binop)
 
 
-__all__ = ["binop", "cast", "fcmp", "fptosi", "icmp", "int_to_f32",
-           "make_binop", "pack_f32", "round_f32", "trunc_divmod"]
+__all__ = ["FLOAT_CONVERSIONS", "binop", "binop_src", "cast", "cast_src",
+           "fcmp", "fptosi", "icmp", "icmp_src", "int_to_f32", "make_binop",
+           "pack_f32", "round_f32", "trunc_divmod"]

@@ -76,14 +76,16 @@ class Expr(Node):
 
 
 class IntLit(Expr):
-    __slots__ = ("value", "is_long", "is_unsigned")
+    __slots__ = ("value", "is_long", "is_unsigned", "is_hex")
 
     def __init__(self, value: int, line: int, is_long: bool = False,
-                 is_unsigned: bool = False):
+                 is_unsigned: bool = False, is_hex: bool = False):
         super().__init__(line)
         self.value = value
         self.is_long = is_long
         self.is_unsigned = is_unsigned
+        #: Written in hexadecimal, which widens the candidate types.
+        self.is_hex = is_hex
 
 
 class FloatLit(Expr):

@@ -234,14 +234,24 @@ def resolve(
 
 
 def int_literal_type(lit: A.IntLit) -> CType:
-    """An integer literal's type: ``int``, or ``long`` when an ``l``
-    suffix or the value needs it; unsigned with a ``u`` suffix, so
-    ``0xFFFFFFFFu`` is ``unsigned int``.  (An unsuffixed hexadecimal
-    literal takes the decimal rule: ``0xFFFFFFFF`` is ``long``.)"""
-    top = 0xFFFFFFFF if lit.is_unsigned else 0x7FFFFFFF
-    if lit.is_long or not -0x80000000 <= lit.value <= top:
-        return ULONG if lit.is_unsigned else LONG
-    return UINT if lit.is_unsigned else INT
+    """An integer literal's type (C11 6.4.4.1): the first of its
+    candidates that holds the value.  Unsuffixed decimal tries ``int``
+    then ``long``; hexadecimal also tries the unsigned type of each
+    rank, so ``0xFFFFFFFF`` is ``unsigned int``; a ``u`` suffix tries
+    only unsigned types and an ``l`` suffix starts at ``long``.  A
+    value no candidate holds takes the last one."""
+    if lit.is_unsigned:
+        candidates = (ULONG,) if lit.is_long else (UINT, ULONG)
+    elif lit.is_hex:
+        candidates = (LONG, ULONG) if lit.is_long else (INT, UINT, LONG, ULONG)
+    else:
+        candidates = (LONG,) if lit.is_long else (INT, LONG)
+    v = lit.value
+    for ct in candidates:
+        half = 1 << (ct.bits - 1)
+        if (-half <= v < half) if ct.signed else (0 <= v < 2 * half):
+            return ct
+    return candidates[-1]
 
 
 def promote(ct: CType) -> CType:

@@ -9,10 +9,9 @@ ioremap'd BAR.
 Since the multi-queue rework the register file carries **five queue
 pairs** laid out NVMe-style: block 0 is the admin/legacy pair and
 blocks 1..4 are per-CPU I/O pairs.  Every block repeats the same
-within-block layout at ``QBASE + q * QSTRIDE`` (the e1000e RXQ_STRIDE
-idiom), and block 0 lands exactly on the historic single-queue
-offsets, so legacy host software that programs DTBAL/AVT/UT keeps
-working unchanged.  I/O queues come into service through CREATE_IOQ
+within-block layout at ``QBASE + q * QSTRIDE``, and block 0 lands
+exactly on the historic single-queue offsets, so legacy host software
+that programs DTBAL/AVT/UT keeps working unchanged.  I/O queues come into service through CREATE_IOQ
 admin commands submitted on queue 0, never by doorbell alone.
 
 512-byte sectors; five request types (read, write, flush on any queue;

@@ -13,10 +13,12 @@ compiled with :func:`compile`/``exec``:
   backward branch ``continue``\\ s.  Phis become parallel assignments on
   each incoming edge;
 - integer arithmetic (binops, compares, casts, geps, selects) is inline
-  expressions; a gep off a literal base with a constant index is one
-  literal.  Stateful operations (native calls, guards, allocas,
-  division, float math) call per-site closures that take operand values
-  and return the result (``v5 = C0(v2)``);
+  expressions; binops, compares and casts are the text of the rules in
+  :mod:`repro.ir.arith` with the operands substituted, and a gep off a
+  literal base with a constant index is one literal.  Stateful
+  operations (native calls, guards, allocas, division, float math) call
+  per-site closures that take operand values and return the result
+  (``v5 = C0(v2)``);
 - a call to another function of the same module is ``v7 = F3(v1, v2)``,
   where ``F3`` is a namespace slot bound lazily to the callee's
   generated function, so no per-call translation lookup remains;
@@ -117,7 +119,7 @@ from ..ir.instructions import (
     Switch,
     Unreachable,
 )
-from ..ir.types import FloatType, IntType, PointerType
+from ..ir.types import FloatType, IntType
 from ..ir.values import (
     ConstantFloat,
     ConstantInt,
@@ -528,18 +530,17 @@ class _Translator:
 
     # -- straight-line steps -----------------------------------------------
 
-    _INLINE_INT_OPS = frozenset(
-        ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
-    )
-
     def _emit_step(self, inst) -> None:
         kind = type(inst)
         s = self.names[inst]
         if kind is BinOp:
-            if (isinstance(inst.type, IntType)
-                    and inst.op in self._INLINE_INT_OPS):
+            src = None
+            if isinstance(inst.type, IntType):  # no int operand binds a slot
+                src = arith.binop_src(inst.op, inst.type,
+                                      self._v(inst.lhs), self._v(inst.rhs))
+            if src is not None:
                 self._charge(inst.opcode)
-                self._emit(4, f"{s} = {self._int_binop(inst)}")
+                self._emit(4, f"{s} = {src}")
                 return
             # Division (panic path) and float arithmetic stay closures.
             c = self._bind("C", self._binop_core(inst))
@@ -548,10 +549,12 @@ class _Translator:
             return
         if kind is ICmp:
             self._charge(inst.opcode)
-            self._emit(4, f"{s} = {self._icmp(inst)}")
+            src = arith.icmp_src(inst.pred, inst.lhs.type,
+                                 self._v(inst.lhs), self._v(inst.rhs))
+            self._emit(4, f"{s} = {src}")
             return
         if kind is Cast:
-            if inst.op in ("sitofp", "fptosi", "fptrunc"):
+            if inst.op in arith.FLOAT_CONVERSIONS:
                 # Float conversions stay closures from ``repro.ir.arith``.
                 c = self._bind(
                     "C", arith.cast(inst.op, inst.value.type, inst.type))
@@ -559,7 +562,9 @@ class _Translator:
                                f"{s} = {c}({self._v(inst.value)})")
                 return
             self._charge(inst.opcode)
-            self._emit(4, f"{s} = {self._int_cast(inst)}")
+            src = arith.cast_src(inst.op, inst.value.type, inst.type,
+                                 self._v(inst.value))
+            self._emit(4, f"{s} = {src}")
             return
         if kind is Gep:
             self._charge(inst.opcode)
@@ -600,78 +605,7 @@ class _Translator:
         self._observed(inst.opcode,
                        f"raise IE({f'cannot execute {inst.opcode}'!r})")
 
-    # -- inline integer arithmetic -----------------------------------------
-
-    def _int_binop(self, inst: BinOp) -> str:
-        a = self._v(inst.lhs)
-        b = self._v(inst.rhs)
-        t = inst.type
-        op = inst.op
-        mask = t.max_unsigned
-        bits = t.bits
-        if op == "add":
-            return f"({a} + {b}) & {mask}"
-        if op == "sub":
-            return f"({a} - {b}) & {mask}"
-        if op == "mul":
-            return f"({a} * {b}) & {mask}"
-        if op == "and":
-            return f"{a} & {b}"
-        if op == "or":
-            return f"{a} | {b}"
-        if op == "xor":
-            return f"{a} ^ {b}"
-        if op == "shl":
-            return f"({a} << ({b} % {bits})) & {mask}"
-        if op == "lshr":
-            return f"{a} >> ({b} % {bits})"
-        if bits > 1:  # ashr: ``to_signed`` is ((x & mask) ^ sign) - sign
-            sign = 1 << (bits - 1)
-            return f"(((({a} & {mask}) ^ {sign}) - {sign}) >> ({b} % {bits})) & {mask}"
-        return f"({a} & 1) >> ({b} % 1)"  # ashr on i1: no negative range
-
-    _CMP_SRC = {
-        "eq": "==", "ne": "!=",
-        "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
-        "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
-    }
-    _SIGNED_PREDS = frozenset(("slt", "sle", "sgt", "sge"))
-
-    def _icmp(self, inst: ICmp) -> str:
-        a = self._v(inst.lhs)
-        b = self._v(inst.rhs)
-        c = self._CMP_SRC[inst.pred]
-        t = inst.lhs.type
-        if inst.pred in self._SIGNED_PREDS and not isinstance(t, PointerType):
-            assert isinstance(t, IntType)
-            if t.bits > 1:
-                # Flipping the sign bit of the masked pattern maps signed
-                # order onto unsigned order, exactly like ``to_signed``.
-                m, sign = t.max_unsigned, 1 << (t.bits - 1)
-                return (f"1 if (({a} & {m}) ^ {sign}) {c} "
-                        f"(({b} & {m}) ^ {sign}) else 0")
-            # i1 has no negative range: raw compare.
-            return f"1 if ({a} & 1) {c} ({b} & 1) else 0"
-        return f"1 if {a} {c} {b} else 0"
-
-    def _int_cast(self, inst: Cast) -> str:
-        op = inst.op
-        v = self._v(inst.value)
-        if op in ("bitcast", "inttoptr", "ptrtoint", "zext", "fpext"):
-            return v
-        if op == "trunc":
-            assert isinstance(inst.type, IntType)
-            return f"{v} & {inst.type.max_unsigned}"
-        if op == "sext":
-            src = inst.value.type
-            t = inst.type
-            assert isinstance(src, IntType) and isinstance(t, IntType)
-            if src.bits > 1:
-                sign = 1 << (src.bits - 1)
-                return (f"((({v} & {src.max_unsigned}) ^ {sign}) - {sign})"
-                        f" & {t.max_unsigned}")
-            return f"{v} & 1"  # i1 has no negative range: sext == zext
-        raise InterpreterError(f"bad cast {op}")  # pragma: no cover
+    # -- inline address arithmetic -----------------------------------------
 
     def _gep(self, inst: Gep) -> str:
         base = self._v(inst.base)

@@ -11,9 +11,18 @@ from repro.e1000e import regs
 from repro.net import make_test_frame
 
 
-@pytest.fixture(params=[False, True], ids=["baseline", "carat"])
+@pytest.fixture(
+    params=[(False, 1), (True, 1), (False, 2), (True, 2)],
+    ids=["baseline", "carat", "baseline-2cpu", "carat-2cpu"],
+)
 def system(request):
-    return CaratKopSystem(SystemConfig(machine=None, protect=request.param))
+    """One system per (protected, CPUs).  On two CPUs the driver is
+    still the ring's only cleaner: frames arrive in order, through the
+    same guarded descriptor walk as on one."""
+    protect, cpus = request.param
+    return CaratKopSystem(
+        SystemConfig(machine=None, protect=protect, cpus=cpus)
+    )
 
 
 class TestReceive:

@@ -1,14 +1,16 @@
 """An independent spec for the IR's arithmetic.
 
-``repro.ir.arith`` is the one definition of the IR's value rules; the
-compiled engine's inline templates (``_int_binop``, ``_icmp``,
-``_int_cast``) are the only second copy.  The spec below is written
-from scratch, not from either: integers in pure modular arithmetic
+``repro.ir.arith`` is the one definition of the IR's value rules.  Its
+integer rules are expression text (``binop_src``, ``icmp_src``,
+``cast_src``) that the module compiles into its own functions and the
+compiled engine inlines into generated code.  The spec below is written
+from scratch, not from that text: integers in pure modular arithmetic
 (floor division corrected toward zero), floats as exact rationals
 rounded once to the nearest IEEE single or double.  The integer rules
 are checked in three places: the shared module, the peephole folder,
 and the compiled engine running one hand-built function per operation
-and width.  The float rules (binops, ``fcmp``, ``sitofp``, ``fptrunc``,
+and width, which checks that the translator substitutes its operands
+into the shared text correctly.  The float rules (binops, ``fcmp``, ``sitofp``, ``fptrunc``,
 ``fptosi``) are checked in the shared module and the compiled engine,
 and C's conversions to unsigned types, which codegen lowers around
 ``fptosi``'s signed range, in compiled mini-C.
@@ -141,8 +143,8 @@ def engine():
     """A kernel on the compiled engine with one function per operation:
     ``<op>_i<w>(a, b)`` and ``<pred>_i<w>(a, b)`` return the result, and
     ``<cast>_i<src>_i<dst>(v)`` the converted value.  The arguments
-    are opaque to the compiled engine, so every step runs its inline
-    template (division runs its closure)."""
+    are opaque to the compiled engine, so every step runs the rule's
+    text with the arguments substituted (division runs its closure)."""
     m = Module("arithspec")
     for w in WIDTHS:
         t = IntType(w)

@@ -6,7 +6,9 @@ at that type, so a global initializer holds what gcc 12.2
 (``-O0 -fwrapv``, x86-64) stores for the same line.  The two floating
 rows are the ones typeless folding got wrong (``-1.0`` and
 ``4294967296.0``); each module is loaded and read back under both
-engines.
+engines.  An unsuffixed hexadecimal literal takes the first of ``int``,
+``unsigned int``, ``long`` and ``unsigned long`` that holds it (C11
+6.4.4.1), in constant expressions and at run time alike.
 """
 
 import struct
@@ -30,6 +32,8 @@ GCC_ROWS = [
     ("long g = 1u << 31;", 2147483648),
     ("long g = -1L >> 63;", -1),
     ("long g = 0x80000000;", 2147483648),
+    ("long g = -0x80000000;", 2147483648),
+    ("long g = 0x8000000000000000 >> 63;", 1),
 ]
 
 _FORMATS = {"double": "<d", "float": "<f", "long": "<q", "unsigned": "<I"}
@@ -58,3 +62,22 @@ def test_initializer_matches_gcc(decl, expected, engine):
         assert got == int.from_bytes(raw, "little")
     else:
         assert got == expected & (2**64 - 1)
+
+
+#: (body of ``long f(int a)``, argument, what gcc returns).
+GCC_RUNTIME_ROWS = [
+    ("return -0x80000000 + a;", 0, 2147483648),
+    ("return 0xFFFFFFFF > a;", -1, 0),
+]
+
+
+@pytest.mark.parametrize("engine", ["interp", "compiled"])
+@pytest.mark.parametrize("body, arg, expected", GCC_RUNTIME_ROWS)
+def test_hex_literal_types_at_run_time(body, arg, expected, engine):
+    kernel = Kernel(engine=engine)
+    loaded = kernel.insmod(compile_module(
+        f"__export long f(int a) {{ {body} }}",
+        CompileOptions(module_name="hexrt", protect=False),
+    ))
+    got = kernel.run_function(loaded, "f", [arg & 0xFFFFFFFF])
+    assert got == expected & (2**64 - 1)

@@ -22,14 +22,14 @@ from repro.vblk.driver_source import DRIVER_SOURCE as VBLK_SOURCE
 #: sha256(canonical_bytes(ir)) of each driver build (r415, interval
 #: index, 64 regions; vblk on 4 CPUs with per-CPU queues).
 DRIVER_DIGESTS = {
-    ("e1000e", 0): "1630be02c8b27a798a6c29b8d3ec3ddc290395c645b35f18700b4c447edce4af",
-    ("e1000e", 1): "667e15c77f62709e9d85107b882562174a181ddd76d4b8f9b9fe53041d579cd2",
-    ("e1000e", 2): "4084f44d2425dafc5c654f436d21593f3585b865c014f73c2fdda83f1578cf72",
-    ("e1000e", 3): "5168006977a13571cae47a3aded9a37d75ace5974d3eb9accd6c2808b2294df5",
-    ("vblk", 0): "bc926358202e801766e5fe12febe0ad01648f9e16c6b31007ae2f83e979915f4",
-    ("vblk", 1): "a4ffcf007f8d4e45764c9c1e32ce7fe472982e64a75d6ae2843f7de390e08b48",
-    ("vblk", 2): "1d5f144f61850d47df99658abac3fb45001287a70f1b23d1c21578f2cb8ff785",
-    ("vblk", 3): "e9b22cd9920e499d73126f8caa472c668e8c9454b94af0563e90e3f8beaa0ad5",
+    ("e1000e", 0): "54db91b740ff97dc9fe32effbfa5cf112e48e8d44dfee2db21d4c8f29e980003",
+    ("e1000e", 1): "89c28316babac66c2d94c6decf7915851188dc64c1fefef82f5dfa9720786dc7",
+    ("e1000e", 2): "ce0b3402c6ba96cab87e0b3ba2a3e6ada546430da4846bf538f1b1cf392ba2ca",
+    ("e1000e", 3): "4af2f9aae68a1f969acec1ce12ab05bb382441dc80c499cb8073b66874d8445d",
+    ("vblk", 0): "23354985391857ea1ae876cd2a3e7d9cf1d142558354313b03312fb4499e0ad8",
+    ("vblk", 1): "4a56c86bbb1279ecec6f2c3c05277c37b46f20997c519d40bcae9af76089453e",
+    ("vblk", 2): "7f0f5d44ff95f8e85ac28d5110c2dfabaf9e1e05e1c6d9e015c6298713bfbcde",
+    ("vblk", 3): "abdb4ffcc3dfa5b34a4eaf4528967c8182c7aa9c6614b6f16a4f52ca6db7ee28",
 }
 
 #: The same digest for each program-bank entry after the default

@@ -155,12 +155,12 @@ def test_parse_rejects_malformed(text):
 #: digest of the canonical print, so neither moves.
 PINNED = {
     "e1000e": (
-        "5168006977a13571cae47a3aded9a37d75ace5974d3eb9accd6c2808b2294df5",
-        "914f8aa079b9b1cb02b08859d3b7aeb3727cfa2c3496951bb1b1bcd92880bd04",
+        "4af2f9aae68a1f969acec1ce12ab05bb382441dc80c499cb8073b66874d8445d",
+        "4607274c42aafd3096a9bab1bdad4e1b2d4a24231890e5c9cec200facc6abc9e",
     ),
     "vblk": (
-        "e9b22cd9920e499d73126f8caa472c668e8c9454b94af0563e90e3f8beaa0ad5",
-        "003c6057c873e3f2538d21a1be3b2d294b30cbc7ad14cc0aa91752937b058110",
+        "abdb4ffcc3dfa5b34a4eaf4528967c8182c7aa9c6614b6f16a4f52ca6db7ee28",
+        "ad71ceda4c579b45b851bf2d244f4b22f4b1efb66fc6a8e51a19a1de7241761b",
     ),
 }
 
