@@ -98,10 +98,12 @@ def test_compiled_engine_speedup(results_dir):
     }
     path = results_dir / "BENCH_engine.json"
     if path.exists():
-        # Keep the e2e pairs ``benchmarks/setup_pairs.py`` records here.
-        pairs = json.loads(path.read_text()).get("e2e_pairs")
-        if pairs is not None:
-            report["e2e_pairs"] = pairs
+        # Keep the e2e pairs ``benchmarks/setup_pairs.py`` and the guard
+        # replay ``benchmarks/guard_hit_replay.py`` record here.
+        old = json.loads(path.read_text())
+        for key in ("e2e_pairs", "guard_hit_replay"):
+            if key in old:
+                report[key] = old[key]
     path.write_text(json.dumps(report, indent=2) + "\n")
     assert speedup >= REQUIRED_SPEEDUP, (
         f"compiled engine only {speedup:.2f}x faster than interp "

@@ -76,16 +76,17 @@ class Expr(Node):
 
 
 class IntLit(Expr):
-    __slots__ = ("value", "is_long", "is_unsigned", "is_hex")
+    __slots__ = ("value", "is_long", "is_unsigned", "is_decimal")
 
     def __init__(self, value: int, line: int, is_long: bool = False,
-                 is_unsigned: bool = False, is_hex: bool = False):
+                 is_unsigned: bool = False, is_decimal: bool = True):
         super().__init__(line)
         self.value = value
         self.is_long = is_long
         self.is_unsigned = is_unsigned
-        #: Written in hexadecimal, which widens the candidate types.
-        self.is_hex = is_hex
+        #: False when written in octal or hexadecimal, which widens the
+        #: candidate types.
+        self.is_decimal = is_decimal
 
 
 class FloatLit(Expr):

@@ -236,16 +236,16 @@ def resolve(
 def int_literal_type(lit: A.IntLit) -> CType:
     """An integer literal's type (C11 6.4.4.1): the first of its
     candidates that holds the value.  Unsuffixed decimal tries ``int``
-    then ``long``; hexadecimal also tries the unsigned type of each
-    rank, so ``0xFFFFFFFF`` is ``unsigned int``; a ``u`` suffix tries
-    only unsigned types and an ``l`` suffix starts at ``long``.  A
-    value no candidate holds takes the last one."""
+    then ``long``; octal and hexadecimal also try the unsigned type of
+    each rank, so ``0xFFFFFFFF`` and ``037777777777`` are ``unsigned
+    int``; a ``u`` suffix tries only unsigned types and an ``l`` suffix
+    starts at ``long``.  A value no candidate holds takes the last one."""
     if lit.is_unsigned:
         candidates = (ULONG,) if lit.is_long else (UINT, ULONG)
-    elif lit.is_hex:
-        candidates = (LONG, ULONG) if lit.is_long else (INT, UINT, LONG, ULONG)
-    else:
+    elif lit.is_decimal:
         candidates = (LONG,) if lit.is_long else (INT, LONG)
+    else:
+        candidates = (LONG, ULONG) if lit.is_long else (INT, UINT, LONG, ULONG)
     v = lit.value
     for ct in candidates:
         half = 1 << (ct.bits - 1)

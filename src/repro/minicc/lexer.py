@@ -134,7 +134,12 @@ def tokenize(source: str) -> list[Token]:
                 line_start = nl + 1
         elif kind == "int":
             text = m.group(kind)
-            append(Token("int", text, line, col, int(text.rstrip("uUlL"))))
+            digits = text.rstrip("uUlL")
+            base = 8 if digits[0] == "0" else 10  # C11 6.4.4.1: ``0`` too
+            if base == 8 and digits.strip("01234567"):
+                raise LexError(f"invalid digit in octal constant {text!r}",
+                               line, col)
+            append(Token("int", text, line, col, int(digits, base)))
         elif kind == "hex":
             text = m.group(kind)
             append(Token("int", text, line, col, int(text.rstrip("uUlL"), 16)))

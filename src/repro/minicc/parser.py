@@ -562,7 +562,7 @@ class Parser:
             return A.IntLit(
                 tok.value, tok.line,
                 is_long="l" in text, is_unsigned="u" in text,
-                is_hex=text.startswith("0x"),
+                is_decimal=not text.startswith("0"),
             )
         if tok.kind == "float":
             self.advance()

@@ -6,9 +6,10 @@ at that type, so a global initializer holds what gcc 12.2
 (``-O0 -fwrapv``, x86-64) stores for the same line.  The two floating
 rows are the ones typeless folding got wrong (``-1.0`` and
 ``4294967296.0``); each module is loaded and read back under both
-engines.  An unsuffixed hexadecimal literal takes the first of ``int``,
-``unsigned int``, ``long`` and ``unsigned long`` that holds it (C11
-6.4.4.1), in constant expressions and at run time alike.
+engines.  An unsuffixed hexadecimal or octal literal takes the first of
+``int``, ``unsigned int``, ``long`` and ``unsigned long`` that holds it
+(C11 6.4.4.1), in constant expressions and at run time alike; a leading
+zero makes a literal octal.
 """
 
 import struct
@@ -34,6 +35,9 @@ GCC_ROWS = [
     ("long g = 0x80000000;", 2147483648),
     ("long g = -0x80000000;", 2147483648),
     ("long g = 0x8000000000000000 >> 63;", 1),
+    ("long g = 0777;", 511),
+    ("long g = 010u;", 8),
+    ("long g = -037777777777;", 1),
 ]
 
 _FORMATS = {"double": "<d", "float": "<f", "long": "<q", "unsigned": "<I"}
@@ -68,6 +72,8 @@ def test_initializer_matches_gcc(decl, expected, engine):
 GCC_RUNTIME_ROWS = [
     ("return -0x80000000 + a;", 0, 2147483648),
     ("return 0xFFFFFFFF > a;", -1, 0),
+    ("return 037777777777 > a;", -1, 0),
+    ("return 0777 == 511 + a;", 0, 1),
 ]
 
 

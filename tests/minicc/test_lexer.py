@@ -30,6 +30,16 @@ class TestBasics:
         tok = tokenize("0xFF")[0]
         assert tok.value == 255
 
+    def test_octal_int(self):
+        # A leading zero means octal (C11 6.4.4.1); ``0`` itself is one.
+        toks = tokenize("0 0777 010u")
+        assert [t.value for t in toks[:-1]] == [0, 511, 8]
+
+    @pytest.mark.parametrize("text", ["08", "09", "0778"])
+    def test_octal_rejects_8_and_9(self, text):
+        with pytest.raises(LexError, match="octal"):
+            tokenize(text)
+
     def test_int_suffixes(self):
         toks = tokenize("1UL 2u 3ll")
         assert [t.value for t in toks[:-1]] == [1, 2, 3]

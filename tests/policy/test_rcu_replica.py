@@ -210,10 +210,11 @@ class TestGuardCacheInvalidation:
                 policy._guard(None, *query, "t")
         assert miss_hit_counts() == [(1, 1)] * ncpus
 
-        # A mode change bumps the enforcement epoch: every CPU's cached
-        # decisions are stale and the next guard must miss.
+        # A mode change empties every CPU's decisions for the table, so
+        # the next guard on each CPU must miss.
         policy.set_mode("panic")
         policy.set_mode("audit")  # back to audit so denials don't raise
+        assert [t[policy.index] for t in policy._decisions] == [{}] * ncpus
         for cpu in range(ncpus):
             with kernel.smp.on(cpu):
                 policy._guard(None, *query, "t")
@@ -229,7 +230,8 @@ class TestGuardCacheInvalidation:
             with kernel.smp.on(cpu):
                 policy._guard(None, *query, "t")
                 policy._guard(None, *query, "t")
-        manager.add_region(*_slot_region(1))  # index epoch moves
+        manager.add_region(*_slot_region(1))  # the table changes
+        assert [t[policy.index] for t in policy._decisions] == [{}] * ncpus
         for cpu in range(ncpus):
             with kernel.smp.on(cpu):
                 policy._guard(None, *query, "t")
