@@ -34,7 +34,7 @@ index from the old one copy-on-write (:meth:`_IntervalLookup.added` /
 :meth:`_IntervalLookup.removed`), touching only the segments the region
 spans and never mutating a published index.  The result is structurally
 identical to a full build over the new region tuple.  A stale index
-(direct ``_regions`` edits plus an epoch bump, a freshly composed table,
+(direct ``_regions`` edits plus ``changed()``, a freshly composed table,
 ``clear()``) is rebuilt in full on its next use, as is a change that
 crosses :data:`LINEAR_CUTOFF`.
 """
