@@ -46,7 +46,7 @@ def emit_trace_artifact(
     Returns a summary dict (paths written, event totals, top guard
     sites) that ``caratkop-bench --trace-dir`` folds into its report.
     """
-    from ..trace import to_chrome_trace, to_folded
+    from ..trace import write_artifacts
 
     cell = FIGURE_TRACE_CONFIGS.get(fid)
     if cell is None:
@@ -64,24 +64,16 @@ def emit_trace_artifact(
             engine=engine,
         )
     )
-    kernel = system.kernel
-    trace = kernel.trace
+    trace = system.kernel.trace
     trace.enable()
     result = system.blast(size=cell["size"], count=count)
     trace.disable()
 
-    events = trace.snapshot()
-    freq = trace.freq_hz
-
-    trace_path = out / f"{fid}.trace.json"
-    trace_path.write_text(
-        json.dumps(to_chrome_trace(events, freq_hz=freq,
-                                   process_name=f"caratkop-{fid}"))
+    trace_path, folded_path, stat_path = write_artifacts(
+        trace, chrome=out / f"{fid}.trace.json",
+        folded=out / f"{fid}.folded", stat=out / f"{fid}.stat.txt",
+        process_name=f"caratkop-{fid}",
     )
-    folded_path = out / f"{fid}.folded"
-    folded_path.write_text(to_folded(events, weight="cycles"))
-    stat_path = out / f"{fid}.stat.txt"
-    stat_path.write_text(trace.render_stat())
     guards_path = out / f"{fid}.guards.json"
     guards_path.write_text(json.dumps({
         "figure": fid,
@@ -106,9 +98,9 @@ def emit_trace_artifact(
         "guard_cycles": trace.guard_hist.total,
         "top_sites": [s["site"] for s in trace.guard_sites.top(3)],
         "paths": {
-            "chrome": str(trace_path),
-            "folded": str(folded_path),
-            "stat": str(stat_path),
+            "chrome": trace_path,
+            "folded": folded_path,
+            "stat": stat_path,
             "guards": str(guards_path),
         },
     }

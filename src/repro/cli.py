@@ -8,7 +8,7 @@ The tools mirror the paper's artifacts:
 - ``caratkop-blkblast`` — the storage twin: block I/O through repro.vblk
 - ``caratkop-bench``— regenerate any paper figure
 - ``caratkop-soak`` — the violation/eject/recovery fault-injection soak
-- ``caratkop-trace``— the ftrace/perf-style tracing front end
+- ``caratkop-trace``— validates trace artifacts and prints the event catalog
 """
 
 from __future__ import annotations
@@ -168,6 +168,16 @@ def _add_system_args(ap: argparse.ArgumentParser) -> None:
         "--smp-seed", type=int, default=0,
         help="round-robin scheduler seed (0 = unsharded global order)",
     )
+    # Trace exporters: any of them traces the run and writes its file.
+    ap.add_argument("--chrome", metavar="FILE",
+                    help="trace the run; write chrome://tracing JSON here")
+    ap.add_argument("--folded", metavar="FILE",
+                    help="trace the run; write folded flamegraph stacks here")
+    ap.add_argument("--perf", metavar="FILE",
+                    help="trace the run; write the perf-script dump here")
+    ap.add_argument("--stat-out", metavar="FILE",
+                    help="trace the run; write the /proc/trace_stat dump "
+                         "here")
 
 
 def _system_config(args: argparse.Namespace, driver: str,
@@ -185,10 +195,16 @@ def _system_config(args: argparse.Namespace, driver: str,
 def _blast(config: SystemConfig, args: argparse.Namespace,
            **workload) -> int:
     """Assemble a system, run one trial of its stack's load tool, and
-    report it the same way for every stack."""
+    report it the same way for every stack; trace the trial if asked to
+    profile it or export its trace."""
+    from .trace import write_artifacts
+
     system = CaratKopSystem(config)
-    if args.profile:
-        system.kernel.trace.enable()
+    trace = system.kernel.trace
+    exports = dict(chrome=args.chrome, folded=args.folded, perf=args.perf,
+                   stat=args.stat_out)
+    if args.profile or any(exports.values()):
+        trace.enable()
     stack = system.stack
     result = stack.workload(capture_latency=args.latency, **workload)
     first, *rest = stack.describe(result)
@@ -204,9 +220,16 @@ def _blast(config: SystemConfig, args: argparse.Namespace,
     print(f"guards: {stats['checks']:,} checks, {stats['denied']} denied, "
           f"decision cache {stats['guard_cache_hits']:,} hits / "
           f"{stats['guard_cache_misses']:,} misses")
+    if any(exports.values()):
+        ring = trace.ring_stats()
+        print(f"trace: {ring['total']} events ({ring['lost']} lost), "
+              f"{trace.guard_hist.count} guard checks over "
+              f"{len(trace.guard_sites)} sites")
+        for path in write_artifacts(trace, comm=stack.tool, **exports):
+            print(f"wrote {path}")
     if args.profile:
         print()
-        print(system.kernel.trace.functions.render())
+        print(trace.functions.render())
     return 0
 
 
@@ -287,13 +310,15 @@ def soak_main(argv: list[str] | None = None) -> int:
     ap.add_argument("--count", type=int, default=20,
                     help="packets per recovery blast")
     ap.add_argument("--no-vblk", action="store_true",
-                    help="NIC-only soak (skip the vblk block stack half)")
+                    help="NIC-only soak (build no vblk block stack)")
     ap.add_argument("--blk-count", type=int, default=16,
                     help="block ops per vblk recovery blast")
-    ap.add_argument("--blk-cpus", type=int, default=2,
-                    help="CPUs (= I/O queues) for the vblk soak half")
+    ap.add_argument("--cpus", type=int, default=2,
+                    help="simulated CPUs (the vblk stack brings up one I/O "
+                         "queue pair per CPU)")
     # One flag per fault schedule, e.g. --vblk-cq-stall-period 31.
-    for name, period in {**NET_FAULTS, **BLK_FAULTS}.items():
+    schedule = {**NET_FAULTS, **BLK_FAULTS}
+    for name, period in schedule.items():
         ap.add_argument("--" + name.replace("_", "-"), type=int,
                         default=period,
                         help="fault every Nth eligible event (0 = off)")
@@ -301,17 +326,14 @@ def soak_main(argv: list[str] | None = None) -> int:
                     help="write the JSON violation/recovery report here")
     args = ap.parse_args(argv)
 
-    def injector(schedule: dict) -> FaultInjector:
-        return FaultInjector(**{name: getattr(args, name) for name in schedule})
-
     failed = None
     try:
         report = run_soak(
             cycles=args.cycles, machine=args.machine, engine=args.engine,
             blast_size=args.size, blast_count=args.count,
-            injector=injector(NET_FAULTS), vblk=not args.no_vblk,
-            blk_count=args.blk_count, vblk_injector=injector(BLK_FAULTS),
-            blk_cpus=args.blk_cpus,
+            injector=FaultInjector(
+                **{name: getattr(args, name) for name in schedule}),
+            vblk=not args.no_vblk, blk_count=args.blk_count, cpus=args.cpus,
         )
     except SoakError as e:
         report = e.report
@@ -321,16 +343,16 @@ def soak_main(argv: list[str] | None = None) -> int:
             json.dump(report, f, indent=2)
     print(f"soak: {report['cycles_completed']}/{report['cycles_requested']} "
           f"cycles")
-    for name, half in (("e1000e", report), ("vblk", report.get("vblk"))):
-        if half is None:
+    for name, part in (("e1000e", report), ("vblk", report.get("vblk"))):
+        if part is None:
             continue
-        unit = next(k for k in half if k.startswith("delivered_"))
-        faults = ", ".join(
-            f"{n} {kind}" for kind, n in half["injector"].items() if n)
-        print(f"{name}: {half['ejections']} ejections, "
-              f"{half['leaked_bytes_total']} bytes leaked, {half[unit]} "
-              f"{unit[len('delivered_'):]} delivered post-recovery; "
-              f"faults injected: {faults or 'none'}")
+        unit = next(k for k in part if k.startswith("delivered_"))
+        print(f"{name}: {part['ejections']} ejections, "
+              f"{part['leaked_bytes_total']} bytes leaked, {part[unit]} "
+              f"{unit[len('delivered_'):]} delivered post-recovery")
+    faults = ", ".join(
+        f"{n} {kind}" for kind, n in report["injector"].items() if n)
+    print(f"faults injected: {faults or 'none'}")
     if failed is not None:
         print(f"FAILED: {failed}", file=sys.stderr)
         return 1
@@ -531,7 +553,9 @@ def bench_main(argv: list[str] | None = None) -> int:
 
 
 def trace_main(argv: list[str] | None = None) -> int:
-    """The tracing front end: run traced workloads, validate artifacts."""
+    """The tracing front end: validate trace artifacts, print the event
+    catalog.  ``pktblast``/``caratkop-blkblast --chrome/--folded/--perf/
+    --stat-out`` trace a run and write them."""
     import json
 
     ap = argparse.ArgumentParser(
@@ -539,33 +563,6 @@ def trace_main(argv: list[str] | None = None) -> int:
         description="ftrace/perf-style tracing for the simulated kernel",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    run_p = sub.add_parser(
-        "run", help="run pktblast with tracing on and export artifacts"
-    )
-    run_p.add_argument("--machine", default="r350", choices=["r350", "r415"])
-    run_p.add_argument("--size", type=int, default=128, help="frame bytes")
-    run_p.add_argument("--count", type=int, default=1000)
-    run_p.add_argument("--baseline", action="store_true")
-    run_p.add_argument("--regions", type=int, default=2)
-    run_p.add_argument(
-        "--engine", default="compiled", choices=["interp", "compiled"]
-    )
-    run_p.add_argument(
-        "--ring-capacity", type=int, default=65536,
-        help="trace ring buffer entries",
-    )
-    run_p.add_argument(
-        "--ring-mode", default="overwrite", choices=["overwrite", "drop"]
-    )
-    run_p.add_argument("--chrome", metavar="FILE",
-                       help="write chrome://tracing JSON here")
-    run_p.add_argument("--folded", metavar="FILE",
-                       help="write folded flamegraph stacks here")
-    run_p.add_argument("--perf", metavar="FILE",
-                       help="write the perf-script text dump here")
-    run_p.add_argument("--stat-out", metavar="FILE",
-                       help="write the /proc/trace_stat dump here")
 
     val_p = sub.add_parser(
         "validate", help="schema-check a chrome trace JSON artifact"
@@ -582,61 +579,18 @@ def trace_main(argv: list[str] | None = None) -> int:
         print(describe_schema())
         return 0
 
-    if args.verb == "validate":
-        from .trace import validate_chrome_trace
+    from .trace import validate_chrome_trace
 
-        with open(args.file) as f:
-            doc = json.load(f)
-        problems = validate_chrome_trace(doc)
-        if problems:
-            for p in problems:
-                print(p, file=sys.stderr)
-            print(f"INVALID: {len(problems)} problem(s)", file=sys.stderr)
-            return 1
-        n = len(doc["traceEvents"])
-        print(f"OK: {args.file} valid chrome trace, {n} events")
-        return 0
-
-    # run
-    from .trace import to_chrome_trace, to_folded, to_perf_script
-
-    system = CaratKopSystem(
-        SystemConfig(
-            machine=args.machine, protect=not args.baseline,
-            regions=args.regions, engine=args.engine,
-        )
-    )
-    trace = system.kernel.trace
-    trace.configure(capacity=args.ring_capacity, mode=args.ring_mode)
-    trace.enable()
-    result = system.blast(size=args.size, count=args.count)
-    trace.disable()
-    events = trace.snapshot()
-    ring = trace.ring_stats()
-    print(
-        f"{system.technique}: {result.packets_sent} packets, "
-        f"{ring['total']} events ({ring['lost']} lost), "
-        f"{trace.guard_hist.count} guard checks over "
-        f"{len(trace.guard_sites)} sites"
-    )
-    if args.chrome:
-        with open(args.chrome, "w") as f:
-            json.dump(to_chrome_trace(events, freq_hz=trace.freq_hz), f)
-        print(f"wrote {args.chrome}")
-    if args.folded:
-        with open(args.folded, "w") as f:
-            f.write(to_folded(events, weight="cycles"))
-        print(f"wrote {args.folded}")
-    if args.perf:
-        with open(args.perf, "w") as f:
-            f.write(to_perf_script(events))
-        print(f"wrote {args.perf}")
-    if args.stat_out:
-        with open(args.stat_out, "w") as f:
-            f.write(trace.render_stat())
-        print(f"wrote {args.stat_out}")
-    if not (args.chrome or args.folded or args.perf or args.stat_out):
-        print(trace.render_stat())
+    with open(args.file) as f:
+        doc = json.load(f)
+    problems = validate_chrome_trace(doc)
+    if problems:
+        for p in problems:
+            print(p, file=sys.stderr)
+        print(f"INVALID: {len(problems)} problem(s)", file=sys.stderr)
+        return 1
+    n = len(doc["traceEvents"])
+    print(f"OK: {args.file} valid chrome trace, {n} events")
     return 0
 
 

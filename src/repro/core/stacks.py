@@ -1,7 +1,7 @@
 """Device stacks: a guarded driver and everything assembled around it.
 
-:class:`~repro.core.system.CaratKopSystem` builds one stack on top of
-the kernel and policy module.  Both stacks implement the same small
+:class:`~repro.core.system.CaratKopSystem` builds each stack on top of
+the one kernel and policy module.  Both stacks implement the same small
 protocol, so system assembly, the blast tools and the soak never branch
 on which driver is in use:
 
@@ -19,7 +19,8 @@ on which driver is in use:
 - ``stranded()`` lists requests left on the device after it drains;
 - ``fault_hosts`` are the stack's objects that consult a fault
   injector (:meth:`repro.faults.FaultInjector.attach` wires them);
-- ``unit`` and ``latency_label`` name one op and its syscall in reports.
+- ``tool``, ``unit`` and ``latency_label`` name the load tool, one op
+  and its syscall in reports.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class NetStack:
     name = e1000e.DRIVER_NAME
     source = e1000e.DRIVER_SOURCE
     contracts = DRIVER_CONTRACTS
-    #: What one op of the load tool is, for reports.
+    #: The load tool and what one of its ops is, for reports.
+    tool = "pktblast"
     unit = "frames"
     #: The syscall whose latency ``--latency`` reports.
     latency_label = "sendmsg"
@@ -103,6 +105,7 @@ class BlkStack:
     name = vblk.DRIVER_NAME
     source = vblk.DRIVER_SOURCE
     contracts = vblk.VBLK_CONTRACTS
+    tool = "blkblast"
     unit = "ops"
     latency_label = "request"
 

@@ -1,12 +1,13 @@
 """CaratKopSystem: one-call assembly of the whole testbed.
 
-Boots the kernel on a chosen machine model, installs the policy module,
-compiles the chosen device stack's driver (baseline or protected),
-inserts it, and probes the stack's glue on top — for the e1000e stack a
-NIC against a packet sink plus a raw socket and blaster, for the vblk
-stack a block disk plus a request queue and blkblast — the complete
-Figure 1 picture plus the §4 testbed, ready for experiments.  What
-differs between the stacks lives in :mod:`repro.core.stacks`.
+Boots one kernel on a chosen machine model, installs the one policy
+module every protected driver links against, and for each chosen device
+stack in order compiles its driver (baseline or protected), inserts it,
+and probes the stack's glue on top — for the e1000e stack a NIC against
+a packet sink plus a raw socket and blaster, for the vblk stack a block
+disk plus a request queue and blkblast — the complete Figure 1 picture
+plus the §4 testbed, ready for experiments.  What differs between the
+stacks lives in :mod:`repro.core.stacks`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..kernel import Kernel
-from ..kernel.module_loader import CompiledModule, LoadedModule
+from ..kernel.module_loader import LoadedModule
 from ..policy import (
     CaratPolicyModule,
     IntervalRegionTable,
@@ -38,8 +39,9 @@ class SystemConfig:
     #: "r415", "r350", a MachineModel, or None for untimed functional runs.
     machine: Union[str, MachineModel, None] = "r350"
     #: Which guarded device stack to assemble: "e1000e" (NIC + pktblast,
-    #: the paper's testbed) or "vblk" (virtio-style block + blkblast).
-    driver: str = "e1000e"
+    #: the paper's testbed) or "vblk" (virtio-style block + blkblast),
+    #: or a tuple of names to assemble several on the one kernel.
+    driver: Union[str, tuple[str, ...]] = "e1000e"
     #: Build the driver with the CARAT KOP transform ("carat") or not
     #: ("baseline") — the two curves in every figure.
     protect: bool = True
@@ -61,7 +63,6 @@ class SystemConfig:
     enforce_mode: str = "panic"
     #: Require signatures + protection at insmod.
     strict_kernel: bool = False
-    ram_size: int = 64 << 20
     #: Execution engine: "compiled" (translate-once closures, default) or
     #: "interp" (the reference tree-walking interpreter).
     engine: str = "compiled"
@@ -81,9 +82,12 @@ class SystemConfig:
 class CaratKopSystem:
     """The assembled testbed.
 
-    The stack's glue objects (``device``, and ``sink``/``netdev``/
-    ``socket``/``blaster`` or ``blkdev``/``blkqueue``/``blkblaster``)
-    are reachable directly on the system.
+    ``stacks`` holds the device stacks in the order they were built and
+    ``stack`` is the first.  Each stack's driver (``driver``, the loaded
+    module, and ``driver_compiled``) and glue objects (``device``, and
+    ``sink``/``netdev``/``socket``/``blaster`` or ``blkdev``/
+    ``blkqueue``/``blkblaster``) are reachable directly on the system,
+    from the first stack that has them.
     """
 
     def __init__(self, config: Optional[SystemConfig] = None, **kwargs):
@@ -91,9 +95,11 @@ class CaratKopSystem:
         if config is not None and kwargs:
             raise TypeError("pass either config or keyword overrides, not both")
         cfg = self.config
-        stack_cls = STACKS.get(cfg.driver)
-        if stack_cls is None:
+        names = (cfg.driver,) if isinstance(cfg.driver, str) else cfg.driver
+        if not names or any(name not in STACKS for name in names):
             raise ValueError(f"unknown driver {cfg.driver!r}")
+        if len(set(names)) != len(names):
+            raise ValueError(f"driver {cfg.driver!r} names a stack twice")
         index_name = "linear" if cfg.policy_index is None else cfg.policy_index
         index_cls = POLICY_INDEXES.get(index_name)
         if index_cls is None:
@@ -105,7 +111,6 @@ class CaratKopSystem:
 
         self.signing_key = SigningKey.generate()
         self.kernel = Kernel(
-            ram_size=cfg.ram_size,
             machine=machine,
             signing_key=self.signing_key if cfg.strict_kernel else None,
             require_protected_modules=cfg.strict_kernel and cfg.protect,
@@ -123,36 +128,35 @@ class CaratKopSystem:
         else:
             self.policy_manager.install_n_region_policy(cfg.regions)
 
-        self.stack = stack = stack_cls(self)
-        compile_opts = CompileOptions(
-            module_name=stack.name,
-            protect=cfg.protect,
-            opt_level=cfg.opt_level,
-            key=self.signing_key,
-        )
-        if cfg.protect and compile_opts.verify_enabled():
-            # -O3: prove guards against the live policy table (installed
-            # above, so the digest/epoch the certificate captures are
-            # exactly what insmod re-validates) under the driver's own
-            # trusted ABI contracts, registered per-driver so certifying
-            # one stack never widens the other's TCB.
-            self.kernel.register_verify_contracts(
-                stack.contracts, module=stack.name
-            )
-            compile_opts.verify_table = self.policy.index
-            compile_opts.contracts = stack.contracts
-        self.driver_compiled: CompiledModule = compile_module(
-            stack.source, compile_opts,
-        )
-        self.reload_driver()
+        self.stacks: tuple = ()
+        for name in names:
+            stack = STACKS[name](self)
+            self.stacks += (stack,)
+            opts = CompileOptions(module_name=stack.name, protect=cfg.protect,
+                                  opt_level=cfg.opt_level,
+                                  key=self.signing_key)
+            if cfg.protect and opts.verify_enabled():
+                # -O3: prove guards against the live policy table (so the
+                # digest/epoch the certificate captures are exactly what
+                # insmod re-validates) under the driver's own trusted ABI
+                # contracts, registered per driver so certifying one
+                # stack never widens another's TCB.
+                self.kernel.register_verify_contracts(
+                    stack.contracts, module=stack.name
+                )
+                opts.verify_table = self.policy.index
+                opts.contracts = stack.contracts
+            stack.driver_compiled = compile_module(stack.source, opts)
+            self.reload_driver(stack)
+        self.stack = self.stacks[0]
 
     def __getattr__(self, name: str):
         # Only reached for attributes the system itself lacks: the
-        # stack's glue objects.
-        stack = self.__dict__.get("stack")
-        if stack is None:
-            raise AttributeError(name)
-        return getattr(stack, name)
+        # stacks' drivers and glue objects.
+        for stack in self.__dict__.get("stacks", ()):
+            if hasattr(stack, name):
+                return getattr(stack, name)
+        raise AttributeError(name)
 
     # -- convenience --------------------------------------------------------
 
@@ -163,14 +167,14 @@ class CaratKopSystem:
     def blast(self, size: int = 128, count: int = 1000,
               capture_latency: bool = False):
         """Run one pktblast trial on the live e1000e system."""
-        return self.stack.blaster.blast(size, count, capture_latency)
+        return self.blaster.blast(size, count, capture_latency)
 
     def blkblast(self, count: int = 100, nsect: int = 2,
                  pattern: str = "seq", seed: int = 1,
                  read_frac: int = 50, flush_interval: int = 16,
                  capture_latency: bool = False):
         """Run one blkblast trial on the live vblk system."""
-        return self.stack.blkblaster.blast(
+        return self.blkblaster.blast(
             count, nsect=nsect, pattern=pattern, seed=seed,
             read_frac=read_frac, flush_interval=flush_interval,
             capture_latency=capture_latency,
@@ -185,23 +189,27 @@ class CaratKopSystem:
         vm = self.kernel.vm
         stats["translation_cache_hits"] = vm.translation_cache_hits
         stats["translation_cache_misses"] = vm.translation_cache_misses
-        stats["guards_proven"] = self.driver_compiled.guards_proven
-        stats["guards_elided"] = len(self.driver.elided_guards)
+        stats["guards_proven"] = sum(
+            stack.driver_compiled.guards_proven for stack in self.stacks)
+        stats["guards_elided"] = sum(
+            len(stack.driver.elided_guards) for stack in self.stacks)
         stats["verify_demotions"] = self.kernel.verify_demotions
         return stats
 
-    def reload_driver(self) -> LoadedModule:
-        """Insert the driver and probe the stack's glue on top of it.
-        Also the recovery half of a violation->eject->re-insmod cycle;
-        the caller must lift the quarantine first
-        (``policy_manager.unquarantine``)."""
-        self.driver: LoadedModule = self.kernel.insmod(self.driver_compiled)
-        self.stack.probe(self.driver)
-        return self.driver
+    def reload_driver(self, stack=None) -> LoadedModule:
+        """Insert ``stack``'s driver (default: the first stack's) and
+        probe its glue on top of it.  Also the recovery half of a
+        violation->eject->re-insmod cycle; the caller must lift the
+        quarantine first (``policy_manager.unquarantine``)."""
+        stack = stack or self.stack
+        stack.driver = self.kernel.insmod(stack.driver_compiled)
+        stack.probe(stack.driver)
+        return stack.driver
 
     def teardown(self) -> None:
-        self.stack.teardown()
-        self.kernel.rmmod(self.stack.name)
+        for stack in reversed(self.stacks):
+            stack.teardown()
+            self.kernel.rmmod(stack.name)
         self.policy.uninstall()
 
 

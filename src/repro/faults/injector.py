@@ -176,11 +176,12 @@ class FaultInjector:
     @staticmethod
     def _hosts(system) -> tuple:
         """Every object of a system that consults a fault injector."""
-        return (*system.stack.fault_hosts, system.kernel.irq,
-                system.policy.controlplane)
+        return (*(host for stack in system.stacks
+                  for host in stack.fault_hosts),
+                system.kernel.irq, system.policy.controlplane)
 
     def attach(self, system) -> "FaultInjector":
-        """Hook every fault host of ``system`` (either driver stack)."""
+        """Hook every fault host of ``system`` (all of its stacks)."""
         for host in self._hosts(system):
             host.fault_injector = self
         self._tp = system.kernel.trace.points["fault:inject"]

@@ -8,26 +8,27 @@ moves data.  This is the acceptance harness for the graceful-enforcement
 subsystem (paper §5's "cleanly handle forbidden accesses", made
 repeatable).
 
-Each cycle runs the same arc on every device stack
-(:mod:`repro.core.stacks`), each on its own system and kernel with its
-own fault schedule: the e1000e NIC (garbled telemetry reads, DMA
+One kernel holds every device stack (:mod:`repro.core.stacks`) under
+one fault schedule: the e1000e NIC (garbled telemetry reads, DMA
 stalls, dropped IRQs, transient xmit failures; it runs interrupt-driven
 and reads its transmit counter through the driver once a cycle, so
-every schedule has events to fault) and, unless
-``vblk=False``, the vblk block stack (torn descriptors, media stalls,
-dropped used-ring write-backs, dropped doorbells, stalled completion
-queues).  The vblk half runs multi-queue by default (``blk_cpus`` CPUs,
-one I/O queue pair each).  After every recovery blast the stack's
-device must drain completely: no request stranded on any submission
-ring and none leaked in flight.
+every schedule has events to fault) and, unless ``vblk=False``, the
+vblk block stack (torn descriptors, media stalls, dropped used-ring
+write-backs, dropped doorbells, stalled completion queues; one I/O
+queue pair per CPU).  Each cycle inserts and ejects the hostile module
+once, which must leave every driver resident with its journal
+untouched.  Then each stack in turn runs a recovery blast while the
+other stays loaded, and its device must drain completely: no request
+stranded on any submission ring and none leaked in flight.
 
-The report keeps the NIC half's results at the top level and nests the
-vblk half's, in the same shape, under ``report["vblk"]``.
+The report keeps the NIC's results at the top level and nests the vblk
+stack's, in the same shape, under ``report["vblk"]``; the kernel-wide
+counters and the one fault tally appear once, at the top.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.pipeline import CompileOptions, compile_module
 from ..core.system import CaratKopSystem, SystemConfig
@@ -106,46 +107,6 @@ class SoakError(AssertionError):
         self.report = report
 
 
-class _Half:
-    """One device stack under soak: its system, fault injector, recovery
-    workload, and its part of the report."""
-
-    def __init__(self, config: SystemConfig, injector: FaultInjector,
-                 report: dict, count: int,
-                 workload: Callable[[int], dict]):
-        self.system = CaratKopSystem(config)
-        self.stack = self.system.stack
-        self.injector = injector.attach(self.system)
-        self.hostile = compile_module(
-            HOSTILE_MODULE,
-            CompileOptions(module_name=HOSTILE_NAME,
-                           key=self.system.signing_key),
-        )
-        self.count = count
-        #: cycle -> keyword arguments of that cycle's recovery workload.
-        self.workload = workload
-        #: Reads the device's count of completed ops through the driver
-        #: once a cycle (None = the stack has no such counter).
-        self.telemetry: Optional[Callable[[], int]] = None
-        self.delivered_key = f"delivered_{self.stack.unit}"
-        self.report = report
-        report.update({"ejections": 0, "leaked_bytes_total": 0,
-                       self.delivered_key: 0, "per_cycle": []})
-
-    def finish(self) -> None:
-        """Record the final counters and detach the injector."""
-        kernel = self.system.kernel
-        tallies = self.injector.report()
-        self.report.update({
-            "violation_faults": kernel.violation_faults,
-            "entry_refusals": kernel.entry_refusals,
-            "irqs_dropped_by_injector": tallies["dropped_irqs"],
-            "injector": tallies,
-            "guard_stats": self.system.guard_stats(),
-        })
-        self.injector.detach(self.system)
-
-
 def run_soak(
     cycles: int = 50,
     machine: Optional[str] = None,
@@ -155,38 +116,39 @@ def run_soak(
     injector: Optional[FaultInjector] = None,
     vblk: bool = True,
     blk_count: int = 16,
-    vblk_injector: Optional[FaultInjector] = None,
-    blk_cpus: int = 2,
-    blk_queues="auto",
+    cpus: int = 2,
 ) -> dict:
     """Run ``cycles`` violation->eject->recovery cycles; returns a report.
 
     Raises :class:`SoakError` on the first violated invariant.
     """
     report: dict = {"cycles_requested": cycles, "cycles_completed": 0}
-    halves = [_Half(
-        SystemConfig(machine=machine, enforce_mode="eject", engine=engine),
-        injector or FaultInjector(**NET_FAULTS), report, blast_count,
-        lambda cycle: {"size": blast_size},
-    )]
-    net = halves[0].system
-    # Ride out injected transient xmit failures instead of surfacing them.
-    net.socket.max_retries = 3
-    # Interrupt-driven servicing, so the IRQ-drop schedule has edges to
-    # drop, and a transmit-counter read, so the garble schedule has
-    # telemetry reads to garble.
-    net.netdev.enable_interrupts()
-    halves[0].telemetry = lambda: net.netdev.read_reg(regs.GPTC)
+    system = CaratKopSystem(SystemConfig(
+        machine=machine, driver=("e1000e", "vblk") if vblk else "e1000e",
+        enforce_mode="eject", engine=engine, cpus=cpus, queues="auto",
+    ))
+    kernel = system.kernel
+    injector = (injector or FaultInjector(**NET_FAULTS, **BLK_FAULTS)
+                ).attach(system)
+    hostile = compile_module(
+        HOSTILE_MODULE,
+        CompileOptions(module_name=HOSTILE_NAME, key=system.signing_key),
+    )
+    # Ride out injected transient xmit failures instead of surfacing them,
+    # and service the NIC interrupt-driven, so the IRQ-drop schedule has
+    # edges to drop.
+    system.socket.max_retries = 3
+    system.netdev.enable_interrupts()
+    # Per stack: its report section, ops per recovery blast, and cycle ->
+    # keyword arguments of that cycle's blast.
+    recoveries = [(report, blast_count, lambda cycle: {"size": blast_size})]
     if vblk:
-        report["vblk"] = {}
-        halves.append(_Half(
-            SystemConfig(machine=machine, driver="vblk",
-                         enforce_mode="eject", engine=engine,
-                         cpus=blk_cpus, queues=blk_queues),
-            vblk_injector or FaultInjector(**BLK_FAULTS), report["vblk"],
-            blk_count,
-            lambda cycle: {"nsect": 2, "pattern": "rand", "seed": cycle + 1},
-        ))
+        recoveries.append((report.setdefault("vblk", {}), blk_count,
+                           lambda cycle: {"nsect": 2, "pattern": "rand",
+                                          "seed": cycle + 1}))
+    for stack, (part, _, _) in zip(system.stacks, recoveries):
+        part.update({"ejections": 0, "leaked_bytes_total": 0,
+                     f"delivered_{stack.unit}": 0, "per_cycle": []})
 
     def check(condition: bool, message: str) -> None:
         if not condition:
@@ -196,27 +158,23 @@ def run_soak(
         """A cycle died mid-rollback (eject/unwind raised through).  Drain
         whatever the journal still holds, verify the drain took, and turn
         the crash into a structured nonzero exit instead of a traceback."""
-        drained_modules = 0
-        drained_records = 0
-        kernels = [half.system.kernel for half in halves]
-        for k in kernels:
-            for module in k.journal.modules():
-                drained_records += k.journal.depth(module)
-                k.journal.rollback(module, k)
-                drained_modules += 1
+        journal = kernel.journal
+        modules = journal.modules()
+        drained_records = sum(journal.depth(module) for module in modules)
+        for module in modules:
+            journal.rollback(module, kernel)
         report["error"] = {
             "cycle": cycle,
             "type": type(exc).__name__,
             "detail": str(exc),
-            "journal_drained_modules": drained_modules,
+            "journal_drained_modules": len(modules),
             "journal_drained_records": drained_records,
-            "journal_empty_after_drain": not any(
-                k.journal.modules() for k in kernels),
+            "journal_empty_after_drain": not journal.modules(),
         }
         return SoakError(
             f"cycle {cycle} failed mid-rollback "
             f"({type(exc).__name__}: {exc}); journal drained "
-            f"({drained_modules} module(s), {drained_records} record(s), "
+            f"({len(modules)} module(s), {drained_records} record(s), "
             f"empty={report['error']['journal_empty_after_drain']})",
             report,
         )
@@ -224,8 +182,7 @@ def run_soak(
     try:
         for cycle in range(cycles):
             try:
-                for half in halves:
-                    _run_cycle(cycle, half, check)
+                _run_cycle(cycle, system, hostile, recoveries, check)
             except SoakError:
                 raise
             except Exception as e:
@@ -234,35 +191,49 @@ def run_soak(
     finally:
         # A failed soak's report carries the same counters and fault
         # tallies as a clean one.
-        for half in halves:
-            half.finish()
+        tallies = injector.report()
+        report.update({
+            "violation_faults": kernel.violation_faults,
+            "entry_refusals": kernel.entry_refusals,
+            "irqs_dropped_by_injector": tallies["dropped_irqs"],
+            "injector": tallies,
+            "guard_stats": system.guard_stats(),
+        })
+        injector.detach(system)
     return report
 
 
-def _run_cycle(cycle: int, half: _Half, check) -> None:
-    """One violation->eject->recovery cycle on one stack (invariants via
-    ``check``)."""
-    kernel = half.system.kernel
-    where = f"cycle {cycle} [{half.stack.name}]"
+def _run_cycle(cycle: int, system: CaratKopSystem, hostile,
+               recoveries: list, check) -> None:
+    """One violation->eject cycle on the shared kernel, then a recovery
+    blast on every stack (invariants via ``check``)."""
+    kernel = system.kernel
+    where = f"cycle {cycle}"
     if cycle > 0:
         check(
-            half.system.policy_manager.unquarantine(HOSTILE_NAME),
+            system.policy_manager.unquarantine(HOSTILE_NAME),
             f"{where}: quarantine was not in place to lift",
         )
     alloc_base = kernel.kmalloc_allocator.snapshot()
     irq_base = len(kernel.irq.actions())
     timer_base = kernel.timers.pending()
+    journal = kernel.journal
+    drivers = [stack.name for stack in system.stacks]
+    journal_base = [journal.depth_by_kind(name) for name in drivers]
 
-    loaded = kernel.insmod(half.hostile)
+    loaded = kernel.insmod(hostile)
     check(
-        kernel.journal.depth(HOSTILE_NAME) >= 4,
+        journal.depth(HOSTILE_NAME) >= 4,
         f"{where}: journal missed the module's side effects",
     )
 
     rc = kernel.run_function(loaded, "attack", [ATTACK_ADDR])
     check(rc == -_EFAULT, f"{where}: attack returned {rc}, wanted -EFAULT")
-    check(HOSTILE_NAME not in kernel.lsmod(),
+    resident = kernel.lsmod()
+    check(HOSTILE_NAME not in resident,
           f"{where}: module still resident after eject")
+    check(all(name in resident for name in drivers),
+          f"{where}: the eject took a driver with it ({resident})")
     check(loaded.ejected, f"{where}: eject flag not set")
     check(kernel.panicked is None,
           f"{where}: kernel panicked ({kernel.panicked})")
@@ -275,48 +246,47 @@ def _run_cycle(cycle: int, half: _Half, check) -> None:
     check(len(kernel.irq.actions()) == irq_base,
           f"{where}: orphaned IRQ lines")
     check(kernel.timers.pending() == timer_base, f"{where}: orphaned timers")
-    check(kernel.journal.depth(HOSTILE_NAME) == 0,
-          f"{where}: journal not drained")
+    check(journal.depth(HOSTILE_NAME) == 0, f"{where}: journal not drained")
+    check([journal.depth_by_kind(name) for name in drivers] == journal_base,
+          f"{where}: the rollback touched a driver's journal")
+    row = {"cycle": cycle, "rc": rc, "leaked_bytes": leaked,
+           "rollback": journal.rollbacks[-1]}
 
     if cycle == 0:
         # The quarantine must hold until explicitly lifted.
         try:
-            kernel.insmod(half.hostile)
+            kernel.insmod(hostile)
         except LoadError:
             pass
         else:
             check(False, f"{where}: quarantined module was allowed back in")
 
-    # The driver survived: a recovery blast moves every op end to end
-    # and the device drains completely afterwards.
-    stack = half.stack
-    before = stack.delivered()
-    result = stack.workload(half.count, **half.workload(cycle))
-    delivered = stack.delivered() - before
-    check(result.errors == 0 and delivered == half.count,
-          f"{where}: driver moved {delivered}/{half.count} "
-          f"{stack.unit} ({result.errors} errors)")
-    for problem in stack.stranded():
-        check(False, f"{where}: {problem}")
-    if half.telemetry is not None:
-        # The driver sees the true count or, when the read is garbled,
-        # all-ones — never a plausible wrong count.
-        counted = half.telemetry()
-        check(counted in (stack.delivered(), _ALL_ONES),
-              f"{where}: telemetry read {counted:#x}, device moved "
-              f"{stack.delivered()}")
+    # Every driver survived: a recovery blast on each stack moves every
+    # op end to end and the device drains completely afterwards.
+    for stack, (part, count, workload) in zip(system.stacks, recoveries):
+        where = f"cycle {cycle} [{stack.name}]"
+        before = stack.delivered()
+        result = stack.workload(count, **workload(cycle))
+        delivered = stack.delivered() - before
+        check(result.errors == 0 and delivered == count,
+              f"{where}: driver moved {delivered}/{count} "
+              f"{stack.unit} ({result.errors} errors)")
+        for problem in stack.stranded():
+            check(False, f"{where}: {problem}")
+        part["ejections"] += 1
+        part["leaked_bytes_total"] += leaked
+        part[f"delivered_{stack.unit}"] += delivered
+        part["per_cycle"].append({**row, "delivered": delivered})
 
-    report = half.report
-    report["ejections"] += 1
-    report["leaked_bytes_total"] += leaked
-    report[half.delivered_key] += delivered
-    report["per_cycle"].append({
-        "cycle": cycle,
-        "rc": rc,
-        "leaked_bytes": leaked,
-        "delivered": delivered,
-        "rollback": kernel.journal.rollbacks[-1],
-    })
+    # The NIC driver reads its transmit counter once a cycle, so the
+    # garble schedule has telemetry reads to garble.  It sees the true
+    # count or, when the read is garbled, all-ones — never a plausible
+    # wrong count.
+    net = system.stack
+    counted = net.netdev.read_reg(regs.GPTC)
+    check(counted in (net.delivered(), _ALL_ONES),
+          f"cycle {cycle} [{net.name}]: telemetry read {counted:#x}, device "
+          f"moved {net.delivered()}")
 
 
 __all__ = ["ATTACK_ADDR", "BLK_FAULTS", "HOSTILE_MODULE", "HOSTILE_NAME",

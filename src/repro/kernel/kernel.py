@@ -35,6 +35,9 @@ EFAULT = 14
 #: long-running system's memory does not grow with its ioctl count.
 DMESG_LINES = 2048
 
+#: Physical RAM every kernel boots with.
+RAM_SIZE = 64 << 20
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..vm.interp import Interpreter
     from ..vm.machine import MachineModel
@@ -45,7 +48,6 @@ class Kernel:
 
     def __init__(
         self,
-        ram_size: int = 64 << 20,
         machine: Optional["MachineModel"] = None,
         signing_key: Optional[SigningKey] = None,
         require_protected_modules: bool = False,
@@ -59,7 +61,7 @@ class Kernel:
                 f"verify_policy must be strict, demote, or off: "
                 f"{verify_policy!r}"
             )
-        self.ram = PhysicalMemory(ram_size)
+        self.ram = PhysicalMemory(RAM_SIZE)
         self.address_space = KernelAddressSpace(self.ram)
         self.page_allocator = PageAllocator(self.ram)
         self.kmalloc_allocator = KmallocAllocator(self.page_allocator)

@@ -33,6 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
 
 
+#: Entry points the loader calls through the module itself: as in Linux,
+#: every module defines its own, so they never enter the symbol table.
+LIFECYCLE_HOOKS = frozenset(("init_module", "cleanup_module"))
+
+
 class LoadError(ValueError):
     """insmod refused the module (bad signature, policy, or linkage)."""
 
@@ -453,7 +458,8 @@ class ModuleLoader:
 
         # Register this module's exports.
         for fn in ir.functions.values():
-            if fn.linkage == "exported" and not fn.is_declaration:
+            if (fn.linkage == "exported" and not fn.is_declaration
+                    and fn.name not in LIFECYCLE_HOOKS):
                 kernel.symbols.export_function(fn.name, fn, owner=compiled.name)
                 kernel.journal.record(compiled.name, "symbol", fn.name)
         return loaded

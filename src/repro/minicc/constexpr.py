@@ -6,13 +6,16 @@ soon as they are parsed (later declarations refer to the values), and
 codegen folds global initializers with it.  Both hand it the same AST
 that ``Parser.parse_conditional`` builds, so every site accepts the same
 operators: literals, ``sizeof(type)``, unary ``- ~ !``, binary
-``+ - * / % << >> & | ^`` and ``?:``.  Each subexpression has its C
-type: a literal's is the one codegen gives it, the operands of a binary
-operator and of ``?:`` meet in the usual arithmetic conversions, and a
-shift takes its promoted left operand's type.  Integer arithmetic wraps
-at that type through :mod:`repro.ir.arith`, as the same expression
-computes at run time, so ``-1UL`` is 2**64 - 1 and ``0xFFFFFFFFu + 1``
-is 0.  The result is the C value: negative only for a signed type.
+``+ - * / % << >> & | ^``, comparisons, ``&& ||`` and ``?:``.  Each
+subexpression has its C type: a literal's is the one codegen gives it,
+the operands of a binary operator and of ``?:`` meet in the usual
+arithmetic conversions, a shift takes its promoted left operand's type,
+and a comparison or logical operator gives ``int`` 0 or 1 (so
+``-1 < 0u`` is 0, and a floating comparison is ordered, as codegen
+emits it).  Integer arithmetic wraps at that type through
+:mod:`repro.ir.arith`, as the same expression computes at run time, so
+``-1UL`` is 2**64 - 1 and ``0xFFFFFFFFu + 1`` is 0.  The result is the
+C value: negative only for a signed type.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ _INT_OPS = {
     "&": ("and", "and"), "|": ("or", "or"), "^": ("xor", "xor"),
 }
 _FLOAT_OPS = {"+": "fadd", "-": "fsub", "*": "fmul", "/": "fdiv"}
+#: Comparison predicate per C operator, without its signedness prefix.
+_CMP_OPS = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt",
+            ">=": "ge"}
 
 
 def _to(v: Union[int, float], ct: C.CType) -> Union[int, float]:
@@ -95,6 +101,18 @@ def fold(
             return _to(then if cond else other, ct), ct
         if isinstance(e, A.Binary):
             (a, act), (b, bct) = number(e.lhs), number(e.rhs)
+            if e.op == "&&":
+                return int(bool(a) and bool(b)), C.INT
+            if e.op == "||":
+                return int(bool(a) or bool(b)), C.INT
+            if e.op in _CMP_OPS:
+                ct, cmp = C.usual_arithmetic(act, bct), _CMP_OPS[e.op]
+                if ct.is_float:
+                    return arith.fcmp("o" + cmp)(float(a), float(b)), C.INT
+                t = IntType(ct.bits)
+                if cmp not in ("eq", "ne"):
+                    cmp = ("s" if ct.signed else "u") + cmp
+                return arith.icmp(cmp, t)(t.wrap(a), t.wrap(b)), C.INT
             if e.op not in _INT_OPS:
                 raise error(f"bad constant operator {e.op}", e.line)
             if e.op not in _FLOAT_OPS and (act.is_float or bct.is_float):

@@ -18,6 +18,7 @@ from .exporters import (
     to_folded,
     to_perf_script,
     validate_chrome_trace,
+    write_artifacts,
 )
 from .ring import RingBuffer
 from .subsystem import TraceSubsystem
@@ -39,4 +40,5 @@ __all__ = [
     "to_folded",
     "to_perf_script",
     "validate_chrome_trace",
+    "write_artifacts",
 ]

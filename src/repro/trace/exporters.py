@@ -12,13 +12,21 @@ Three interchange formats over one event list:
 - :func:`to_folded` — Brendan Gregg folded stacks for flamegraph.pl:
   one ``frame;frame;frame count`` line per distinct guard stack, with
   ``carat_guard`` as the leaf frame.
+
+:func:`write_artifacts` writes a trace subsystem's events through each
+of them, plus its ``/proc/trace_stat`` dump, to files.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import json
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .events import TraceEvent
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .subsystem import TraceSubsystem
 
 #: Trace Event Format phase codes this exporter emits / the validator accepts.
 _PHASES = {"X", "i", "I", "B", "E", "M", "C"}
@@ -195,9 +203,39 @@ def to_folded(events: Iterable[TraceEvent], weight: str = "hits") -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def write_artifacts(
+    trace: "TraceSubsystem",
+    chrome: str | Path | None = None,
+    folded: str | Path | None = None,
+    perf: str | Path | None = None,
+    stat: str | Path | None = None,
+    process_name: str = "caratkop-sim",
+    comm: str = "pktblast",
+) -> list[str]:
+    """Write ``trace``'s events as a chrome trace, folded stacks
+    (weighted by guard cycles) and perf-script text (under ``comm``),
+    and its ``/proc/trace_stat`` dump, each to its path if one is given.
+    Returns the paths written, in that order."""
+    events = trace.snapshot()
+    renders = (
+        (chrome, lambda: json.dumps(to_chrome_trace(
+            events, freq_hz=trace.freq_hz, process_name=process_name))),
+        (folded, lambda: to_folded(events, weight="cycles")),
+        (perf, lambda: to_perf_script(events, comm=comm)),
+        (stat, trace.render_stat),
+    )
+    written = []
+    for path, render in renders:
+        if path is not None:
+            Path(path).write_text(render())
+            written.append(str(path))
+    return written
+
+
 __all__ = [
     "to_chrome_trace",
     "to_folded",
     "to_perf_script",
     "validate_chrome_trace",
+    "write_artifacts",
 ]

@@ -38,6 +38,12 @@ GCC_ROWS = [
     ("long g = 0777;", 511),
     ("long g = 010u;", 8),
     ("long g = -037777777777;", 1),
+    ("long g = 1 == 1;", 1),
+    ("long g = 2 < 3;", 1),
+    ("long g = 1 && 2;", 1),
+    ("long g = 0 || 0;", 0),
+    ("long g = -1 < 0u;", 0),
+    ("long g = 0777 == 511;", 1),
 ]
 
 _FORMATS = {"double": "<d", "float": "<f", "long": "<q", "unsigned": "<I"}

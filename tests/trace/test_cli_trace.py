@@ -1,22 +1,28 @@
-"""caratkop-trace CLI verbs and the repro.bench trace-artifact emitter."""
+"""Trace front ends: the blast tools' export flags, the caratkop-trace
+verbs, and the repro.bench trace-artifact emitter."""
 
 import json
 
 import pytest
 
 from repro.bench import FIGURE_TRACE_CONFIGS, emit_trace_artifact
-from repro.cli import trace_main
-from repro.trace import validate_chrome_trace
+from repro.cli import blkblast_main, pktblast_main, trace_main
+from repro.core.system import CaratKopSystem, SystemConfig
+from repro.trace import validate_chrome_trace, write_artifacts
 
 
 class TestRunVerb:
+    """Traced runs: ``pktblast``/``caratkop-blkblast`` with the trace
+    export flags."""
+
     def test_run_writes_all_artifacts(self, tmp_path, capsys):
         chrome = tmp_path / "t.json"
         folded = tmp_path / "t.folded"
         perf = tmp_path / "t.perf"
         stat = tmp_path / "t.stat"
-        rc = trace_main([
-            "run", "--machine", "r415", "--count", "40",
+        rc = pktblast_main([
+            "--machine", "r415", "--count", "40", "--opt-level", "0",
+            "--policy-index", "linear",
             "--chrome", str(chrome), "--folded", str(folded),
             "--perf", str(perf), "--stat-out", str(stat),
         ])
@@ -29,31 +35,44 @@ class TestRunVerb:
         assert "[guard cycle cost]" in stat_text
         out = capsys.readouterr().out
         assert "guard checks" in out
+        assert f"wrote {chrome}" in out
 
-    def test_run_without_outputs_prints_stat(self, capsys):
-        rc = trace_main(["run", "--count", "20"])
+    def test_blast_without_exports_traces_nothing(self, capsys):
+        rc = pktblast_main(["--count", "20"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "[guard sites]" in out
+        assert "trace:" not in out and "wrote" not in out
 
-    def test_run_interp_engine(self, capsys):
-        rc = trace_main(["run", "--count", "10", "--engine", "interp"])
+    def test_run_interp_engine(self, tmp_path, capsys):
+        stat = tmp_path / "t.stat"
+        rc = pktblast_main(["--count", "10", "--engine", "interp",
+                            "--stat-out", str(stat)])
         assert rc == 0
+        assert "[guard sites]" in stat.read_text()
 
-    def test_run_tiny_drop_ring_reports_lost(self, capsys):
-        rc = trace_main(["run", "--count", "40",
-                         "--ring-capacity", "8", "--ring-mode", "drop"])
+    def test_block_stack_exports_a_trace(self, tmp_path, capsys):
+        chrome = tmp_path / "b.json"
+        rc = blkblast_main(["--count", "10", "--chrome", str(chrome)])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "lost)" in out
-        lost = int(out.split("(")[1].split(" lost")[0])
-        assert lost > 0
+        assert validate_chrome_trace(json.loads(chrome.read_text())) == []
+
+    def test_run_tiny_drop_ring_reports_lost(self, tmp_path):
+        system = CaratKopSystem(SystemConfig(machine="r350"))
+        trace = system.kernel.trace
+        trace.configure(capacity=8, mode="drop")
+        trace.enable()
+        system.blast(count=40)
+        trace.disable()
+        assert trace.ring_stats()["lost"] > 0
+        (chrome,) = write_artifacts(trace, chrome=tmp_path / "t.json")
+        doc = json.loads(open(chrome).read())
+        assert validate_chrome_trace(doc) == []
 
 
 class TestValidateVerb:
     def test_valid_artifact_passes(self, tmp_path, capsys):
         chrome = tmp_path / "t.json"
-        trace_main(["run", "--count", "10", "--chrome", str(chrome)])
+        pktblast_main(["--count", "10", "--chrome", str(chrome)])
         capsys.readouterr()
         assert trace_main(["validate", str(chrome)]) == 0
         assert "OK:" in capsys.readouterr().out
@@ -63,6 +82,10 @@ class TestValidateVerb:
         bad.write_text(json.dumps({"traceEvents": [{"ph": "Z"}]}))
         assert trace_main(["validate", str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().err
+
+    def test_run_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            trace_main(["run", "--count", "10"])
 
 
 class TestSchemaVerb:
