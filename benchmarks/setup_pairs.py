@@ -1,14 +1,15 @@
-"""Alternating parent/change pairs of one e2e metric.
+"""Alternating parent/change pairs of end-to-end metrics.
 
 Runs ``benchmarks/e2e/run.py`` from two checkouts, one after the other,
 ``--pairs`` times per seed (the order inside a pair alternates, so a
 slow spell on a shared host hits both sides), and reports each side's
-``--metric`` (the median of that invocation's repeats) per pair::
+value of every ``--metric`` (the median of that invocation's repeats)
+per pair, all read from the same invocations::
 
     python benchmarks/setup_pairs.py --parent ../parent --change . \\
         --workload blk-mq --pairs 10 --seeds 1 2 --write
     python benchmarks/setup_pairs.py --parent ../parent \\
-        --workload net-verified --metric ops_per_s \\
+        --workload net-verified --metric ops_per_s setup_s \\
         --results BENCH_engine.json --seconds 8 --write
 
 Whether higher or lower is better comes from the metric's entry in
@@ -39,34 +40,43 @@ def end_to_end_metrics() -> dict:
     return {m["name"]: m for m in spec["end_to_end"]}
 
 
-def metric_value(tree: Path, workload: str, seed: int, seconds: float,
-                 metric: str) -> float:
-    """One e2e invocation in ``tree``; its value of ``metric``."""
+def metric_values(tree: Path, workload: str, seed: int, seconds: float,
+                  metrics: list[str]) -> dict:
+    """One e2e invocation in ``tree``; its value of each of ``metrics``."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/e2e/run.py", "--seed", str(seed),
          "--workload", workload, "--seconds", repr(seconds)],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     line = json.loads(proc.stdout.strip().splitlines()[-1])
-    return line["metrics"][metric]["value"]
+    return {m: line["metrics"][m]["value"] for m in metrics}
 
 
 def measure(parent: Path, change: Path, workload: str, pairs: int,
-            seeds: list[int], seconds: float, metric: str = "setup_s") -> dict:
-    spec = end_to_end_metrics()[metric]
-    higher = spec["better"] == "higher"
-    rows = []
+            seeds: list[int], seconds: float,
+            metrics: tuple = ("setup_s",)) -> dict:
+    """Each metric's result, from one set of alternating pairs."""
+    rows = {m: [] for m in metrics}
     for seed in seeds:
         for i in range(pairs):
             order = [("parent", parent), ("change", change)]
             if i % 2:
                 order.reverse()
-            row = {"seed": seed}
+            row = {m: {"seed": seed} for m in metrics}
             for side, tree in order:
-                row[side] = round(
-                    metric_value(tree, workload, seed, seconds, metric), 5)
-            rows.append(row)
+                values = metric_values(tree, workload, seed, seconds,
+                                       list(metrics))
+                for m in metrics:
+                    row[m][side] = round(values[m], 5)
+            for m in metrics:
+                rows[m].append(row[m])
             print(json.dumps(row), flush=True)
+    return {m: summarize(rows[m], m, seconds) for m in metrics}
+
+
+def summarize(rows: list, metric: str, seconds: float) -> dict:
+    spec = end_to_end_metrics()[metric]
+    higher = spec["better"] == "higher"
     parent_v = [r["parent"] for r in rows]
     change_v = [r["change"] for r in rows]
     q1, median, q3 = statistics.quantiles(parent_v, n=4)
@@ -94,7 +104,7 @@ def main() -> None:
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, default=Path("."))
     p.add_argument("--workload", default="blk-mq")
-    p.add_argument("--metric", default="setup_s",
+    p.add_argument("--metric", nargs="+", default=["setup_s"],
                    choices=sorted(end_to_end_metrics()))
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
@@ -105,15 +115,16 @@ def main() -> None:
                    help="store under setup_pairs.<workload> (setup_s) or "
                         "e2e_pairs.<workload> (any other metric)")
     args = p.parse_args()
-    result = measure(args.parent.resolve(), args.change.resolve(),
-                     args.workload, args.pairs, args.seeds, args.seconds,
-                     args.metric)
-    print(json.dumps({args.workload: result}, indent=2))
+    results = measure(args.parent.resolve(), args.change.resolve(),
+                      args.workload, args.pairs, args.seeds, args.seconds,
+                      tuple(args.metric))
+    print(json.dumps({args.workload: results}, indent=2))
     if args.write:
         path = RESULTS_DIR / args.results
         report = json.loads(path.read_text())
-        key = "setup_pairs" if args.metric == "setup_s" else "e2e_pairs"
-        report.setdefault(key, {})[args.workload] = result
+        for metric, result in results.items():
+            key = "setup_pairs" if metric == "setup_s" else "e2e_pairs"
+            report.setdefault(key, {})[args.workload] = result
         path.write_text(json.dumps(report, indent=2) + "\n")
 
 

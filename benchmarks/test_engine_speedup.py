@@ -98,10 +98,10 @@ def test_compiled_engine_speedup(results_dir):
     }
     path = results_dir / "BENCH_engine.json"
     if path.exists():
-        # Keep the e2e pairs ``benchmarks/setup_pairs.py`` and the guard
-        # replay ``benchmarks/guard_hit_replay.py`` record here.
+        # Keep the e2e and set-up pairs ``benchmarks/setup_pairs.py`` and
+        # the guard replay ``benchmarks/guard_hit_replay.py`` record here.
         old = json.loads(path.read_text())
-        for key in ("e2e_pairs", "guard_hit_replay"):
+        for key in ("e2e_pairs", "setup_pairs", "guard_hit_replay"):
             if key in old:
                 report[key] = old[key]
     path.write_text(json.dumps(report, indent=2) + "\n")

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Union
 from .. import e1000e, vblk
 from ..e1000e.contracts import DRIVER_CONTRACTS
 from ..net import PacketBlaster, PacketSink, RawPacketSocket
+from ..vm.timing import centicycles_at
 
 if TYPE_CHECKING:  # pragma: no cover
     from .system import CaratKopSystem
@@ -174,15 +175,16 @@ class BlkStack:
     def _drain(self) -> None:
         """Idle until the device completes everything in flight.  On a
         timed run that means advancing the machine clock to the latest
-        pending completion; a stalled or replayed write-back can push
-        it out again, hence the loop."""
+        pending completion (rounded once onto the clock, see
+        ``centicycles_at``), by a cycle at least; a stalled or replayed
+        write-back can push it out again, hence the loop."""
         device, timing = self.device, self.kernel.vm.timing
         device.sync()
         while device.clock is not None and any(
                 q.in_flight for q in device.queues):
             latest = max(entry[0] for q in device.queues
                          for entry in q.in_flight)
-            timing.add_cycles(max(latest - timing.cycles, 1.0))
+            timing.cc = max(timing.cc + 100, centicycles_at(latest))
             device.sync()
 
     def delivered(self) -> int:

@@ -148,19 +148,25 @@ def binop_src(op: str, t: IRType, a: str, b: str) -> Optional[str]:
 _CMP_SRC = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
-def icmp_src(pred: str, t: IRType, a: str, b: str) -> str:
-    """The expression (0 or 1) for ``icmp pred`` on ``a`` and ``b`` of
-    type ``t``.  Signed predicates compare two's-complement values of
-    an integer type; pointers always compare as unsigned addresses."""
+def icmp_cond(pred: str, t: IRType, a: str, b: str) -> str:
+    """The Python comparison that holds when ``icmp pred`` on ``a`` and
+    ``b`` of type ``t`` is 1.  Signed predicates compare two's-complement
+    values of an integer type; pointers always compare as unsigned
+    addresses."""
     c = _CMP_SRC[pred[-2:]]
     if pred[0] == "s" and isinstance(t, IntType):
         if t.bits > 1:
             # Flipping the sign bit of the masked pattern maps signed
             # order onto unsigned order.
             m, sign = t.max_unsigned, 1 << (t.bits - 1)
-            return f"1 if (({a} & {m}) ^ {sign}) {c} (({b} & {m}) ^ {sign}) else 0"
-        return f"1 if ({a} & 1) {c} ({b} & 1) else 0"  # i1: no negatives
-    return f"1 if {a} {c} {b} else 0"
+            return f"(({a} & {m}) ^ {sign}) {c} (({b} & {m}) ^ {sign})"
+        return f"({a} & 1) {c} ({b} & 1)"  # i1: no negatives
+    return f"{a} {c} {b}"
+
+
+def icmp_src(pred: str, t: IRType, a: str, b: str) -> str:
+    """The expression (0 or 1) for ``icmp pred`` (see :func:`icmp_cond`)."""
+    return f"1 if {icmp_cond(pred, t, a, b)} else 0"
 
 
 #: The casts that round or range-check a float: :func:`cast_src` has no
@@ -250,8 +256,11 @@ def icmp(pred: str, t: IRType):
 
 @functools.lru_cache(maxsize=None)
 def fcmp(pred: str):
-    """The function ``f(a, b) -> 0 | 1`` for ``fcmp pred``.  Every
-    predicate is ordered, so a NaN operand makes it false."""
+    """The function ``f(a, b) -> 0 | 1`` for ``fcmp pred``.  An ordered
+    predicate (``o...``) is false for a NaN operand; ``une`` (unordered or
+    unequal, C's ``!=``) is true for one."""
+    if pred == "une":
+        return _function("a, b", "1 if a != b else 0")
     c = _CMP_SRC[pred[1:]]
     return _function("a, b", f"0 if a != a or b != b else 1 if a {c} b else 0")
 
@@ -279,5 +288,5 @@ binop = functools.lru_cache(maxsize=None)(make_binop)
 
 
 __all__ = ["FLOAT_CONVERSIONS", "binop", "binop_src", "cast", "cast_src",
-           "fcmp", "fptosi", "icmp", "icmp_src", "int_to_f32", "make_binop",
+           "fcmp", "fptosi", "icmp", "icmp_cond", "icmp_src", "int_to_f32", "make_binop",
            "pack_f32", "round_f32", "trunc_divmod"]

@@ -222,7 +222,7 @@ class BinOp(Instruction):
 
 
 ICMP_PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge", "ult", "ule", "ugt", "uge")
-FCMP_PREDICATES = ("oeq", "one", "olt", "ole", "ogt", "oge")
+FCMP_PREDICATES = ("oeq", "one", "olt", "ole", "ogt", "oge", "une")
 
 
 class ICmp(Instruction):

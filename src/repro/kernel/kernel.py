@@ -521,7 +521,7 @@ class Kernel:
 
         def n_get_cycles(ctx) -> int:
             if ctx is not None and ctx.timing is not None:
-                return int(ctx.timing.cycles)
+                return ctx.timing.cc // 100
             return 0
 
         # Privileged intrinsics (paper §5): callable by any module unless

@@ -75,12 +75,12 @@ class SyscallBoundary:
         machine = self.machine
         if machine is None:
             timing = None
-        start = 0.0
+        start = 0
         if timing is not None:
-            start = timing.cycles
-            timing.add_cycles(machine.syscall_cycles)
-            timing.add_cycles(machine.netstack_base_cycles)
-            timing.add_cycles(machine.per_byte_cycles * nbytes)
+            costs = machine.centi
+            start = timing.cc
+            timing.cc += (costs.syscall + costs.netstack_base
+                          + costs.per_byte * nbytes)
         rc, data = op()
         stalled = False
         attempt = 0
@@ -94,12 +94,12 @@ class SyscallBoundary:
             stalled = True
             self.stalls += 1
             if timing is not None:
-                timing.add_cycles(machine.deschedule_cycles * attempt)
+                timing.cc += costs.deschedule * attempt
             # While the caller slept, the device drained and wrote its
             # completions back.
             self.device.sync()
             rc, data = op()
-        latency = timing.cycles - start if timing is not None else 0.0
+        latency = (timing.cc - start) / 100 if timing is not None else 0.0
         tp = self._tp_exit
         if tp.enabled:
             tp.emit(name=name, rc=rc, cycles=latency, stalled=stalled)

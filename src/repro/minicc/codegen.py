@@ -515,7 +515,8 @@ class CodeGenerator:
         if ct.is_ptr:
             return self.b.icmp("ne", value, ConstantNull(value.type))  # type: ignore[arg-type]
         if ct.is_float:
-            return self.b.fcmp("one", value, ConstantFloat(FloatType(ct.bits), 0.0))
+            # C tests a scalar against 0 with !=: a NaN is true.
+            return self.b.fcmp("une", value, ConstantFloat(FloatType(ct.bits), 0.0))
         raise CompileError(f"cannot use {ct} as a condition", line)
 
     def convert(self, value: Value, src: C.CType, dst: C.CType, line: int) -> Value:
@@ -891,7 +892,7 @@ class CodeGenerator:
         rhs = self.convert(rhs, rct, common, line)
         if op in ("==", "!=", "<", "<=", ">", ">="):
             if common.is_float:
-                pred = {"==": "oeq", "!=": "one", "<": "olt", "<=": "ole",
+                pred = {"==": "oeq", "!=": "une", "<": "olt", "<=": "ole",
                         ">": "ogt", ">=": "oge"}[op]
                 c = self.b.fcmp(pred, lhs, rhs)
             else:

@@ -108,7 +108,8 @@ def fold(
             if e.op in _CMP_OPS:
                 ct, cmp = C.usual_arithmetic(act, bct), _CMP_OPS[e.op]
                 if ct.is_float:
-                    return arith.fcmp("o" + cmp)(float(a), float(b)), C.INT
+                    pred = ("u" if cmp == "ne" else "o") + cmp  # as codegen
+                    return arith.fcmp(pred)(float(a), float(b)), C.INT
                 t = IntType(ct.bits)
                 if cmp not in ("eq", "ne"):
                     cmp = ("s" if ct.signed else "u") + cmp

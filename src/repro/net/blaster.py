@@ -64,7 +64,7 @@ class PacketBlaster:
         errors = 0
         stalls_before = self.socket.stalls
         latencies: list[float] = [] if capture_latency else None  # type: ignore[assignment]
-        start_cycles = timing.cycles if timing is not None else 0.0
+        start_cc = timing.cc if timing is not None else 0
 
         def send(seq: int) -> None:
             nonlocal errors
@@ -74,7 +74,7 @@ class PacketBlaster:
             # producer would look impossibly fast and the TX ring
             # would always be full.
             if timing is not None and machine is not None:
-                timing.add_cycles(machine.userspace_per_packet_cycles)
+                timing.cc += machine.centi.userspace_per_packet
             result = self.socket.sendmsg(frame)
             if result.rc != 0:
                 errors += 1
@@ -82,7 +82,7 @@ class PacketBlaster:
                 latencies.append(result.latency_cycles)
 
         kernel.smp.run_sharded(count, send)
-        total = (timing.cycles - start_cycles) if timing is not None else 0.0
+        total = (timing.cc - start_cc) / 100 if timing is not None else 0.0
         if machine is not None and total > 0:
             pps = count / machine.seconds(total)
         else:

@@ -120,7 +120,7 @@ class BlockBlaster:
         bytes_read = bytes_written = 0
         stalls_before = queue.stalls
         latencies: list[float] = [] if capture_latency else None  # type: ignore[assignment]
-        start_cycles = timing.cycles if timing is not None else 0.0
+        start_cc = timing.cc if timing is not None else 0
 
         def plan(seq: int) -> tuple[int, int]:
             if flush_interval and seq % flush_interval == flush_interval - 1:
@@ -148,7 +148,7 @@ class BlockBlaster:
             # The tool's own per-iteration work happens on the same
             # clock the device drains against.
             if timing is not None and machine is not None:
-                timing.add_cycles(machine.userspace_per_packet_cycles)
+                timing.cc += machine.centi.userspace_per_packet
             if op == regs.VDESC_TYPE_FLUSH:
                 result = queue.fsync()
                 flushes += 1
@@ -168,7 +168,7 @@ class BlockBlaster:
                 latencies.append(result.latency_cycles)
 
         kernel.smp.run_sharded(count, issue)
-        total = (timing.cycles - start_cycles) if timing is not None else 0.0
+        total = (timing.cc - start_cc) / 100 if timing is not None else 0.0
         if machine is not None and total > 0:
             iops = count / machine.seconds(total)
         else:

@@ -17,6 +17,12 @@ cost, both near zero on the modern core and noticeably larger on the old
 one.  Absolute cycle numbers are calibrated to land the figures in the
 paper's ranges; the machine-to-machine and parameter-to-parameter *ratios*
 are what the reproduction claims.
+
+The simulated clock counts whole **centicycles** (hundredths of a cycle,
+DESIGN.md §7b), so both engines add integers and no sum depends on its
+order.  Every cost of a model is declared in cycles and converted once,
+when the model is built, into its :class:`Centicycles` table; a cost
+that is not a whole number of centicycles is refused there.
 """
 
 from __future__ import annotations
@@ -43,6 +49,48 @@ def _default_op_cycles() -> dict[str, float]:
         "asm": 0.0,
         "unreachable": 0.0,
     }
+
+
+def centicycles(cycles: float, what: str = "cost") -> int:
+    """``cycles`` as a whole number of centicycles; refuses a cost that
+    has a finer fraction (``repr`` noise of a product such as
+    ``0.15 * 1.6`` is not a fraction)."""
+    cc = round(cycles * 100)
+    if abs(cycles * 100 - cc) > 1e-6:
+        raise ValueError(
+            f"{what} of {cycles!r} cycles is not a whole number of "
+            "centicycles")
+    return cc
+
+
+#: The cycle-cost fields of :class:`MachineModel`, converted into its
+#: :class:`Centicycles` table (the other fields are rates and shapes).
+_COST_FIELDS = (
+    "guard_base", "guard_entry", "syscall", "netstack_base", "per_byte",
+    "deschedule", "mmio_read", "mmio_write", "userspace_per_packet",
+)
+
+
+@dataclass(frozen=True)
+class Centicycles:
+    """One machine's costs in centicycles, the unit of the clock."""
+
+    ops: dict
+    guard_base: int
+    guard_entry: int
+    syscall: int
+    netstack_base: int
+    per_byte: int
+    deschedule: int
+    mmio_read: int
+    mmio_write: int
+    userspace_per_packet: int
+
+    def op(self, opcode: str) -> int:
+        return self.ops.get(opcode, 100)
+
+    def guard(self, entries_scanned: int) -> int:
+        return self.guard_base + self.guard_entry * entries_scanned
 
 
 @dataclass
@@ -91,6 +139,15 @@ class MachineModel:
     burst_size_scale_bytes: float = 80.0
     burst_mean_stalls: float = 16.0
 
+    def __post_init__(self) -> None:
+        #: Every cost above in centicycles (see :class:`Centicycles`).
+        self.centi = Centicycles(
+            ops={op: centicycles(c, f"op {op!r}")
+                 for op, c in self.op_cycles.items()},
+            **{name: centicycles(getattr(self, f"{name}_cycles"), name)
+               for name in _COST_FIELDS},
+        )
+
     def op_cost(self, opcode: str) -> float:
         return self.op_cycles.get(opcode, 1.0)
 
@@ -103,6 +160,10 @@ class MachineModel:
 
     def cycles_for_us(self, usec: float) -> float:
         return usec * 1e-6 * self.freq_hz
+
+    def centicycles_for_us(self, usec: float) -> int:
+        """A delay in centicycles, rounded once."""
+        return round(self.cycles_for_us(usec) * 100)
 
 
 def r415() -> MachineModel:
@@ -158,4 +219,7 @@ def get_machine(name: str) -> MachineModel:
         raise ValueError(f"unknown machine {name!r}; have {sorted(MACHINES)}")
 
 
-__all__ = ["MACHINES", "MachineModel", "get_machine", "r350", "r415"]
+__all__ = [
+    "Centicycles", "MACHINES", "MachineModel", "centicycles", "get_machine",
+    "r350", "r415",
+]

@@ -247,7 +247,7 @@ def test_casts_on_random_patterns(cast, data):
 
 FLOAT_BITS = (32, 64)
 FLOAT_OPS = ("fadd", "fsub", "fmul", "fdiv")
-FCMP_PREDICATES = ("oeq", "one", "olt", "ole", "ogt", "oge")
+FCMP_PREDICATES = ("oeq", "one", "olt", "ole", "ogt", "oge", "une")
 INT_FLOAT_WIDTHS = (8, 16, 32, 64)
 #: (significand bits, least normal exponent, greatest exponent)
 FORMATS = {32: (24, -126, 127), 64: (53, -1022, 1023)}
@@ -319,10 +319,11 @@ def _rank(v: float) -> Fraction:
 
 
 def spec_fcmp(pred: str, a: float, b: float) -> int:
-    """Every predicate is ordered: a NaN operand makes it false.  Both
-    zeros are the rational 0, so they compare equal."""
+    """An ordered predicate (``o...``) is false for a NaN operand and
+    ``une`` (unordered or unequal) is true for one.  Both zeros are the
+    rational 0, so they compare equal."""
     if a != a or b != b:
-        return 0
+        return 1 if pred == "une" else 0
     x, y = _rank(a), _rank(b)
     holds = {
         "eq": x == y, "ne": x != y, "lt": x < y,

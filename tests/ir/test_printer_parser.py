@@ -168,6 +168,18 @@ class TestRoundTrip:
         b.ret(v)
         verify_module(roundtrip(m))
 
+    @pytest.mark.parametrize("pred", ["one", "une"])
+    def test_fcmp_predicate_roundtrip(self, pred):
+        from repro.ir import F64
+
+        m = Module("rt")
+        fn = Function("f", FunctionType(I1, [F64, F64]), ["a", "b"])
+        m.add_function(fn)
+        b = IRBuilder(fn.add_block("entry"))
+        b.ret(b.fcmp(pred, fn.args[0], fn.args[1], "c"))
+        m2 = roundtrip(m)
+        assert f"fcmp {pred} f64 %a, f64 %b" in print_module(m2)
+
     def test_inline_asm_roundtrip(self):
         m = Module("asm")
         fn = Function("bad", FunctionType(VOID, []), [])

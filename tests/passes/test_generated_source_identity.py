@@ -19,16 +19,17 @@ from repro.vm import compiled
 #: sha256 over ``name NUL source NUL`` of every defined driver function,
 #: in IR order, translated by a fresh compiled engine on the same
 #: systems ``test_build_identity`` pins (r415, interval index, 64
-#: regions; vblk on 4 CPUs with per-CPU queues).
+#: regions; vblk on 4 CPUs with per-CPU queues): each function's first
+#: translation, then its hot one (leaves inlined).
 SOURCE_DIGESTS = {
-    ("e1000e", 0): "d97acd4762720047baf1366535ee2034edc2d7eed89cc1017bb8b473e9446930",
-    ("e1000e", 1): "db6f4c5aeabb03096758dc8ebf123289db8187d760b28434866be374d5784082",
-    ("e1000e", 2): "e3886ce21818df605ae14ca468fb152187144e2728d756beb71751c2a6921fa7",
-    ("e1000e", 3): "7e327c1df57232640c148e56b91eb3fac588efb6b8227650e92026f028418d4b",
-    ("vblk", 0): "7d21026735e1c9a2db6302f26002eff3f5a58fecd335ae197bb4a95d26dd8bb9",
-    ("vblk", 1): "dc1a8a91465af16b2ab5b846385840a2f8f801915e56ba51997fa1ef1b09c21b",
-    ("vblk", 2): "9b29905253e2cceaee94c93f440c9a5e17179e53366b09cdadf07e803ba57ce7",
-    ("vblk", 3): "cf85242ed938cfca0c65df6fca5dc6b89e34236e085a58fb48c4b2296402bc81",
+    ("e1000e", 0): "d9b05f816803078af0818e6b8a54f11294a3e5c09aae8d609a62a7a5afbcf33f",
+    ("e1000e", 1): "a8646260b12ad0fcdb2c19fabd5c2e75ab157fb12841be0c0ba91513c13eb8fa",
+    ("e1000e", 2): "44270f9238451367be0704d9e5e5450fe6e184ade1a9ea53015744ef8ee09b6b",
+    ("e1000e", 3): "217021a53dbe17544e94a7d01d62dd376ea9434425e1cc1430c8fc457c38fe7b",
+    ("vblk", 0): "907829373ea3da2f5ca669e498e4fcaf1ea6be2d14c12994e0c5e666a6b741ef",
+    ("vblk", 1): "707b0beb92479d03f89d538f9fac659f1b28c359b5ad06a08a24281069bda4ae",
+    ("vblk", 2): "60c7cb705a75b54032f8fab8b061c06c7cd885d7d7c85408581c9c65cdb54fbb",
+    ("vblk", 3): "680a2fdab1abcd4354bcd2f7c5b572c855944fb83a92291200dbc272d17d592c",
 }
 
 STACKS = {
@@ -61,8 +62,10 @@ def generated_source_digest(driver: str, opt_level: int) -> str:
     try:
         for fn in module.ir.functions.values():
             if not fn.is_declaration:
-                compiled._Translator(engine, module, fn).translate(
-                    module.ir.generation)
+                for inline in (False, True):
+                    compiled._Translator(engine, module, fn,
+                                         inline=inline).translate(
+                        module.ir.generation)
     finally:
         compiled.TRANSLATION_CACHE = shared
     h = hashlib.sha256()

@@ -1,9 +1,10 @@
 """Differential tests: the compiled engine against the reference interpreter.
 
 The compiled engine's contract is *bit-identical* observable behaviour:
-return values, memory, cycle accounting (float addition must not be
-reassociated), guard statistics, per-function profiles, and dmesg — across
-normal execution and panics.  Every test here runs the same workload
+return values, memory, cycle accounting (an integer centicycle clock, so
+the compiled engine may sum a segment's charges at translate time),
+guard statistics, per-function profiles, and dmesg — across normal
+execution and panics.  Every test here runs the same workload
 under both engines and compares the full observable state.
 """
 
@@ -31,7 +32,7 @@ from repro.policy import (
     Region,
 )
 from repro.policy.module import MODE_EJECT
-from repro.vm import get_machine
+from repro.vm import compiled, get_machine
 
 # ---------------------------------------------------------------------------
 # mini-C program bank: each entry is (source, [(fn, args), ...]) and is run
@@ -626,7 +627,7 @@ def test_divide_fault_after_inline_steps_matches_interp():
     assert state["instructions_executed"] > 5
 
 
-def _demote_mid_call(engine, *, demote):
+def _demote_mid_call(engine, *, demote, probe=None):
     kernel = Kernel(machine=get_machine("r415"), engine=engine)
     policy = CaratPolicyModule(kernel, mode="audit").install()
     manager = PolicyManager(kernel)
@@ -657,6 +658,8 @@ def _demote_mid_call(engine, *, demote):
         verify_table=policy.index))
     loaded = box["loaded"] = kernel.insmod(compiled)
     assert loaded.elided_guards, "setup: nothing was elided"
+    if probe is not None:
+        probe(kernel, loaded)
     result = kernel.run_function(loaded, "run", [5])
     return _observe(kernel, {
         "result": result,
@@ -677,6 +680,137 @@ def test_demotion_mid_call_reemits_guards_in_later_calls():
     clean = _demote_mid_call("compiled", demote=False)
     assert clean["checks"] == 0
     assert b["checks"] > 0  # the two later inner() calls ran their guards
+
+
+# ---------------------------------------------------------------------------
+# leaf inlining: a function's second translation inlines its small leaf
+# callees.  ``hot`` makes that the first one, so every run below executes
+# the inlined bodies; each test checks that the leaf really is inlined.
+
+
+@pytest.fixture
+def hot(monkeypatch):
+    monkeypatch.setattr(compiled, "_TIER_UP_CALLS", 0)
+
+
+def inlined_leaves(engine, loaded, caller: str) -> set:
+    """The leaves a hot translation of ``caller`` inlines (each inlined
+    site checks the depth its callee's frame would have)."""
+    t = compiled._Translator(engine, loaded, loaded.ir.functions[caller],
+                             inline=True)
+    t.translate(loaded.ir.generation)
+    return set(re.findall(r"kernel stack overflow in @(\w+)",
+                          "\n".join(t.lines))) - {caller}
+
+
+@pytest.mark.parametrize("bank", range(len(PROGRAMS)))
+def test_program_bank_identical_hot(bank, hot):
+    source, calls = PROGRAMS[bank]
+    a = _run_bank("interp", source, calls, machine=get_machine("r415"))
+    b = _run_bank("compiled", source, calls, machine=get_machine("r415"))
+    assert a == b
+
+
+def test_demotion_mid_caller_of_an_inlined_leaf(hot):
+    """``inner`` (its guards elided at -O3) is inlined into ``run``; a
+    demotion after the first call makes the later sites of the live frame
+    fall back to the re-translated callee, which runs its guards."""
+    seen = {}
+
+    def probe(kernel, loaded):
+        if kernel.vm.name == "compiled":
+            seen["inlined"] = inlined_leaves(kernel.vm, loaded, "run")
+
+    a = _demote_mid_call("interp", demote=True)
+    b = _demote_mid_call("compiled", demote=True, probe=probe)
+    assert seen["inlined"] == {"inner"}
+    assert a == b
+    assert b["checks"] > 0
+    assert _demote_mid_call("compiled", demote=False)["checks"] == 0
+
+
+_LEAF_RECURSION = {
+    1: """
+    long cells[2];
+    long leaf(long n) { cells[0] = cells[0] + n; return cells[0] & 255; }
+    long walk(long n) {
+        long t = leaf(n);
+        if (n == 0) { return t; }
+        return walk(n - 1) + t;
+    }
+    __export long run(long n) { return walk(n); }
+    """,
+    2: """
+    long cells[2];
+    long leaf2(long n) { cells[1] = cells[1] ^ n; return cells[1]; }
+    long leaf(long n) { cells[0] = cells[0] + n; return leaf2(n) & 255; }
+    long walk(long n) {
+        long t = leaf(n);
+        if (n == 0) { return t; }
+        return walk(n - 1) + t;
+    }
+    __export long run(long n) { return walk(n); }
+    """,
+}
+
+
+@pytest.mark.parametrize("nesting", [1, 2])
+def test_recursion_reaches_max_call_depth_in_an_inlined_leaf(nesting, hot):
+    """``walk`` recurses; its first step calls an inlined leaf (which, at
+    nesting 2, calls another), one or two frames deeper, so the overflow
+    fires inside the inlined body with the innermost leaf's message."""
+    src = _LEAF_RECURSION[nesting]
+    make = lambda: compile_module(src, CompileOptions(  # noqa: E731
+        module_name="leafrec", protect=False))
+    kernel = Kernel(machine=get_machine("r415"), engine="compiled")
+    loaded = kernel.insmod(make())
+    assert inlined_leaves(kernel.vm, loaded, "walk") == (
+        {"leaf"} if nesting == 1 else {"leaf", "leaf2"})
+    state = _both(make, [("run", (3,)), ("run", (40,)), ("run", (2,))],
+                  max_depth=12)
+    assert state["outcomes"][0][0] == "ok"
+    kind, msg = state["outcomes"][1]
+    assert kind == "KernelPanic"
+    assert msg.endswith(
+        f"kernel stack overflow in @{'leaf' if nesting == 1 else 'leaf2'}")
+    assert state["outcomes"][2][0] == "ok"  # depth fully unwound
+
+
+def _looped_caller(m):
+    """``f(a)`` calls the leaf ``g`` (``_diamond`` without a phi) in a
+    loop for ``a``, ``a - 1``, ..., 0: ``g(0)`` reads ``%x``, which only
+    ``g``'s ``then`` block defines, so it fails even though an earlier
+    call on the same site defined it."""
+    _diamond(m, phi=False)
+    g = m.functions["f"]
+    g.name = "g"
+    m.functions = {"g": g}
+    fn = Function("f", FunctionType(I64, [I64]), ["a"])
+    m.add_function(fn)
+    entry, loop, done = (fn.add_block(n) for n in ("entry", "loop", "done"))
+    b = IRBuilder(entry)
+    b.br(loop)
+    b.position_at_end(loop)
+    i = b.phi(I64, "i")
+    r = b.call(g, [i], "r")
+    j = b.sub(i, b.const_i64(1), "j")
+    i.add_incoming(fn.args[0], entry)
+    i.add_incoming(j, loop)
+    b.cond_br(b.icmp("ne", i, b.const_i64(0), "more"), loop, done)
+    b.position_at_end(done)
+    b.ret(r)
+
+
+def test_undefined_read_in_an_inlined_leaf(hot):
+    make = lambda: _ir_module("undefleaf", _looped_caller)  # noqa: E731
+    kernel = Kernel(machine=get_machine("r415"), engine="compiled")
+    loaded = kernel.insmod(make())
+    assert inlined_leaves(kernel.vm, loaded, "f") == {"g"}
+    state = _both(make, [("f", (2,)), ("g", (4,)), ("f", (0,))])
+    assert state["outcomes"][0] == (
+        "InterpreterError", "use of undefined value %x (i64)")
+    assert state["outcomes"][1][0] == "ok"
+    assert state["outcomes"][2] == state["outcomes"][0]
 
 
 # ---------------------------------------------------------------------------

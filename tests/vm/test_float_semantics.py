@@ -267,3 +267,54 @@ class TestNegation:
         for fn in ("neg", "negf"):
             for z in (0.0, -0.0, INF, -INF, math.nan, 1.5):
                 assert len({run(fn, z) for run in runs}) == 1
+
+
+class TestNaNComparison:
+    """A floating ``!=`` is the negation of ``==`` (C11 6.5.9), so it is
+    true for a NaN operand (``fcmp une``), and a scalar tested as a
+    condition is compared ``!= 0``.  The values are what gcc 12.2 -O0
+    gives on x86-64."""
+
+    SOURCE = """
+    __export int self_compare(void) {
+        double z = 0.0; double n = z / z;
+        return (n != n) * 10 + (n == n);
+    }
+    __export int nan_is_true(double z) {
+        double n = z / z;
+        if (n) { return 1; }
+        return 0;
+    }
+    __export int ne_ordered(double a, double b) { return a != b; }
+    int folded_ne = (1.0 != 2.0) * 10 + (1.5 != 1.5);
+    __export int get_folded_ne(void) { return folded_ne; }
+    """
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_nan_is_unequal_to_itself(self, engine):
+        assert load(engine, self.SOURCE)("self_compare") == 10
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_nan_condition_takes_the_true_branch(self, engine):
+        run = load(engine, self.SOURCE)
+        assert run("nan_is_true", 0.0) == 1
+        assert run("nan_is_true", 1.0) == 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ordered_operands(self, engine):
+        run = load(engine, self.SOURCE)
+        assert run("ne_ordered", 1.0, 1.0) == 0
+        assert run("ne_ordered", 1.0, 2.0) == 1
+        assert run("ne_ordered", 0.0, -0.0) == 0
+        assert run("ne_ordered", math.nan, 1.0) == 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_constant_folding_agrees(self, engine):
+        assert load(engine, self.SOURCE)("get_folded_ne") == 10
+
+    def test_codegen_emits_une(self):
+        ir = compile_module(self.SOURCE, CompileOptions(
+            module_name="floats", protect=False)).ir
+        preds = {i.pred for fn in ir.functions.values()
+                 for i in fn.instructions() if i.opcode == "fcmp"}
+        assert "une" in preds and "one" not in preds

@@ -24,7 +24,7 @@ from repro.kernel.module_loader import CompiledModule
 from repro.kernel.panic import KernelPanic
 from repro.passes import AttestationPass, PassManager
 from repro.net import make_test_frame
-from repro.vm import get_machine
+from repro.vm import compiled, get_machine
 
 ENGINES = ("interp", "compiled")
 #: The first page of RAM through the direct map; the page below it is
@@ -125,6 +125,111 @@ def test_isr_runs_inside_a_live_frame(traced):
     assert state["rcs"] == [0] * 16
     assert state["delivered"] == [True] * 3
     assert state["irq_count"] > 3  # TX completions, not only the RX ones
+
+
+@pytest.fixture
+def hot(monkeypatch):
+    """Inline leaves from a function's first call (not its 17th)."""
+    monkeypatch.setattr(compiled, "_TIER_UP_CALLS", 0)
+
+
+def inlined_leaves(engine, loaded, caller: str) -> set:
+    t = compiled._Translator(engine, loaded, loaded.ir.functions[caller],
+                             inline=True)
+    t.translate(loaded.ir.generation)
+    src = "\n".join(t.lines)
+    return {leaf for leaf in loaded.ir.functions
+            if f"kernel stack overflow in @{leaf}'" in src} - {caller}
+
+
+def isr_in_inlined_doorbell(driver: str):
+    """The doorbell store of the -O3 driver's submit path sits in the
+    inlined ``ew32``/``vw32``; the device raises the IRQ inside that
+    store, so the handler's kernel entry must see the depth the
+    interpreter's ``ew32``/``vw32`` frame has, and the clock and counters
+    it has there."""
+    def scenario(engine: str, traced: bool) -> dict:
+        system = CaratKopSystem(SystemConfig(
+            machine="r415", engine=engine, opt_level=3, driver=driver,
+            cpus=1))
+        kernel = system.kernel
+        vm = kernel.vm
+        entries = []
+        run = kernel.run_function
+
+        def spy(module, name, args):
+            entries.append((name, vm._depth, vm.timing.cc))
+            return run(module, name, args)
+
+        kernel.run_function = spy
+        if driver == "e1000e":
+            assert system.netdev.enable_interrupts() == 0
+            caller, leaf = "e1000e_xmit_frame", "ew32"
+            rcs = [system.netdev.xmit(make_test_frame(128, seq))
+                   for seq in range(40)]
+        else:
+            assert system.blkdev.enable_interrupts() == 0
+            caller, leaf = "vblk_submit_io", "vw32"
+            rcs = []
+            for seq in range(8):
+                # The next doorbell store lands after this completion.
+                rcs.append(system.blkqueue.pwrite(seq * 8,
+                                                  bytes([seq]) * 512).rc)
+                kernel.advance_time(40)
+        if engine == "compiled":
+            assert leaf in inlined_leaves(vm, system.driver, caller)
+        # A handler entered inside the submit frame, from the inlined
+        # leaf's store: two frames deep in the interpreter.
+        nested = [e for e in entries if e[1] == 2]
+        return {"rcs": rcs, "entries": entries, "nested": len(nested),
+                **counters(kernel, traced)}
+
+    return scenario
+
+
+@pytest.mark.parametrize("driver", ["e1000e", "vblk"])
+def test_isr_inside_an_inlined_mmio_store(driver, hot):
+    state = both(isr_in_inlined_doorbell(driver), False)
+    assert not any(state["rcs"])
+    assert state["nested"] >= 3  # handlers entered inside a live frame
+
+
+FAULT_IN_LEAF = """
+long table[8];
+long leaf(long addr, long i) {
+    table[i & 7] = i * 3;
+    long x = *(long *)addr;
+    return x + table[(i + 1) & 7];
+}
+__export long outer(long i, long addr) {
+    table[2] = i;
+    long r = leaf(addr, i) + table[2];
+    return r + leaf(addr + 8, i + 1);
+}
+"""
+
+
+def fault_in_inlined_leaf(engine: str, traced: bool) -> dict:
+    kernel = Kernel(machine=get_machine("r415"), engine=engine)
+    loaded = kernel.insmod(compile_module(
+        FAULT_IN_LEAF, CompileOptions(module_name="leafy", protect=False)))
+    if engine == "compiled":
+        assert inlined_leaves(kernel.vm, loaded, "outer") == {"leaf"}
+    ok = kernel.run_function(loaded, "outer", [5, RAM])
+    faults = []
+    # The first faults in the first inlined body, the second in the
+    # second, after the first returned.
+    for addr in (0x1000, RAM - 8):
+        try:
+            kernel.run_function(loaded, "outer", [3, addr])
+        except MemoryFault as e:
+            faults.append(str(e))
+    return {"ok": ok, "faults": faults, **counters(kernel, traced)}
+
+
+def test_memory_fault_in_an_inlined_leaf(hot):
+    state = both(fault_in_inlined_leaf, False)
+    assert len(state["faults"]) == 2
 
 
 PEEK_SOURCE = """
