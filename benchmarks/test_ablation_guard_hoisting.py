@@ -2,10 +2,12 @@
 
 CARAT KOP ships *without* guard optimization ("every memory access
 results in a guard, even if it would be redundant") for engineering
-reasons.  This bench quantifies what the CARAT CAKE-style optimizer
-(dominated-guard elimination + loop-invariant hoisting) would recover on
-the e1000e driver — and confirms the paper's bet that it barely matters
-at these overhead levels.
+reasons.  This bench quantifies what the CARAT CAKE-style optimizer at
+``-O1`` (dominated-guard elimination + loop-invariant hoisting) would
+recover on the e1000e driver — and confirms the paper's bet that it
+barely matters at these overhead levels.  The table prints what each
+transform did: on this driver the whole reduction comes from dominated
+elimination, since no guard address in a loop is loop-invariant.
 """
 
 import pytest
@@ -29,28 +31,33 @@ def test_static_and_dynamic_guard_reduction(results_dir):
 
     dynamic = {}
     cost = {}
-    for label, opt_level in (("unoptimized", 0), ("hoisted", 1)):
+    for label, opt_level in (("-O0", 0), ("-O1", 1)):
         cfg = WorkloadConfig(machine="r350", protect=True,
                              opt_level=opt_level,
                              calibration_packets=80, warmup_packets=16)
         cal = calibrate(cfg)
         dynamic[label] = cal.guards_per_packet
         cost[label] = cal.cycles_per_packet
-    assert dynamic["hoisted"] <= dynamic["unoptimized"]
+    assert dynamic["-O1"] <= dynamic["-O0"]
 
-    saved = dynamic["unoptimized"] - dynamic["hoisted"]
+    saved = dynamic["-O0"] - dynamic["-O1"]
     rows = [
         "abl2: CARAT CAKE-style guard optimization on the e1000e driver",
-        f"{'':<14}{'static guards':>14}{'guards/packet':>15}{'cycles/packet':>15}",
-        f"{'unoptimized':<14}{plain.guard_count:>14}"
-        f"{dynamic['unoptimized']:>15.1f}{cost['unoptimized']:>15.0f}",
-        f"{'hoisted':<14}{opt.guard_count:>14}"
-        f"{dynamic['hoisted']:>15.1f}{cost['hoisted']:>15.0f}",
+        f"{'':<6}{'static guards':>14}{'removed':>9}{'hoisted':>9}"
+        f"{'coalesced':>11}{'guards/packet':>15}{'cycles/packet':>15}",
+    ]
+    for label, build in (("-O0", plain), ("-O1", opt)):
+        rows.append(
+            f"{label:<6}{build.guard_count:>14}{build.guards_removed:>9}"
+            f"{build.guards_hoisted:>9}{build.guards_coalesced:>11}"
+            f"{dynamic[label]:>15.1f}{cost[label]:>15.0f}"
+        )
+    rows += [
         "",
         f"runtime guards saved/packet: {saved:.1f} "
-        f"({saved / max(dynamic['unoptimized'], 1) * 100:.1f}%)",
-        f"cycles saved/packet: {cost['unoptimized'] - cost['hoisted']:.1f} "
-        f"({(cost['unoptimized'] - cost['hoisted']) / cost['unoptimized'] * 100:.3f}%)",
+        f"({saved / max(dynamic['-O0'], 1) * 100:.1f}%)",
+        f"cycles saved/packet: {cost['-O0'] - cost['-O1']:.1f} "
+        f"({(cost['-O0'] - cost['-O1']) / cost['-O0'] * 100:.3f}%)",
         "",
         "paper's call: skipping the optimizer costs <<1% end to end —",
         "the NOELLE-style analysis isn't worth it for kernel modules.",
@@ -59,7 +66,7 @@ def test_static_and_dynamic_guard_reduction(results_dir):
 
     # The headline assertion: even zero optimization keeps total overhead
     # tiny, so the optimizer saves a negligible share of *total* cycles.
-    assert (cost["unoptimized"] - cost["hoisted"]) / cost["unoptimized"] < 0.005
+    assert (cost["-O0"] - cost["-O1"]) / cost["-O0"] < 0.005
 
 
 def test_wire_behaviour_unchanged_by_optimizer():

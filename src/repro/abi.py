@@ -12,6 +12,7 @@ module, and the kernel loader never drift apart.
 from __future__ import annotations
 
 from .ir import FunctionType, I8PTR, I32, I64, VOID
+from .ir.instructions import Call
 
 #: The single symbol a protected module is linked against at insertion.
 GUARD_SYMBOL = "carat_guard"
@@ -47,6 +48,14 @@ COMPILER_ID = "caratcc-0.1 (minicc + kop-guard-pass)"
 def guard_function_type() -> FunctionType:
     """``void (i8* addr, i64 size, i32 flags)``."""
     return FunctionType(VOID, [I8PTR, I64, I32])
+
+
+def is_guard_call(inst) -> bool:
+    """A memory-guard call site: a ``Call`` marked ``is_guard`` by the
+    guard pass, or any call to ``carat_guard``."""
+    return type(inst) is Call and (
+        inst.is_guard or inst.callee.name == GUARD_SYMBOL
+    )
 
 
 def to_signed64(value: int) -> int:
@@ -103,6 +112,7 @@ __all__ = [
     "META_OPT_LEVEL",
     "flags_name",
     "guard_function_type",
+    "is_guard_call",
     "to_signed32",
     "to_signed64",
 ]

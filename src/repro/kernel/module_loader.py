@@ -152,6 +152,25 @@ class LoadedModule:
             raise KeyError(f"module {self.name} does not define @{name}")
         return fn
 
+    def guard_opt_summary(self) -> str:
+        """What the module's ``-O`` level did to its guards at compile
+        time (with the ``-O3`` proof counts and the verify state), as
+        ``/proc/carat`` and ``/proc/trace_stat`` both show it."""
+        c = self.compiled
+        line = (
+            f"O{c.opt_level} guards={c.guard_count} "
+            f"removed={c.guards_removed} hoisted={c.guards_hoisted} "
+            f"coalesced={c.guards_coalesced}"
+        )
+        if c.is_verified:
+            line += (
+                f" proven={c.guards_proven} dynamic={c.guards_dynamic}"
+                f" elided={len(self.elided_guards)}"
+            )
+        if self.verify_state:
+            line += f" verify={self.verify_state}"
+        return line
+
     def invalidate_translations(self) -> None:
         """Drop every engine's cached translation of this module's code.
 

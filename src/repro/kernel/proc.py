@@ -155,24 +155,8 @@ class ProcFS:
         # Per-module guard-optimizer counters (what each module's -O level
         # removed/hoisted/coalesced at compile time).
         for name, mod in sorted(kernel.loader.loaded.items()):
-            compiled = mod.compiled
-            if compiled.is_protected:
-                line = (
-                    f"guard_opt[{name}]: O{compiled.opt_level} "
-                    f"guards={compiled.guard_count} "
-                    f"removed={compiled.guards_removed} "
-                    f"hoisted={compiled.guards_hoisted} "
-                    f"coalesced={compiled.guards_coalesced}"
-                )
-                if compiled.is_verified:
-                    line += (
-                        f" proven={compiled.guards_proven}"
-                        f" dynamic={compiled.guards_dynamic}"
-                        f" elided={len(mod.elided_guards)}"
-                    )
-                if mod.verify_state:
-                    line += f" verify={mod.verify_state}"
-                lines.append(line)
+            if mod.compiled.is_protected:
+                lines.append(f"guard_opt[{name}]: {mod.guard_opt_summary()}")
         lines.append(f"verify_policy: {kernel.verify_policy}")
         lines.append(f"verify_demotions: {kernel.verify_demotions}")
         lines.append(f"violation_faults: {kernel.violation_faults}")

@@ -394,12 +394,6 @@ EMPTY_CONTRACTS = ContractSet()
 # ---------------------------------------------------------------------------
 
 
-def _is_guard_call(inst) -> bool:
-    return isinstance(inst, Call) and (
-        inst.is_guard or inst.callee.name == abi.GUARD_SYMBOL
-    )
-
-
 @dataclass
 class VerificationReport:
     """Deterministic per-guard-site verdicts for one module, plus the
@@ -539,7 +533,7 @@ class ModuleVerifier:
                 for inst in block.instructions:
                     if inst.is_terminator:
                         break
-                    if _is_guard_call(inst):
+                    if abi.is_guard_call(inst):
                         ok = 1 if self._prove(inst, frame) else 0
                         bits.append(ok)
                         proven += ok
@@ -593,7 +587,7 @@ class ModuleVerifier:
             for inst in fn.instructions():
                 if isinstance(inst, Store):
                     changed |= self._transfer_store(inst, frame)
-                elif isinstance(inst, Call) and not _is_guard_call(inst):
+                elif isinstance(inst, Call) and not abi.is_guard_call(inst):
                     changed |= self._transfer_call(inst, frame, by_name)
                 elif isinstance(inst, Ret) and inst.value is not None:
                     av = av_join(
@@ -678,7 +672,7 @@ class ModuleVerifier:
                         self.store_keys.setdefault(root.name, set()).add(
                             (offset, inst.access_size)
                         )
-                elif isinstance(inst, Call) and not _is_guard_call(inst):
+                elif isinstance(inst, Call) and not abi.is_guard_call(inst):
                     callee = inst.callee.name
                     if callee in by_name:
                         self.reached.add(callee)
@@ -950,7 +944,7 @@ class ModuleVerifier:
     def _compute_call(self, value: Call, frame: _Frame) -> tuple:
         callee = value.callee
         name = callee.name
-        if _is_guard_call(value):
+        if abi.is_guard_call(value):
             return ((0, 0),)
         target = self.module.functions.get(name)
         if target is None or target.is_declaration:
@@ -1019,7 +1013,7 @@ def elidable_guard_ids(module: Module,
             for inst in block.instructions:
                 if inst.is_terminator:
                     break
-                if _is_guard_call(inst):
+                if abi.is_guard_call(inst):
                     if ordinal < len(bits) and bits[ordinal]:
                         out.add(id(inst))
                     ordinal += 1

@@ -18,11 +18,44 @@ of comparable size and shape.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .. import abi
-from ..ir import Function, Module, PointerType, I8
-from ..ir.instructions import Call, Cast, Instruction, Load, Store
+from ..ir import BasicBlock, Function, I8PTR, Module
+from ..ir.instructions import Call, Cast, Gep, Instruction, Load, Store
 from ..ir.values import ConstantInt, Value
 from ..ir.types import I32 as _I32, I64 as _I64
+
+
+def emit_guard(
+    block: BasicBlock,
+    before: Instruction,
+    callee: Function,
+    pointer: Value,
+    size: Value,
+    flags: Value,
+    offset: Optional[tuple[str, int]] = None,
+) -> Call:
+    """Insert the guard ``callee(pointer [+ bytes], size, flags)`` in
+    front of ``before``: a byte-offset GEP when ``offset`` is given as
+    ``(name prefix, bytes)``, a bitcast named ``gaddr`` when the address
+    is not already the guard's ``i8*`` operand, then the ``is_guard``
+    call."""
+    fn = block.parent
+    if offset is not None:
+        tag, nbytes = offset
+        pointer = block.insert_before(
+            Gep(pointer.type, pointer, ConstantInt(_I64, 0), 0, nbytes,
+                fn.unique_name(tag)),
+            before,
+        )
+    if pointer.type is not I8PTR:
+        pointer = block.insert_before(
+            Cast("bitcast", pointer, I8PTR, fn.unique_name("gaddr")), before
+        )
+    call = Call(callee, [pointer, size, flags])
+    call.is_guard = True
+    return block.insert_before(call, before)
 
 
 class GuardInjectionPass:
@@ -48,26 +81,16 @@ class GuardInjectionPass:
                 # Snapshot: we mutate the instruction list as we walk it.
                 for inst in list(block.instructions):
                     if isinstance(inst, Load):
-                        pointer: Value = inst.pointer
-                        size = inst.access_size
                         flags = abi.FLAG_READ
                     elif isinstance(inst, Store):
-                        pointer = inst.pointer
-                        size = inst.access_size
                         flags = abi.FLAG_WRITE
                     else:
                         continue
-                    addr = self._as_i8_pointer(pointer, block, inst, fn)
-                    call = Call(
-                        guard,
-                        [
-                            addr,
-                            ConstantInt(_I64, size),
-                            ConstantInt(_I32, flags),
-                        ],
+                    emit_guard(
+                        block, inst, guard, inst.pointer,
+                        ConstantInt(_I64, inst.access_size),
+                        ConstantInt(_I32, flags),
                     )
-                    call.is_guard = True
-                    block.insert_before(call, inst)
                     inserted += 1
             if inserted > before:
                 self.changed_functions.append(fn)
@@ -76,14 +99,5 @@ class GuardInjectionPass:
         self.guards_inserted += inserted
         return inserted > 0
 
-    @staticmethod
-    def _as_i8_pointer(pointer: Value, block, before: Instruction, fn) -> Value:
-        """The guarded address as ``i8*`` (bitcast inserted if needed)."""
-        if isinstance(pointer.type, PointerType) and pointer.type.pointee is I8:
-            return pointer
-        cast = Cast("bitcast", pointer, PointerType(I8), fn.unique_name("gaddr"))
-        block.insert_before(cast, before)
-        return cast
 
-
-__all__ = ["GuardInjectionPass"]
+__all__ = ["GuardInjectionPass", "emit_guard"]

@@ -4,34 +4,39 @@ CARAT KOP deliberately ships *without* guard optimization; CARAT CAKE
 "hoists guards and amortizes them across many references" using NOELLE.
 This pass implements the production optimizing tier layered on the
 faithful paper pipeline.  ``GuardOptPass(level)`` runs the transforms of
-one ``-O`` level of :mod:`repro.core.pipeline`:
+one ``-O`` level of :mod:`repro.core.pipeline`.  Every decision about
+where a guard may move, widen or vanish lives in one of two places:
 
-1. **Dominating-guard elimination** (``-O1``) — a guard is redundant if a
-   guard on the same address root with the same flags, whose byte range
-   covers it, executes on every path to it (so a guard that block
-   coalescing widened still retires the narrow guards it dominates).
-2. **Loop-invariant guard hoisting** (``-O1``) — a guard whose address is
-   computed outside the loop moves to the preheader and executes once
-   instead of once per iteration.  (Speculative: the hoisted guard fires
-   even when the loop body would have run zero times.  That is the same
-   trade CARAT CAKE makes, and it is conservative in the *safe*
-   direction — it can only reject more, never fewer, accesses.)
-3. **Range coalescing** (``-O2``) — merges many small guards over one
-   object into a single wide guard covering their whole byte range:
+1. **The loop transform** (:meth:`GuardOptPass._move_to_preheaders`)
+   finds the loops, gets or splits each preheader, rematerializes the
+   invariant address chain there, emits the moved guard and restarts
+   after every change.  Two candidate rules feed it, in this order:
 
-   * *Block coalescing*: guards in one basic block whose addresses are
-     ``root + constant`` for a common root (the dominant pattern when a
-     driver fills a descriptor struct field by field) collapse into one
-     guard over ``[min_offset, max_offset + size)``.
-   * *Loop-sweep coalescing*: a guard on ``base + i*stride`` inside a
-     counted loop (constant init/step/limit) is replaced by one preheader
-     guard covering the full swept range — the ring-buffer/descriptor-
-     array sweep that dominates the e1000e driver.
+   * *Loop-invariant hoisting* (``-O1``) — a guard whose address is
+     computed outside the loop executes once instead of once per
+     iteration.
+   * *Sweep ranges* (``-O2``) — a guard on ``base + i*stride`` inside a
+     counted loop (constant init/step/limit) becomes one guard covering
+     the full swept range: the ring-buffer/descriptor-array sweep that
+     dominates the e1000e driver.
 
-   Both directions are conservative the same way hoisting is: the wide
-   guard covers a superset of the bytes the small guards touched (it also
-   covers gaps between fields), so it can only deny more, never fewer,
-   accesses.
+   Both are speculative: the moved guard fires even when the loop body
+   would have run zero times.  That is the same trade CARAT CAKE makes,
+   and it is conservative in the *safe* direction — it can only reject
+   more, never fewer, accesses.
+
+2. **The cover rule** (:meth:`GuardOptPass._drop_covered`) — a guard is
+   dropped only where a kept guard on the same address root with the
+   same flags covers its bytes and dominates it (``-O1``).  At ``-O2``
+   each same-block group of guards at constant offsets off one root
+   (the dominant pattern when a driver fills a descriptor struct field
+   by field) first has its leading guard widened in place to
+   ``[min_offset, max_offset + size)``; the same walk then drops the
+   rest, counted as coalesced.  The wide guard also covers the gaps
+   between fields, so it too can only deny more.
+
+Every guard the tier and :mod:`repro.passes.guard_injection` build comes
+from :func:`repro.passes.guard_injection.emit_guard`.
 
 Guard keys use a *structural value numbering* per function rather than
 ``id()`` of the address root: CPython can reuse an object's ``id()``
@@ -43,7 +48,7 @@ compare equal anyway.  The numbering pins every visited value, so no
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Optional
 
 from .. import abi
 from ..ir import BasicBlock, Function, Module
@@ -56,14 +61,19 @@ from ..ir.instructions import (
     ICmp,
     Instruction,
     Phi,
+    Switch,
 )
-from ..ir.types import I64
 from ..ir.values import Argument, Constant, ConstantInt, GlobalValue, Value
 
 from .analysis import DominatorTree, Loop, find_loops
+from .guard_injection import emit_guard
 
 #: Casts that do not change the byte address a pointer refers to.
 _ADDR_CASTS = ("bitcast", "inttoptr", "ptrtoint")
+
+#: A guard the loop transform moves: ``(guard, invariant pointer,
+#: (name prefix, byte offset) to add or None, size operand)``.
+_Move = tuple[Call, Value, Optional[tuple[str, int]], Value]
 
 
 def counted_induction(loop: Loop) -> Optional[tuple[Phi, int, int, int]]:
@@ -207,24 +217,61 @@ def _addr_root_offset(value: Value) -> tuple[Value, int]:
     return v, offset
 
 
-def _guards_by_root(
-    insts: Iterable[Instruction], vn: _ValueNumber
-) -> dict[tuple[object, int], list[tuple[Call, int, int]]]:
-    """Group the guards among ``insts`` that have a constant size and
-    flags by ``(address root, flags)``.  Each entry is ``(guard, byte
-    offset off the root, size)``, in ``insts`` order."""
-    groups: dict[tuple[object, int], list[tuple[Call, int, int]]] = {}
+def _const_guards(insts):
+    """The guards among ``insts`` with a constant size and flags, each
+    as ``(guard, size, flags)``."""
     for inst in insts:
-        if not (isinstance(inst, Call) and inst.is_guard):
-            continue
-        addr, size, flags = inst.args
-        if not (isinstance(size, ConstantInt) and isinstance(flags, ConstantInt)):
-            continue
-        root, off = _addr_root_offset(addr)
-        groups.setdefault((vn.key(root), flags.value), []).append(
-            (inst, off, size.value)
+        if isinstance(inst, Call) and inst.is_guard:
+            _, size, flags = inst.args
+            if isinstance(size, ConstantInt) and isinstance(flags, ConstantInt):
+                yield inst, size, flags
+
+
+def _defined_outside(value: Value, inside: set[int]) -> bool:
+    if isinstance(value, (Argument, Constant, GlobalValue)):
+        return True
+    if isinstance(value, Instruction):
+        return value.parent is not None and id(value.parent) not in inside
+    return False
+
+
+def _invariant_addr(value: Value, inside: set[int]) -> bool:
+    """Loop-invariant pure address arithmetic: defined outside the loop,
+    or a cast / constant-index GEP chain over invariant leaves
+    (array-decay GEPs are materialized inside the loop body even when
+    the array itself is a module global)."""
+    if _defined_outside(value, inside):
+        return True
+    if isinstance(value, Cast) and value.op in _ADDR_CASTS:
+        return _invariant_addr(value.value, inside)
+    if isinstance(value, Gep) and isinstance(value.index, ConstantInt):
+        return _invariant_addr(value.base, inside)
+    return False
+
+
+def _materialize(
+    value: Value, inside: set[int], preheader: BasicBlock, term: Instruction
+) -> Value:
+    """A preheader-visible copy of an invariant address chain: cast /
+    constant-GEP defs living inside the loop are cloned in front of
+    ``term``; everything else is used as-is."""
+    if _defined_outside(value, inside):
+        return value
+    fn = preheader.parent
+    if isinstance(value, Cast):
+        inner = _materialize(value.value, inside, preheader, term)
+        clone: Instruction = Cast(
+            value.op, inner, value.type, fn.unique_name("ginv")
         )
-    return groups
+    elif isinstance(value, Gep):
+        base = _materialize(value.base, inside, preheader, term)
+        clone = Gep(
+            value.type, base, value.index, value.scale,
+            value.displacement, fn.unique_name("ginv"),
+        )
+    else:  # pragma: no cover - guarded by _invariant_addr
+        raise AssertionError("not an invariant address chain")
+    return preheader.insert_before(clone, term)
 
 
 class GuardOptPass:
@@ -253,12 +300,13 @@ class GuardOptPass:
         if not module.metadata.get(abi.META_GUARDED):
             return False  # nothing to optimize until guards exist
         for fn in module.defined_functions():
-            changed = self._hoist_loop_guards(fn)
+            moved = self._move_to_preheaders(fn, self._invariant_guards)
+            self.guards_hoisted += moved
             if self.level >= 2:
-                changed |= self._coalesce_loop_sweeps(fn)
-                changed |= self._coalesce_block_guards(fn)
-            changed |= self._eliminate_dominated(fn)
-            if changed:
+                swept = self._move_to_preheaders(fn, self._sweep_guards)
+                self.guards_coalesced += swept
+                moved += swept
+            if self._drop_covered(fn) or moved:
                 self.changed_functions.append(fn)
         changed = bool(self.changed_functions)
         if changed:
@@ -271,301 +319,147 @@ class GuardOptPass:
             module.metadata[abi.META_GUARD_COUNT] = remaining
         return changed
 
-    # -- dominance-based elimination ------------------------------------------
+    # -- the cover rule -----------------------------------------------------------
 
-    def _eliminate_dominated(self, fn: Function) -> bool:
-        """Drop a guard that a kept guard on the same root with the same
-        flags dominates and whose byte range that guard covers."""
-        dom = DominatorTree(fn)
-        removed = False
-        for group in _guards_by_root(fn.instructions(), _ValueNumber()).values():
-            kept: list[tuple[Call, int, int]] = []
-            for g, off, size in group:
-                if any(
-                    k_off <= off and off + size <= k_off + k_size
-                    and self._guard_dominates(k, g, dom)
-                    for k, k_off, k_size in kept
-                ):
-                    assert g.parent is not None
-                    g.parent.remove(g)
-                    self.guards_removed += 1
-                    removed = True
-                else:
-                    kept.append((g, off, size))
-        return removed
-
-    @staticmethod
-    def _guard_dominates(a: Call, b: Call, dom: DominatorTree) -> bool:
-        ba, bb = a.parent, b.parent
-        assert ba is not None and bb is not None
-        if ba is bb:
-            for inst in ba.instructions:
-                if inst is a:
-                    return True
-                if inst is b:
-                    return False
-            return False
-        return dom.dominates(ba, bb)
-
-    # -- range coalescing ---------------------------------------------------------
-
-    def _coalesce_block_guards(self, fn: Function) -> bool:
-        """Merge same-block guards at constant offsets off one root."""
-        changed = False
+    def _drop_covered(self, fn: Function) -> bool:
+        """Drop every guard that a kept guard on the same value-numbered
+        root with the same flags covers and dominates.  At ``-O2``, first
+        widen each same-block group's leading guard over the group's
+        whole range, so that the walk drops the rest as coalesced."""
         vn = _ValueNumber()
+        # (root key, flags) -> [(guard, offset off the root, size)] in
+        # instruction order, and each block's positions in those lists.
+        groups: dict[tuple[object, int], list[tuple[Call, int, int]]] = {}
+        in_block: dict[tuple[BasicBlock, tuple[object, int]], list[int]] = {}
         for block in fn.blocks:
-            for group in _guards_by_root(block.instructions, vn).values():
-                if len(group) < 2:
+            for guard, size, flags in _const_guards(block.instructions):
+                root, off = _addr_root_offset(guard.args[0])
+                key = (vn.key(root), flags.value)
+                group = groups.setdefault(key, [])
+                in_block.setdefault((block, key), []).append(len(group))
+                group.append((guard, off, size.value))
+        widened: set[int] = set()
+        if self.level >= 2:
+            for (block, key), positions in in_block.items():
+                if len(positions) < 2:
                     continue
-                lo = min(off for _, off, _ in group)
-                hi = max(off + size for _, off, size in group)
+                members = [groups[key][i] for i in positions]
+                lo = min(off for _, off, _ in members)
+                hi = max(off + size for _, off, size in members)
                 if hi - lo > self.MAX_COALESCE_SPAN:
                     continue
-                first, off0, _ = group[0]
-                changed = True
-                self._emit_wide_guard(
-                    fn, block, first, first.args[0], lo - off0, hi - lo
+                first, off0, _ = members[0]
+                wide = emit_guard(
+                    block, first, first.callee, first.args[0],
+                    ConstantInt(first.args[1].type, hi - lo), first.args[2],
+                    offset=None if lo == off0 else ("gcoal", lo - off0),
                 )
-                for g, _, _ in group:
-                    block.remove(g)
-                self.guards_coalesced += len(group) - 1
-        return changed
-
-    def _coalesce_loop_sweeps(self, fn: Function) -> bool:
-        """Replace ``base + i*stride`` sweep guards with one range guard."""
-        changed = False
-        progress = True
-        while progress:
-            progress = False
-            dom = DominatorTree(fn)
-            for loop in find_loops(fn, dom):
-                iv = counted_induction(loop)
-                if iv is None:
-                    continue
-                phi, init, step, last = iv
-                sweeps = self._sweep_guards(loop, phi)
-                if not sweeps:
-                    continue
-                preheader = self._get_or_create_preheader(fn, loop)
-                if preheader is None:
-                    continue
-                term = preheader.terminator
-                assert term is not None
-                loop_ids = {id(b) for b in loop.blocks}
-                for guard, gep, size in sweeps:
-                    span_off = init * gep.scale + gep.displacement
-                    span_size = (last - init) * gep.scale + size
-                    if span_size <= 0 or span_size > self.MAX_COALESCE_SPAN:
-                        continue
-                    base = self._materialize_invariant(
-                        fn, gep.base, loop_ids, preheader, term
-                    )
-                    wide_addr = Gep(
-                        base.type,
-                        base,
-                        ConstantInt(I64, 0),
-                        0,
-                        span_off,
-                        fn.unique_name("gsweep"),
-                    )
-                    preheader.insert_before(wide_addr, term)
-                    addr: Value = wide_addr
-                    if addr.type is not guard.args[0].type:
-                        cast = Cast(
-                            "bitcast",
-                            addr,
-                            guard.args[0].type,
-                            fn.unique_name("gaddr"),
-                        )
-                        preheader.insert_before(cast, term)
-                        addr = cast
-                    wide = Call(
-                        guard.callee,
-                        [
-                            addr,
-                            ConstantInt(guard.args[1].type, span_size),
-                            guard.args[2],
-                        ],
-                    )
-                    wide.is_guard = True
-                    preheader.insert_before(wide, term)
-                    assert guard.parent is not None
-                    guard.parent.remove(guard)
-                    self.guards_coalesced += 1
-                    changed = True
-                    progress = True
-                if progress:
-                    break  # CFG may have changed; restart loop analysis
-        return changed
-
-    def _emit_wide_guard(
-        self,
-        fn: Function,
-        block: BasicBlock,
-        before: Call,
-        anchor: Value,
-        delta: int,
-        size: int,
-    ) -> None:
-        """Insert ``guard(anchor + delta, size)`` in front of ``before``."""
-        addr: Value = anchor
-        if delta != 0:
-            gep = Gep(
-                anchor.type,  # anchor is the guard's i8* operand
-                anchor,
-                ConstantInt(I64, 0),
-                0,
-                delta,
-                fn.unique_name("gcoal"),
-            )
-            block.insert_before(gep, before)
-            addr = gep
-        wide = Call(
-            before.callee,
-            [addr, ConstantInt(before.args[1].type, size), before.args[2]],
-        )
-        wide.is_guard = True
-        block.insert_before(wide, before)
-
-    def _sweep_guards(
-        self, loop: Loop, phi: Phi
-    ) -> list[tuple[Call, Gep, int]]:
-        """Guards whose address is ``gep(base, phi, stride)`` with an
-        invariant base — the descriptor-array sweep shape."""
-        loop_ids = {id(b) for b in loop.blocks}
-        out: list[tuple[Call, Gep, int]] = []
-        for block in loop.blocks:
-            for inst in block.instructions:
-                if not (isinstance(inst, Call) and inst.is_guard):
-                    continue
-                addr, size, flags = inst.args
-                if not (
-                    isinstance(size, ConstantInt)
-                    and isinstance(flags, ConstantInt)
+                block.remove(first)
+                groups[key][positions[0]] = (wide, lo, hi - lo)
+                widened.update(id(g) for g, _, _ in members[1:])
+        dom = DominatorTree(fn)
+        dropped = False
+        for group in groups.values():
+            kept: list[tuple[Call, int, int]] = []
+            for g, off, size in group:
+                # A kept guard precedes ``g`` in instruction order, so in
+                # the same block it dominates ``g`` too.
+                if any(
+                    k_off <= off and off + size <= k_off + k_size
+                    and dom.dominates(k.parent, g.parent)
+                    for k, k_off, k_size in kept
                 ):
-                    continue
-                v: Value = addr
-                while isinstance(v, Cast) and v.op in _ADDR_CASTS:
-                    v = v.value
-                if not (isinstance(v, Gep) and v.index is phi and v.scale > 0):
-                    continue
-                if not self._invariant_addr(v.base, loop_ids):
-                    continue
-                out.append((inst, v, size.value))
-        return out
+                    g.parent.remove(g)
+                    if id(g) in widened:
+                        self.guards_coalesced += 1
+                    else:
+                        self.guards_removed += 1
+                    dropped = True
+                else:
+                    kept.append((g, off, size))
+        return dropped
 
-    def _invariant_addr(self, value: Value, loop_ids: set[int]) -> bool:
-        """Loop-invariant pure address arithmetic: defined outside the
-        loop, or a cast / constant-index GEP chain over invariant leaves
-        (array-decay GEPs are materialized inside the loop body even
-        when the array itself is a module global)."""
-        if self._defined_outside(value, loop_ids):
-            return True
-        if isinstance(value, Cast) and value.op in _ADDR_CASTS:
-            return self._invariant_addr(value.value, loop_ids)
-        if isinstance(value, Gep) and isinstance(value.index, ConstantInt):
-            return self._invariant_addr(value.base, loop_ids)
-        return False
+    # -- the loop transform -------------------------------------------------------
 
-    def _materialize_invariant(
-        self,
-        fn: Function,
-        value: Value,
-        loop_ids: set[int],
-        preheader: BasicBlock,
-        term: Instruction,
-    ) -> Value:
-        """A preheader-visible copy of an invariant address chain:
-        cast / constant-GEP defs living inside the loop are cloned in
-        front of ``term``; everything else is used as-is."""
-        if self._defined_outside(value, loop_ids):
-            return value
-        if isinstance(value, Cast):
-            inner = self._materialize_invariant(
-                fn, value.value, loop_ids, preheader, term
-            )
-            clone: Instruction = Cast(
-                value.op, inner, value.type, fn.unique_name("ginv")
-            )
-        elif isinstance(value, Gep):
-            base = self._materialize_invariant(
-                fn, value.base, loop_ids, preheader, term
-            )
-            clone = Gep(
-                value.type, base, value.index, value.scale,
-                value.displacement, fn.unique_name("ginv"),
-            )
-        else:  # pragma: no cover - guarded by _invariant_addr
-            raise AssertionError("not an invariant address chain")
-        preheader.insert_before(clone, term)
-        return clone
-
-    # -- loop hoisting ------------------------------------------------------------
-
-    def _hoist_loop_guards(self, fn: Function) -> bool:
-        changed = False
-        # Recompute loops after each preheader insertion (CFG changes).
-        progress = True
-        while progress:
-            progress = False
-            dom = DominatorTree(fn)
-            for loop in find_loops(fn, dom):
-                hoistable = self._hoistable_guards(loop)
-                if not hoistable:
+    def _move_to_preheaders(
+        self, fn: Function, rule: Callable[[Loop, set[int]], list[_Move]]
+    ) -> int:
+        """Move each guard that ``rule`` picks from a loop to the loop's
+        preheader, rebuilt over its invariant pointer.  Returns how many
+        guards moved."""
+        moved = 0
+        restart = True
+        while restart:
+            restart = False
+            for loop in find_loops(fn, DominatorTree(fn)):
+                inside = {id(b) for b in loop.blocks}
+                moves = rule(loop, inside)
+                if not moves:
                     continue
-                preheader = self._get_or_create_preheader(fn, loop)
+                preheader = self._preheader(fn, loop)
                 if preheader is None:
                     continue
                 term = preheader.terminator
                 assert term is not None
-                for guard in hoistable:
-                    # Rebuild the guard in the preheader from the invariant
-                    # address root (its definition dominates the preheader:
-                    # it dominated every use inside the loop, and the
-                    # preheader is on the only non-latch path to the header).
-                    root = _resolve_pointer_root(guard.args[0])
-                    addr: Value = root
-                    if root.type is not guard.args[0].type:
-                        cast = Cast(
-                            "bitcast", root, guard.args[0].type,
-                            fn.unique_name("gaddr"),
-                        )
-                        preheader.insert_before(cast, term)
-                        addr = cast
-                    hoisted = Call(guard.callee, [addr, guard.args[1], guard.args[2]])
-                    hoisted.is_guard = True
-                    preheader.insert_before(hoisted, term)
+                for guard, pointer, offset, size in moves:
+                    # The invariant chain's leaves dominate the preheader:
+                    # they dominated every use inside the loop, and the
+                    # preheader is on the only non-latch path to the header.
+                    base = _materialize(pointer, inside, preheader, term)
+                    emit_guard(
+                        preheader, term, guard.callee, base, size,
+                        guard.args[2], offset,
+                    )
                     assert guard.parent is not None
                     guard.parent.remove(guard)
-                    self.guards_hoisted += 1
-                changed = True
-                progress = True
-                break  # loop structures changed; restart analysis
-        return changed
+                moved += len(moves)
+                restart = True
+                break  # the CFG may have changed; find the loops again
+        return moved
 
-    def _hoistable_guards(self, loop: Loop) -> list[Call]:
-        loop_ids = {id(b) for b in loop.blocks}
-        out: list[Call] = []
+    def _invariant_guards(self, loop: Loop, inside: set[int]) -> list[_Move]:
+        """Hoisting: guards whose address root (through bitcasts) is
+        defined outside the loop, moved unchanged."""
+        out: list[_Move] = []
         for block in loop.blocks:
             for inst in block.instructions:
                 if not (isinstance(inst, Call) and inst.is_guard):
                     continue
                 root = _resolve_pointer_root(inst.args[0])
-                if self._defined_outside(root, loop_ids):
-                    out.append(inst)
+                if _defined_outside(root, inside):
+                    out.append((inst, root, None, inst.args[1]))
         return out
 
-    @staticmethod
-    def _defined_outside(value: Value, loop_ids: set[int]) -> bool:
-        if isinstance(value, (Argument, Constant, GlobalValue)):
-            return True
-        if isinstance(value, Instruction):
-            return value.parent is not None and id(value.parent) not in loop_ids
-        return False
+    def _sweep_guards(self, loop: Loop, inside: set[int]) -> list[_Move]:
+        """Sweep ranges: guards on ``gep(base, i, stride)`` for the
+        counted induction ``i`` and an invariant base, each widened to
+        the bytes its whole sweep touches."""
+        iv = counted_induction(loop)
+        if iv is None:
+            return []
+        phi, init, _, last = iv
+        out: list[_Move] = []
+        insts = (i for block in loop.blocks for i in block.instructions)
+        for guard, size, _ in _const_guards(insts):
+            v: Value = guard.args[0]
+            while isinstance(v, Cast) and v.op in _ADDR_CASTS:
+                v = v.value
+            if not (isinstance(v, Gep) and v.index is phi and v.scale > 0):
+                continue
+            if not _invariant_addr(v.base, inside):
+                continue
+            span = (last - init) * v.scale + size.value
+            if 0 < span <= self.MAX_COALESCE_SPAN:
+                out.append((
+                    guard, v.base, ("gsweep", init * v.scale + v.displacement),
+                    ConstantInt(size.type, span),
+                ))
+        return out
 
-    def _get_or_create_preheader(
-        self, fn: Function, loop: Loop
-    ) -> Optional[BasicBlock]:
+    def _preheader(self, fn: Function, loop: Loop) -> Optional[BasicBlock]:
+        """The block that alone enters ``loop``'s header, split off the
+        entry edge if that edge is conditional; None when the header has
+        several entries."""
         preds = fn.predecessors()[loop.header]
         latch_ids = {id(l) for l in loop.latches}
         entries = [p for p in preds if id(p) not in latch_ids]
@@ -585,17 +479,16 @@ class GuardOptPass:
         br.parent = preheader
         preheader.instructions.append(br)
         # Retarget the entry edge.
-        assert term is not None
-        targets = getattr(term, "targets", None)
-        if targets is not None:
-            for i, t in enumerate(targets):
-                if t is loop.header:
-                    targets[i] = preheader
-        if hasattr(term, "default") and term.default is loop.header:  # Switch
-            term.default = preheader
-        if hasattr(term, "cases"):
+        if isinstance(term, Switch):
+            if term.default is loop.header:
+                term.default = preheader
             term.cases = [
                 (c, preheader if b is loop.header else b) for c, b in term.cases
+            ]
+        else:
+            assert isinstance(term, Br)
+            term.targets[:] = [
+                preheader if t is loop.header else t for t in term.targets
             ]
         # Fix header phis: the edge from entry now comes from the preheader.
         for phi in loop.header.phis():

@@ -243,46 +243,28 @@ class TraceSubsystem:
                         f"errors={row['errors']} "
                         f"in_flight={row['in_flight']}"
                     )
-        loader = getattr(self.kernel, "loader", None)
-        if loader is not None and loader.loaded:
+        loaded = self.kernel.loader.loaded
+        if loaded:
             # Compile-time guard-optimizer work per module: how many
             # static guard sites each -O level eliminated/hoisted/merged
             # (context for the runtime site counts above).
             lines += ["", "[guard opt]"]
-            for name, mod in sorted(loader.loaded.items()):
-                compiled = mod.compiled
-                if not compiled.is_protected:
+            for name, mod in sorted(loaded.items()):
+                if mod.compiled.is_protected:
+                    lines.append(f"{name:<12} {mod.guard_opt_summary()}")
+                else:
                     lines.append(f"{name:<12} unprotected")
-                    continue
-                line = (
-                    f"{name:<12} O{compiled.opt_level} "
-                    f"guards={compiled.guard_count} "
-                    f"removed={compiled.guards_removed} "
-                    f"hoisted={compiled.guards_hoisted} "
-                    f"coalesced={compiled.guards_coalesced}"
+        lines += ["", "[irq]"]
+        actions = self.kernel.irq.actions()
+        if actions:
+            for line, action in sorted(actions.items()):
+                lines.append(
+                    f"irq{line:<4} fired={action.fired} "
+                    f"coalesced={action.coalesced} "
+                    f"handler={action.module.name}:{action.handler_name}"
                 )
-                if compiled.is_verified:
-                    line += (
-                        f" proven={compiled.guards_proven}"
-                        f" dynamic={compiled.guards_dynamic}"
-                        f" elided={len(mod.elided_guards)}"
-                    )
-                if mod.verify_state:
-                    line += f" verify={mod.verify_state}"
-                lines.append(line)
-        irq = getattr(self.kernel, "irq", None)
-        if irq is not None:
-            lines += ["", "[irq]"]
-            actions = irq.actions()
-            if actions:
-                for line, action in sorted(actions.items()):
-                    lines.append(
-                        f"irq{line:<4} fired={action.fired} "
-                        f"coalesced={action.coalesced} "
-                        f"handler={action.module.name}:{action.handler_name}"
-                    )
-            else:
-                lines.append("(no handlers)")
+        else:
+            lines.append("(no handlers)")
         return "\n".join(lines) + "\n"
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .. import abi
-from ..ir.instructions import Br, Call, Ret, Switch, Unreachable
+from ..ir.instructions import Br, Ret, Switch, Unreachable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .subsystem import TraceSubsystem
@@ -45,12 +45,6 @@ def guard_site_id(module_name: str, fn_name: str, ordinal: int) -> str:
     attribute costs to identical keys.
     """
     return f"{module_name}:@{fn_name}:g{ordinal}"
-
-
-def is_guard_call(inst) -> bool:
-    return type(inst) is Call and (
-        inst.is_guard or inst.callee.name == abi.GUARD_SYMBOL
-    )
 
 
 def _counters(vm) -> tuple:
@@ -126,7 +120,7 @@ class VMTracer:
             for candidate in block.instructions:
                 if isinstance(candidate, _TERMINATORS):
                     break
-                if is_guard_call(candidate):
+                if abi.is_guard_call(candidate):
                     if candidate is inst:
                         found = ordinal
                         break
@@ -165,4 +159,4 @@ class VMTracer:
             )
 
 
-__all__ = ["VMTracer", "guard_site_id", "is_guard_call"]
+__all__ = ["VMTracer", "guard_site_id"]

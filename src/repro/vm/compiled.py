@@ -551,11 +551,11 @@ class _Translator:
     def _inlinable(self, inst):
         """The callee of ``inst`` if it is a call to inline, else None
         (noting, in a first translation, that there is one)."""
-        if type(inst) is not Call or self.tracer is not None or inst.is_guard:
+        if (type(inst) is not Call or self.tracer is not None
+                or abi.is_guard_call(inst)):
             return None
         callee = inst.callee
-        if (callee.name == abi.GUARD_SYMBOL or callee.is_declaration
-                or len(inst.args) != len(callee.args)
+        if (callee.is_declaration or len(inst.args) != len(callee.args)
                 or self._leaf_size(callee) is None):
             return None
         if not self.inline:
@@ -601,7 +601,7 @@ class _Translator:
             for inst in insts[block.first_non_phi_index():-1]:
                 kind = type(inst)
                 if kind is Call:
-                    if inst.is_guard or inst.callee.name == abi.GUARD_SYMBOL:
+                    if abi.is_guard_call(inst):
                         if id(inst) not in self.module.elided_guards:
                             return None
                         continue
@@ -1264,7 +1264,7 @@ class _Translator:
     def _emit_call(self, inst: Call, s: str) -> None:
         callee = inst.callee
         assign = "" if inst.type.is_void else f"{s} = "
-        if inst.is_guard or callee.name == abi.GUARD_SYMBOL:
+        if abi.is_guard_call(inst):
             # Guard calls are charged through the guard cost only, like
             # the interpreter (which keys that on ``is_guard``).
             if id(inst) in self.module.elided_guards:
