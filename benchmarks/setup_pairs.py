@@ -15,8 +15,10 @@ per pair, all read from the same invocations::
 Whether higher or lower is better comes from the metric's entry in
 ``BENCHMARK.json``.  ``--write`` stores the result in
 ``benchmarks/results/<--results>``: ``setup_s`` pairs under
-``setup_pairs.<workload>``, any other metric under
-``e2e_pairs.<workload>``.  Host timings are recorded, never asserted.
+``setup_pairs.<workload>``, ``ops_per_s`` pairs under
+``e2e_pairs.<workload>`` and any other metric under
+``e2e_pairs.<workload>:<metric>``.  Host timings are recorded, never
+asserted.
 """
 
 from __future__ import annotations
@@ -112,8 +114,9 @@ def main() -> None:
     p.add_argument("--results", default="BENCH_static_verify.json",
                    help="file under benchmarks/results that --write updates")
     p.add_argument("--write", action="store_true",
-                   help="store under setup_pairs.<workload> (setup_s) or "
-                        "e2e_pairs.<workload> (any other metric)")
+                   help="store under setup_pairs.<workload> (setup_s), "
+                        "e2e_pairs.<workload> (ops_per_s) or "
+                        "e2e_pairs.<workload>:<metric> (any other)")
     args = p.parse_args()
     results = measure(args.parent.resolve(), args.change.resolve(),
                       args.workload, args.pairs, args.seeds, args.seconds,
@@ -123,8 +126,12 @@ def main() -> None:
         path = RESULTS_DIR / args.results
         report = json.loads(path.read_text())
         for metric, result in results.items():
-            key = "setup_pairs" if metric == "setup_s" else "e2e_pairs"
-            report.setdefault(key, {})[args.workload] = result
+            if metric == "setup_s":
+                report.setdefault("setup_pairs", {})[args.workload] = result
+            else:
+                name = (args.workload if metric == "ops_per_s"
+                        else f"{args.workload}:{metric}")
+                report.setdefault("e2e_pairs", {})[name] = result
         path.write_text(json.dumps(report, indent=2) + "\n")
 
 

@@ -28,6 +28,11 @@ from ..kernel.panic import MemoryFault
 from ..net.sink import PacketSink
 from . import regs
 
+#: A TX descriptor: buffer, length, cso, cmd, status, css, special.
+_TDESC = struct.Struct("<QHBBBBH")
+#: An RX descriptor's buffer address (the whole descriptor is fetched).
+_RDESC_BUFFER = struct.Struct("<Q8x")
+
 _LINE_RATE_BITS_PER_SEC = 1_000_000_000
 #: Preamble + SFD + IFG + FCS per frame on the wire.
 _WIRE_OVERHEAD_BYTES = 24
@@ -237,13 +242,11 @@ class E1000EDevice:
         while next_fetch != self.tdt:
             desc_phys = self.tdba + next_fetch * regs.TDESC_SIZE
             try:
-                raw = ram.read(desc_phys, regs.TDESC_SIZE)
+                buf_addr, length, _cso, cmd, _status, _css, _special = (
+                    ram.unpack(_TDESC, desc_phys))
             except MemoryFault:
                 self._master_abort(f"descriptor fetch at {desc_phys:#x}")
                 return
-            buf_addr, length, _cso, cmd, _status, _css, _special = struct.unpack(
-                "<QHBBBBH", raw
-            )
             try:
                 payload = ram.read(buf_addr, length)  # DMA: unguarded
             except MemoryFault:
@@ -286,8 +289,8 @@ class E1000EDevice:
             desc_phys = self.tdba + idx * regs.TDESC_SIZE
             status_off = desc_phys + 12  # u8 status
             try:
-                status = ram.read(status_off, 1)[0] | regs.TDESC_STATUS_DD
-                ram.write(status_off, bytes([status]))
+                status = ram.read_int(status_off, 1) | regs.TDESC_STATUS_DD
+                ram.write_int(status_off, 1, status)
             except MemoryFault:
                 self._master_abort(f"DD write-back at {status_off:#x}")
                 return
@@ -320,15 +323,12 @@ class E1000EDevice:
         ram = self.kernel.ram
         desc_phys = self.rdba + self.rdh * regs.RDESC_SIZE
         try:
-            raw = ram.read(desc_phys, regs.RDESC_SIZE)
-            buf_addr = struct.unpack("<Q", raw[:8])[0]
+            buf_addr = ram.unpack(_RDESC_BUFFER, desc_phys)[0]
             ram.write(buf_addr, frame)  # DMA write: unguarded by design
             # Write back length + DD|EOP status.
-            ram.write(desc_phys + 8, struct.pack("<H", len(frame)))
-            ram.write(
-                desc_phys + 12,
-                bytes([regs.RDESC_STATUS_DD | regs.RDESC_STATUS_EOP]),
-            )
+            ram.write_int(desc_phys + 8, 2, len(frame))
+            ram.write_int(desc_phys + 12, 1,
+                          regs.RDESC_STATUS_DD | regs.RDESC_STATUS_EOP)
         except MemoryFault:
             self._master_abort(f"RX DMA at ring slot {self.rdh}")
             self.mpc += 1

@@ -8,7 +8,8 @@ it, and the compiled engine binds its functions as per-site closures.
 The integer rules are written once, as expression text: the compiled
 engine inlines that text into the code it generates, and this module
 compiles its own integer functions from it, so there is no second
-copy.  ``tests/ir/test_arith_spec.py`` checks this module, the folder
+copy.  Division has text only for a literal nonzero divisor; its
+functions take the divisor at run time and call a zero handler.  ``tests/ir/test_arith_spec.py`` checks this module, the folder
 and the compiled engine against a spec written from scratch.
 
 Values follow the VM's representation: an integer is a Python int
@@ -131,18 +132,52 @@ _BINOP_SRC = {
 }
 
 
-def binop_src(op: str, t: IRType, a: str, b: str) -> Optional[str]:
+def binop_src(op: str, t: IRType, a: str, b: str,
+              divisor: Optional[int] = None) -> Optional[str]:
     """The expression for integer ``op`` on ``a`` and ``b`` of type
-    ``t``, or None for division (a zero divisor needs a handler) and
-    for anything not an integer.  Shift counts are taken modulo the
+    ``t``, or None for anything not an integer and for a division
+    (``sdiv``/``udiv``/``srem``/``urem``) unless ``b`` is a literal of
+    nonzero value ``divisor`` (a zero or unknown divisor needs the
+    handler of :func:`make_binop`).  Shift counts are taken modulo the
     width."""
-    text = _BINOP_SRC.get(op) if isinstance(t, IntType) else None
+    if not isinstance(t, IntType):
+        return None
+    if op in _DIVISIONS:
+        return None if divisor is None else _div_src(op, t, a, b, divisor)
+    text = _BINOP_SRC.get(op)
     if text is None:
         return None
     if op == "ashr" and t.bits == 1:
         return f"({a} & 1) >> ({b} % 1)"  # i1 has no negative range
     return text.format(a=a, b=b, mask=t.max_unsigned, bits=t.bits,
                        sign=1 << (t.bits - 1))
+
+
+_DIVISIONS = frozenset(("udiv", "urem", "sdiv", "srem"))
+
+
+def _div_src(op: str, t: IntType, a: str, b: str, d: int) -> Optional[str]:
+    """``op`` of ``a`` by the literal ``b``, whose value is ``d``: the
+    rule of :func:`make_binop` for that one divisor, or None if it is
+    zero.  A signed division splits on the dividend's sign bit: the
+    magnitude of its signed view is ``a & mask`` when the bit is clear
+    and ``-a & mask`` when it is set; the quotient's sign is the
+    product of the signs, the remainder's the dividend's."""
+    if op[0] == "u":
+        return None if d == 0 else f"{a} {'//' if op == 'udiv' else '%'} {b}"
+    sd = t.to_signed(d)
+    if sd == 0:
+        return None
+    n, m = abs(sd), t.max_unsigned
+    if t.bits == 1:  # i1 has no negative range
+        return f"({a} & 1) {'//' if op == 'sdiv' else '%'} {n}"
+    pos, neg = f"({a} & {m})", f"(-{a} & {m})"
+    sign = 1 << (t.bits - 1)
+    if op == "srem":
+        return f"{pos} % {n} if not {a} & {sign} else -({neg} % {n}) & {m}"
+    if sd > 0:
+        return f"{pos} // {n} if not {a} & {sign} else -({neg} // {n}) & {m}"
+    return f"-({pos} // {n}) & {m} if not {a} & {sign} else {neg} // {n}"
 
 
 _CMP_SRC = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}

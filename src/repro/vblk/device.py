@@ -52,7 +52,8 @@ _REQUEST_OVERHEAD_SEC = 8e-6
 #: A flush drains the write cache: costlier than any single request.
 _FLUSH_OVERHEAD_SEC = 60e-6
 
-_DESC_FMT = "<QQIHBBQ"
+#: A request descriptor: sector, buffer, length, type, status, pad, rsvd.
+_DESC = struct.Struct("<QQIHBBQ")
 
 _IO_TYPES = (
     regs.VDESC_TYPE_READ, regs.VDESC_TYPE_WRITE, regs.VDESC_TYPE_FLUSH,
@@ -152,6 +153,13 @@ class VblkDevice:
         self.vims = 0
         self.vicr = 0
         self.queues = [_QueuePair(q) for q in range(regs.NUM_QUEUE_BLOCKS)]
+        #: Queues in completion-merge order: admin first, then the I/O
+        #: queues in a seeded rotation — the deterministic cross-queue
+        #: contract the block layer's digest identity leans on.  Neither
+        #: the queues nor ``merge_seed`` change before the next reset.
+        n = regs.MAX_IO_QUEUES
+        self._merge_order = [self.queues[0]] + [
+            self.queues[(self.merge_seed + i) % n + 1] for i in range(n)]
         self.rdops = 0
         self.wrops = 0
         self.flops = 0
@@ -189,17 +197,6 @@ class VblkDevice:
         return (
             bool(self.vctl & regs.VCTL_EN) and q.created and q.entries > 0
         )
-
-    def _merge_order(self) -> list:
-        """Queues in completion-merge order: admin first, then the I/O
-        queues in a seeded rotation — the deterministic cross-queue
-        contract the block layer's digest identity leans on."""
-        n = regs.MAX_IO_QUEUES
-        start = 1 + (self.merge_seed % n)
-        order = [self.queues[0]]
-        for i in range(n):
-            order.append(self.queues[(start - 1 + i) % n + 1])
-        return order
 
     # -- MMIO interface ------------------------------------------------------
 
@@ -373,7 +370,7 @@ class VblkDevice:
         while q.avh != q.avt:
             slot_phys = q.avba + q.avh * 4
             try:
-                idx = struct.unpack("<I", ram.read(slot_phys, 4))[0]
+                idx = ram.read_int(slot_phys, 4)
             except MemoryFault:
                 self._master_abort(f"avail-ring fetch at {slot_phys:#x}")
                 return
@@ -387,7 +384,7 @@ class VblkDevice:
                 continue
             desc_phys = q.dtba + idx * regs.VDESC_SIZE
             try:
-                raw = ram.read(desc_phys, regs.VDESC_SIZE)
+                desc = ram.unpack(_DESC, desc_phys)
             except MemoryFault:
                 self._master_abort(f"descriptor fetch at {desc_phys:#x}")
                 return
@@ -400,9 +397,7 @@ class VblkDevice:
                 # snapshot and rejects the request with an error status.
                 sector, buf_phys, length, rtype = 0, 0, 0, 0xFFFF
             else:
-                sector, buf_phys, length, rtype, _status, _pad, _rsvd = (
-                    struct.unpack(_DESC_FMT, raw)
-                )
+                sector, buf_phys, length, rtype, _status, _pad, _rsvd = desc
             q.fetched += 1
             tp = self._tp_fetch
             if tp.enabled:
@@ -506,7 +501,7 @@ class VblkDevice:
         """Write back status + used-ring entries for finished requests,
         queue by queue in the seeded merge order (per-queue FIFO)."""
         now = self._now()
-        for q in self._merge_order():
+        for q in self._merge_order:
             if q.in_flight:
                 self._drain_queue(q, now)
 
@@ -555,8 +550,8 @@ class VblkDevice:
             status_off = desc_phys + 22  # u8 status
             slot_phys = q.uba + q.ut * 4
             try:
-                ram.write(status_off, bytes([status]))
-                ram.write(slot_phys, struct.pack("<I", idx))
+                ram.write_int(status_off, 1, status)
+                ram.write_int(slot_phys, 4, idx)
             except MemoryFault:
                 self._master_abort(f"completion write-back at {slot_phys:#x}")
                 return

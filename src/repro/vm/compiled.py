@@ -19,9 +19,10 @@ compiled with :func:`compile`/``exec``:
   own block, is computed at translate time (a gep off a global with a
   constant index becomes one literal address); such a cast that copies
   its operand names the operand, and such a compare whose one use is
-  its block's branch becomes the branch's test.  Stateful
-  operations (native calls, guards, allocas, division, float math) call
-  per-site closures that take operand values and return the result
+  its block's branch becomes the branch's test; division by a nonzero
+  literal is inline too.  Stateful operations (native calls, guards,
+  allocas, division by anything else, float math) call per-site
+  closures that take operand values and return the result
   (``v5 = C0(v2)``);
 - a call to another function of the same module is ``v7 = F3(v1, v2)``,
   where ``F3`` is a namespace slot bound lazily to the callee's
@@ -39,17 +40,21 @@ compiled with :func:`compile`/``exec``:
   first counts ``_TIER_UP_CALLS`` calls down, then the function is
   re-translated with its leaves inlined and the callers' slots are
   rebound, so set-up code that runs a few times keeps its short source;
-- a load or store is one generated expression that serves an
-  intra-page RAM access from the address space's software TLB
-  (:mod:`repro.kernel.memory`) with no Python call of its own:
-  ``RT.get(a >> 12)`` (``WT`` for a store) from virtual page number to
-  the page ``bytearray``, an offset check, then a shared ``struct``
-  codec at that offset (``U8(p, o)[0]``, ``P4(p, o, v & mask)``; a byte
-  load indexes the page).  A literal address has its page and offset
-  folded.  A miss, an MMIO window or a page-straddling access calls the
-  site's miss closure, which fuses the mapping lookup the interpreter
-  performs twice (once for MMIO accounting, once inside ``read_bytes``)
-  into a single ``find`` and refills the TLB;
+- a load or store is generated text that serves a RAM access from the
+  address space's software TLB (:mod:`repro.kernel.memory`) with no
+  Python call of its own.  An integer access of ``n`` bytes looks its
+  virtual page up in ``RT<n>`` (``WT<n>`` for a store), which maps it to
+  the page's typed view of that width, and when aligned is one index:
+  ``p[(a & 4095) >> 2]`` loads four bytes and ``p[(a & 4095) >> 3] = v &
+  mask`` stores eight (a byte indexes the page itself).  A float access
+  decodes at its offset in the byte page (``RT1``/``WT1``) with a shared
+  ``struct`` codec (``UF8(p, o)[0]``) after an offset check.  A literal
+  address has its page and index folded.  A miss, an MMIO window, an
+  unaligned integer or a page-straddling access calls the site's miss
+  closure, which fuses the mapping lookup the interpreter performs
+  twice (once for MMIO accounting, once inside ``read_bytes``) into a
+  single ``find`` and refills the TLB.  The views index in the host's
+  byte order, so the engine refuses a big-endian host;
 - a guard site linked to the policy module's own ``carat_guard`` serves
   an allowed decision-cache hit inside its closure, comparing no version
   (every policy write empties the affected decisions first; the rule is
@@ -64,12 +69,14 @@ observable points (a closure, native, guard, call, or terminator) a
 segment's charges are summed at translate time into one literal,
 ``T.cc += 1388``, added before the point, so everything that can
 observe the clock (natives, MMIO devices, guards, panics) sees the
-interpreter's value.  An inline load or store that hits the TLB
-observes nothing and does not end a segment; its miss closure takes the
-segment's pending centicycles (and an inlined body's depth) as literal
-arguments and adds them to the clock (and ``E._depth``) only around a
-device access, the one step that can observe them (an MMIO access may
-raise an interrupt whose handler runs module code).  The integer counters are not read while a
+interpreter's value.  A guard closure takes that literal as a trailing
+argument instead and adds it first, ``C3(v4, 8, 1, 1388)``.  An inline
+load or store that hits the TLB observes nothing and does not end a
+segment; its miss closure takes the segment's pending centicycles (and
+an inlined body's depth) as literal arguments and adds them to the
+clock (and ``E._depth``) only around a device access, the one step
+that can observe them (an MMIO access may raise an interrupt whose
+handler runs module code).  The integer counters are not read while a
 frame is live, only by the tracer between a frame's own enter and exit
 and by code that runs after the outermost call, so they are frame
 locals: ``n`` (``instructions_executed``), ``ti``, ``tl``, ``ts`` and
@@ -80,7 +87,9 @@ line at its terminator (``n += 9; ti += 8; tl += 2``), and the
 a step raises, the exception handler applies the centicycles and counts
 the raising line had pending, from a table built at translate time and
 keyed by the generated source line (one integer of centicycles per
-line); a read of an SSA value whose
+line; on a guard's line only if the line itself raised, since a raise
+inside the guard closure comes after it added them); a read of an SSA
+value whose
 definition did not run leaves that line's own load, store or call
 uncounted, since the interpreter reads operands before counting.  The
 differential tests (``tests/vm/test_compiled_vs_interp.py``,
@@ -119,6 +128,7 @@ code object.
 from __future__ import annotations
 
 import struct
+import sys
 
 from .. import abi
 from ..ir import arith
@@ -152,26 +162,20 @@ from ..ir.values import (
     UndefValue,
 )
 from ..kernel import layout
+from ..kernel.memory import VIEW_WIDTHS
 from ..kernel.module_loader import LoadedModule
 from ..kernel.panic import MemoryFault
 from ..trace.vmhook import guard_site_id
 from .interp import Interpreter, InterpreterError
 
 _MASK64 = (1 << 64) - 1
-#: ``struct`` codecs of scalar memory accesses: an IR integer or pointer
-#: is 1, 2, 4 or 8 bytes, little-endian and unsigned.
-_INT_CODECS = {
-    n: struct.Struct(f"<{c}") for n, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
-}
 _F32 = struct.Struct("<f")
 _F64 = struct.Struct("<d")
-#: Namespace names shared by every inline load and store: ``U<size>``
-#: unpacks and ``P<size>`` packs an integer at a page offset (a byte load
-#: indexes the page instead), ``UF<size>`` and ``PF<size>`` a float;
-#: ``RF`` rounds a value stored to an f32.
+#: Namespace names shared by every inline float load and store:
+#: ``UF<size>`` unpacks and ``PF<size>`` packs a float at a page offset;
+#: ``RF`` rounds a value stored to an f32.  (An integer access indexes a
+#: page view instead.)
 _CODEC_NAMES = {
-    **{f"U{n}": c.unpack_from for n, c in _INT_CODECS.items() if n > 1},
-    **{f"P{n}": c.pack_into for n, c in _INT_CODECS.items()},
     "UF4": _F32.unpack_from, "UF8": _F64.unpack_from,
     "PF4": _F32.pack_into, "PF8": _F64.pack_into,
     "RF": arith.round_f32,
@@ -252,6 +256,10 @@ class CompiledEngine(Interpreter):
     name = "compiled"
 
     def __init__(self, kernel, machine=None):
+        if sys.byteorder != "little":
+            raise RuntimeError(
+                "the compiled engine indexes RAM pages in the host's byte "
+                "order, which must be little-endian; use --engine interp")
         super().__init__(kernel, machine)
         #: The shared load and store miss closures, by namespace name.
         self._misses: dict = {}
@@ -408,8 +416,9 @@ class _Translator:
         # fixed short names, plus per-site closures (``C<n>``), callee
         # slots (``F<n>``), hoisted non-int constants (``K<n>``), switch
         # tables (``TBL<n>``), the call countdown (``W``), and, once a
-        # load or store uses them, the TLB dicts (``RT``, ``WT``), the
-        # shared codecs and the shared miss closures (``LM4``, ``SM8``).
+        # load or store uses them, the TLB's view tables (``RT4``,
+        # ``WT8``), the shared float codecs and the shared miss closures
+        # (``LM4``, ``SM8``).
         self.ns: dict = {
             "E": self.engine, "T": self.timing, "TR": self.tracer,
             "M": self.module, "IR": self.module.ir, "FN": fn,
@@ -418,15 +427,17 @@ class _Translator:
         self._nsym = 0
         self._callees: dict = {}
         self.lines: list[str] = []
-        # Source line -> (*counts, centicycles, own counter): what the
-        # interpreter has charged but the frame has not yet applied at
-        # that line.  ``counts`` follow ``_COUNTER_LOCALS``; ``own`` is
+        # Source line -> (*counts, centicycles, own counter, adds): what
+        # the interpreter has charged but the frame has not yet applied
+        # at that line.  ``counts`` follow ``_COUNTER_LOCALS``; ``own`` is
         # the index of the line's own load, store or call count (0 if
-        # none), which an undefined operand read keeps uncounted.
+        # none), which an undefined operand read keeps uncounted; ``adds``
+        # marks a guard's line, whose closure adds the centicycles first.
         self.replay: dict = {}
         self._pend = [0] * len(_COUNTER_LOCALS)
         self._pcc = 0
         self._own = 0
+        self._adds = False
         self._used = {_N}
         self._emit_function()
         src = "\n".join(self.lines)
@@ -520,17 +531,19 @@ class _Translator:
 
         def replay(exc, _tab=table, _e=eng, _t=timing, _u=undefined):
             tb = exc.__traceback__
-            unbound = type(exc) is UnboundLocalError and tb.tb_next is None
+            here = tb.tb_next is None  # raised by the line, not a callee
+            unbound = type(exc) is UnboundLocalError and here
             pending = _tab.get(tb.tb_lineno)
             if pending is not None:
-                pe, pi, pl, ps, pk, pcc, own = pending
+                pe, pi, pl, ps, pk, pcc, own, adds = pending
                 _e.instructions_executed += pe
                 if _t is not None:
                     _t.instructions += pi
                     _t.loads += pl - (unbound and own == _TL)
                     _t.stores += ps - (unbound and own == _TS)
                     _t.calls += pk - (unbound and own == _TC)
-                    _t.cc += pcc
+                    if here or not adds:
+                        _t.cc += pcc
             if unbound:
                 msg = _u(str(exc).split("'")[1])
                 if msg is not None:
@@ -669,7 +682,7 @@ class _Translator:
         self.lines.append("    " * level + line)
         if self._pend[_N] or self._pcc:
             self.replay[len(self.lines)] = (*self._pend, self._pcc,
-                                            self._own)
+                                            self._own, self._adds)
 
     def _bind(self, prefix: str, obj) -> str:
         """Bind ``obj`` into the generated module's namespace."""
@@ -947,14 +960,16 @@ class _Translator:
             src = None
             if isinstance(inst.type, IntType):  # no int operand binds a slot
                 src = arith.binop_src(inst.op, inst.type,
-                                      self._v(inst.lhs), self._v(inst.rhs))
+                                      self._v(inst.lhs), self._v(inst.rhs),
+                                      self._literal(inst.rhs))
             if src is not None:
                 self._charge(inst.opcode)
                 if not self._fold(inst, arith.binop(inst.op, inst.type),
                                   inst.lhs, inst.rhs):
                     self._emit(self._lv, f"{s} = {src}")
                 return
-            # Division (panic path) and float arithmetic stay closures.
+            # Division by a zero or unknown divisor (panic path) and
+            # float arithmetic stay closures.
             c = self._bind("C", self._binop_core(inst))
             self._observed(inst.opcode,
                            f"{s} = {c}({self._args((inst.lhs, inst.rhs))})")
@@ -1011,7 +1026,9 @@ class _Translator:
             return
         if kind is Store:
             self._charge(inst.opcode, _TS)
-            self._inline_step(self._store(inst), _TS)
+            self._own = _TS
+            self._store(inst)
+            self._own = 0
             return
         if kind is Call:
             callee = self._inlinable(inst)
@@ -1063,8 +1080,9 @@ class _Translator:
     # -- arithmetic closures -----------------------------------------------
 
     def _binop_core(self, inst: BinOp):
-        """Closure for the binops codegen doesn't inline: division
-        (panic-on-zero path) and float arithmetic."""
+        """Closure for the binops codegen doesn't inline: division by a
+        zero or unknown divisor (panic-on-zero path) and float
+        arithmetic."""
         msg = f"module {self.module.name}: divide error ({inst.op} by zero)"
 
         def on_zero(_e=self.engine, _m=msg):
@@ -1087,80 +1105,98 @@ class _Translator:
     # -- memory ------------------------------------------------------------
     #
     # A load or store is generated text that probes the address space's
-    # software TLB (see :mod:`repro.kernel.memory`): an intra-page scalar
-    # access to a page it holds is one ``dict.get``, an offset check and
-    # a shared ``struct`` codec at the page offset (a byte load indexes
-    # the page), with no call of its own.  All else (a TLB miss, an MMIO
-    # window, a page-straddling access) calls the site's miss closure:
+    # software TLB (see :mod:`repro.kernel.memory`) with no call of its
+    # own: an aligned integer access to a page the TLB holds is one
+    # ``dict.get`` and one index into the page's view of its width (a
+    # store assigns the item); a float access is a ``dict.get``, an
+    # offset check and a shared ``struct`` codec at its offset in the
+    # byte page.  All else (a TLB miss, an MMIO window, an unaligned
+    # integer, a page-straddling access) calls the site's miss closure:
     # the interpreter's path (one ``find``, the MMIO charge, the same
     # faults in the same order) plus a TLB fill.  An aggregate access (no
-    # front end emits one) has no codec and always misses.
+    # front end emits one) has no view and always misses.
 
-    def _probe(self, tlb: str, ptr, size: int, hit, miss: str,
-               shared=()) -> str:
-        """``hit(o)`` on the page ``p`` at offset ``o`` if ``ptr``'s page
-        is in the TLB ``tlb`` (``RT`` or ``WT``) and the access stays
-        inside it, else ``miss``.  A literal address has its page and
-        offset folded.  Binds ``tlb`` and the ``shared`` codec names the
-        hit uses."""
+    def _probe(self, tlb: str, ptr, size: int, codec: bool):
+        """``(test, at)`` for a ``size``-byte access at ``ptr``: ``test``
+        holds when the access hits the TLB ``tlb`` (``RT`` or ``WT``),
+        binding the page's view to ``p``, and ``at`` is the access's
+        position in ``p``.  An integer access indexes the view of its
+        width at item ``offset >> k``, so it hits only when aligned; a
+        ``codec`` (float) access reads the byte page at offset ``o``, so
+        it hits when it fits in the page.  A literal address has its page
+        and position folded, and one that can never hit gives None."""
         shift, om = layout.PAGE_SHIFT, layout.PAGE_SIZE - 1
-        last = layout.PAGE_SIZE - size
-        lit = self._literal(ptr)
-        if lit is not None and lit & om > last:
-            return miss
+        width = 1 if codec else size
+        table = f"{tlb}{width}"
         mem = self.engine.kernel.address_space
-        self.ns[tlb] = mem.rtlb if tlb == "RT" else mem.wtlb
-        for name in shared:
-            self.ns[name] = _CODEC_NAMES[name]
+        self.ns[table] = (mem.rtlb if tlb == "RT" else mem.wtlb)[width]
+        k = width.bit_length() - 1
+        lit = self._literal(ptr)
         if lit is not None:
-            return (f"{hit(lit & om)} if (p := {tlb}.get({lit >> shift}))"
-                    f" is not None else {miss}")
+            off = lit & om
+            if off > layout.PAGE_SIZE - size or off & (width - 1):
+                return None
+            return (f"(p := {table}.get({lit >> shift})) is not None",
+                    str(off >> k))
         a = self._v(ptr)
-        if size == 1:
-            return (f"{hit(f'{a} & {om}')} if (p := {tlb}.get({a} >> {shift}))"
-                    f" is not None else {miss}")
-        return (f"{hit('o')} if (p := {tlb}.get({a} >> {shift})) is not None"
-                f" and (o := {a} & {om}) <= {last} else {miss}")
+        test = f"(p := {table}.get({a} >> {shift})) is not None"
+        if codec:
+            return (f"{test} and (o := {a} & {om}) <= {layout.PAGE_SIZE - size}",
+                    "o")
+        if width == 1:
+            return test, f"{a} & {om}"
+        return f"not {a} & {width - 1} and {test}", f"({a} & {om}) >> {k}"
 
     def _load(self, inst: Load) -> str:
         t = inst.type
         size = t.size_bytes()
         miss = (f"{self._miss('L', t)}"
                 f"({self._v(inst.pointer)}{self._miss_args()})")
-        if isinstance(t, FloatType):
-            codec = "UF4" if t.bits == 32 else "UF8"
-        elif size == 1:
-            return self._probe("RT", inst.pointer, 1, lambda o: f"p[{o}]",
-                               miss)
-        elif size in _INT_CODECS:
-            codec = f"U{size}"
-        else:
+        codec = isinstance(t, FloatType)
+        probe = (self._probe("RT", inst.pointer, size, codec)
+                 if size in VIEW_WIDTHS else None)
+        if probe is None:
             return miss
-        return self._probe("RT", inst.pointer, size,
-                           lambda o: f"{codec}(p, {o})[0]", miss, (codec,))
+        test, at = probe
+        if codec:
+            name = f"UF{size}"
+            self.ns[name] = _CODEC_NAMES[name]
+            return f"{name}(p, {at})[0] if {test} else {miss}"
+        return f"p[{at}] if {test} else {miss}"
 
-    def _store(self, inst: Store) -> str:
+    def _store(self, inst: Store) -> None:
+        """Emit the store: the hit under ``if``, the miss under ``else``."""
         t = inst.value.type
         size = t.size_bytes()
         miss = (f"{self._miss('S', t)}"
                 f"({self._args((inst.pointer, inst.value))}"
                 f"{self._miss_args()})")
+        codec = isinstance(t, FloatType)
+        probe = (self._probe("WT", inst.pointer, size, codec)
+                 if size in VIEW_WIDTHS else None)
+        lv = self._lv
+        if probe is None:
+            self._emit(lv, miss)
+            return
+        test, at = probe
         v = self._v(inst.value)
-        if isinstance(t, FloatType):
-            if t.bits == 32:
-                pack, x, shared = "PF4", f"RF({v})", ("PF4", "RF")
-            else:
-                pack, x, shared = "PF8", v, ("PF8",)
-        elif size in _INT_CODECS:
+        if codec:
+            name = f"PF{size}"
+            self.ns[name] = _CODEC_NAMES[name]
+            if size == 4:
+                self.ns["RF"] = _CODEC_NAMES["RF"]
+                v = f"RF({v})"
+            hit = f"{name}(p, {at}, {v})"
+        else:
             # A constant is already its type's bit pattern; an argument
             # may reach the VM unnormalized.
-            pack, shared = f"P{size}", (f"P{size}",)
             lit = self._literal(inst.value)
             x = repr(lit) if lit is not None else f"{v} & {(1 << 8 * size) - 1}"
-        else:
-            return miss
-        return self._probe("WT", inst.pointer, size,
-                           lambda o: f"{pack}(p, {o}, {x})", miss, shared)
+            hit = f"p[{at}] = {x}"
+        self._emit(lv, f"if {test}:")
+        self._emit(lv + 1, hit)
+        self._emit(lv, "else:")
+        self._emit(lv + 1, miss)
 
     def _miss(self, kind: str, t) -> str:
         """The name of the engine's miss closure for a load (``kind``
@@ -1178,29 +1214,29 @@ class _Translator:
         return name
 
     def _load_miss(self, t):
+        """A load's miss closure.  It reads the integer bit pattern a
+        device returns or RAM holds; a float load then decodes it."""
         timing = self.timing
         mem = self.engine.kernel.address_space
         mrc = self.costs.mmio_read if timing is not None else 0
         size = t.size_bytes()
+        to_float = None
         if isinstance(t, FloatType):
-            codec = _F32 if t.bits == 32 else _F64
+            def to_float(bits, _u=(_F32 if t.bits == 32 else _F64).unpack,
+                         _z=size):
+                return _u(bits.to_bytes(_z, "little"))[0]
 
-            def decode(b, _u=codec.unpack):
-                return _u(b)[0]
-        else:
-            def decode(b):
-                return int.from_bytes(b, "little")
-
-        def miss(addr, k=0, dd=0, _z=size, _t=timing, _e=self.engine,
-                 _f=mem.find, _mrc=mrc, _rr=mem.ram.read, _fill=mem.tlb_fill,
-                 _dec=decode):
+        def miss(addr, k=0, dd=0, _z=size, _k=(1 << 8 * size) - 1,
+                 _t=timing, _e=self.engine, _f=mem.find, _mrc=mrc,
+                 _ri=mem.ram.read_int, _fill=mem.tlb_fill,
+                 _fl=to_float):
             m = _f(addr)
             if m is not None:
                 dev = m.device
                 if dev is not None and _t is not None:
                     _t.mmio_reads += 1
                     _t.cc += _mrc
-                if addr + _z <= m.base + m.size:
+                if addr + _z <= m.end:
                     if dev is not None:
                         # The device reads the clock and may raise an
                         # interrupt whose handler runs module code: it
@@ -1208,53 +1244,56 @@ class _Translator:
                         # frames' depth, which are the frame's again after.
                         _apply(_t, _e, k, dd)
                         try:
-                            return _dec(dev.mmio_read(addr - m.base, _z)
-                                        .to_bytes(_z, "little"))
+                            v = dev.mmio_read(addr - m.base, _z)
                         finally:
                             _apply(_t, _e, -k, -dd)
-                    data = _rr(m.phys_base + (addr - m.base), _z)
-                    _fill(m, addr)
-                    return _dec(data)
+                        if type(v) is not int or not 0 <= v <= _k:
+                            # The interpreter's ``to_bytes`` round trip:
+                            # its value, or its error.
+                            v = int.from_bytes(v.to_bytes(_z, "little"),
+                                               "little")
+                    else:
+                        v = _ri(m.phys_base + (addr - m.base), _z)
+                        _fill(m, addr)
+                    return v if _fl is None else _fl(v)
             raise MemoryFault(addr, _z, False, "no mapping")
 
         return miss
 
     def _store_miss(self, t):
+        """A store's miss closure.  It writes an integer bit pattern to
+        the device or RAM; a float store encodes its value to one first."""
         timing = self.timing
         mem = self.engine.kernel.address_space
         mwc = self.costs.mmio_write if timing is not None else 0
         size = t.size_bytes()
+        to_bits = None
         if isinstance(t, FloatType):
-            codec = _F32 if t.bits == 32 else _F64
-            conv = arith.round_f32 if t.bits == 32 else float
+            def to_bits(value, _p=(_F32 if t.bits == 32 else _F64).pack,
+                        _c=arith.round_f32 if t.bits == 32 else float):
+                return int.from_bytes(_p(_c(value)), "little")
 
-            def encode(value, _p=codec.pack, _c=conv):
-                return _p(_c(value))
-        else:
-            def encode(value, _z=size, _k=(1 << (8 * size)) - 1):
-                return (int(value) & _k).to_bytes(_z, "little")
-
-        def miss(addr, value, k=0, dd=0, _z=size, _t=timing, _e=self.engine,
-                 _f=mem.find, _mwc=mwc, _enc=encode, _rw=mem.ram.write,
-                 _fill=mem.tlb_fill):
+        def miss(addr, value, k=0, dd=0, _z=size, _k=(1 << 8 * size) - 1,
+                 _t=timing, _e=self.engine, _f=mem.find, _mwc=mwc,
+                 _wi=mem.ram.write_int, _fill=mem.tlb_fill,
+                 _b=to_bits):
             m = _f(addr)
             if _t is not None and m is not None and m.device is not None:
                 _t.mmio_writes += 1
                 _t.cc += _mwc
-            data = _enc(value)
-            if m is None or addr + _z > m.base + m.size:
+            v = int(value) & _k if _b is None else _b(value)
+            if m is None or addr + _z > m.end:
                 raise MemoryFault(addr, _z, True, "no mapping")
             if not m.writable:
                 raise MemoryFault(addr, _z, True, f"{m.name} is read-only")
             if m.device is not None:
                 _apply(_t, _e, k, dd)  # as for a device read
                 try:
-                    m.device.mmio_write(addr - m.base, _z,
-                                        int.from_bytes(data, "little"))
+                    m.device.mmio_write(addr - m.base, _z, v)
                 finally:
                     _apply(_t, _e, -k, -dd)
                 return
-            _rw(m.phys_base + (addr - m.base), data)
+            _wi(m.phys_base + (addr - m.base), _z, v)
             _fill(m, addr)
 
         return miss
@@ -1286,9 +1325,15 @@ class _Translator:
                 self._pend[_N] += 1
             else:
                 self._charge(inst.opcode)
-            self._flush()
+            # The closure adds the segment's centicycles before anything
+            # else (see _guard_core).
             c = self._bind("C", self._guard_core(inst))
-            self._emit(self._lv, f"{assign}{c}({self._args(inst.args[:3])})")
+            pcc = f", {self._pcc}" if self._pcc else ""
+            self._adds = True
+            self._emit(self._lv,
+                       f"{assign}{c}({self._args(inst.args[:3])}{pcc})")
+            self._adds = False
+            self._pcc = 0
             return
         args = self._args(inst.args)
         if callee.is_declaration:
@@ -1372,7 +1417,11 @@ class _Translator:
         :data:`TRANSLATION_CACHE` and ``compile()`` time) is unchanged.
 
         Traced or untimed translations get the general closure, with the
-        callsite id baked in at translate time (no per-hit walk)."""
+        callsite id baked in at translate time (no per-hit walk).
+
+        Every guard closure takes the site's pending centicycles as a
+        trailing ``k`` and adds them to the clock before anything else,
+        so whatever it runs sees the interpreter's clock."""
         module = self.module
         timing = self.timing
         tracer = self.tracer
@@ -1385,8 +1434,9 @@ class _Translator:
         if tracer is None and timing is not None:
             gb, ge = self.costs.guard_base, self.costs.guard_entry
 
-            def core(a, s, f, _e=eng, _m=module, _imp=imports, _n=mname,
-                     _g=gsym, _t=timing, _gb=gb, _ge=ge):
+            def core(a, s, f, k=0, _e=eng, _m=module, _imp=imports,
+                     _n=mname, _g=gsym, _t=timing, _gb=gb, _ge=ge):
+                _t.cc += k
                 sym = _imp.get(_g)
                 if sym is None or sym.native is None:
                     return _e._dispatch_guard(_m, a, s, f)
@@ -1402,9 +1452,11 @@ class _Translator:
         site = (guard_site_id(mname, self.fn.name, ordinal)
                 if tracer is not None else None)
 
-        def core(a, s, f, _e=eng, _m=module, _imp=imports, _n=mname,
+        def core(a, s, f, k=0, _e=eng, _m=module, _imp=imports, _n=mname,
                  _g=gsym, _i=inst, _t=timing, _tr=tracer, _site=site,
                  _c=self.costs, _cost=machine.guard_cost if machine else None):
+            if k:
+                _t.cc += k
             sym = _imp.get(_g)
             if sym is None or sym.native is None:
                 return _e._dispatch_guard(_m, a, s, f, _i)
@@ -1427,7 +1479,7 @@ class _Translator:
         linked native."""
         policy = native.__self__
 
-        def core(a, s, f, _e=self.engine, _imp=self.module.imports,
+        def core(a, s, f, k=0, _e=self.engine, _imp=self.module.imports,
                  _g=abi.GUARD_SYMBOL, _t=self.timing,
                  _gb=self.costs.guard_base, _ge=self.costs.guard_entry,
                  _gn=native, _smp=policy.kernel.smp,
@@ -1443,9 +1495,9 @@ class _Translator:
                         row.guard_cache_hits += 1
                         row.entries_scanned += n
                         _e.guard_checks += 1
-                        _t.cc += _gb + _ge * n
+                        _t.cc += k + _gb + _ge * n
                         return
-            return _slow(a, s, f)
+            return _slow(a, s, f, k)
 
         return core
 

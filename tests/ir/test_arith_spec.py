@@ -243,6 +243,86 @@ def test_casts_on_random_patterns(cast, data):
     check_cast(op, s, d, data.draw(pattern(s)))
 
 
+# -- division by a literal ----------------------------------------------------
+#
+# Division by a nonzero literal divisor is expression text too
+# (``binop_src`` with ``divisor``); the engine inlines it and keeps the
+# closure, with its zero handler, for any other divisor.
+
+
+def literal_divisors(w: int) -> list[int]:
+    """Nonzero divisors as bit patterns: +-1, +-2, +-3, -7, the signed
+    minimum and maximum, and 512 (the block stack's sector size)."""
+    m = modulus(w)
+    return sorted({d % m for d in (1, -1, 2, -2, 3, -3, -7, m // 2,
+                                   m // 2 - 1, 512)} - {0})
+
+
+@functools.lru_cache(maxsize=None)
+def literal_engine():
+    """The compiled engine with ``<op>_i<w>_by<d>(a)``: ``a`` divided by
+    the literal ``d`` (also ``d = 0``, which must keep the closure)."""
+    m = Module("literaldiv")
+    for w in WIDTHS:
+        t = IntType(w)
+        for op in sorted(DIVISIONS):
+            for d in (0, *literal_divisors(w)):
+                b = _arg_fn(m, f"{op}_i{w}_by{d}", t, [t])
+                b.ret(b.binop(op, b.function.args[0], ConstantInt(t, d), "r"))
+    PassManager([AttestationPass()]).run(m)
+    kernel = Kernel(engine="compiled")
+    loaded = kernel.insmod(CompiledModule(ir=m))
+    return lambda name, *args: kernel.run_function(loaded, name, list(args))
+
+
+@functools.lru_cache(maxsize=None)
+def literal_rule(op: str, w: int, d: int):
+    """``binop_src``'s text for ``op`` by the literal ``d``, compiled."""
+    return eval(f"lambda a: {arith.binop_src(op, IntType(w), 'a', repr(d), d)}")
+
+
+def check_literal_division(op: str, w: int, a: int, d: int) -> None:
+    """The rule's text, and the engine if it has the divisor's function."""
+    want = spec_binop(op, w, a, d)
+    assert literal_rule(op, w, d)(a) == want, (op, w, a, d)
+    if d in literal_divisors(w):
+        assert literal_engine()(f"{op}_i{w}_by{d}", a) == want, (op, w, a, d)
+    # An unnormalized dividend (arguments reach the VM unnormalized)
+    # gives what the closure gives.
+    for raw in (a - modulus(w), a + 3 * modulus(w)):
+        assert literal_rule(op, w, d)(raw) == \
+            arith.binop(op, IntType(w))(raw, d), (op, w, raw, d)
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_division_by_literals_on_edge_values(w):
+    for op in sorted(DIVISIONS):
+        for d in literal_divisors(w):
+            for a in edges(w):  # includes the width's minimum dividend
+                check_literal_division(op, w, a, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DIVISIONS)), st.sampled_from(WIDTHS), st.data())
+def test_division_by_literals_on_random_patterns(op, w, data):
+    d = data.draw(st.one_of(st.sampled_from(literal_divisors(w)),
+                            st.integers(1, modulus(w) - 1)))
+    check_literal_division(op, w, data.draw(pattern(w)), d)
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_zero_or_unknown_divisor_keeps_the_closure(w):
+    t = IntType(w)
+    for op in sorted(DIVISIONS):
+        assert arith.binop_src(op, t, "a", "b") is None
+        assert arith.binop_src(op, t, "a", "0", 0) is None
+        # A raw literal of 2**w is zero only in the type's signed view.
+        wide = arith.binop_src(op, t, "a", repr(modulus(w)), modulus(w))
+        assert (wide is None) == (op[0] == "s")
+        with pytest.raises(Exception, match=rf"divide error \({op} by zero\)"):
+            literal_engine()(f"{op}_i{w}_by0", 5)
+
+
 # -- floats: the spec ---------------------------------------------------------
 
 FLOAT_BITS = (32, 64)

@@ -1,5 +1,7 @@
 """Physical memory and address-space tests."""
 
+import struct
+
 import pytest
 
 from repro.kernel import KernelAddressSpace, MemoryFault, PhysicalMemory, layout
@@ -119,6 +121,94 @@ class TestSpansAgainstThePageLoop:
         with pytest.raises(MemoryFault):
             ram.read(0, -1)
         assert ram.resident_bytes == 0
+
+
+class TestViewAccessors:
+    """``read_int``/``write_int``/``unpack`` index a written page's views
+    in place (aligned or not) and fall back to ``read``/``write`` for a
+    page-crossing access or a never-written page."""
+
+    P = layout.PAGE_SIZE
+    BYTES = bytes((11 * i + 5) & 0xFF for i in range(2 * layout.PAGE_SIZE))
+
+    @pytest.fixture()
+    def written(self, ram):
+        """Pages 2 and 3 written with ``BYTES``; page 5 never written."""
+        ram.write(2 * self.P, self.BYTES)
+        return ram
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    @pytest.mark.parametrize("off", [0, 1, 3, 8, 100, layout.PAGE_SIZE - 8])
+    def test_in_page_reads_match_the_bytes(self, written, size, off):
+        phys = 2 * self.P + off
+        want = int.from_bytes(written.read(phys, size), "little")
+        assert written.read_int(phys, size) == want
+
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    def test_page_crossing_reads_and_writes(self, written, size):
+        for back in range(1, size):
+            phys = 3 * self.P - back
+            want = int.from_bytes(written.read(phys, size), "little")
+            assert written.read_int(phys, size) == want
+            value = (0x0102030405060708 * back) & ((1 << 8 * size) - 1)
+            written.write_int(phys, size, value)
+            assert written.read(phys, size) == value.to_bytes(size, "little")
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    @pytest.mark.parametrize("off", [0, 1, 6, 16, layout.PAGE_SIZE - 8])
+    def test_in_page_writes_land_in_the_page(self, written, size, off):
+        phys = 2 * self.P + off
+        value = (1 << 8 * size) - 3
+        written.write_int(phys, size, value)
+        page = self.BYTES[:self.P]
+        assert written.read(2 * self.P, self.P) == (
+            page[:off] + value.to_bytes(size, "little") + page[off + size:])
+        views = written.views(2)
+        if not off % size:
+            assert views[size][off // size] == value
+
+    def test_views_share_the_page(self, written):
+        views = written.views(2)
+        assert views[1] is written._pages[2]
+        views[4][3] = 0xA1B2C3D4
+        assert written.read(2 * self.P + 12, 4) == b"\xd4\xc3\xb2\xa1"
+        written.write(2 * self.P + 16, (7).to_bytes(8, "little"))
+        assert views[8][2] == 7
+        assert written.views(5) is None
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_absent_page_reads_zero_and_stays_absent(self, written, size):
+        before = written.resident_bytes
+        for off in (0, 3, 64, self.P - size):
+            assert written.read_int(5 * self.P + off, size) == 0
+        # Straddling from a written page onto an absent one.
+        assert written.read_int(4 * self.P - 1, size) == \
+            int.from_bytes(written.read(4 * self.P - 1, size), "little")
+        assert written.unpack(struct.Struct("<QI"), 5 * self.P + 4) == (0, 0)
+        assert written.resident_bytes == before
+        assert 5 not in written._pages and written.views(5) is None
+
+    def test_write_to_an_absent_page_materializes_it(self, ram):
+        ram.write_int(7 * self.P + 4, 4, 0xDEADBEEF)
+        assert ram.resident_bytes == self.P
+        assert ram.views(7)[4][1] == 0xDEADBEEF
+
+    def test_unpack_in_page_crossing_and_absent(self, written):
+        codec = struct.Struct("<QHBBI")
+        for phys in (2 * self.P, 2 * self.P + 5, 3 * self.P - 7,
+                     4 * self.P - 3, 5 * self.P):
+            assert written.unpack(codec, phys) == \
+                codec.unpack(written.read(phys, codec.size))
+
+    def test_range_checks_survive(self, written):
+        with pytest.raises(MemoryFault):
+            written.read_int(written.size - 2, 4)
+        with pytest.raises(MemoryFault):
+            written.write_int(written.size - 1, 2, 1)
+        with pytest.raises(MemoryFault):
+            written.unpack(struct.Struct("<Q"), written.size - 4)
+        with pytest.raises(MemoryFault):
+            written.read_int(-8, 8)
 
 
 class TestDirectMap:

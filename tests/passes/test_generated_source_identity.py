@@ -22,14 +22,14 @@ from repro.vm import compiled
 #: regions; vblk on 4 CPUs with per-CPU queues): each function's first
 #: translation, then its hot one (leaves inlined).
 SOURCE_DIGESTS = {
-    ("e1000e", 0): "d9b05f816803078af0818e6b8a54f11294a3e5c09aae8d609a62a7a5afbcf33f",
-    ("e1000e", 1): "a8646260b12ad0fcdb2c19fabd5c2e75ab157fb12841be0c0ba91513c13eb8fa",
-    ("e1000e", 2): "44270f9238451367be0704d9e5e5450fe6e184ade1a9ea53015744ef8ee09b6b",
-    ("e1000e", 3): "217021a53dbe17544e94a7d01d62dd376ea9434425e1cc1430c8fc457c38fe7b",
-    ("vblk", 0): "907829373ea3da2f5ca669e498e4fcaf1ea6be2d14c12994e0c5e666a6b741ef",
-    ("vblk", 1): "707b0beb92479d03f89d538f9fac659f1b28c359b5ad06a08a24281069bda4ae",
-    ("vblk", 2): "60c7cb705a75b54032f8fab8b061c06c7cd885d7d7c85408581c9c65cdb54fbb",
-    ("vblk", 3): "680a2fdab1abcd4354bcd2f7c5b572c855944fb83a92291200dbc272d17d592c",
+    ("e1000e", 0): "9437a54e47aa51d11a2d3b1a3213dcbb84a33327f58b68223d759ba3422e1589",
+    ("e1000e", 1): "3e60531e8394684c1ac8d8dee87823d619c1b66905866be7bfd9320ab2240c42",
+    ("e1000e", 2): "20dc3cacf2d562cdc7560425f0892d5ec42848c2857ea25ece30f4f11f5730b5",
+    ("e1000e", 3): "c76aa25c394f573cc57070f4e32890a4ec77f54af7e79f8a37c464ebeefb5ad6",
+    ("vblk", 0): "fb631b9517bee8d8ed7a6313def0766523e563fb508ca20ec6426dac9d04770f",
+    ("vblk", 1): "0ec0b5aeba393a1c5fc5752729ab745c862d7003906e38a68c3d0398de0cca21",
+    ("vblk", 2): "acae32a58d4e85e5535a5c5a7f1b48294b9402027a8fd8877171c1acd78f9a41",
+    ("vblk", 3): "17cd1c07fc267ad22283e76a8736b68f3515c09c9aff5b2a6df57533dda4e780",
 }
 
 STACKS = {

@@ -16,13 +16,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro import abi
 from repro.core.pipeline import CompileOptions, compile_module
 from repro.core.system import CaratKopSystem, SystemConfig
-from repro.ir import I64, Function, FunctionType, IRBuilder, Module, PointerType
+from repro.ir import (
+    I8PTR, I32, I64, Function, FunctionType, IRBuilder, Module, PointerType)
+from repro.ir.values import ConstantInt
 from repro.kernel import Kernel, MemoryFault, layout
 from repro.kernel.module_loader import CompiledModule
 from repro.kernel.panic import KernelPanic
 from repro.passes import AttestationPass, PassManager
+from repro.policy import CaratPolicyModule
 from repro.net import make_test_frame
 from repro.vm import compiled, get_machine
 
@@ -379,3 +383,62 @@ def test_undefined_operand_leaves_its_access_uncounted(use):
     state = both(scenario, False)
     assert state["outcomes"][1] == (
         "InterpreterError", "use of undefined value %x (i64)")
+
+
+def guard_site_module() -> CompiledModule:
+    """``f(a, p)``: the join block loads and adds through ``p`` (charges
+    left pending in the guard's segment), then guards ``%x`` (a pointer
+    to ``p + 8`` that only the ``then`` block defines) and loads it.
+    With ``a = 0`` the guard's own operand read fails; otherwise the
+    guard decides on ``p + 8``."""
+    m = Module("guardsite")
+    guard = Function(abi.GUARD_SYMBOL, abi.guard_function_type(),
+                     ["addr", "size", "flags"])
+    m.add_function(guard)
+    fn = Function("f", FunctionType(I64, [I64, I64]), ["a", "p"])
+    m.add_function(fn)
+    entry, then, join = (fn.add_block(n) for n in ("entry", "then", "join"))
+    a, p = fn.args
+    b = IRBuilder(entry)
+    b.cond_br(b.icmp("ne", a, b.const_i64(0)), then, join)
+    b.position_at_end(then)
+    x = b.inttoptr(b.add(p, b.const_i64(8)), I8PTR, "x")
+    b.br(join)
+    b.position_at_end(join)
+    q = b.inttoptr(p, PointerType(I64))
+    s = b.add(b.load(q), a)
+    call = b.call(guard, [x, b.const_i64(8), ConstantInt(I32, abi.FLAG_READ)])
+    call.is_guard = True
+    b.ret(b.add(s, b.load(b.bitcast(x, PointerType(I64)))))
+    PassManager([AttestationPass()]).run(m)
+    return CompiledModule(ir=m)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_guard_site_charges_on_undefined_operand_and_deny(traced):
+    """A guard closure adds its segment's pending centicycles itself,
+    first: an undefined operand at the site (raised by the line) and a
+    panic-mode deny (raised inside the closure, after it added them)
+    must each leave the interpreter's clock and counters."""
+    def scenario(engine, traced):
+        kernel = Kernel(machine=get_machine("r415"), engine=engine)
+        CaratPolicyModule(kernel).install()  # default deny, panic mode
+        if traced:
+            kernel.trace.enable()
+        loaded = kernel.insmod(guard_site_module())
+        outcomes = []
+        for a in (0, 3):
+            try:
+                outcomes.append(kernel.run_function(loaded, "f", [a, RAM]))
+            except Exception as e:  # noqa: BLE001 - the error is observed
+                outcomes.append((type(e).__name__, str(e)))
+            outcomes.append(counters(kernel, traced))
+        return {"outcomes": outcomes, "panicked": kernel.panicked is not None}
+
+    state = both(scenario, traced)
+    assert state["outcomes"][0] == (
+        "InterpreterError", "use of undefined value %x (i8*)")
+    assert state["outcomes"][2][0] == "GuardViolation"  # a KernelPanic
+    assert state["panicked"]
+    assert state["outcomes"][3]["timing"]["cycles"] > \
+        state["outcomes"][1]["timing"]["cycles"] > 0

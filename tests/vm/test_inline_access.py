@@ -1,15 +1,17 @@
 """The compiled engine's inline loads and stores match the interpreter.
 
-A compiled load or store is generated text: a TLB probe, an offset
-check and a shared ``struct`` codec at the page offset, with the site's
-miss closure for everything else.  These cases pin the parts of that
-text the TLB coherence scenarios leave alone: every offset at which an
-access of each width first straddles a TLB-resident page, integer
-stores of values wider than the store (arguments reach the VM
-unnormalized; the interpreter masks them at the store), and accesses to
-globals, whose literal addresses have their page and offset folded.
-Each case runs under both engines and compares results, RAM, and the
-timing counters.
+A compiled load or store is generated text: a TLB probe and, for an
+aligned integer, one index into the page's view of its width (a float
+decodes at its offset in the byte page), with the site's miss closure
+for everything else.  These cases pin the parts of that text the TLB
+coherence scenarios leave alone: every unaligned offset of each width
+inside a page, every offset at which an access first straddles a
+TLB-resident page, integer stores of values wider than the store
+(arguments reach the VM unnormalized; the interpreter masks them at the
+store), and accesses to globals, whose literal addresses have their
+page and index folded (an unaligned one always misses).  Each case
+runs under both engines and compares results, RAM, and the timing
+counters.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ unsigned int gw;
 unsigned long gq;
 double gd;
 float gf;
+unsigned char gbuf[64];
 __export unsigned long ld1(unsigned long p) { return *(unsigned char *)p; }
 __export unsigned long ld2(unsigned long p) { return *(unsigned short *)p; }
 __export unsigned long ld4(unsigned long p) { return *(unsigned int *)p; }
@@ -43,6 +46,14 @@ __export void stneg(unsigned long p) {
 __export unsigned long globals(unsigned long v) {
     gb = v; gh = v; gw = v; gq = v; gd = v; gf = v;
     return gb + gh + gw + gq + (unsigned long)gd + (unsigned long)gf;
+}
+__export unsigned long unaligned_globals(unsigned long v) {
+    *(unsigned short *)(gbuf + 1) = v;
+    *(unsigned int *)(gbuf + 6) = v;
+    *(unsigned long *)(gbuf + 13) = v;
+    *(unsigned long *)(gbuf + 32) = v;
+    return *(unsigned short *)(gbuf + 1) + *(unsigned int *)(gbuf + 6)
+        + *(unsigned long *)(gbuf + 13) + *(unsigned long *)(gbuf + 28);
 }
 """
 
@@ -104,6 +115,27 @@ def test_every_straddling_offset(width):
     assert len(loads) == 2 * width and None not in loads
 
 
+@pytest.mark.parametrize("width", [2, 4, 8])
+def test_every_unaligned_offset(width):
+    ld, st = WIDTHS[width]
+
+    def scenario(call, edge):
+        # Every offset inside the page, aligned or not, in two places.
+        for base in (edge + 256, edge + PAGE - 2 * width):
+            for off in range(width):
+                call(ld, base + off)
+                call(st, base + off, (0xF1E2D3C4B5A69788 >> off)
+                     & ((1 << (8 * width)) - 1))
+                call(ld, base + off)
+                call(ld, base + off - 1)
+
+    trail = run_both(scenario)
+    after = [out for fn, _, out in trail[2:] if fn == ld][1::3]
+    mask = (1 << (8 * width)) - 1
+    assert after == [(0xF1E2D3C4B5A69788 >> off) & mask
+                     for _ in range(2) for off in range(width)]
+
+
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
 def test_stores_mask_unnormalized_values(width):
     ld, st = WIDTHS[width]
@@ -129,6 +161,18 @@ def test_globals_at_literal_addresses():
     trail = run_both(scenario)
     assert trail[2][2] == 0
     assert trail[3][2] == 6
+
+
+def test_unaligned_globals_at_literal_addresses():
+    def scenario(call, edge):
+        for v in (0, 0x0102030405060708, (1 << 64) - 1):
+            call("unaligned_globals", v)
+
+    trail = run_both(scenario)
+    v = 0x0102030405060708
+    # gbuf + 28 holds the low half of the store at gbuf + 32 above it.
+    assert trail[3][2] == ((v & 0xFFFF) + (v & 0xFFFFFFFF) + v
+                           + ((v & 0xFFFFFFFF) << 32)) & ((1 << 64) - 1)
 
 
 def test_negative_constants_are_stored_as_their_bit_patterns():

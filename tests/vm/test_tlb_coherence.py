@@ -1,10 +1,12 @@
 """The compiled engine's software TLB is coherent with the address space.
 
-Compiled loads and stores serve intra-page RAM accesses from
-``KernelAddressSpace.rtlb``/``wtlb``; the interpreter never uses them.
-Every scenario here runs under both engines and must observe the same
-results, faults, counters (``loads``, ``stores``, ``mmio_*``, cycles)
-and residency: the interpreter is the TLB-free oracle.
+Compiled loads and stores serve RAM accesses from the typed page views
+in ``KernelAddressSpace.rtlb[n]``/``wtlb[n]`` (an aligned integer
+access indexes the view of its width; a float one decodes from the byte
+page); the interpreter never uses them.  Every scenario here runs under
+both engines and must observe the same results, faults, counters
+(``loads``, ``stores``, ``mmio_*``, cycles) and residency: the
+interpreter is the TLB-free oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ VIRT = layout.VMALLOC_BASE + (1 << 30)
 SOURCE = """
 __export unsigned long ld8(unsigned long p) { return *(unsigned long *)p; }
 __export unsigned long ld4(unsigned long p) { return *(unsigned int *)p; }
+__export unsigned long ld2(unsigned long p) { return *(unsigned short *)p; }
 __export unsigned long ld1(unsigned long p) { return *(unsigned char *)p; }
+__export void st2(unsigned long p, unsigned long v) { *(unsigned short *)p = v; }
 __export void st8(unsigned long p, unsigned long v) { *(unsigned long *)p = v; }
 __export void st4(unsigned long p, unsigned long v) { *(unsigned int *)p = v; }
 __export double ldd(unsigned long p) { return *(double *)p; }
@@ -35,6 +39,14 @@ __export void stf(unsigned long p, double v) { *(float *)p = v; }
 """
 
 ENGINES = ["interp", "compiled"]
+WIDTHS = {2: ("ld2", "st2"), 4: ("ld4", "st4"), 8: ("ld8", "st8")}
+
+
+def in_tlb(tables: dict, virt: int) -> list:
+    """The widths whose view table (``rtlb`` or ``wtlb``) holds
+    ``virt``'s page."""
+    vpn = virt >> layout.PAGE_SHIFT
+    return [width for width, table in tables.items() if vpn in table]
 
 
 class Recorder:
@@ -99,14 +111,20 @@ def test_unmap_then_access_faults():
         r.mem.map_linear(VIRT, PAGE, r.page(), "scratch")
         r.call("st8", VIRT + 8, 0xDEAD)
         r.call("ld8", VIRT + 8)
+        r.call("ld2", VIRT + 8)
+        if r.kernel.engine == "compiled":
+            assert in_tlb(r.mem.rtlb, VIRT) == [1, 2, 4, 8]
         r.mem.unmap(VIRT)
+        assert in_tlb(r.mem.rtlb, VIRT) == in_tlb(r.mem.wtlb, VIRT) == []
         r.call("ld8", VIRT + 8)
+        r.call("ld4", VIRT + 8)
         r.call("st8", VIRT + 8, 1)
+        r.call("st2", VIRT + 8, 1)
         r.call("ldd", VIRT + 8)
 
     trail = both(scenario)
-    assert trail[1] == ("ld8", 0xDEAD)
-    for fn, out in trail[2:]:
+    assert trail[1:3] == [("ld8", 0xDEAD), ("ld2", 0xDEAD)]
+    for fn, out in trail[3:]:
         assert out[0] == "fault" and "no mapping" in out[1], fn
 
 
@@ -123,11 +141,12 @@ def test_remap_to_another_page_reads_the_new_bytes():
         r.call("ld8", VIRT)
         r.call("ld4", VIRT + 16)
         r.call("st8", VIRT, 333)
+        r.call("ld2", VIRT)
         r.trail.append(("p1", r.ram.read(p1, 8), "p2", r.ram.read(p2, 8)))
 
     trail = both(scenario)
-    assert [out for _, out in trail[:5]] == [111, None, 222, 0, None]
-    assert trail[5] == ("p1", (111).to_bytes(8, "little"),
+    assert [out for _, out in trail[:6]] == [111, None, 222, 0, None, 333]
+    assert trail[6] == ("p1", (111).to_bytes(8, "little"),
                         "p2", (333).to_bytes(8, "little"))
 
 
@@ -138,8 +157,12 @@ def test_store_to_read_only_mapping_faults_after_a_load():
         r.mem.map_linear(VIRT, PAGE, phys, "rodata", writable=False)
         r.call("ld8", VIRT)
         r.call("ld8", VIRT)
+        if r.kernel.engine == "compiled":
+            assert in_tlb(r.mem.rtlb, VIRT) == [1, 2, 4, 8]
+            assert in_tlb(r.mem.wtlb, VIRT) == []
         r.call("st8", VIRT, 1)
         r.call("std8", VIRT, 1.5)
+        r.call("st2", VIRT, 1)
         r.call("ld8", VIRT)
 
     trail = both(scenario)
@@ -148,6 +171,8 @@ def test_store_to_read_only_mapping_faults_after_a_load():
         ("fault", f"unable to handle write to {VIRT:#018x} (size 8): "
                   "rodata is read-only"),
         ("fault", f"unable to handle write to {VIRT:#018x} (size 8): "
+                  "rodata is read-only"),
+        ("fault", f"unable to handle write to {VIRT:#018x} (size 2): "
                   "rodata is read-only"),
         0xC0FFEE,
     ]
@@ -222,14 +247,17 @@ def test_never_written_page_reads_zero_without_materializing():
         phys = r.page()
         virt = layout.direct_map_address(phys)
         before = r.ram.resident_bytes
-        for fn in ("ld8", "ld8", "ld1", "ldd", "ldf"):
+        for fn in ("ld8", "ld8", "ld1", "ld2", "ld4", "ldd", "ldf"):
             r.call(fn, virt + 40)
+        # The DMA engines' readers leave it absent too.
+        r.trail.append(("dma", r.ram.read_int(phys + 40, 4),
+                        r.ram.unpack(struct.Struct("<QH"), phys + 8)))
         r.trail.append(("resident delta", r.ram.resident_bytes - before))
-        if r.kernel.engine == "compiled":
-            assert virt >> layout.PAGE_SHIFT not in r.mem.rtlb
+        assert in_tlb(r.mem.rtlb, virt) == in_tlb(r.mem.wtlb, virt) == []
 
     trail = both(scenario)
-    assert [out for _, out in trail] == [0, 0, 0, 0.0, 0.0, 0]
+    assert [out for _, out in trail[:7]] == [0, 0, 0, 0, 0, 0.0, 0.0]
+    assert trail[7:] == [("dma", 0, (0, 0)), ("resident delta", 0)]
 
 
 def test_dma_write_is_visible_to_the_next_load():
@@ -244,9 +272,22 @@ def test_dma_write_is_visible_to_the_next_load():
         r.call("ldd", virt + 8)
         r.mem.write_int(virt, 8, 3)  # a native's write_int
         r.call("ld8", virt)
+        # The device models' field writes index the same views.
+        r.call("ld4", virt + 16)
+        r.call("ld2", virt + 22)
+        r.ram.write_int(phys + 16, 4, 0xA5A5A5A5)
+        r.ram.write_int(phys + 22, 2, 0x1234)
+        r.ram.write_int(phys + 25, 4, 0x0BADF00D)  # unaligned
+        r.call("ld4", virt + 16)
+        r.call("ld2", virt + 22)
+        r.call("ld8", virt + 24)
+        r.ram.write_int(phys + PAGE - 2, 4, 0x5566)  # onto the next page
+        r.call("ld2", virt + PAGE - 2)
 
     trail = both(scenario)
-    assert [out for _, out in trail] == [None, 1, 2, 4.25, 3]
+    assert [out for _, out in trail] == [
+        None, 1, 2, 4.25, 3, 0, 0, 0xA5A5A5A5, 0x1234,
+        0x0BADF00D << 8, 0x5566]
 
 
 def test_unaligned_and_partial_page_mappings_stay_correct():
@@ -259,15 +300,13 @@ def test_unaligned_and_partial_page_mappings_stay_correct():
         r.call("st8", VIRT + 8, 0x99)
         r.call("ld8", VIRT + 8)
         r.trail.append(("ram", r.ram.read(p, 40)))
-        if r.kernel.engine == "compiled":
-            assert VIRT >> layout.PAGE_SHIFT not in r.mem.rtlb
+        assert in_tlb(r.mem.rtlb, VIRT) == []
         # A mapping smaller than a page: never entered either.
         r.mem.map_linear(VIRT + 4 * PAGE, 64, p + PAGE, "tiny")
         r.call("st8", VIRT + 4 * PAGE + 56, 6)
         r.call("ld8", VIRT + 4 * PAGE + 56)
         r.call("ld8", VIRT + 4 * PAGE + 60)
-        if r.kernel.engine == "compiled":
-            assert (VIRT >> layout.PAGE_SHIFT) + 4 not in r.mem.wtlb
+        assert in_tlb(r.mem.wtlb, VIRT + 4 * PAGE) == []
 
     trail = both(scenario)
     assert [out for _, out in trail[:3]] == [0x77, None, 0x99]
@@ -305,3 +344,97 @@ def test_hot_ram_page_makes_no_find_calls(first):
         r.call("ldf", virt + 80)
     assert calls == []
     assert r.trail[-2:] == [("stf", None), ("ldf", 1.5)]
+
+
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_unaligned_in_page_accesses_take_the_miss_path(width):
+    """An integer access indexes the view of its width, so one at an
+    unaligned offset inside a TLB-resident page calls its miss closure
+    (one ``find``) and still reads and writes the right bytes; an
+    aligned one makes no call."""
+    ld, st = WIDTHS[width]
+    finds = {}
+
+    def scenario(r):
+        calls = finds.setdefault(r.kernel.engine, [])
+        find = r.mem.find
+
+        def counting_find(addr):
+            calls.append(addr)
+            return find(addr)
+
+        r.mem.find = counting_find
+        phys = r.page()
+        virt = layout.direct_map_address(phys)
+        r.ram.write(phys, bytes((5 * i + 1) & 0xFF for i in range(PAGE)))
+        r.call(ld, virt)  # fills the TLB
+        del calls[:]
+        for base in (64, PAGE - 2 * width):
+            for off in range(width):
+                r.call(ld, virt + base + off)
+                r.call(st, virt + base + off, 0x8877665544332211 >> off)
+                r.call(ld, virt + base + off)
+                r.trail.append(("ram", r.ram.read(phys + base, 2 * width)))
+
+    trail = both(scenario)
+    misses = [a & (PAGE - 1) for a in finds["compiled"]]
+    offsets = [base + off for base in (64, PAGE - 2 * width)
+               for off in range(1, width)]
+    assert misses == [o for o in offsets for _ in range(3)]
+    mask = (1 << 8 * width) - 1
+    stored = [out for fn, out in trail if fn == ld][2::2]  # after each store
+    assert stored == [(0x8877665544332211 >> off) & mask
+                      for _ in range(2) for off in range(width)]
+
+
+class Wild:
+    """An MMIO device whose reads return what a buggy model might: a
+    negative number, one too wide for the access, a bool."""
+
+    VALUES = {0: -1, 8: 1 << 40, 16: True, 24: 0xFFFF_FFFF}
+
+    def __init__(self):
+        self.writes: list[tuple] = []
+
+    def mmio_read(self, offset: int, size: int):
+        return self.VALUES.get(offset, 7)
+
+    def mmio_write(self, offset: int, size: int, value: int) -> None:
+        self.writes.append((offset, size, value))
+
+
+def test_mmio_values_convert_and_fail_like_the_interpreter():
+    """A device's read value reaches the module as the interpreter's
+    ``to_bytes`` round trip makes it, or raises its error after the MMIO
+    charge; a store hands the device the masked integer."""
+    writes = {}
+
+    def scenario(r):
+        dev = Wild()
+        r.mem.map_mmio(VIRT, PAGE, dev, "mmio:wild")
+        for off in (0, 8, 16, 24, 32):
+            try:
+                r.call("ld4", VIRT + off)
+            except OverflowError as e:
+                r.trail.append(("overflow", str(e)))
+        r.call("st4", VIRT + 40, -2)
+        r.call("st2", VIRT + 48, 0x12345)
+        r.call("std8", VIRT + 56, 1.5)
+        writes[r.kernel.engine] = dev.writes
+
+    trail = both(scenario)
+    assert [t[0] for t in trail[:5]] == [
+        "overflow", "overflow", "ld4", "ld4", "ld4"]
+    assert [t[1] for t in trail[2:5]] == [1, 0xFFFF_FFFF, 7]
+    assert writes["compiled"] == writes["interp"] == [
+        (40, 4, 0xFFFF_FFFE), (48, 2, 0x2345),
+        (56, 8, int.from_bytes(struct.pack("<d", 1.5), "little"))]
+
+
+def test_compiled_engine_refuses_a_big_endian_host(monkeypatch):
+    import sys
+
+    monkeypatch.setattr(sys, "byteorder", "big")
+    with pytest.raises(RuntimeError, match="--engine interp"):
+        Kernel(machine=get_machine("r415"), engine="compiled").vm
+    assert Kernel(machine=get_machine("r415"), engine="interp").vm
