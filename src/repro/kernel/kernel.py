@@ -117,6 +117,8 @@ class Kernel:
         self.blk_queue_stats: Optional[Callable[[], list[dict]]] = None
         self._vm: Optional["Interpreter"] = None
         self._ioremap_next = layout.VMALLOC_BASE
+        #: Registered device BARs: physical base -> (size, device, name).
+        self._mmio_devices: dict[int, tuple[int, MMIODevice, str]] = {}
         # Kernel stack backing for interpreter frames.
         stack_phys = self.page_allocator.alloc_pages(
             layout.KSTACK_SIZE // layout.PAGE_SIZE
@@ -170,7 +172,9 @@ class Kernel:
         ``ViolationFault`` raised by a guard in eject/isolate mode is
         caught here — the offending module's frames have fully unwound by
         the time the exception reaches us, so ejection cannot pull memory
-        out from under a live frame.
+        out from under a live frame.  Entry checks no policy state: each
+        policy write demotes ``-O3`` modules as it happens (the policy
+        module's write hook), so a module's elisions are current here.
         """
         if (
             module.ejected
@@ -179,11 +183,6 @@ class Kernel:
         ):
             self.entry_refusals += 1
             return -EACCES
-        if module.elided_guards and self._verify_token_stale(module):
-            # Belt and braces under the eager on_policy_mutated() hook:
-            # a table mutated outside the ioctl path (tests poking the
-            # index directly) still demotes before any elided site runs.
-            self.demote_module(module, "policy changed since verification")
         vm = self.vm
         outermost = vm._depth == 0
         try:
@@ -238,19 +237,6 @@ class Kernel:
         against (None when it registered none)."""
         return self.module_verify_contracts.get(module_name)
 
-    def _verify_token_stale(self, module: LoadedModule) -> bool:
-        policy = self.carat_policy
-        if policy is None:
-            return True
-        if module.name in policy.module_indexes:
-            return True  # certified against the global table, not this one
-        cp = policy.controlplane
-        if cp._staged is not None:
-            return True  # a canary generation is live on some CPUs
-        index = policy.index
-        token = (index.epoch, index.default_allow, cp.generation)
-        return token != module.verify_token
-
     def demote_module(self, loaded: LoadedModule, reason: str) -> None:
         """Drop a module's static elisions: every guard site runs
         dynamically again (translations are invalidated so compiled code
@@ -258,7 +244,6 @@ class Kernel:
         if not loaded.elided_guards:
             return
         loaded.elided_guards.clear()
-        loaded.verify_token = None
         loaded.verify_state = f"demoted:{reason}"
         loaded.invalidate_translations()
         self.verify_demotions += 1
@@ -268,10 +253,11 @@ class Kernel:
         )
 
     def on_policy_mutated(self) -> int:
-        """Policy-mutation hook (SET/REMOVE region ioctls): any loaded
-        module running with statically elided guards was certified
-        against the pre-mutation table and must fall back to dynamic
-        guarding.  Returns the number of modules demoted."""
+        """Demote every loaded module running with statically elided
+        guards: it was certified against the policy a write just
+        replaced.  The policy module's write hook calls it as each write
+        happens, so no elided site runs under a policy its certificate
+        never saw.  Returns the number of modules demoted."""
         demoted = 0
         for loaded in list(self.loader.loaded.values()):
             if loaded.elided_guards:
@@ -421,22 +407,16 @@ class Kernel:
 
     # -- device MMIO -----------------------------------------------------------------
 
-    _mmio_devices: dict[int, tuple[int, MMIODevice, str]]
-
     def register_mmio(self, device: MMIODevice, size: int, name: str) -> int:
         """Register a device's physical BAR (above RAM, so it can never
         collide with the direct map); returns the physical base.  Drivers
         reach it through the ``ioremap`` native."""
-        if not hasattr(self, "_mmio_devices"):
-            self._mmio_devices = {}
         base = 0x1_0000_0000 + len(self._mmio_devices) * 0x10_0000
         self._mmio_devices[base] = (size, device, name)
         return base
 
     def ioremap(self, phys: int, size: int) -> int:
         """Map a physical MMIO window into kernel virtual space."""
-        if not hasattr(self, "_mmio_devices"):
-            self._mmio_devices = {}
         entry = self._mmio_devices.get(phys)
         virt = self._ioremap_next
         self._ioremap_next = layout.page_align_up(

@@ -129,9 +129,6 @@ class LoadedModule:
     #: proves in-policy; the execution engines skip (interpreter) or
     #: never emit (compiled) these sites.  Empty = full dynamic guarding.
     elided_guards: set = field(default_factory=set, repr=False, compare=False)
-    #: ``(policy_epoch, default_allow)`` the elisions were validated
-    #: against; a mismatch against the live table demotes the module.
-    verify_token: Optional[tuple] = None
     #: "verified" | "demoted:<reason>" | "" (never certified).
     verify_state: str = ""
 
@@ -346,6 +343,11 @@ class ModuleLoader:
         if table.epoch != cert.policy_epoch:
             return invalid("stale policy epoch")
         cp = policy.controlplane
+        if cp._staged is not None:
+            # Canary CPUs read a generation this certificate never saw,
+            # and the write that ends the canary demotes every -O3
+            # module anyway.
+            return invalid("a canary generation is staged")
         if any(len(t.table) for t in cp.tenants.values()):
             # The guard enforces the tenant-composed policy, but the
             # certificate only proves the system namespace: a tenant
@@ -369,8 +371,6 @@ class ModuleLoader:
         loaded.elided_guards = elidable_guard_ids(
             compiled.ir, report.proven_map()
         )
-        loaded.verify_token = (table.epoch, table.default_allow,
-                               cp.generation)
         loaded.verify_state = "verified"
 
     def _unwind_mapping(self, loaded: LoadedModule) -> None:

@@ -13,7 +13,6 @@ from typing import Optional
 from . import cast as A
 from . import ctypes_ as C
 from .constexpr import fold
-from ..ir import arith
 from ..ir import (
     Function,
     FunctionType,
@@ -166,8 +165,8 @@ class CodeGenerator:
         self.globals[gd.name] = ct
 
     def _const_initializer(self, expr: A.Expr, ct: C.CType):
-        value = fold(expr, CompileError,
-                     lambda te: self.resolve_type(te).sizeof())
+        value = fold(expr, CompileError, self.resolve_type,
+                     ct if ct.is_arith else None)
         if isinstance(value, bytes):
             if not (ct.is_array and ct.element is C.CHAR):
                 if ct.is_array and ct.element is not None and ct.element.is_int \
@@ -194,10 +193,6 @@ class CodeGenerator:
                         expr.line,
                     )
                 return ConstantInt(I64, 0)
-            if ct.is_float:
-                # C assignment converts the integer, rounding once.
-                f = arith.int_to_f32(value) if ct.bits == 32 else float(value)
-                return ConstantFloat(FloatType(ct.bits), f)
             if not ct.is_int:
                 raise CompileError("integer initializer for non-integer", expr.line)
             return ConstantInt(IntType(ct.bits), value)

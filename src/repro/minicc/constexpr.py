@@ -5,27 +5,32 @@ The parser folds array sizes, enum values and case labels with it as
 soon as they are parsed (later declarations refer to the values), and
 codegen folds global initializers with it.  Both hand it the same AST
 that ``Parser.parse_conditional`` builds, so every site accepts the same
-operators: literals, ``sizeof(type)``, unary ``- ~ !``, binary
-``+ - * / % << >> & | ^``, comparisons, ``&& ||`` and ``?:``.  Each
-subexpression has its C type: a literal's is the one codegen gives it,
-the operands of a binary operator and of ``?:`` meet in the usual
-arithmetic conversions, a shift takes its promoted left operand's type,
-and a comparison or logical operator gives ``int`` 0 or 1 (so
+operators: literals, ``sizeof(type)``, casts to arithmetic types, unary
+``- ~ !``, binary ``+ - * / % << >> & | ^``, comparisons, ``&& ||`` and
+``?:``.  Each subexpression has its C type: a literal's is the one
+codegen gives it, a cast's is its target, the operands of a binary
+operator and of ``?:`` meet in the usual arithmetic conversions, a
+shift takes its promoted left operand's type, and a comparison or
+logical operator gives ``int`` 0 or 1 (so
 ``-1 < 0u`` is 0, and a floating comparison is ordered, as codegen
 emits it).  Integer arithmetic wraps at that type through
 :mod:`repro.ir.arith`, as the same expression computes at run time, so
-``-1UL`` is 2**64 - 1 and ``0xFFFFFFFFu + 1`` is 0.  The result is the
-C value: negative only for a signed type.
+``-1UL`` is 2**64 - 1 and ``0xFFFFFFFFu + 1`` is 0.  A conversion to an
+integer type wraps and truncates a float toward zero, so
+``(unsigned char)300`` is 44 and ``(int)-3.7`` is -3; one to ``float``
+rounds to single precision once.  The result is the C value: negative
+only for a signed type.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Union
+import math
+from typing import Callable, Optional, Union
 
 from . import cast as A
 from . import ctypes_ as C
 from ..ir import arith
-from ..ir.types import F64, IntType
+from ..ir.types import FloatType, IntType
 
 Constant = Union[int, float, bytes]
 
@@ -43,22 +48,37 @@ _CMP_OPS = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt",
 
 
 def _to(v: Union[int, float], ct: C.CType) -> Union[int, float]:
-    """Arithmetic value ``v`` converted to arithmetic type ``ct``."""
+    """Arithmetic value ``v`` converted to arithmetic type ``ct``; a
+    float converted to an integer type must be finite."""
     if ct.is_float:
+        if ct.bits == 32:
+            return (arith.int_to_f32(v) if isinstance(v, int)
+                    else arith.round_f32(v))
         return float(v)
     t = IntType(ct.bits)
+    v = math.trunc(v)
     return t.to_signed(v) if ct.signed else t.wrap(v)
 
 
 def fold(
     expr: A.Expr,
     error: Callable[[str, int], Exception],
-    sizeof: Callable[[A.TypeExpr], int],
+    resolve: Callable[[A.TypeExpr], C.CType],
+    to: Optional[C.CType] = None,
 ) -> Constant:
-    """The value of constant expression ``expr``.
+    """The value of constant expression ``expr``, converted to
+    arithmetic type ``to`` as by assignment when one is given.
 
     ``error(message, line)`` builds the diagnostic to raise, and
-    ``sizeof(type_expr)`` sizes a type the caller can lay out."""
+    ``resolve(type_expr)`` gives the C type a type expression names (a
+    ``sizeof`` operand or a cast target)."""
+
+    def convert(v: Union[int, float], ct: C.CType, line: int):
+        if not ct.is_arith:
+            raise error(f"cast to {ct} is not an arithmetic constant", line)
+        if ct.is_int and isinstance(v, float) and not math.isfinite(v):
+            raise error(f"{v} has no value in {ct}", line)
+        return _to(v, ct)
 
     def number(e: A.Expr) -> tuple[Union[int, float], C.CType]:
         v, ct = value(e)
@@ -78,9 +98,12 @@ def fold(
             return 0, C.INT
         if isinstance(e, A.SizeofType):
             try:
-                return sizeof(e.target), C.ULONG
+                return resolve(e.target).sizeof(), C.ULONG
             except TypeError as exc:  # e.g. sizeof(void)
                 raise error(str(exc), e.line) from None
+        if isinstance(e, A.CastExpr):
+            ct = resolve(e.target)
+            return convert(number(e.operand)[0], ct, e.line), ct
         if isinstance(e, A.Unary) and e.op in ("-", "~", "!"):
             v, ct = number(e.operand)
             if e.op == "!":
@@ -128,14 +151,17 @@ def fold(
             else:
                 ct = C.usual_arithmetic(act, bct)
             if ct.is_float:
-                return arith.binop(_FLOAT_OPS[e.op], F64)(_to(a, ct),
-                                                          _to(b, ct)), ct
+                fn = arith.binop(_FLOAT_OPS[e.op], FloatType(ct.bits))
+                return fn(_to(a, ct), _to(b, ct)), ct
             t = IntType(ct.bits)
             fn = arith.binop(_INT_OPS[e.op][not ct.signed], t)
             return _to(fn(t.wrap(a), t.wrap(b)), ct), ct
         raise error("expression is not a compile-time constant", e.line)
 
-    return value(expr)[0]
+    v, ct = value(expr)
+    if to is None or ct is None:
+        return v
+    return convert(v, to, expr.line)
 
 
 __all__ = ["Constant", "fold"]

@@ -141,22 +141,22 @@ class Parser:
         declarations use the value.  The same evaluator folds global
         initializers in codegen."""
         expr = self.parse_conditional()
-        value = fold(expr, CParseError, self._sizeof)
+        value = fold(expr, CParseError, self._const_type)
         if not isinstance(value, int):
             raise CParseError("expected integer constant expression", expr.line)
         return value
 
-    def _sizeof(self, te: A.TypeExpr) -> int:
-        """``sizeof`` of a type named in a parse-time constant, resolved
-        as codegen resolves types.  Struct layouts are computed by
-        codegen, so ``sizeof(struct T)`` is a constant only in a global
-        initializer; a pointer to a declared struct is sized here."""
+    def _const_type(self, te: A.TypeExpr) -> C.CType:
+        """A type named in a parse-time constant, resolved as codegen
+        resolves types.  Struct layouts are computed by codegen, so
+        ``sizeof(struct T)`` is a constant only in a global initializer;
+        a pointer to a declared struct is sized here."""
         ct = C.resolve(te, self._declared_struct, CParseError)
         if ct.is_struct:
             raise CParseError(
                 f"sizeof(struct {ct.name}) is not known while parsing", te.line
             )
-        return ct.sizeof()
+        return ct
 
     def _declared_struct(self, name: str, line: int) -> C.CType:
         """A struct as far as the parser knows it: by name only."""

@@ -28,9 +28,18 @@ write/publish path grown a failure model:
   ticks; if the deny rate stays inside the staging tenant's violation
   budget the generation is promoted (published everywhere, journal
   records dropped), otherwise it is **auto-rolled back**: journal undo
-  restores the tenant namespace, the canary slots are re-published with
-  the current generation, and every -O3 module with elided guards is
-  eagerly re-demoted via ``kernel.on_policy_mutated()``.
+  restores the tenant namespace and the canary slots are re-published
+  with the current generation.  Stage, promote and rollback each end in
+  the policy module's one write hook
+  (:meth:`~repro.policy.module.CaratPolicyModule.policy_written`),
+  which empties the cached guard decisions and demotes every -O3
+  module with elided guards.
+
+- **One write path.**  Every write to the master table (an ioctl, or a
+  direct ``policy.index`` edit) calls the same hook as it happens, and
+  the hook calls :meth:`PolicyControlPlane.on_master_mutated`, which
+  recomposes and republishes.  So a published slot never lags the
+  master, and the read path checks only for faults.
 
 - **Hardened publish path.**  ``_publish`` is a watchdog loop: injected
   dropped per-CPU publishes and stalled grace periods are detected
@@ -246,9 +255,7 @@ class PolicyControlPlane:
         self._tp_repair = points["cp:replica_repair"]
         #: Current (fully promoted) generation.  Generation 1 is the
         #: master table alone; publishing it sets ``_current`` (its
-        #: composed snapshot), ``_current_tenants`` (the tenant regions
-        #: composed into it) and ``_master_token`` (the master state it
-        #: was composed from).
+        #: composed snapshot).
         self.generation = 1
         self._republish(new_generation=False)
 
@@ -440,8 +447,7 @@ class PolicyControlPlane:
         the system regions, in a table of the master's own structure so
         interval-index deployments get interval-index composed checks.
         With no tenant region the composition *is* the master, so its
-        own snapshot (and copy-on-write index) is reused.  Records the
-        master token the snapshot was composed from."""
+        own snapshot (and copy-on-write index) is reused."""
         master = self.policy.index
         total = len(tenant_regions) + len(master)
         if total > self.config.max_total_regions:
@@ -450,7 +456,6 @@ class PolicyControlPlane:
                 f"composed policy would hold {total} regions "
                 f"(cap {self.config.max_total_regions})",
             )
-        self._master_token = (master, master.epoch, master.default_allow)
         if not tenant_regions:
             return master.snapshot()
         table = type(master)(
@@ -459,20 +464,6 @@ class PolicyControlPlane:
         for r in tenant_regions + tuple(master.regions()):
             table.add(r)
         return table.snapshot()
-
-    def _follow_master(self) -> None:
-        """Recompose the current (and any staged) snapshot if the master
-        moved without a publish, e.g. a direct ``policy.index`` edit.
-        Runs on the guard's read path, so it installs nothing: the
-        read path's slot repair re-installs each CPU's slot lazily."""
-        master = self.policy.index
-        if (master, master.epoch, master.default_allow) == self._master_token:
-            return
-        self._current = self._compose(self._current_tenants)
-        staged = self._staged
-        if staged is not None:
-            # A staged batch's regions are already in its namespace.
-            staged.snapshot = self._compose(self._tenant_regions())
 
     def composed_digest(self) -> str:
         """Content digest of the current generation (guard-visible
@@ -493,7 +484,6 @@ class PolicyControlPlane:
 
     def _stage(self, tenant: Tenant, owner: str) -> int:
         gen = self.generation + 1
-        self._follow_master()
         try:
             snapshot = self._compose(self._tenant_regions())
         except IoctlError:
@@ -516,9 +506,8 @@ class PolicyControlPlane:
             violations_base=self.policy.stats.violations,
             owner=owner,
         )
-        # Canary CPUs now read gen; invalidate their cached decisions.
-        self.policy.invalidate_decisions()
-        self.kernel.on_policy_mutated()
+        # Canary CPUs now read gen.
+        self.policy.policy_written()
         if self._tp_stage.enabled:
             self._tp_stage.emit(generation=gen, tenant=tenant.name,
                                 canary_cpus=len(canary),
@@ -563,15 +552,13 @@ class PolicyControlPlane:
         self._publish(staged.snapshot, staged.gen, self.kernel.smp.cpus(),
                       force_on_exhaust=True)
         self._current = staged.snapshot
-        self._current_tenants = self._tenant_regions()
         self.generation = staged.gen
         tenant = staged.tenant
         tenant.generation = staged.gen
         tenant.batches_promoted += 1
         self.kernel.journal.drop(staged.owner)
         self.promotions += 1
-        self.policy.invalidate_decisions()
-        self.kernel.on_policy_mutated()
+        self.policy.policy_written()
         if self._tp_promote.enabled:
             self._tp_promote.emit(generation=staged.gen, tenant=tenant.name,
                                   canary_reads=staged.reads,
@@ -599,8 +586,7 @@ class PolicyControlPlane:
             "policy_ops": summary["policy_ops"],
         }
         self.rollback_records.append(record)
-        self.policy.invalidate_decisions()
-        self.kernel.on_policy_mutated()
+        self.policy.policy_written()
         if self._tp_rollback.enabled:
             self._tp_rollback.emit(generation=gen, tenant=tenant.name,
                                    reason=reason,
@@ -664,13 +650,14 @@ class PolicyControlPlane:
         return False
 
     def on_master_mutated(self) -> None:
-        """Global-table ioctls change the system namespace: a staged
-        canary is preempted (auto-rolled back) and the recomposed policy
-        is published synchronously everywhere, so the legacy ioctls keep
+        """A master write changes the system namespace: a staged canary
+        is preempted (auto-rolled back) and the recomposed policy is
+        published synchronously everywhere, so the legacy ioctls keep
         their immediate-visibility semantics.  Only a composition with
         tenants takes a new generation; the master alone republishes
-        under the current one; the master's own change already emptied
-        the guard decisions that read it."""
+        under the current one.  Called only by the policy module's write
+        hook, which has already emptied the guard decisions that read
+        the master."""
         staged = self._staged
         if staged is not None:
             self._staged = None
@@ -681,13 +668,11 @@ class PolicyControlPlane:
     def _republish(self, new_generation: bool) -> None:
         """Compose from the live namespaces and publish everywhere, as
         a new generation (a promotion) or under the current one."""
-        tenant_regions = self._tenant_regions()
-        snapshot = self._compose(tenant_regions)
+        snapshot = self._compose(self._tenant_regions())
         gen = self.generation + 1 if new_generation else self.generation
         self._publish(snapshot, gen, self.kernel.smp.cpus(),
                       force_on_exhaust=True)
         self._current = snapshot
-        self._current_tenants = tenant_regions
         if new_generation:
             self.generation = gen
             self.promotions += 1
@@ -702,10 +687,7 @@ class PolicyControlPlane:
         whose stamp or payload identity disagrees with the canonical
         snapshot is a detected partial publish or torn write — repaired
         here, before any decision is served, so a torn generation is
-        never observable from the guard path.  A master edit that
-        bypassed the publish path recomposes first, so the same repair
-        serves it."""
-        self._follow_master()
+        never observable from the guard path."""
         staged = self._staged
         if staged is not None and cpu in staged.canary:
             staged.reads += 1

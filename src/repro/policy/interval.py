@@ -24,8 +24,8 @@ linear walk — byte-identical decisions *and counts* — making the
 interval index never slower than the paper's table.
 
 ``IntervalRegionTable`` subclasses :class:`RegionTable`, so the control
-plane's RCU publish path (per-CPU replicas, master staleness tokens,
-guard-decision caches) works unchanged; ``snapshot()`` hands each CPU an
+plane's RCU publish path (per-CPU replicas, guard-decision caches, the
+policy module's write hook) works unchanged; ``snapshot()`` hands each CPU an
 immutable replica carrying the prebuilt segment index.
 
 Writes cost in proportion to the change, as RCU map updates should: an
@@ -200,8 +200,10 @@ class IntervalRegionTable(RegionTable):
 
     Mutations go through the inherited table (priority order preserved,
     epoch bumped).  ``add`` and ``remove`` carry a current segment index
-    forward copy-on-write; any other change leaves it stale, and it is
-    rebuilt in full on the next check or snapshot.
+    forward copy-on-write (:meth:`_reindex`) before the table calls
+    ``on_change``, so a republish from the hook snapshots the carried
+    index; any other change leaves it stale, and it is rebuilt in full
+    on the next check or snapshot.
     """
 
     name = "interval-index"
@@ -216,19 +218,9 @@ class IntervalRegionTable(RegionTable):
         """The segment index if it matches the table, else None."""
         return self._lookup if self._lookup_epoch == self.epoch else None
 
-    def add(self, region: Region) -> int:
-        lookup = self._fresh_lookup()
-        idx = super().add(region)
-        if lookup is not None:
-            self._lookup = lookup.added(region)
-            self._lookup_epoch = self.epoch
-        return idx
-
-    def _remove_at(self, i: int) -> None:
-        lookup = self._fresh_lookup()
-        super()._remove_at(i)
-        if lookup is not None:
-            self._lookup = lookup.removed(i)
+    def _reindex(self, delta) -> None:
+        if delta is not None and self._lookup_epoch == self.epoch - 1:
+            self._lookup = delta(self._lookup)
             self._lookup_epoch = self.epoch
 
     def _current_lookup(self) -> _IntervalLookup:
@@ -240,7 +232,7 @@ class IntervalRegionTable(RegionTable):
 
     def check(self, addr: int, size: int, flags: int) -> Decision:
         return self._current_lookup().check(
-            addr, size, flags, self.default_allow
+            addr, size, flags, self._default_allow
         )
 
     def snapshot(self) -> IntervalTableReplica:

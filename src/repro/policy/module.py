@@ -246,7 +246,7 @@ class CaratPolicyModule:
         #: replaced, so a compiled guard site captures its module's list.
         self._bindings: defaultdict[str, list] = defaultdict(
             lambda: [None] * ncpus)
-        index.on_change = self.invalidate_decisions
+        index.on_change = self.policy_written
         #: One bound ``carat_guard`` native for the module's life: install
         #: and the miner's restore both export this object, so a compiled
         #: guard site recognises it by identity after a swap.
@@ -364,16 +364,29 @@ class CaratPolicyModule:
         """Empty, in place, every CPU's cached decisions for ``table``
         (for every table when ``None``): the one write-side rule of the
         decision cache, whose readers check nothing.  Every write a
-        cached decision depends on calls it before the next guard: a
-        table's region change (``RegionTable.on_change``), a
-        ``default_allow`` write (``CMD_SET_DEFAULT``), a mode change, and
-        the control plane's stage/promote/rollback/republish, which
-        change the composed policy a CPU reads without touching a table.
-        The dicts are emptied, never replaced, so bindings stay current."""
+        cached decision depends on calls it before the next guard:
+        each policy write through :meth:`policy_written`, a mode
+        change, and the control plane's new-generation republish.  The
+        dicts are emptied, never replaced, so bindings stay current."""
         for tables in self._decisions:
             for index, decisions in tables.items():
                 if table is None or index is table:
                     decisions.clear()
+
+    def policy_written(self, table: Optional[RegionTable] = None) -> None:
+        """The one policy write hook, run as each write happens.  It is
+        the ``on_change`` of the global and every per-module table (a
+        region change or a ``default_allow`` write, by ioctl or direct
+        call); bind, drop, :meth:`uninstall` and the control plane's
+        stage, promote and rollback call it too, with ``None`` when the
+        composed policy changed without a table write.  In order: empty
+        ``table``'s cached decisions (every table's for ``None``),
+        republish the replicas if ``table`` is the global one, and
+        demote every ``-O3`` module."""
+        self.invalidate_decisions(table)
+        if table is self.index:
+            self.controlplane.on_master_mutated()
+        self.kernel.on_policy_mutated()
 
     @property
     def module_indexes(self) -> MappingProxyType:
@@ -383,13 +396,16 @@ class CaratPolicyModule:
     def bind_module_table(self, module_name: str, table: RegionTable) -> None:
         """Check ``module_name``'s guards against ``table`` from now on."""
         self._module_tables[module_name] = table
-        table.on_change = self.invalidate_decisions
+        table.on_change = self.policy_written
         self._rebind(module_name)
+        self.policy_written(table)
 
     def drop_module_table(self, module_name: str) -> None:
         """Send ``module_name``'s guards back to the global index."""
-        if self._module_tables.pop(module_name, None) is not None:
+        table = self._module_tables.pop(module_name, None)
+        if table is not None:
             self._rebind(module_name)
+            self.policy_written(table)
 
     def _rebind(self, module_name: str) -> None:
         """After ``module_name``'s table changed: unbind it on every CPU,
@@ -434,6 +450,7 @@ class CaratPolicyModule:
             self.kernel.carat_policy = None
         self.kernel.dmesg(f"{MODULE_NAME}: unloaded")
         self._installed = False
+        self.policy_written()
 
     # -- the guard (hot path) -------------------------------------------------
 
@@ -583,27 +600,16 @@ class CaratPolicyModule:
                 f"{MODULE_NAME}: region {idx} added "
                 f"{Region(base, length, prot).describe()}"
             )
-            self.controlplane.on_master_mutated()
-            self.kernel.on_policy_mutated()
             return struct.pack("<I", idx)
         if cmd == CMD_DEL_REGION:
             base, length = self._unpack("<QQ", arg)
-            ok = self.index.remove(base, length)
-            if ok:
-                self.controlplane.on_master_mutated()
-                self.kernel.on_policy_mutated()
-            return struct.pack("<I", int(ok))
+            return struct.pack("<I", int(self.index.remove(base, length)))
         if cmd == CMD_CLEAR:
             self.index.clear()
-            self.controlplane.on_master_mutated()
-            self.kernel.on_policy_mutated()
             return b""
         if cmd == CMD_SET_DEFAULT:
             (flag,) = self._unpack("<I", arg)
             self.index.default_allow = bool(flag)
-            self.invalidate_decisions(self.index)
-            self.controlplane.on_master_mutated()
-            self.kernel.on_policy_mutated()
             return b""
         if cmd == CMD_GET_STATS:
             s = self.stats
@@ -665,11 +671,9 @@ class CaratPolicyModule:
                 raise IoctlError(ENOSPC, str(e)) from e
             except ValueError as e:
                 raise IoctlError(EINVAL, str(e)) from e
-            self.kernel.on_policy_mutated()
             return struct.pack("<I", idx)
         if cmd == CMD_CLEAR_FOR:
             self.drop_module_table(self._decode_name(arg))
-            self.kernel.on_policy_mutated()
             return b""
         if cmd == CMD_SET_MODE:
             (code,) = self._unpack("<I", arg)

@@ -70,22 +70,44 @@ class RegionTable:
 
     def __init__(self, default_allow: bool = False,
                  max_regions: int = MAX_REGIONS):
-        self.default_allow = default_allow
+        self._default_allow = default_allow
         self.max_regions = max_regions
         self._regions: list[Region] = []
         #: Bumped by :meth:`changed` on every region change.
         self.epoch = 0
-        #: Called with the table by :meth:`changed`; the policy module
-        #: reading the table sets it, to empty its cached guard decisions.
+        #: Called with the table after every write: a region change
+        #: (:meth:`changed`) or a ``default_allow`` write.  The policy
+        #: module reading the table sets it to its one write hook.
         self.on_change = None
 
-    def changed(self) -> None:
-        """Announce a region change: bump ``epoch`` and call ``on_change``.
-        The mutators call it, and so must code that edits ``_regions``
-        directly (the control plane's namespace ops and their undos)."""
-        self.epoch += 1
+    @property
+    def default_allow(self) -> bool:
+        """The decision for an access no region covers."""
+        return self._default_allow
+
+    @default_allow.setter
+    def default_allow(self, allow: bool) -> None:
+        # No region moved, so ``epoch`` (which certificates record)
+        # stays; the write is still announced.
+        self._default_allow = allow
         if self.on_change is not None:
             self.on_change(self)
+
+    def changed(self, delta=None) -> None:
+        """Announce a region change: bump ``epoch``, bring any index
+        up to date (:meth:`_reindex`), then call ``on_change`` once,
+        with the table fully updated.  The mutators call it, and so
+        must code that edits ``_regions`` directly (the control plane's
+        namespace ops and their undos).  ``delta`` derives a current
+        index from the previous one (an add or a remove); None leaves
+        the index to be rebuilt."""
+        self.epoch += 1
+        self._reindex(delta)
+        if self.on_change is not None:
+            self.on_change(self)
+
+    def _reindex(self, delta) -> None:
+        """Carry an index forward by ``delta``; the linear table has none."""
 
     # -- mutation ----------------------------------------------------------
 
@@ -96,7 +118,7 @@ class RegionTable:
                 f"policy table is limited to {self.max_regions} regions"
             )
         self._regions.append(region)
-        self.changed()
+        self.changed(lambda index: index.added(region))
         return len(self._regions) - 1
 
     def remove(self, base: int, length: int) -> bool:
@@ -109,7 +131,7 @@ class RegionTable:
 
     def _remove_at(self, i: int) -> None:
         del self._regions[i]
-        self.changed()
+        self.changed(lambda index: index.removed(i))
 
     def clear(self) -> None:
         self._regions.clear()
@@ -123,7 +145,7 @@ class RegionTable:
         for i, r in enumerate(regions):
             if r.base <= addr and addr + size <= r.base + r.length:
                 return (r.prot & flags) == flags, i + 1
-        return self.default_allow, len(regions)
+        return self._default_allow, len(regions)
 
     def check_range(self, lo: int, hi: int, size: int, flags: int) -> bool:
         """Static range query for the load-time verifier: would ``check``

@@ -61,7 +61,7 @@ class VerificationCertificate:
     #: Content digest + epoch of the policy table verdicts were computed
     #: against.  The digest detects a *different* table; the epoch
     #: additionally detects same-content tables republished after
-    #: intervening mutations (cheap staleness token for demotion).
+    #: intervening mutations (insmod refuses either).
     policy_digest: str
     policy_epoch: int
     #: Digest of the trusted contract set the analysis consumed.

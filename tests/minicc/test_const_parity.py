@@ -10,6 +10,7 @@ refused with the same message.
 import pytest
 
 from repro.core.pipeline import CompileOptions, compile_module
+from repro.ir.types import I64
 from repro.kernel import Kernel
 from repro.minicc import CompileError, CParseError, compile_source
 
@@ -36,6 +37,10 @@ ACCEPTED = [
     ("1 == 1", 1),
     ("(2 < 3) + (1 && 0) + (0 || 5)", 2),
     ("-1 < 0u ? 5 : 6", 6),
+    ("(long)1", 1),
+    ("(unsigned char)258", 2),
+    ("(int)3.7 + (short)65537", 4),
+    ("(unsigned)-1 > 0", 1),
 ]
 
 REFUSED = [
@@ -47,6 +52,8 @@ REFUSED = [
     ("1 << 64", "shift count out of range"),
     ("1 >> -1", "shift count out of range"),
     ("sizeof(struct Nope *)", "unknown struct 'Nope'"),
+    ("(char *)0 + 1", "cast to char\\* is not an arithmetic constant"),
+    ("(int)(1e308 * 10)", "inf has no value in int"),
 ]
 
 #: Every site sees one declared struct, ``S``, on the same line.
@@ -110,3 +117,27 @@ def test_struct_size_is_known_to_codegen_only(site):
     with pytest.raises(CParseError,
                        match=r"sizeof\(struct S\) is not known while parsing"):
         site("sizeof(struct S)")
+
+
+#: Global initializers that convert, with gcc 12.2's values
+#: (``-std=c11 -pedantic``, no warning): a cast wraps or truncates
+#: toward zero, and an integer global takes an arithmetic initializer
+#: as by assignment.
+GCC_GLOBALS = [
+    ("long g = (long)1;", 1),
+    ("long g = (unsigned char)300;", 44),
+    ("long g = (int)-3.7;", -3),
+    ("long g = 3.9f * 2;", 7),
+    ("long g = (float)16777217;", 16777216),
+    ("unsigned char g = 44.9;", 44),
+]
+
+
+@pytest.mark.parametrize("engine", ["interp", "compiled"])
+@pytest.mark.parametrize("decl, value", GCC_GLOBALS)
+def test_global_initializer_converts_like_gcc(decl, value, engine):
+    kernel = Kernel(engine=engine)
+    loaded = kernel.insmod(compile_module(
+        f"{decl} __export long f(void) {{ return g; }}",
+        CompileOptions(module_name="init", protect=False)))
+    assert I64.to_signed(kernel.run_function(loaded, "f", [])) == value

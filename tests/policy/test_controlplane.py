@@ -393,9 +393,9 @@ class TestReplicaRepair:
 
 
 class TestDirectMasterEdit:
-    """A master edit that bypasses the ioctl publish (a direct
-    ``policy.index`` mutation) must never leave a CPU deciding from the
-    composition it replaced."""
+    """A master edit that bypasses the ioctl (a direct ``policy.index``
+    mutation) must never leave a CPU deciding from the composition it
+    replaced: the table's write hook republishes as the edit happens."""
 
     @pytest.mark.parametrize("ncpus", [1, 2, 4])
     def test_every_cpu_decides_from_a_fresh_composition(self, ncpus):
@@ -412,6 +412,9 @@ class TestDirectMasterEdit:
         fresh = RegionTable(default_allow=policy.index.default_allow)
         for r in cp.tenant("a").table.regions() + policy.index.regions():
             fresh.add(r)
+        # Published at the write, before any guard reads a slot.
+        for cpu in kernel.smp.cpus():
+            assert cp._slots[cpu][1].regions() == fresh.regions()
         repairs = cp.replica_repairs
         for cpu in kernel.smp.cpus():
             with kernel.smp.on(cpu):
@@ -421,18 +424,25 @@ class TestDirectMasterEdit:
                     allowed = policy.stats.denied == denied
                     assert (allowed, scanned) == fresh.check(
                         addr, 8, abi.FLAG_READ), (cpu, hex(addr))
-        assert cp.replica_repairs == repairs + ncpus
+        assert cp.replica_repairs == repairs  # no slot lagged the write
 
-    def test_staged_canary_keeps_its_priority(self):
+    def test_direct_edit_preempts_a_staged_canary(self):
+        """A direct system write takes the ioctl's path: the staged
+        canary is rolled back and every CPU reads the new system
+        policy."""
         _, policy, _, cp = _plane(ncpus=2, canary_tick_limit=100,
                                   canary_window=100)
-        cp.create_tenant("a")
+        t = cp.create_tenant("a")
         cp.submit_batch("a", [(OP_ADD, 0x1000, 0x1000, 0)])  # staged deny
-        policy.index.add(Region(0x1000, 0x2000, RW))  # direct system allow
         check = lambda cpu, addr: policy._replica_check(
             policy.index, cpu, addr, 8, abi.FLAG_READ)[0]
         assert not check(0, 0x1000)  # canary: the staged tenant deny wins
-        assert check(1, 0x1000)      # the rest: current generation only
+        policy.index.add(Region(0x1000, 0x2000, RW))  # direct system allow
+        assert cp.status()["staged_generation"] == 0
+        assert (cp.rollback_records[-1]["reason"]
+                == "preempted by system policy mutation")
+        assert _layout(t) == []
+        assert check(0, 0x1000) and check(1, 0x1000)
         assert check(0, 0x2000) and check(1, 0x2000)
 
 

@@ -114,13 +114,12 @@ class TestReplicaNeverDiverges:
     @given(ops=_ops, ncpus=st.sampled_from((1, 2, 4)))
     def test_randomized_ops(self, ops, ncpus):
         """Drive mutations through the ioctl write path (RCU publish),
-        or straight into the master table with no publish ("direct"),
+        or straight into the master table with no ioctl ("direct"),
         and checks through ``carat_guard`` on rotating CPUs; the guard's
         answer must always equal a direct master check."""
         kernel, policy, manager = _audit_policy(ncpus)
         master = policy.index
         cpu = 0
-        directs = 0
         for op in ops:
             kind = op[0]
             if kind == "add":
@@ -137,7 +136,6 @@ class TestReplicaNeverDiverges:
             elif kind == "direct":
                 _, slot, length, prot = op
                 master.add(Region(*_slot_region(slot, length, prot)))
-                directs += 1
             else:
                 _, off, size, flags = op
                 addr = _BASE + off
@@ -151,9 +149,9 @@ class TestReplicaNeverDiverges:
                 # alike; the decision itself shows up in the counters.
                 assert (policy.stats.denied == denied) == expect_allowed
                 cpu = (cpu + 1) % ncpus
-        # Every ioctl mutation re-published, so the only lazy rebuilds
-        # are each CPU's slot after a direct edit.
-        assert policy.controlplane.replica_repairs <= ncpus * directs
+        # Every write, direct edits included, republished as it
+        # happened, so no slot ever needed a repair on the read path.
+        assert policy.controlplane.replica_repairs == 0
         if ncpus > 1:
             merged = policy.stats.as_dict()
             per_cpu = policy.stats_per_cpu()
@@ -161,24 +159,28 @@ class TestReplicaNeverDiverges:
                 assert merged[key] == sum(row[key] for row in per_cpu)
 
     @pytest.mark.parametrize("ncpus", [1, 2, 4])
-    def test_direct_master_mutation_rebuilds_lazily(self, ncpus):
+    def test_direct_edit_republishes_at_write(self, ncpus):
         """A mutation that bypasses the ioctl path (tests poking the
-        index directly) must be caught by the staleness token and
-        rebuilt CPU-locally — never answered from the stale replica."""
+        index directly) runs the table's write hook, which republishes
+        every CPU's replica before the next guard — never answered from
+        the stale replica, and with nothing left to repair."""
         kernel, policy, _ = _audit_policy(ncpus)
         base, length, prot = _slot_region(3)
         # Warm every CPU's replica on an empty table.
         for cpu in range(ncpus):
             with kernel.smp.on(cpu):
                 policy._guard(None, base, 8, abi.FLAG_READ, "t")
-        policy.index.add(Region(base, length, prot))  # no publish
         cp = policy.controlplane
-        repairs_before = cp.replica_repairs
+        publishes = cp.publishes
+        policy.index.add(Region(base, length, prot))  # no ioctl
+        assert cp.publishes == publishes + 1
+        for cpu in range(ncpus):
+            assert cp._slots[cpu][1].regions() == policy.index.regions()
         for cpu in range(ncpus):
             with kernel.smp.on(cpu):
                 scanned = policy._guard(None, base, 8, abi.FLAG_READ, "t")
             assert scanned == policy.index.check(base, 8, abi.FLAG_READ)[1]
-        assert cp.replica_repairs == repairs_before + ncpus
+        assert cp.replica_repairs == 0
 
     @pytest.mark.parametrize("ncpus", [1, 4])
     def test_publish_waits_a_grace_period(self, ncpus):
@@ -352,14 +354,17 @@ class TestVerifyEpochDemotion:
         assert policy.stats.checks > checks_elided
         assert policy.stats.denied > 0, "deny stayed hidden after demotion"
 
-    def test_run_function_catches_direct_index_mutation(self):
-        """A mutation that bypasses the ioctl path entirely is still
-        caught by the staleness token before any elided site runs."""
+    def test_direct_edit_demotes_at_write(self):
+        """A mutation that bypasses the ioctl path entirely demotes as
+        it happens, before the module is entered again."""
         kernel, policy, manager, loaded = self._loaded_o3()
-        policy.index.clear()  # no publish, no on_policy_mutated()
-        kernel.run_function(loaded, "run", [3])
+        demotions = kernel.verify_demotions
+        policy.index.clear()  # no ioctl
         assert not loaded.elided_guards
         assert loaded.verify_state.startswith("demoted")
+        assert kernel.verify_demotions == demotions + 1
+        kernel.run_function(loaded, "run", [3])
+        assert kernel.verify_demotions == demotions + 1
 
 
 class TestVerifyPolicyUnderMutationStorm:
@@ -373,7 +378,7 @@ class TestVerifyPolicyUnderMutationStorm:
       demotion of an already-dynamic module;
     - a module **never executes** with stale elided guards: by the time
       ``run_function`` dispatches, any mutation has already cleared the
-      elision set (eager hook) or the staleness token catches it first.
+      elision set (the policy write hook runs inside the write).
     """
 
     SOURCE = """
@@ -437,12 +442,11 @@ class TestVerifyPolicyUnderMutationStorm:
         mutators = self._mutators(manager)
         for round_no in range(12):
             mutators[round_no % len(mutators)]()
-            # The eager hook must already have cleared every elision set:
-            # an elided module whose token went stale at this point would
-            # be a stale-guard execution window.
+            # The write hook must already have cleared every elision
+            # set: an elided module at this point would run against a
+            # policy its certificate never saw.
             for i, m in enumerate(loaded):
-                assert not (m.elided_guards
-                            and kernel._verify_token_stale(m))
+                assert not m.elided_guards
                 assert kernel.run_function(m, f"run{i}", [round_no]) \
                     == round_no + 1
         # Exactly one generation-bump demotion per elided module, no
