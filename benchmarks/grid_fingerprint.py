@@ -5,8 +5,10 @@
 Compares the FIELDs of every ``grid`` cell in
 ``benchmarks/results/<file>`` with the copy committed at ``HEAD`` (read
 with ``git show``), and exits non-zero naming each cell and field that
-moved.  The grid benchmarks count guards and simulated cycles, which
-are deterministic, so any difference is a change in behaviour.
+moved.  A file without a ``grid`` is compared as one cell, and a FIELD
+may be a dotted path (``cooperative.digest``).  The grid benchmarks
+count guards and simulated cycles, which are deterministic, so any
+difference is a change in behaviour.
 """
 
 from __future__ import annotations
@@ -14,18 +16,27 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 RESULTS = Path(__file__).parent / "results"
 
 
+def _cells(doc: dict) -> dict:
+    return doc["grid"] if "grid" in doc else {"(file)": doc}
+
+
+def _field(cell: dict, path: str):
+    return reduce(lambda node, key: node[key], path.split("."), cell)
+
+
 def main(argv: list[str]) -> int:
     name, fields = argv[0], argv[1:]
-    committed = json.loads(subprocess.run(
+    committed = _cells(json.loads(subprocess.run(
         ["git", "show", f"HEAD:benchmarks/results/{name}"],
         check=True, capture_output=True, text=True,
-    ).stdout)["grid"]
-    grid = json.loads((RESULTS / name).read_text())["grid"]
+    ).stdout))
+    grid = _cells(json.loads((RESULTS / name).read_text()))
     moved = []
     if grid.keys() != committed.keys():
         moved.append(f"cells {sorted(committed)} -> {sorted(grid)}")
@@ -33,7 +44,8 @@ def main(argv: list[str]) -> int:
         if cell not in committed:
             continue  # named above
         for field in fields:
-            old, new = committed[cell][field], grid[cell][field]
+            old = _field(committed[cell], field)
+            new = _field(grid[cell], field)
             if old != new:
                 moved.append(f"{cell} {field}: {old} -> {new}")
     for line in moved:

@@ -2,19 +2,19 @@
 
 The policy manager changes the region table at runtime over ioctl.  On
 an interval-index table each ``CMD_ADD_REGION`` / ``CMD_DEL_REGION``
-publishes a fresh RCU replica, and the replica carries the segment
-index.  The index is updated copy-on-write from the current one, so a
-write costs in proportion to the segments the region spans.  Before
-that, every publish rebuilt the whole index (sort every endpoint,
-re-bisect every region).
+builds the table's next version, and the control plane publishes it
+per-CPU under RCU with its segment index.  The next index is derived
+copy-on-write from the current one, so a write costs in proportion to
+the segments the region spans.  Before that, every publish rebuilt the
+whole index (sort every endpoint, re-bisect every region).
 
 This benchmark times one add + remove ioctl pair on a live policy
 module at 16 and 64 regions both ways, in the same process:
 
 * **delta** — the shipped path;
-* **rebuild** — the same ioctls with the index marked stale just
-  before each one, so the publish takes the full build (exactly the
-  per-mutation work of the rebuild-on-publish design).
+* **rebuild** — the same ioctls on a table whose versions derive the
+  next version by a full build (exactly the per-mutation work of the
+  rebuild-on-publish design).
 
 Rounds alternate the two paths; each round times ``PAIRS`` pairs and
 reports the mean pair; the report gives the median and quartiles over
@@ -38,7 +38,8 @@ from repro.policy import (
     IntervalRegionTable,
     PolicyManager,
 )
-from repro.policy.interval import _IntervalLookup
+from repro.policy.interval import IntervalVersion
+from repro.policy.table import TableVersion
 
 SIZES = (16, 64)
 ROUNDS = 15
@@ -53,13 +54,23 @@ TOGGLE_BASE = 0x3_0000_0000
 MIN_SPEEDUP_64 = 2.0
 
 
-def _live_policy(regions: int):
+class _RebuildVersion(IntervalVersion):
+    """An interval version whose every write builds the whole index."""
+
+    __slots__ = ()
+    added = TableVersion.added
+    removed = TableVersion.removed
+
+
+class _RebuildTable(IntervalRegionTable):
+    version_type = _RebuildVersion
+
+
+def _live_policy(regions: int, table=IntervalRegionTable):
     """A policy module holding ``regions - 1`` standing regions, so the
     table holds ``regions`` while the toggled one is in."""
     kernel = Kernel()
-    policy = CaratPolicyModule(
-        kernel, index=IntervalRegionTable(), mode="audit"
-    ).install()
+    policy = CaratPolicyModule(kernel, index=table(), mode="audit").install()
     manager = PolicyManager(kernel)
     for i in range(regions - 1):
         manager.add_region(BASE + 2 * i * PAGE, PAGE,
@@ -67,25 +78,20 @@ def _live_policy(regions: int):
     return policy, manager
 
 
-def _pairs_seconds(policy, manager, pairs: int, rebuild: bool) -> float:
-    index = policy.index
+def _pairs_seconds(manager, pairs: int) -> float:
     add, remove = manager.add_region, manager.remove_region
     rw = abi.FLAG_READ | abi.FLAG_WRITE
     t0 = time.perf_counter()
     for i in range(pairs):
         base = TOGGLE_BASE + (i % 8) * PAGE
-        if rebuild:
-            index._lookup_epoch = -1
         add(base, PAGE, rw)
-        if rebuild:
-            index._lookup_epoch = -1
         remove(base, PAGE)
     return time.perf_counter() - t0
 
 
-def _fields(lookup):
-    return (lookup._regions, lookup._linear, lookup._points,
-            lookup._candidates)
+def _fields(version):
+    return (version.regions(), version.default_allow, version.epoch,
+            version._linear, version._points, version._candidates)
 
 
 def _quartiles(samples):
@@ -111,11 +117,10 @@ def test_policy_write_latency(results_dir):
         for regions in SIZES:
             systems = {
                 "delta": _live_policy(regions),
-                "rebuild": _live_policy(regions),
+                "rebuild": _live_policy(regions, _RebuildTable),
             }
-            for name, (policy, manager) in systems.items():
-                _pairs_seconds(policy, manager, WARMUP_PAIRS,
-                               name == "rebuild")
+            for policy, manager in systems.values():
+                _pairs_seconds(manager, WARMUP_PAIRS)
             samples = {"delta": [], "rebuild": []}
             publishes = {
                 name: policy.replica_publishes
@@ -125,19 +130,19 @@ def test_policy_write_latency(results_dir):
                 order = ("delta", "rebuild") if rnd % 2 == 0 else (
                     "rebuild", "delta")
                 for name in order:
-                    policy, manager = systems[name]
-                    elapsed = _pairs_seconds(
-                        policy, manager, PAIRS, name == "rebuild")
+                    elapsed = _pairs_seconds(systems[name][1], PAIRS)
                     samples[name].append(elapsed / PAIRS * 1e6)
             # Same regions, same index: the delta is a faster way to the
             # exact structure a full build produces.
-            lookups = {
-                name: policy.index._current_lookup()
+            versions = {
+                name: policy.index.version
                 for name, (policy, _) in systems.items()
             }
-            fresh = _IntervalLookup(tuple(systems["delta"][0].index.regions()))
-            assert _fields(lookups["delta"]) == _fields(fresh)
-            assert _fields(lookups["rebuild"]) == _fields(fresh)
+            delta = versions["delta"]
+            fresh = IntervalVersion(tuple(delta.regions()),
+                                    delta.default_allow, delta.epoch)
+            assert _fields(versions["delta"]) == _fields(fresh)
+            assert _fields(versions["rebuild"]) == _fields(fresh)
             mutations = 2 * ROUNDS * PAIRS
             for name, (policy, _) in systems.items():
                 assert (policy.replica_publishes - publishes[name]

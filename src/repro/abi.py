@@ -58,6 +58,19 @@ def is_guard_call(inst) -> bool:
     )
 
 
+def guard_sites(fn):
+    """``fn``'s guard call sites in site-ordinal order: blocks in order,
+    each up to its terminator.  The tracer's site ids, the verifier's
+    verdict bits and the elision map all index this walk, as the
+    compiled translator's ordinals count it."""
+    for block in fn.blocks:
+        for inst in block.instructions:
+            if inst.is_terminator:
+                break
+            if is_guard_call(inst):
+                yield inst
+
+
 def to_signed64(value: int) -> int:
     """Reinterpret an unsigned 64-bit pattern as signed two's complement.
 

@@ -33,6 +33,9 @@ from typing import Callable, Optional
 from .types import FloatType, IntType, IRType
 
 _F32 = struct.Struct("<f")
+#: A float's bits by width: (float layout, unsigned integer layout).
+_BITS = {32: (_F32, struct.Struct("<I")),
+         64: (struct.Struct("<d"), struct.Struct("<Q"))}
 _INF = math.inf
 
 
@@ -211,7 +214,10 @@ FLOAT_CONVERSIONS = frozenset(("sitofp", "fptosi", "fptrunc"))
 
 def cast_src(op: str, src: IRType, dst: IRType, v: str) -> Optional[str]:
     """The expression converting ``v`` from ``src`` to ``dst``, or None
-    for a float conversion (:data:`FLOAT_CONVERSIONS`)."""
+    for a float conversion (:data:`FLOAT_CONVERSIONS`, or a bitcast
+    between a float and its bits)."""
+    if op == "bitcast" and FloatType in (type(src), type(dst)):
+        return None
     if op in ("bitcast", "inttoptr", "ptrtoint", "zext", "fpext"):
         return v
     if op == "trunc":
@@ -314,6 +320,13 @@ def cast(op: str, src: IRType, dst: IRType):
         return lambda v: float(ts(v))
     if op == "fptosi":
         return lambda v: fptosi(v, dst)
+    if op == "bitcast":
+        if isinstance(src, FloatType):  # the float's bits
+            f, i = _BITS[src.bits]
+            return lambda v: i.unpack(f.pack(v))[0]
+        f, i = _BITS[dst.bits]  # the float with these bits
+        m = src.max_unsigned
+        return lambda v: f.unpack(i.pack(v & m))[0]
     return round_f32  # fptrunc
 
 

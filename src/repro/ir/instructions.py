@@ -312,7 +312,10 @@ def _check_cast(op: str, src: IRType, dst: IRType) -> None:
         need(isinstance(src, IntType) and isinstance(dst, IntType), "int->int")
         need(src.bits < dst.bits, "must widen")  # type: ignore[union-attr]
     elif op == "bitcast":
-        need(isinstance(src, PointerType) and isinstance(dst, PointerType), "ptr->ptr")
+        need(isinstance(src, PointerType) and isinstance(dst, PointerType)
+             or {type(src), type(dst)} == {IntType, FloatType}
+             and src.bits == dst.bits,  # type: ignore[union-attr]
+             "ptr->ptr, or int<->float of one width")
     elif op == "ptrtoint":
         need(isinstance(src, PointerType) and isinstance(dst, IntType), "ptr->int")
     elif op == "inttoptr":

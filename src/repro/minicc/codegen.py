@@ -806,9 +806,12 @@ class CodeGenerator:
                 zero = ConstantInt(IntType(pct.bits), 0)
                 return self.b.sub(zero, value), pct
             if ct.is_float:
-                # -0.0 - x, so that -(+0.0) is -0.0 as in C.
-                zero = ConstantFloat(FloatType(ct.bits), -0.0)
-                return self.b.binop("fsub", zero, value), ct
+                # C's negation flips the sign bit, of -0.0 and NaN too.
+                bits_t = IntType(ct.bits)
+                bits = self.b.cast("bitcast", value, bits_t)
+                sign = ConstantInt(bits_t, 1 << (ct.bits - 1))
+                flipped = self.b.xor(bits, sign)
+                return self.b.cast("bitcast", flipped, FloatType(ct.bits)), ct
             raise CompileError(f"cannot negate {ct}", expr.line)
         if op == "~":
             if not ct.is_int:

@@ -77,7 +77,7 @@ from ..ir.instructions import (
     Store,
 )
 from ..ir.module import Function, Module
-from ..ir.types import IntType, PointerType, StructType
+from ..ir.types import FloatType, IntType, PointerType, StructType
 from ..ir.values import (
     Argument,
     ConstantInt,
@@ -528,17 +528,11 @@ class ModuleVerifier:
         proven = dynamic = 0
         for fn in defined:
             frame = _Frame(fn, tuple(self.arg_summary[fn.name]))
-            bits = []
-            for block in fn.blocks:
-                for inst in block.instructions:
-                    if inst.is_terminator:
-                        break
-                    if abi.is_guard_call(inst):
-                        ok = 1 if self._prove(inst, frame) else 0
-                        bits.append(ok)
-                        proven += ok
-                        dynamic += 1 - ok
-            verdicts.append((fn.name, tuple(bits)))
+            bits = tuple(1 if self._prove(inst, frame) else 0
+                         for inst in abi.guard_sites(fn))
+            proven += sum(bits)
+            dynamic += len(bits) - sum(bits)
+            verdicts.append((fn.name, bits))
         return VerificationReport(
             verdicts=tuple(verdicts),
             guards_proven=proven,
@@ -857,6 +851,9 @@ class ModuleVerifier:
     def _compute_cast(self, value: Cast, frame: _Frame) -> tuple:
         inner = self._eval(value.value, frame)
         op = value.op
+        if isinstance(value.type, FloatType) or isinstance(
+                value.value.type, FloatType):
+            return av_top_for(value)  # a float, or a float's bits
         if op in ("bitcast", "ptrtoint", "inttoptr", "zext"):
             return inner
         if op == "sext":
@@ -1008,15 +1005,8 @@ def elidable_guard_ids(module: Module,
     out: set[int] = set()
     for fn in module.defined_functions():
         bits = verdicts.get(fn.name, ())
-        ordinal = 0
-        for block in fn.blocks:
-            for inst in block.instructions:
-                if inst.is_terminator:
-                    break
-                if abi.is_guard_call(inst):
-                    if ordinal < len(bits) and bits[ordinal]:
-                        out.add(id(inst))
-                    ordinal += 1
+        out.update(id(inst) for inst, ok in zip(abi.guard_sites(fn), bits)
+                   if ok)
     return out
 
 

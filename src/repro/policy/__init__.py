@@ -20,9 +20,9 @@ from .module import (
     CaratPolicyModule,
     PolicyStats,
 )
-from .interval import IntervalRegionTable, IntervalTableReplica
+from .interval import IntervalRegionTable, IntervalVersion
 from .region import Decision, Region
-from .table import MAX_REGIONS, PolicyTableFull, RegionTable, RegionTableReplica
+from .table import MAX_REGIONS, PolicyTableFull, RegionTable, TableVersion
 
 __all__ = [
     "AccessRecord",
@@ -33,7 +33,7 @@ __all__ = [
     "ControlPlaneError",
     "Decision",
     "IntervalRegionTable",
-    "IntervalTableReplica",
+    "IntervalVersion",
     "MAX_REGIONS",
     "MODES",
     "MODE_AUDIT",
@@ -50,5 +50,5 @@ __all__ = [
     "Tenant",
     "TenantQuota",
     "RegionTable",
-    "RegionTableReplica",
+    "TableVersion",
 ]

@@ -10,19 +10,22 @@ write/publish path grown a failure model:
   window).  The *effective* policy the guard sees is the composition of
   every tenant's regions (tenant-creation order, first-match priority)
   followed by the system regions in the master table, under the master's
-  default.
+  default: one immutable policy version of the master's type (with no
+  tenant region, the master's own version).
 
 - **Transactional batches.**  A batch of adds/deletes applies
   all-or-nothing by generalizing the PR 3 kernel transaction journal to
-  policy state: every applied op records a ``policy`` journal entry
-  carrying its exact structural inverse, and any mid-batch failure
+  policy state: every applied op is one table write (``add``, or
+  ``pop`` of the matched position for a delete) and records a
+  ``policy`` journal entry carrying its exact structural inverse
+  (``pop`` or ``insert`` at that position), and any mid-batch failure
   (quota, overlap, injected torn-batch fault) rolls the journal back
   through the same path module ejection uses.  The master table and the
   published replicas are never touched mid-batch, so a torn batch is
   unobservable from the guard path by construction.
 
 - **Generation-versioned staged rollout.**  A successful batch composes
-  a new snapshot, stamps it with generation ``G = current + 1``, and
+  a new policy version, stamps it with generation ``G = current + 1``, and
   publishes it to a *canary* subset of the per-CPU replica slots only.
   The canary window advances on canary replica reads and on explicit
   ticks; if the deny rate stays inside the staging tenant's violation
@@ -58,8 +61,7 @@ composed policy — the property the acceptance grid asserts.
 
 from __future__ import annotations
 
-import hashlib
-import struct
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from ..kernel.chardev import (
@@ -104,7 +106,7 @@ class Tenant:
     """One policy namespace: a private region table plus usage counters.
 
     The namespace table is bookkeeping only — the guard never reads it;
-    its regions reach the guard via composed generation snapshots.  Its
+    its regions reach the guard via composed generation versions.  Its
     capacity *is* the region-count quota (``PolicyTableFull`` on add
     maps to ``-EDQUOT``)."""
 
@@ -396,22 +398,17 @@ class PolicyControlPlane:
                     undo=self._undo_add(table, idx, region),
                 )
             elif kind == OP_DEL:
-                idx = next(
-                    (i for i, r in enumerate(table._regions)
-                     if r.base == base and r.length == length), None,
-                )
+                idx = table.index_of(base, length)
                 if idx is None:
                     raise ControlPlaneError(
                         ENOENT,
                         f"op {seq}: no region [{base:#x}, +{length:#x}) "
                         f"in tenant {tenant.name!r}",
                     )
-                region = table._regions[idx]
-                del table._regions[idx]
-                table.changed()
+                region = table.pop(idx)
                 journal.record(
                     owner, "policy", (tenant.name, seq), op="del",
-                    undo=self._undo_del(table, idx, region),
+                    undo=partial(table.insert, idx, region),
                 )
             else:
                 raise ControlPlaneError(EINVAL, f"op {seq}: unknown kind {kind}")
@@ -423,16 +420,9 @@ class PolicyControlPlane:
         (not by (base, length) match) restores the precise table order —
         order is first-match priority, so it is part of policy state."""
         def undo() -> None:
-            if idx < len(table._regions) and table._regions[idx] is region:
-                del table._regions[idx]
-                table.changed()
-        return undo
-
-    @staticmethod
-    def _undo_del(table: RegionTable, idx: int, region: Region):
-        def undo() -> None:
-            table._regions.insert(idx, region)
-            table.changed()
+            regions = table.regions()
+            if idx < len(regions) and regions[idx] is region:
+                table.pop(idx)
         return undo
 
     # -- composition ----------------------------------------------------------
@@ -440,15 +430,15 @@ class PolicyControlPlane:
     def _tenant_regions(self) -> tuple:
         """Every tenant's regions, in tenant-creation order."""
         return tuple(r for tenant in self.tenants.values()
-                     for r in tenant.table._regions)
+                     for r in tenant.table.regions())
 
     def _compose(self, tenant_regions: tuple):
-        """Build an effective policy snapshot: ``tenant_regions`` then
-        the system regions, in a table of the master's own structure so
-        interval-index deployments get interval-index composed checks.
-        With no tenant region the composition *is* the master, so its
-        own snapshot (and copy-on-write index) is reused."""
-        master = self.policy.index
+        """The effective policy version: ``tenant_regions`` then the
+        system regions, under the master's default and in a version of
+        the master's own type, so interval-index deployments get
+        interval-index composed checks.  With no tenant region the
+        composition *is* the master, so its own version is returned."""
+        master = self.policy.index.version
         total = len(tenant_regions) + len(master)
         if total > self.config.max_total_regions:
             raise ControlPlaneError(
@@ -457,24 +447,14 @@ class PolicyControlPlane:
                 f"(cap {self.config.max_total_regions})",
             )
         if not tenant_regions:
-            return master.snapshot()
-        table = type(master)(
-            default_allow=master.default_allow, max_regions=total,
-        )
-        for r in tenant_regions + tuple(master.regions()):
-            table.add(r)
-        return table.snapshot()
+            return master
+        return type(master)(tenant_regions + tuple(master.regions()),
+                            master.default_allow, master.epoch)
 
     def composed_digest(self) -> str:
         """Content digest of the current generation (guard-visible
         policy), structure-independent like ``RegionTable.digest``."""
-        snap = self._current
-        h = hashlib.sha256()
-        h.update(f"gen={self.generation};".encode())
-        for r in snap.regions():
-            h.update(f"{r.base:x}|{r.length:x}|{r.prot:x};".encode())
-        h.update(f"default={int(snap.default_allow)}".encode())
-        return h.hexdigest()
+        return self._current.digest(f"gen={self.generation};")
 
     # -- staged rollout -------------------------------------------------------
 

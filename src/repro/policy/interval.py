@@ -13,7 +13,7 @@ of it.  Each segment stores its candidate regions *in table (priority)
 order*.  A query binary-searches for the segment containing ``addr``
 and takes the first candidate whose end covers ``addr + size`` — which
 is provably the first region in table order covering the access, i.e.
-decision-identical to :meth:`repro.policy.table.RegionTable.check` even
+decision-identical to :meth:`repro.policy.table.TableVersion.check` even
 for arbitrarily overlapped regions.
 
 Cost: O(log n) bisection + O(overlap depth) candidate probes instead of
@@ -23,20 +23,20 @@ linear scan is already optimal, so the index falls back to the exact
 linear walk — byte-identical decisions *and counts* — making the
 interval index never slower than the paper's table.
 
-``IntervalRegionTable`` subclasses :class:`RegionTable`, so the control
-plane's RCU publish path (per-CPU replicas, guard-decision caches, the
-policy module's write hook) works unchanged; ``snapshot()`` hands each CPU an
-immutable replica carrying the prebuilt segment index.
+An :class:`IntervalVersion` is a :class:`~repro.policy.table.TableVersion`
+that carries its segment index, built once with the version; an
+:class:`IntervalRegionTable` is a region table whose versions are
+interval versions, so the control plane publishes the index with them.
 
 Writes cost in proportion to the change, as RCU map updates should: an
-``add`` or ``remove`` on a table whose index is current derives the new
-index from the old one copy-on-write (:meth:`_IntervalLookup.added` /
-:meth:`_IntervalLookup.removed`), touching only the segments the region
-spans and never mutating a published index.  The result is structurally
-identical to a full build over the new region tuple.  A stale index
-(direct ``_regions`` edits plus ``changed()``, a freshly composed table,
-``clear()``) is rebuilt in full on its next use, as is a change that
-crosses :data:`LINEAR_CUTOFF`.
+``add`` or a positional remove derives the next version's index from the
+current one copy-on-write (:meth:`IntervalVersion.added` /
+:meth:`IntervalVersion.removed`), touching only the segments the region
+spans and never mutating a published version; a default write shares
+the index whole.  The result is structurally identical to a full build
+over the new region tuple.  ``clear``, ``insert`` and a composed policy
+build the next version in full, as does a change that crosses
+:data:`LINEAR_CUTOFF`.
 """
 
 from __future__ import annotations
@@ -44,20 +44,20 @@ from __future__ import annotations
 import bisect
 
 from .region import Decision, Region
-from .table import MAX_REGIONS, RegionTable, RegionTableReplica
+from .table import RegionTable, TableVersion
 
 #: At or below this many regions the linear walk beats the bisection,
 #: so the index degrades to the exact paper-table scan (same counts).
 LINEAR_CUTOFF = 8
 
 
-class _IntervalLookup:
-    """Immutable elementary-segment index over a fixed region tuple."""
+class IntervalVersion(TableVersion):
+    """An immutable policy version with its elementary-segment index."""
 
-    __slots__ = ("_regions", "_points", "_candidates", "_linear")
+    __slots__ = ("_points", "_candidates", "_linear")
 
-    def __init__(self, regions: tuple[Region, ...]):
-        self._regions = regions
+    def __init__(self, regions: tuple, default_allow: bool, epoch: int):
+        super().__init__(regions, default_allow, epoch)
         if len(regions) <= LINEAR_CUTOFF:
             self._linear = True
             self._points: tuple[int, ...] = ()
@@ -79,25 +79,27 @@ class _IntervalLookup:
                 candidates[k].append(r)
         self._candidates = tuple(tuple(c) for c in candidates)
 
-    @classmethod
-    def _segments(cls, regions, points, candidates) -> "_IntervalLookup":
-        lookup = cls.__new__(cls)
-        lookup._regions = regions
-        lookup._linear = False
-        lookup._points = tuple(points)
-        lookup._candidates = tuple(candidates)
-        return lookup
+    def _derived(self, regions, points, candidates) -> "IntervalVersion":
+        """The next version over ``regions`` with a carried index."""
+        version = type(self).__new__(type(self))
+        version._regions = regions
+        version.default_allow = self.default_allow
+        version.epoch = self.epoch + 1
+        version._linear = False
+        version._points = tuple(points)
+        version._candidates = tuple(candidates)
+        return version
 
-    def added(self, region: Region) -> "_IntervalLookup":
-        """The index of ``self``'s regions plus ``region`` appended.
+    def added(self, region: Region) -> "IntervalVersion":
+        """The next version: ``region`` appended.
 
         The appended region has the lowest priority, so it goes last in
         every candidate tuple it joins.  Each new endpoint splits the
         segment containing it; both halves keep the old candidates,
         because no other region has a boundary there."""
+        if self._linear:
+            return super().added(region)
         regions = self._regions + (region,)
-        if self._linear or len(regions) <= LINEAR_CUTOFF:
-            return _IntervalLookup(regions)
         points = list(self._points)
         candidates = list(self._candidates)
         for p in (region.base, region.end):
@@ -109,10 +111,10 @@ class _IntervalLookup:
         hi = bisect.bisect_left(points, region.end)
         for k in range(lo, hi + 1):
             candidates[k] = candidates[k] + (region,)
-        return _IntervalLookup._segments(regions, points, candidates)
+        return self._derived(regions, points, candidates)
 
-    def removed(self, idx: int) -> "_IntervalLookup":
-        """The index of ``self``'s regions without the one at ``idx``.
+    def removed(self, idx: int) -> "IntervalVersion":
+        """The next version: the region at ``idx`` dropped.
 
         Its first equal occurrence in each candidate tuple is dropped;
         if an earlier region equals it, the tuples that remain hold the
@@ -122,10 +124,10 @@ class _IntervalLookup:
         exactly one of the two (regions have positive length), and with
         no such boundary every region covering one side covers the
         other."""
+        if len(self._regions) <= LINEAR_CUTOFF + 1:
+            return super().removed(idx)
         region = self._regions[idx]
         regions = self._regions[:idx] + self._regions[idx + 1:]
-        if len(regions) <= LINEAR_CUTOFF:
-            return _IntervalLookup(regions)
         points = list(self._points)
         candidates = list(self._candidates)
         lo = bisect.bisect_right(points, region.base)
@@ -139,23 +141,18 @@ class _IntervalLookup:
             if candidates[k] == candidates[k + 1]:
                 del points[k]
                 del candidates[k + 1]
-        return _IntervalLookup._segments(regions, points, candidates)
+        return self._derived(regions, points, candidates)
 
-    def check(
-        self, addr: int, size: int, flags: int, default_allow: bool
-    ) -> Decision:
+    def check(self, addr: int, size: int, flags: int) -> Decision:
         if self._linear or size <= 0:
-            # Exact paper-table walk (also the correctness fallback for
-            # degenerate zero-size probes, where "covers" can match at a
-            # region's exclusive end and segment math would diverge).
-            regions = self._regions
-            for i, r in enumerate(regions):
-                if r.base <= addr and addr + size <= r.base + r.length:
-                    return (r.prot & flags) == flags, i + 1
-            # ``or 1``: an empty interval index charges one comparison
-            # where the linear RegionTable charges 0; recorded counters
-            # depend on it.
-            return default_allow, len(regions) or 1
+            # The exact paper-table walk (also the correctness fallback
+            # for degenerate zero-size probes, where "covers" can match
+            # at a region's exclusive end and segment math would
+            # diverge).  ``or 1``: an empty interval index charges one
+            # comparison where the linear table charges 0; recorded
+            # counters depend on it.
+            allowed, scanned = TableVersion.check(self, addr, size, flags)
+            return allowed, scanned or 1
         points = self._points
         lo, hi = 0, len(points)
         steps = 0
@@ -171,75 +168,14 @@ class _IntervalLookup:
             steps += 1
             if r.base + r.length >= end:
                 return (r.prot & flags) == flags, steps
-        return default_allow, max(steps, 1)
-
-
-class IntervalTableReplica(RegionTableReplica):
-    """Immutable RCU replica carrying the prebuilt segment index."""
-
-    name = "interval-index-replica"
-
-    __slots__ = ("_lookup",)
-
-    def __init__(
-        self,
-        regions: tuple,
-        default_allow: bool,
-        epoch: int,
-        lookup: _IntervalLookup,
-    ):
-        super().__init__(regions, default_allow, epoch)
-        self._lookup = lookup
-
-    def check(self, addr: int, size: int, flags: int) -> Decision:
-        return self._lookup.check(addr, size, flags, self.default_allow)
+        return self.default_allow, max(steps, 1)
 
 
 class IntervalRegionTable(RegionTable):
-    """Drop-in :class:`RegionTable` with sub-linear overlap-aware checks.
-
-    Mutations go through the inherited table (priority order preserved,
-    epoch bumped).  ``add`` and ``remove`` carry a current segment index
-    forward copy-on-write (:meth:`_reindex`) before the table calls
-    ``on_change``, so a republish from the hook snapshots the carried
-    index; any other change leaves it stale, and it is rebuilt in full
-    on the next check or snapshot.
-    """
+    """Drop-in :class:`RegionTable` with sub-linear overlap-aware checks."""
 
     name = "interval-index"
-
-    def __init__(self, default_allow: bool = False,
-                 max_regions: int = MAX_REGIONS):
-        super().__init__(default_allow, max_regions)
-        self._lookup: _IntervalLookup | None = None
-        self._lookup_epoch = -1
-
-    def _fresh_lookup(self) -> _IntervalLookup | None:
-        """The segment index if it matches the table, else None."""
-        return self._lookup if self._lookup_epoch == self.epoch else None
-
-    def _reindex(self, delta) -> None:
-        if delta is not None and self._lookup_epoch == self.epoch - 1:
-            self._lookup = delta(self._lookup)
-            self._lookup_epoch = self.epoch
-
-    def _current_lookup(self) -> _IntervalLookup:
-        lookup = self._fresh_lookup()
-        if lookup is None:
-            lookup = self._lookup = _IntervalLookup(tuple(self._regions))
-            self._lookup_epoch = self.epoch
-        return lookup
-
-    def check(self, addr: int, size: int, flags: int) -> Decision:
-        return self._current_lookup().check(
-            addr, size, flags, self._default_allow
-        )
-
-    def snapshot(self) -> IntervalTableReplica:
-        lookup = self._current_lookup()
-        return IntervalTableReplica(
-            lookup._regions, self.default_allow, self.epoch, lookup,
-        )
+    version_type = IntervalVersion
 
 
-__all__ = ["IntervalRegionTable", "IntervalTableReplica", "LINEAR_CUTOFF"]
+__all__ = ["IntervalRegionTable", "IntervalVersion", "LINEAR_CUTOFF"]

@@ -471,12 +471,12 @@ class CaratPolicyModule:
         """Check against ``cpu``'s RCU replica when one applies.
 
         Only the global region table is replicated; per-module tables
-        go straight to the master.  The global table is read through
-        the control plane's composed snapshot for this CPU (canary CPUs
-        see a staged generation; torn, partial or stale slots are
-        repaired before any decision is served).  Replica scans are
-        byte-identical to master scans, so every simulated counter is
-        unchanged."""
+        go straight to their current version.  The global table is read
+        through the control plane's composed version for this CPU
+        (canary CPUs see a staged generation; torn, partial or stale
+        slots are repaired before any decision is served).  With no
+        tenant that is the master's own version, so every simulated
+        counter is what a master check gives."""
         if index is not self.index:
             return index.check(addr, size, flags)
         rcu = self.kernel.rcu

@@ -28,12 +28,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .. import abi
-from ..ir.instructions import Br, Ret, Switch, Unreachable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .subsystem import TraceSubsystem
-
-_TERMINATORS = (Br, Ret, Switch, Unreachable)
 
 
 def guard_site_id(module_name: str, fn_name: str, ordinal: int) -> str:
@@ -104,9 +101,9 @@ class VMTracer:
     def site_for(self, module_name: str, inst) -> str:
         """Resolve (and memoize) the callsite id for a guard instruction.
 
-        Walks the owning function counting guard call sites in block
-        order, stopping at each block's terminator — the same traversal
-        the compiled engine's translator performs, so ordinals agree.
+        The ordinal is the instruction's place in
+        :func:`repro.abi.guard_sites`, which the compiled engine's
+        translator counts too, so ids agree across engines.
         """
         site = self._site_ids.get(inst)
         if site is not None:
@@ -114,22 +111,10 @@ class VMTracer:
         fn = inst.function
         if fn is None:  # detached instruction (hand-built IR in tests)
             return guard_site_id(module_name, "?", 0)
-        ordinal = 0
-        found = None
-        for block in fn.blocks:
-            for candidate in block.instructions:
-                if isinstance(candidate, _TERMINATORS):
-                    break
-                if abi.is_guard_call(candidate):
-                    if candidate is inst:
-                        found = ordinal
-                        break
-                    ordinal += 1
-            if found is not None:
-                break
-        site = guard_site_id(
-            module_name, fn.name, found if found is not None else ordinal
-        )
+        sites = list(abi.guard_sites(fn))
+        ordinal = next((i for i, site in enumerate(sites) if site is inst),
+                       len(sites))
+        site = guard_site_id(module_name, fn.name, ordinal)
         self._site_ids[inst] = site
         return site
 

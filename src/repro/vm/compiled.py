@@ -384,8 +384,9 @@ class _Translator:
         self.costs = self.timing.machine.centi if self.timing else None
         self.tracer = engine.tracer
         # Guard call sites numbered in translation order; the same walk
-        # (blocks in order, stopping at terminators) backs the
-        # interpreter's VMTracer.site_for, so ids agree across engines.
+        # (blocks in order, stopping at terminators: ``abi.guard_sites``)
+        # backs the interpreter's VMTracer.site_for, so ids agree across
+        # engines.
         # (A traced translation inlines nothing.)
         self._guard_ordinal = 0
         #: Inline leaves (a hot function's second translation), else
@@ -989,7 +990,8 @@ class _Translator:
                 self._emit(self._lv, f"{s} = 1 if {cond} else 0")
             return
         if kind is Cast:
-            if inst.op in arith.FLOAT_CONVERSIONS:
+            if arith.cast_src(inst.op, inst.value.type, inst.type,
+                              "v") is None:
                 # Float conversions stay closures from ``repro.ir.arith``.
                 c = self._bind(
                     "C", arith.cast(inst.op, inst.value.type, inst.type))

@@ -57,7 +57,7 @@ def _adds(*slots, prot=RW):
 
 def _layout(tenant):
     """The namespace's exact ordered content — the atomicity witness."""
-    return [(r.base, r.length, r.prot) for r in tenant.table._regions]
+    return [(r.base, r.length, r.prot) for r in tenant.table.regions()]
 
 
 class TestTenantLifecycle:

@@ -267,17 +267,12 @@ def _republish(policy, manager):
     manager.add_region(0x9000, 0x1000, RW)  # a new generation
 
 
-def _regions_edit(policy):
-    del policy.index._regions[0]
-    policy.index.changed()
-
-
 #: write -> (what it does, which tables it empties: "global", "m" or "all").
 _WRITES = {
     "add": (lambda p, mg: p.index.add(Region(0x9000, 0x1000, RW)), "global"),
     "remove": (lambda p, mg: p.index.remove(_G, 0x1000), "global"),
     "clear": (lambda p, mg: p.index.clear(), "global"),
-    "regions_edit": (lambda p, mg: _regions_edit(p), "global"),
+    "regions_edit": (lambda p, mg: p.index.pop(0), "global"),
     "default_allow": (lambda p, mg: mg.set_default(True), "global"),
     "module_table_add": (
         lambda p, mg: mg.add_region_for("m", 0x30_0000, 0x1000, RW), "m"),

@@ -5,8 +5,8 @@ table's first-match-wins semantics under arbitrary overlap — quarantine
 rules shadowing broad allow rules — where a plain sorted array cannot
 hold overlapped regions at all.  This file is its proof obligation: for
 ANY region list (any overlap, any add order) and ANY query,
-``IntervalRegionTable.check`` and its RCU replica decide exactly like
-``RegionTable.check``.
+``IntervalRegionTable.check`` and every version it publishes decide
+exactly like ``RegionTable.check``.
 """
 
 import hypothesis.strategies as st
@@ -14,7 +14,8 @@ from hypothesis import given, settings
 
 from repro import abi
 from repro.policy import IntervalRegionTable, Region, RegionTable
-from repro.policy.interval import LINEAR_CUTOFF, _IntervalLookup
+from repro.policy.interval import LINEAR_CUTOFF, IntervalVersion
+from repro.policy.table import TableVersion
 
 PROTS = (0, abi.FLAG_READ, abi.FLAG_WRITE, abi.FLAG_READ | abi.FLAG_WRITE)
 BASE = 0x40000000
@@ -92,7 +93,8 @@ def test_replica_tracks_mutations(data, regions, default_allow):
         interval.remove(victim.base, victim.length)
         replica = interval.snapshot()
         assert replica.epoch == interval.epoch
-        fresh = _IntervalLookup(tuple(interval.regions()))
+        fresh = IntervalVersion(tuple(interval.regions()),
+                                interval.default_allow, interval.epoch)
         for addr, size, flags in qs:
             want, _ = linear.check(addr, size, flags)
             got = interval.check(addr, size, flags)
@@ -100,8 +102,7 @@ def test_replica_tracks_mutations(data, regions, default_allow):
             # Scan counts drive the simulated cycles: the replica must
             # charge exactly what the master and a fresh build charge.
             assert replica.check(addr, size, flags) == got
-            assert fresh.check(addr, size, flags,
-                               interval.default_allow) == got
+            assert fresh.check(addr, size, flags) == got
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,27 +166,49 @@ class TestFirstMatchWins:
         assert int_total < lin_total / 3
 
 
-# -- copy-on-write writes ----------------------------------------------------
+# -- one immutable version per write -----------------------------------------
 #
-# ``add``/``remove`` on a table whose index is current derive the new
-# index from the old one instead of rebuilding it.  The contract is
-# structural: the derived index must equal a full build over the new
-# region tuple field by field, so every (allowed, scanned) and every
-# simulated cycle is unchanged, and a published index is never mutated.
+# Every write builds the table's next version.  ``add`` and ``pop`` (so
+# ``remove``) on an interval table derive its index from the current one
+# instead of rebuilding it.  The contract is structural: the derived
+# version must equal a full build over its region tuple field by field,
+# so every (allowed, scanned) and every simulated cycle is unchanged, and
+# a published version is never mutated.
+
+
+def _fields(version):
+    """Everything a version's answers depend on."""
+    fields = (type(version), version.regions(), version.default_allow,
+              version.epoch)
+    if isinstance(version, IntervalVersion):
+        fields += (version._linear, version._points, version._candidates)
+    return fields
 
 
 def _assert_matches_full_build(table):
-    fresh = _IntervalLookup(tuple(table.regions()))
-    live = table._fresh_lookup()
-    lookups = [table._current_lookup()]
-    if live is not None:
-        lookups.append(live)
-    for lookup in lookups:
-        assert lookup._regions == fresh._regions
-        assert lookup._linear == fresh._linear
-        assert lookup._points == fresh._points
-        assert lookup._candidates == fresh._candidates
+    version = table.snapshot()
+    assert version is table.version
+    fresh = type(version)(tuple(version.regions()), version.default_allow,
+                          version.epoch)
+    assert _fields(version) == _fields(fresh)
     return fresh
+
+
+def _linear_oracle(regions, default_allow, addr, size, flags):
+    """The paper's first-match walk over a plain list."""
+    for r in regions:
+        if r.covers(addr, size):
+            return r.permits(flags)
+    return default_allow
+
+
+def _model_remove(model, region):
+    """Drop the first entry with ``region``'s (base, length)."""
+    for i, m in enumerate(model):
+        if (m.base, m.length) == (region.base, region.length):
+            del model[i]
+            return True
+    return False
 
 
 def _boundary_probes(regions):
@@ -217,36 +240,48 @@ _step = st.one_of(
     st.tuples(st.just("remove_missing"), _region),
     st.tuples(st.just("clear")),
     st.tuples(st.just("default"), st.booleans()),
-    st.tuples(st.just("journal_insert"), st.integers(0, 63), _region),
+    st.tuples(st.just("insert"), st.integers(0, 63), _region),
+    st.tuples(st.just("pop"), st.integers(0, 63)),
 )
+
+#: Fixed probes for re-asking every published version: both sides of
+#: lattice points spread over the regions' span.
+_HISTORY_PROBES = [
+    (BASE + 8 * k + d, size, flags)
+    for k, d, size, flags in zip(
+        range(-1, 330, 11), (-1, 0, 1) * 11, (1, 8, 4) * 11, PROTS[1:] * 11)
+]
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_region, max_size=20), st.lists(_step, min_size=1,
-                                                 max_size=60))
-def test_delta_index_equals_full_build(preload, steps):
-    """Random add/remove/clear/default sequences, with duplicates,
-    nested and partial overlaps, removal of one of two equal regions,
-    LINEAR_CUTOFF crossings both ways, and a journal-style direct
-    ``_regions.insert`` + epoch bump (``PolicyControlPlane._undo_del``)
-    that leaves the index stale for the next delta."""
-    table = IntervalRegionTable(max_regions=64)
-    oracle = RegionTable(max_regions=64)
+@given(st.sampled_from((RegionTable, IntervalRegionTable)),
+       st.lists(_region, max_size=20),
+       st.lists(_step, min_size=1, max_size=60))
+def test_delta_index_equals_full_build(kind, preload, steps):
+    """Random add/remove/clear/insert/pop/default sequences on linear
+    and interval tables, with duplicates, nested and partial overlaps,
+    removal of one of two equal regions and LINEAR_CUTOFF crossings both
+    ways.  After every step: the new version equals a full build of its
+    regions; every version published earlier still gives its old
+    (allowed, scanned) answers; decisions equal the linear oracle."""
+    table = kind(max_regions=64)
+    model, default_allow = [], False
     for r in preload:
         table.add(r)
-        oracle.add(r)
-    table.snapshot()
+        model.append(r)
+    published = []
     for step in steps:
-        kind = step[0]
+        kind_ = step[0]
         regions = table.regions()
-        if kind in ("add", "dup", "nest"):
+        epoch, before = table.epoch, table.version
+        if kind_ in ("add", "dup", "nest", "insert"):
             if len(regions) >= 64:
                 continue
-            if kind == "add":
-                region = step[1]
+            if kind_ in ("add", "insert"):
+                region = step[-1]
             elif not regions:
                 continue
-            elif kind == "dup":
+            elif kind_ == "dup":
                 # Same (base, length) as an existing entry: a second
                 # equal region, or the same window with another prot.
                 src = regions[step[1] % len(regions)]
@@ -256,44 +291,48 @@ def test_delta_index_equals_full_build(preload, steps):
                 if src.length < 3:
                     continue
                 region = Region(src.base + 1, src.length - 2, 0)
-            table.add(region)
-            oracle.add(region)
-        elif kind == "remove":
+            if kind_ == "insert":
+                idx = step[1] % (len(regions) + 1)
+                table.insert(idx, region)
+                model.insert(idx, region)
+            else:
+                assert table.add(region) == len(model)
+                model.append(region)
+        elif kind_ in ("remove", "pop"):
             if not regions:
                 continue
-            victim = regions[step[1] % len(regions)]
-            assert table.remove(victim.base, victim.length)
-            assert oracle.remove(victim.base, victim.length)
-        elif kind == "remove_missing":
+            idx = step[1] % len(regions)
+            if kind_ == "pop":
+                assert table.pop(idx) is model.pop(idx)
+            else:
+                victim = regions[idx]
+                assert table.remove(victim.base, victim.length)
+                _model_remove(model, victim)
+        elif kind_ == "remove_missing":
             r = step[1]
-            assert table.remove(r.base, r.length) == oracle.remove(
-                r.base, r.length)
-        elif kind == "clear":
+            assert table.remove(r.base, r.length) == _model_remove(model, r)
+        elif kind_ == "clear":
             table.clear()
-            oracle.clear()
-        elif kind == "default":
-            table.default_allow = oracle.default_allow = step[1]
+            model.clear()
         else:
-            if len(regions) >= 64:
-                continue
-            idx = step[1] % (len(regions) + 1)
-            table._regions.insert(idx, step[2])
-            table.epoch += 1
-            oracle._regions.insert(idx, step[2])
-            oracle.epoch += 1
-            # Mutate again before anything rebuilds the stale index.
-            if regions:
-                victim = regions[0]
-                table.remove(victim.base, victim.length)
-                oracle.remove(victim.base, victim.length)
-        assert table.regions() == oracle.regions()
+            table.default_allow = default_allow = step[1]
+        assert table.regions() == model
+        assert table.default_allow == default_allow
+        # Only region changes move the epoch.
+        assert table.epoch - epoch == (kind_ != "default"
+                                       and table.version is not before)
+        for version, answers in published:
+            assert [version.check(*q) for q in _HISTORY_PROBES] == answers
         fresh = _assert_matches_full_build(table)
-        for addr, size in _boundary_probes(table.regions()):
+        version = table.snapshot()
+        published.append(
+            (version, [version.check(*q) for q in _HISTORY_PROBES]))
+        for addr, size in _boundary_probes(model):
             for flags in PROTS[1:]:
                 got = table.check(addr, size, flags)
-                assert got == fresh.check(addr, size, flags,
-                                          table.default_allow)
-                assert got[0] == oracle.check(addr, size, flags)[0]
+                assert got == fresh.check(addr, size, flags)
+                assert got[0] == _linear_oracle(model, default_allow,
+                                                addr, size, flags)
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,9 +351,8 @@ def test_replica_is_immutable_under_delta_writes(data, preload):
 
     def publish():
         replica = table.snapshot()
-        lookup = replica._lookup
-        return (replica, replica.regions(), lookup._points,
-                lookup._candidates, [replica.check(*q) for q in probes_])
+        return (replica, replica.regions(), replica._points,
+                replica._candidates, [replica.check(*q) for q in probes_])
 
     published = [publish()]
     for _ in range(data.draw(st.integers(1, 6))):
@@ -324,27 +362,26 @@ def test_replica_is_immutable_under_delta_writes(data, preload):
             regions = table.regions()
             victim = regions[data.draw(st.integers(0, len(regions) - 1))]
             table.remove(victim.base, victim.length)
-        assert table._fresh_lookup() is not None
         published.append(publish())
     for replica, regions, points, candidates, answers in published:
         assert replica.regions() == regions
-        assert replica._lookup._points == points
-        assert replica._lookup._candidates == candidates
+        assert replica._points == points
+        assert replica._candidates == candidates
         assert type(points) is tuple and type(candidates) is tuple
         assert [replica.check(*q) for q in probes_] == answers
 
 
 def test_delta_touches_only_the_spanned_segments():
-    """An add or remove on a current index shares every untouched
-    segment's candidate tuple with the old index (a rebuild would not),
-    and snapshots share the index's region tuple."""
+    """An add or remove on an interval table shares every untouched
+    segment's candidate tuple with the previous version (a rebuild would
+    not), and a snapshot is the table's version itself."""
     table = IntervalRegionTable()
     for i in range(32):
         table.add(Region(BASE + i * 0x100, 0x100, abi.FLAG_READ))
-    old = table._current_lookup()
+    old = table.version
     table.add(Region(BASE + 0x400, 0x80, 0))
-    new = table._fresh_lookup()
-    assert new is not None and new is not old
+    new = table.version
+    assert new is not old
     assert new._regions[:-1] is not old._regions  # a new tuple...
     assert new._regions[:-1] == old._regions      # ...of the same regions
     shared = sum(
@@ -352,26 +389,7 @@ def test_delta_touches_only_the_spanned_segments():
     )
     assert shared >= len(new._candidates) - 3
     table.remove(BASE + 0x400, 0x80)
-    again = table._fresh_lookup()
-    assert again is not None
+    again = table.version
     assert again._points == old._points
     assert again._candidates == old._candidates
-    snap = table.snapshot()
-    assert snap._regions is again._regions
-    assert snap._lookup is again
-
-
-def test_stale_index_is_rebuilt_not_patched():
-    """After a direct ``_regions`` edit plus an epoch bump the index is
-    stale; the next add must not derive from it."""
-    table = IntervalRegionTable()
-    for i in range(16):
-        table.add(Region(BASE + i * 0x100, 0x100, abi.FLAG_READ))
-    table.snapshot()
-    table._regions.insert(0, Region(BASE, 0x1000, 0))
-    table.epoch += 1
-    assert table._fresh_lookup() is None
-    table.add(Region(BASE + 0x2000, 0x100, abi.FLAG_WRITE))
-    assert table._fresh_lookup() is None
-    _assert_matches_full_build(table)
-    assert table.check(BASE + 0x10, 4, abi.FLAG_READ)[0] is False
+    assert table.snapshot() is again

@@ -17,10 +17,11 @@ from repro import abi
 from repro.kernel import Kernel
 from repro.policy import (
     CaratPolicyModule,
+    IntervalRegionTable,
     PolicyManager,
     Region,
     RegionTable,
-    RegionTableReplica,
+    TableVersion,
 )
 
 PROTS = (abi.FLAG_READ, abi.FLAG_WRITE, abi.FLAG_READ | abi.FLAG_WRITE)
@@ -43,6 +44,14 @@ _ops = st.lists(
             st.integers(1, 0x1000),
             st.sampled_from(PROTS),
         ),
+        st.tuples(
+            st.just("insert"),
+            st.integers(0, 63),
+            st.integers(0, 120),
+            st.integers(1, 0x1000),
+            st.sampled_from(PROTS),
+        ),
+        st.tuples(st.just("pop"), st.integers(0, 63)),
         st.tuples(
             st.just("check"),
             st.integers(0, 121 * 0x1000),  # offset into the lattice
@@ -82,7 +91,8 @@ class TestSnapshotSemantics:
         for slot, length, prot in regions:
             master.add(Region(_BASE + slot * 0x1000, length, prot))
         replica = master.snapshot()
-        assert isinstance(replica, RegionTableReplica)
+        assert isinstance(replica, TableVersion)
+        assert replica is master.version
         assert replica.epoch == master.epoch
         assert replica.default_allow == master.default_allow
         assert len(replica) == len(master)
@@ -103,55 +113,112 @@ class TestSnapshotSemantics:
         assert replica.epoch != master.epoch  # staleness is detectable
 
 
-def _audit_policy(ncpus):
+def _audit_policy(ncpus, index=None):
     kernel = Kernel(ncpus=ncpus)
-    policy = CaratPolicyModule(kernel, mode="audit").install()
+    policy = CaratPolicyModule(kernel, index=index, mode="audit").install()
     return kernel, policy, PolicyManager(kernel)
+
+
+#: Fixed probes for re-asking every published version.
+_HISTORY_PROBES = [
+    (_BASE + off, size, flags)
+    for off, size, flags in zip(
+        range(-8, 122 * 0x1000, 0x3fff), (1, 8, 64) * 11, PROTS * 11)
+]
+
+
+def _oracle(model, default_allow, addr, size, flags):
+    """The paper's first-match walk over a plain list: (allowed, scanned)."""
+    for i, r in enumerate(model):
+        if r.covers(addr, size):
+            return r.permits(flags), i + 1
+    return default_allow, len(model)
 
 
 class TestReplicaNeverDiverges:
     @settings(max_examples=40, deadline=None)
-    @given(ops=_ops, ncpus=st.sampled_from((1, 2, 4)))
-    def test_randomized_ops(self, ops, ncpus):
-        """Drive mutations through the ioctl write path (RCU publish),
-        or straight into the master table with no ioctl ("direct"),
-        and checks through ``carat_guard`` on rotating CPUs; the guard's
-        answer must always equal a direct master check."""
-        kernel, policy, manager = _audit_policy(ncpus)
+    @given(ops=_ops, ncpus=st.sampled_from((1, 2, 4)),
+           kind=st.sampled_from((RegionTable, IntervalRegionTable)))
+    def test_randomized_ops(self, ops, ncpus, kind):
+        """Drive writes through the ioctl path (RCU publish), or straight
+        into the master table with no ioctl ("direct" adds, positional
+        "insert" and "pop"), and checks through ``carat_guard`` on
+        rotating CPUs, on a linear and an interval master.  After every
+        step: the published version is the master's and equals a full
+        build of its regions; every version published earlier still
+        gives its old answers; and the guard's decision equals the
+        linear oracle's (the scan count, too, on a linear master)."""
+        kernel, policy, manager = _audit_policy(ncpus, kind())
         master = policy.index
+        cp = policy.controlplane
+        model, default_allow = [], False
+        published = []
         cpu = 0
         for op in ops:
-            kind = op[0]
-            if kind == "add":
+            kind_ = op[0]
+            if kind_ == "add":
                 _, slot, length, prot = op
                 base, length, prot = _slot_region(slot, length, prot)
                 manager.add_region(base, length, prot)
-            elif kind == "remove":
+                model.append(Region(base, length, prot))
+            elif kind_ == "remove":
                 base, length, _ = _slot_region(op[1])
-                manager.remove_region(base, length)
-            elif kind == "clear":
+                removed = manager.remove_region(base, length)
+                hit = next((i for i, r in enumerate(model)
+                            if (r.base, r.length) == (base, length)), None)
+                assert removed == (hit is not None)
+                if removed:
+                    del model[hit]
+            elif kind_ == "clear":
                 manager.clear()
-            elif kind == "default":
+                model.clear()
+            elif kind_ == "default":
                 manager.set_default(op[1])
-            elif kind == "direct":
+                default_allow = op[1]
+            elif kind_ == "direct":
                 _, slot, length, prot = op
-                master.add(Region(*_slot_region(slot, length, prot)))
+                region = Region(*_slot_region(slot, length, prot))
+                master.add(region)
+                model.append(region)
+            elif kind_ == "insert":
+                _, idx, slot, length, prot = op
+                region = Region(*_slot_region(slot, length, prot))
+                idx %= len(model) + 1
+                master.insert(idx, region)
+                model.insert(idx, region)
+            elif kind_ == "pop":
+                if model:
+                    idx = op[1] % len(model)
+                    assert master.pop(idx) == model.pop(idx)
             else:
                 _, off, size, flags = op
                 addr = _BASE + off
-                expect_allowed, expect_scanned = master.check(
-                    addr, size, flags)
+                expect_allowed, expect_scanned = _oracle(
+                    model, default_allow, addr, size, flags)
                 denied = policy.stats.denied
                 with kernel.smp.on(cpu):
                     scanned = policy._guard(None, addr, size, flags, "t")
-                assert scanned == expect_scanned
+                assert scanned == master.check(addr, size, flags)[1]
+                if kind is RegionTable:
+                    assert scanned == expect_scanned
                 # Audit mode returns the scan count for allow and deny
                 # alike; the decision itself shows up in the counters.
                 assert (policy.stats.denied == denied) == expect_allowed
                 cpu = (cpu + 1) % ncpus
+            version = cp._current
+            assert version is master.version
+            assert version.regions() == model
+            assert version.default_allow == default_allow
+            fresh = type(version)(tuple(model), default_allow, version.epoch)
+            assert [fresh.check(*q) for q in _HISTORY_PROBES] == \
+                [version.check(*q) for q in _HISTORY_PROBES]
+            for old, answers in published:
+                assert [old.check(*q) for q in _HISTORY_PROBES] == answers
+            published.append(
+                (version, [version.check(*q) for q in _HISTORY_PROBES]))
         # Every write, direct edits included, republished as it
         # happened, so no slot ever needed a repair on the read path.
-        assert policy.controlplane.replica_repairs == 0
+        assert cp.replica_repairs == 0
         if ncpus > 1:
             merged = policy.stats.as_dict()
             per_cpu = policy.stats_per_cpu()

@@ -263,9 +263,9 @@ def test_insmod_during_a_staged_canary_arms_nothing(engine, verify_policy):
 
 
 def test_interval_master_write_builds_no_full_index(monkeypatch):
-    """An ioctl add or remove on an interval master republishes from the
-    copy-on-write index: the hook runs after the table has carried its
-    index forward, so the publish's snapshot never rebuilds it."""
+    """An ioctl add, remove or default write on an interval master
+    publishes the version the write derived copy-on-write: no full
+    index build."""
     kernel = Kernel(ncpus=2)
     policy = CaratPolicyModule(kernel, index=IntervalRegionTable(),
                                mode="audit").install()
@@ -273,15 +273,16 @@ def test_interval_master_write_builds_no_full_index(monkeypatch):
     for i in range(4 * interval.LINEAR_CUTOFF):
         manager.add_region(0x4000_0000 + 2 * i * 0x1000, 0x1000, RW)
     builds = []
-    init = interval._IntervalLookup.__init__
+    init = interval.IntervalVersion.__init__
 
-    def counting(self, regions):
+    def counting(self, regions, default_allow, epoch):
         builds.append(len(regions))
-        init(self, regions)
+        init(self, regions, default_allow, epoch)
 
-    monkeypatch.setattr(interval._IntervalLookup, "__init__", counting)
+    monkeypatch.setattr(interval.IntervalVersion, "__init__", counting)
     publishes = policy.replica_publishes
     manager.add_region(0x8000_0000, 0x1000, RW)
     manager.remove_region(0x8000_0000, 0x1000)
-    assert policy.replica_publishes == publishes + 2
+    manager.set_default(True)
+    assert policy.replica_publishes == publishes + 3
     assert builds == []

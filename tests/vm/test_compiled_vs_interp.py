@@ -874,9 +874,7 @@ def _fast_path_events():
         assert env["manager"].cp_tick() == 2
 
     def regions_edit(env):
-        table = env["policy"].index
-        table._regions.insert(0, Region(env["hot"], 8, 0))
-        table.changed()
+        env["policy"].index.insert(0, Region(env["hot"], 8, 0))
 
     def reinstall(env):
         env["policy"].uninstall()

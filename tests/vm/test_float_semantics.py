@@ -20,7 +20,9 @@ import pytest
 
 from repro.core.pipeline import CompileOptions, compile_module
 from repro.ir import arith
-from repro.ir.types import I8, I32, I64
+from repro.ir.instructions import Cast
+from repro.ir.types import F32, F64, I8, I32, I64
+from repro.ir.values import ConstantFloat
 from repro.kernel import Kernel
 
 INF = math.inf
@@ -219,19 +221,42 @@ class TestIntegerInitializerForFloatGlobal:
 
 
 class TestNegation:
-    """A floating ``-x`` flips the sign bit of every non-NaN value, as C
-    does: codegen lowers it as ``fsub -0.0, x``, so ``-(+0.0)`` is -0.0,
-    the value constant folding gives ``-0.0`` in an initializer."""
+    """A floating ``-x`` flips the sign bit of every value, NaN included,
+    as C does (gcc 12.2 -O0 on x86-64): codegen lowers it as a bitcast to
+    the value's bits, an ``xor`` with the sign bit and a bitcast back, so
+    ``-(+0.0)`` is -0.0, the value constant folding gives ``-0.0`` in an
+    initializer."""
 
     SOURCE = """
     double folded = -0.0;
+    double folded_nan = -(1e308 * 10.0 - 1e308 * 10.0);
     __export unsigned long neg(double z) {
         double r = -z; return *(unsigned long *)&r; }
     __export unsigned long negf(double z) {
         float f = z; float r = -f; return *(unsigned int *)&r; }
+    __export unsigned long neg_bits(unsigned long b) {
+        double x = *(double *)&b; double r = -x;
+        return *(unsigned long *)&r; }
+    __export unsigned long negf_bits(unsigned long b) {
+        unsigned int w = b; float x = *(float *)&w; float r = -x;
+        return *(unsigned int *)&r; }
     __export unsigned long get_folded(void) {
         return *(unsigned long *)&folded; }
+    __export unsigned long get_folded_nan(void) {
+        return *(unsigned long *)&folded_nan; }
+    __export unsigned long neg_inf_diff(double z) {
+        double i = z * 10.0; double r = -(i - i);
+        return *(unsigned long *)&r; }
     """
+
+    #: (f64 bits of x, of -x), (f32 bits of x, of -x), as gcc 12.2 -O0
+    #: on x86-64 gives them: a quiet NaN, -0.0 and 1.0 each way.
+    BIT_CASES = [
+        ((0x7FF8000000000000, 0xFFF8000000000000), (0x7FC00000, 0xFFC00000)),
+        ((0xFFF8000000000000, 0x7FF8000000000000), (0xFFC00000, 0x7FC00000)),
+        ((0x0, 0x8000000000000000), (0x0, 0x80000000)),
+        ((0x3FF0000000000000, 0xBFF0000000000000), (0x3F800000, 0xBF800000)),
+    ]
 
     CASES = [  # argument, f64 bits of -x, f32 bits of -(float)x
         (0.0, 0x8000000000000000, 0x80000000),
@@ -251,22 +276,37 @@ class TestNegation:
         assert neg_run("negf", z) == f32_bits
 
     def test_nan_stays_nan(self, neg_run):
-        # Unlike C's negation, ``fsub`` keeps a NaN's sign bit, so only
-        # NaN-ness is pinned here.
-        bits = neg_run("neg", math.nan)
-        assert bits & 0x7FF0000000000000 == 0x7FF0000000000000
-        assert bits & 0x000FFFFFFFFFFFFF
-        bits = neg_run("negf", math.nan)
-        assert bits & 0x7F800000 == 0x7F800000 and bits & 0x007FFFFF
+        # A NaN stays NaN, payload and all; only its sign bit flips.
+        assert neg_run("neg", math.nan) == 0xFFF8000000000000
+        assert neg_run("negf", math.nan) == 0xFFC00000
+
+    @pytest.mark.parametrize("f64, f32", BIT_CASES)
+    def test_sign_bit_flips_from_bit_patterns(self, neg_run, f64, f32):
+        assert neg_run("neg_bits", f64[0]) == f64[1]
+        assert neg_run("neg_bits", f64[1]) == f64[0]
+        assert neg_run("negf_bits", f32[0]) == f32[1]
+        assert neg_run("negf_bits", f32[1]) == f32[0]
 
     def test_agrees_with_constant_folding(self, neg_run):
         assert neg_run("get_folded") == neg_run("neg", 0.0)
+        assert neg_run("get_folded_nan") == neg_run("neg_inf_diff", 1e308)
+
+    def test_bitcast_is_a_float_and_its_bits(self):
+        assert arith.cast("bitcast", F64, I64)(-0.0) == 1 << 63
+        assert arith.cast("bitcast", I64, F64)(1 << 63) == 0.0
+        assert arith.cast("bitcast", F32, I32)(1.0) == 0x3F800000
+        assert arith.cast("bitcast", I32, F32)(0xBF800000) == -1.0
+        with pytest.raises(TypeError, match="one width"):
+            Cast("bitcast", ConstantFloat(F64, 1.0), I32)
 
     def test_engines_agree_bit_for_bit(self):
         runs = [load(engine, self.SOURCE) for engine in ENGINES]
         for fn in ("neg", "negf"):
             for z in (0.0, -0.0, INF, -INF, math.nan, 1.5):
                 assert len({run(fn, z) for run in runs}) == 1
+        for (x, _), (w, _) in self.BIT_CASES:
+            assert len({run("neg_bits", x) for run in runs}) == 1
+            assert len({run("negf_bits", w) for run in runs}) == 1
 
 
 class TestNaNComparison:
